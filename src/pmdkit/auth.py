@@ -272,6 +272,33 @@ def all_tamper_functions(n: int):
         yield TamperFunction(tags)
 
 
+def _nm_sweep(code: NmCode, solved: dict) -> float:
+    """Worst simulator gap over all 4^n tamperings, one LP per decode table.
+
+    The LP of `nm_decompose` reads only k and the per-message decode
+    distributions, so tamperings are keyed by their sorted decode
+    outcomes per message (reject as -1) and `solved` maps each key to
+    its epsilon.  The key fixes the whole LP, k and rand_bits included,
+    so one `solved` dict may serve several codes.
+    """
+    if code.k > 3 or code.n > 8:
+        raise SizeGuardError("nm_verify sweeps 4^n tamperings; needs k <= 3, n <= 8")
+    codewords = [[code.encode(s, r) for r in range(1 << code.rand_bits)]
+                 for s in range(1 << code.k)]
+    worst = 0.0
+    for f in all_tamper_functions(code.n):
+        rows = []
+        for words in codewords:
+            outcomes = [code.decode(f.apply(w)) for w in words]
+            rows.append(tuple(sorted(-1 if o is REJECT else o for o in outcomes)))
+        key = tuple(rows)
+        eps = solved.get(key)
+        if eps is None:
+            eps = solved[key] = nm_decompose(code, f).epsilon
+        worst = max(worst, eps)
+    return worst
+
+
 def nm_verify(code: NmCode) -> float:
     """max over deterministic bit-wise tamperings of the simulator gap.
 
@@ -279,12 +306,7 @@ def nm_verify(code: NmCode) -> float:
     the definition is convex in the tampering, so this maximum is the
     code's error.
     """
-    if code.k > 3 or code.n > 8:
-        raise SizeGuardError("nm_verify sweeps 4^n tamperings; needs k <= 3, n <= 8")
-    worst = 0.0
-    for f in all_tamper_functions(code.n):
-        worst = max(worst, nm_decompose(code, f).epsilon)
-    return worst
+    return _nm_sweep(code, {})
 
 
 def nm_search(k: int, n: int, trials: int, rng: np.random.Generator,
@@ -293,6 +315,7 @@ def nm_search(k: int, n: int, trials: int, rng: np.random.Generator,
     if k + rand_bits > n:
         raise ValueError("codeword too short for message plus randomness")
     best_code, best_eps = None, np.inf
+    solved: dict = {}  # decode table -> epsilon, shared by every trial
     for trial in range(max(1, trials)):
         perm = rng.permutation(1 << n)
         enc_table = {}
@@ -308,7 +331,7 @@ def nm_search(k: int, n: int, trials: int, rng: np.random.Generator,
                       lambda s, r, table=enc_table: table[(s, r)],
                       lambda w, table=dec_table: table.get(w, REJECT),
                       name=f"random[{k}->{n}]#{trial}")
-        eps = nm_verify(code)
+        eps = _nm_sweep(code, solved)
         if eps < best_eps:
             best_code, best_eps = code, eps
     return best_code, best_eps
@@ -621,7 +644,9 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
         _check_wire_cptp(kraus, f"wire {q}")
     rho0 = _entangled_encoding(proto)
     total_qubits = n + k
-    iso = proto.composed.encoder_isometry()
+    # Accept POVM and decode collapse to contraction with the composed
+    # isometry (syndrome-0 and detection projection), reference alongside.
+    big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
     phi_proj = _maxent_projector(k)
     p_accept = 0.0
     p_wrong = 0.0
@@ -651,9 +676,6 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
                 continue
             unpad = widen(pad_to_pauli(s_tilde, n))
             sigma = _dm_conjugate_pauli(unpad, rho)  # pads are self-inverse
-            # Accept POVM and decode collapse to contraction with the
-            # composed isometry (syndrome-0 and detection projection).
-            big_iso = np.kron(np.eye(1 << k), iso)
             tau = big_iso.conj().T @ sigma @ big_iso
             tr = float(np.trace(tau).real)
             p_accept += w * tr

@@ -159,15 +159,22 @@ def _field_override(args):
     return FieldSpec(args.lam, int(args.modulus, 0))
 
 
+def _seed(args) -> int:
+    """The run's RNG seed: `--seed`, or 0 when it is omitted, so that
+    reruns without a seed still emit byte-identical reports."""
+    return 0 if args.seed is None else args.seed
+
+
 def cmd_ptc_check(args) -> int:
+    seed = _seed(args)
     config = {"n": args.n, "lam": args.lam,
               "mode": "exhaustive" if args.samples is None else f"samples={args.samples}"}
     if args.modulus:
         config["modulus"] = args.modulus
     family = build_bcgst_family(args.n, args.lam, field=_field_override(args))
-    eps = measure_strong_ptc_error(family, samples=args.samples, seed=args.seed)
+    eps = measure_strong_ptc_error(family, samples=args.samples, seed=seed)
     delta = measure_pairwise_detectability(family)
-    report = Report("ptc check", config, args.seed)
+    report = Report("ptc check", config, seed)
     eps_bound = Fraction(args.n, 2 ** args.lam)
     delta_bound = Fraction(2 * args.n, 2 ** args.lam)
     report.add("epsilon_measured", _frac(eps.value), "n/2^lam", _frac(eps_bound),
@@ -181,17 +188,18 @@ def cmd_ptc_check(args) -> int:
 
 
 def cmd_pmd_verify(args) -> int:
+    seed = _seed(args)
     config = {"n": args.n, "lam": args.lam}
     if args.modulus:
         config["modulus"] = args.modulus
     family = build_bcgst_family(args.n, args.lam, field=_field_override(args))
     pmd = build_pmd(family)
-    eps_rep = measure_pmd_epsilon(pmd, samples=args.samples, seed=args.seed)
+    eps_rep = measure_pmd_epsilon(pmd, samples=args.samples, seed=seed)
     eps_ptc = measure_strong_ptc_error(family)
     delta = measure_pairwise_detectability(family)
     bound = max(float(eps_ptc.value),
                 float(np.sqrt(2.0 ** -args.lam + float(delta.value))))
-    report = Report("pmd verify", config, args.seed)
+    report = Report("pmd verify", config, seed)
     report.add("epsilon", f"{eps_rep.value:.12f}",
                "max(eps_ptc, sqrt(2^-lam + delta))", f"{bound:.12f}",
                eps_rep.value <= bound + 1e-9)
@@ -236,9 +244,10 @@ def cmd_qlde_profile(args) -> int:
 
 
 def cmd_qlde_sample_css(args) -> int:
-    rng = np.random.default_rng(np.random.Philox(args.seed))
+    seed = _seed(args)
+    rng = np.random.default_rng(np.random.Philox(seed))
     sample = sample_random_css(args.n, args.k, rng)
-    report = Report("qlde sample-css", {"n": args.n, "k": args.k}, args.seed)
+    report = Report("qlde sample-css", {"n": args.n, "k": args.k}, seed)
     report.add("realized_k", sample.code.k, "target", args.k,
                sample.code.k == args.k)
     report.extras["first_draw_full_rank"] = sample.first_draw_full_rank
@@ -267,11 +276,12 @@ def cmd_aqec_simulate(args) -> int:
     eps = measure_pmd_epsilon(pmd).value
     config = {"pmd_n": args.pmd_n, "pmd_lambda": args.pmd_lambda,
               "outer": args.outer, "budget": args.budget}
-    report = Report("aqec simulate", config, args.seed)
+    seed = _seed(args)
+    report = Report("aqec simulate", config, seed)
     if args.adversary:
         adversaries = [("file", _load_adversary(args.adversary, outer.n))]
     else:
-        rng = np.random.default_rng(np.random.Philox(args.seed or 0))
+        rng = np.random.default_rng(np.random.Philox(seed))
         adversaries = [(f"seeded[{i}]", random_adversary(outer.n, args.budget, rng))
                        for i in range(args.count)]
     rows = []
@@ -375,10 +385,11 @@ def systematic_parity_nm_for_pad(pmd, outer, inner_code) -> NmCode:
 
 
 def cmd_nm_search(args) -> int:
-    rng = np.random.default_rng(np.random.Philox(args.seed))
+    seed = _seed(args)
+    rng = np.random.default_rng(np.random.Philox(seed))
     code, eps = nm_search(args.k, args.n, args.trials, rng)
     report = Report("nm search", {"k": args.k, "n": args.n, "trials": args.trials},
-                    args.seed)
+                    seed)
     report.add("epsilon_nm", f"{eps:.12f}", "best-of-trials", args.trials, True)
     if args.out_nm:
         Path(args.out_nm).write_text(code.dumps(), encoding="utf-8")
@@ -461,9 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     ptc_check.add_argument("--lambda", dest="lam", type=int, required=True)
     ptc_check.add_argument("--modulus", default=None,
                            help="hex override for the GF(2^lambda) modulus")
-    group = ptc_check.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", default=True)
-    group.add_argument("--samples", type=int, default=None)
+    ptc_check.add_argument("--samples", type=int, default=None)
     _add_common(ptc_check)
     ptc_check.set_defaults(func=cmd_ptc_check)
 
@@ -570,3 +579,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pmdkit import auth
 from pmdkit.aqec import compose
 from pmdkit.auth import (Auth1Protocol, Auth13Protocol, NmCode, TamperFunction,
                          abs_coeffs_from_kraus, all_tamper_functions,
@@ -130,6 +131,69 @@ def test_nm_searched_code_epsilon_regression():
 
 
 PINNED_SEARCH_EPS = 2 / 3  # exhaustive LP sweep of the seeded search winner
+
+
+def brute_force_nm_epsilon(code):
+    """Oracle: one simulator LP per tampering, nothing shared."""
+    return max(nm_decompose(code, f).epsilon for f in all_tamper_functions(code.n))
+
+
+def decode_table(code, f):
+    return tuple(tuple(sorted((-1 if o is REJECT else o, p) for o, p in d.items()))
+                 for d in code.tampered_distributions(f))
+
+
+def random_table_codes(k, n, trials, seed):
+    """The codes nm_search(k, n, trials) draws from a seeded stream."""
+    rng = np.random.default_rng(np.random.Philox(seed))
+    return [nm_search(k, n, 1, rng)[0] for _ in range(trials)]
+
+
+@pytest.fixture(scope="module")
+def seed21_trials():
+    """nm_search(2, 5, 2) at seed 21: its two trial codes with oracle epsilons."""
+    codes = random_table_codes(2, 5, 2, 21)
+    return codes, [brute_force_nm_epsilon(c) for c in codes]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: systematic_parity_nm(1),
+    lambda: systematic_parity_nm(2),
+    lambda: random_table_codes(1, 4, 1, 5)[0],
+], ids=["parity_k1", "parity_k2", "random_k1_n4"])
+def test_nm_verify_equals_unshared_sweep(make):
+    code = make()
+    assert nm_verify(code) == brute_force_nm_epsilon(code)
+
+
+def test_nm_verify_equals_unshared_sweep_random_k2_n5(seed21_trials):
+    codes, oracle = seed21_trials
+    assert [nm_verify(c) for c in codes] == oracle
+
+
+def test_nm_search_matches_brute_force_best_of_trials(seed21_trials):
+    codes, oracle = seed21_trials
+    best = min(range(len(codes)), key=lambda i: (oracle[i], i))
+    code, eps = nm_search(2, 5, 2, np.random.default_rng(np.random.Philox(21)))
+    assert eps == oracle[best]
+    got, want = code.to_record(), codes[best].to_record()
+    assert (got["encode"], got["decode"]) == (want["encode"], want["decode"])
+    assert abs(eps - PINNED_SEARCH_EPS) < 1e-9
+
+
+def test_nm_search_solves_one_lp_per_decode_table(monkeypatch, seed21_trials):
+    codes, _ = seed21_trials
+    tables = {decode_table(c, f) for c in codes for f in all_tamper_functions(c.n)}
+    solved = []
+    real = auth.nm_decompose
+
+    def counting(code, f):
+        solved.append(decode_table(code, f))
+        return real(code, f)
+
+    monkeypatch.setattr(auth, "nm_decompose", counting)
+    nm_search(2, 5, 2, np.random.default_rng(np.random.Philox(21)))
+    assert len(solved) == len(set(solved)) == len(tables) == 539
 
 
 # ---------------------------------------------------------------------------

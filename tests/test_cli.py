@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmdkit
 from pmdkit.cli import run
 
 FOUR22_TEXT = "n=4 k=2\nXXXX\nZZZZ\n"
@@ -161,6 +166,34 @@ def test_nm_search_verify_roundtrip(capsys, tmp_path):
     rc2, out2, _ = invoke(capsys, ["nm", "verify", "--nm", str(nm_file)])
     assert rc2 == 0
     assert "epsilon_nm" in out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmd", "verify", "--n", "4", "--lambda", "2", "--samples", "5"],
+    ["nm", "search", "--k", "1", "--n", "4", "--trials", "1"],
+])
+def test_omitted_seed_defaults_to_zero(capsys, argv):
+    argv = argv + ["--format", "json"]
+    _, first, _ = invoke(capsys, argv)
+    _, again, _ = invoke(capsys, argv)
+    _, seeded, _ = invoke(capsys, argv + ["--seed", "0"])
+    assert first == again == seeded
+    assert json.loads(first)["seed"] == 0
+
+
+def test_python_dash_m_entry_points():
+    env = dict(os.environ)
+    src = str(Path(pmdkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    for module in ("pmdkit", "pmdkit.cli"):
+        helped = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                                capture_output=True, text=True)
+        assert helped.returncode == 0
+        assert helped.stdout.startswith("usage: pmdkit")
+        bare = subprocess.run([sys.executable, "-m", module], env=env,
+                              capture_output=True)
+        assert bare.returncode == 2
 
 
 def test_sweep_csv_and_empty(capsys):
