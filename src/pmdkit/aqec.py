@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densesim import (apply_circuit, apply_on_qubits, apply_pauli,
-                       maximally_entangled_overlap)
+                       check_trace_preserving, maximally_entangled_overlap)
 from .limits import check_qubits
 from .pmd import PmdCode, auth_unitary
 from .qlde import CorrectionList, erasure_list_decode
@@ -86,7 +86,6 @@ class ErasureAdversary:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "nonadaptive" and len(self.branches) != 1:
             raise ValueError("a nonadaptive adversary has exactly one erased set")
-        total = np.zeros((1 << self.n, 1 << self.n), dtype=complex)
         norm_branches = []
         for mat, support in self.branches:
             support = tuple(sorted(support))
@@ -98,11 +97,12 @@ class ErasureAdversary:
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (1 << len(support),) * 2:
                 raise ValueError("Kraus shape does not match support size")
-            embedded = _embed_operator(mat, support, self.n)
-            total += embedded.conj().T @ embedded
             norm_branches.append((mat, support))
-        if not np.allclose(total, np.eye(1 << self.n), atol=1e-10):
-            raise ValueError("adversary branches are not trace preserving")
+        # (K (x) I)^dag (K (x) I) = K^dag K (x) I, so embed the small Gram.
+        eye = np.eye(1 << self.n, dtype=complex)
+        check_trace_preserving(
+            (apply_on_qubits(mat.conj().T @ mat, support, eye, self.n)
+             for mat, support in norm_branches), 1 << self.n, "adversary branches")
         object.__setattr__(self, "branches", tuple(norm_branches))
 
     @classmethod
@@ -114,11 +114,6 @@ class ErasureAdversary:
     @classmethod
     def identity(cls, n: int) -> "ErasureAdversary":
         return cls.nonadaptive(n, ())
-
-
-def _embed_operator(mat: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
-    out = np.eye(1 << n, dtype=complex)
-    return apply_on_qubits(mat, support, out, n) if support else mat * out
 
 
 @dataclass(frozen=True)
@@ -157,10 +152,7 @@ def apply_adversary(state: np.ndarray, adv: ErasureAdversary,
     """
     branches = []
     for mat, support in adv.branches:
-        if support:
-            hit = apply_on_qubits(mat, support, state, n_qubits)
-        else:
-            hit = mat[0, 0] * state if mat.shape == (1, 1) else state.copy()
+        hit = apply_on_qubits(mat, support, state, n_qubits)
         weight = float(np.vdot(hit, hit).real)
         if weight <= WEIGHT_TOL:
             continue

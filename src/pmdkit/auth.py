@@ -29,11 +29,14 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import f2
-from .aqec import ComposedCode
-from .densesim import apply_pauli, codespace_isometry
+from .aqec import ComposedCode, entangled_code_state
+from .densesim import (apply_on_qubits, apply_pauli, check_trace_preserving,
+                       codespace_isometry,
+                       dm_apply_single_qubit_kraus as _dm_apply_single_qubit_kraus,
+                       dm_conjugate_pauli as _dm_conjugate_pauli)
 from .galois import FieldSpec
 from .limits import SizeGuardError
-from .symplectic import PauliOperator, StabilizerCode
+from .symplectic import PauliOperator, StabilizerCode, pauli_span
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 _P1 = {
@@ -411,10 +414,7 @@ def _normalizer_elements(code: StabilizerCode):
     """All elements of N(Q) mod phase, from the derived basis."""
     if code.n > 8:
         raise SizeGuardError("normalizer enumeration limited to n <= 8")
-    elements = [PauliOperator.identity(code.n)]
-    for g in code.normalizer:
-        elements += [e.mul(g) for e in elements]
-    return [PauliOperator(code.n, e.x, e.z, 0) for e in elements]
+    return pauli_span(code.n, code.normalizer)
 
 
 def pure_distance(code: StabilizerCode) -> int:
@@ -481,10 +481,7 @@ def twise_pad(seed: int, t: int, length: int, word_bits: int | None = None) -> i
     """
     if t < 1:
         raise ValueError("independence order t must be >= 1")
-    if word_bits is None:
-        word_bits = 1
-        while (length + word_bits - 1) // word_bits > (1 << word_bits):
-            word_bits += 1
+    word_bits = _pad_word_bits(length, word_bits)
     npoints = (length + word_bits - 1) // word_bits
     if npoints > (1 << word_bits):
         raise ValueError(f"word size {word_bits} has too few evaluation points")
@@ -503,12 +500,18 @@ def twise_pad(seed: int, t: int, length: int, word_bits: int | None = None) -> i
     return out & ((1 << length) - 1)
 
 
-def twise_pad_seed_bits(t: int, length: int, word_bits: int | None = None) -> int:
+def _pad_word_bits(length: int, word_bits: int | None) -> int:
+    """The given word size, or the smallest w whose field has enough
+    evaluation points for `length` bits."""
     if word_bits is None:
         word_bits = 1
         while (length + word_bits - 1) // word_bits > (1 << word_bits):
             word_bits += 1
-    return t * word_bits
+    return word_bits
+
+
+def twise_pad_seed_bits(t: int, length: int, word_bits: int | None = None) -> int:
+    return t * _pad_word_bits(length, word_bits)
 
 
 def pad_to_pauli(pad: int, n: int) -> PauliOperator:
@@ -523,30 +526,6 @@ def pad_to_pauli(pad: int, n: int) -> PauliOperator:
 # ---------------------------------------------------------------------------
 # Rate-1/3 protocol
 # ---------------------------------------------------------------------------
-
-def _dm_conjugate_pauli(p: PauliOperator, rho: np.ndarray) -> np.ndarray:
-    left = apply_pauli(p, rho)
-    return apply_pauli(p, left.conj().T).conj().T
-
-
-def _check_wire_cptp(kraus, where: str) -> None:
-    total = sum(np.asarray(k, dtype=complex).conj().T @ np.asarray(k, dtype=complex)
-                for k in kraus)
-    if not np.allclose(total, np.eye(2), atol=1e-9):
-        raise ValueError(f"{where}: Kraus operators are not trace preserving")
-
-
-def _dm_apply_single_qubit_kraus(kraus, qubit: int, rho: np.ndarray,
-                                 n: int) -> np.ndarray:
-    from .densesim import apply_on_qubits
-    out = np.zeros_like(rho)
-    for k in kraus:
-        k = np.asarray(k, dtype=complex)
-        left = apply_on_qubits(k, (qubit,), rho, n)
-        # K rho K^dag == (K (K rho)^dag)^dag, row-applying K both times.
-        out += apply_on_qubits(k, (qubit,), left.conj().T, n).conj().T
-    return out
-
 
 @dataclass(frozen=True)
 class Auth13Protocol:
@@ -611,18 +590,6 @@ def auth13_encode(proto: Auth13Protocol, message: np.ndarray) -> list[KeyedEncod
     return branches
 
 
-def _entangled_encoding(proto: Auth13Protocol) -> np.ndarray:
-    """rho0 on code (x) reference for a maximally entangled message."""
-    iso = proto.composed.encoder_isometry()
-    k = proto.composed.message_qubits
-    n = proto.n_quantum
-    vec = np.zeros((1 << n) * (1 << k), dtype=complex)
-    for m in range(1 << k):
-        vec[(m << n):(m << n) + (1 << n)] = iso[:, m]
-    vec /= np.sqrt(1 << k)
-    return np.outer(vec, vec.conj())
-
-
 def _maxent_projector(k: int) -> np.ndarray:
     phi = np.zeros(1 << (2 * k), dtype=complex)
     for m in range(1 << k):
@@ -641,8 +608,10 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     if len(wire_kraus) != n:
         raise ValueError(f"need {n} per-wire channels")
     for q, kraus in enumerate(wire_kraus):
-        _check_wire_cptp(kraus, f"wire {q}")
-    rho0 = _entangled_encoding(proto)
+        check_trace_preserving((np.conj(k).T @ k for k in kraus), 2, f"wire {q}")
+    # rho0 on code (x) reference for a maximally entangled message.
+    vec = entangled_code_state(proto.composed)
+    rho0 = np.outer(vec, vec.conj())
     total_qubits = n + k
     # Accept POVM and decode collapse to contraction with the composed
     # isometry (syndrome-0 and detection projection), reference alongside.
@@ -687,10 +656,6 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     return AttackReport(p_accept, p_wrong, p_reject, fidelity)
 
 
-def pauli_channel_weights_product(wire_kraus) -> list[np.ndarray]:
-    return [twirl_channel(k) for k in wire_kraus]
-
-
 def auth13_key_recovered_branch(proto: Auth13Protocol, wire_kraus) -> AttackReport:
     """Key-recovered branch via the algebraic per-qubit twirl.
 
@@ -702,7 +667,7 @@ def auth13_key_recovered_branch(proto: Auth13Protocol, wire_kraus) -> AttackRepo
     outer = proto.composed.outer
     pmd = proto.composed.pmd
     k = proto.composed.message_qubits
-    weights = pauli_channel_weights_product(wire_kraus)
+    weights = [twirl_channel(kraus) for kraus in wire_kraus]
     b_pmd = pmd.encoder
     dec_circuit = outer.encoder.inverse()
     phi_proj = _maxent_projector(k)
@@ -829,22 +794,32 @@ class Auth1Protocol:
 
     @property
     def seed_bits(self) -> int:
-        return twise_pad_seed_bits(2, self.pad_bits, word_bits=self.word_bits)
+        return auth1_pad_seed_bits(self.n_blocks, self.block_qubits)
 
     def pad_for_seed(self, seed: int) -> PauliOperator:
         bits = twise_pad(seed, 2, self.pad_bits, word_bits=self.word_bits)
         return pad_to_pauli(bits, self.total_quantum)
 
-    def encoder_isometry(self) -> np.ndarray:
-        """Blockwise inner encodings composed with the outer encoder."""
-        outer_iso = codespace_isometry(self.outer)
+    def block_isometry(self) -> np.ndarray:
+        """Inner encoding of every block: block messages (grouped
+        low-to-high) to blocks."""
         block_iso = self.inner.encoder_isometry()
-        k_in = self.inner.message_qubits
         lifted = np.eye(1, dtype=complex)
         for _ in range(self.n_blocks):
             lifted = np.kron(block_iso, lifted)
-        # lifted maps block messages (grouped low-to-high) to blocks.
-        return lifted @ outer_iso
+        return lifted
+
+    def encoder_isometry(self) -> np.ndarray:
+        """Blockwise inner encodings composed with the outer encoder."""
+        outer_iso = codespace_isometry(self.outer)
+        return self.block_isometry() @ outer_iso
+
+
+def auth1_pad_seed_bits(n_blocks: int, block_qubits: int) -> int:
+    """Seed size of the rate-1 pad: pairwise independent over one field
+    word (two pad bits per qubit) per block."""
+    return twise_pad_seed_bits(2, 2 * n_blocks * block_qubits,
+                               word_bits=2 * block_qubits)
 
 
 def auth1_encode(proto: Auth1Protocol, message: np.ndarray, seed: int) -> np.ndarray:
@@ -871,7 +846,6 @@ def auth1_decode(proto: Auth1Protocol, state: np.ndarray, seed: int,
     forces a global reject).  Survivors are un-encoded blockwise and the
     outer code's syndrome is checked the same way.
     """
-    from .densesim import apply_on_qubits
     n = proto.total_quantum
     vec = apply_pauli(proto.pad_for_seed(seed), state)  # pads self-inverse
     acc_op = auth1_block_accept_operator(proto)
@@ -886,11 +860,7 @@ def auth1_decode(proto: Auth1Protocol, state: np.ndarray, seed: int,
             return Auth1DecodeResult(False, 0.0, f"inner block {j}", None)
         vec = projected / np.sqrt(p_block)
     # Un-encode the accepted blocks, then check the outer code.
-    block_iso = proto.inner.encoder_isometry()
-    lifted = np.eye(1, dtype=complex)
-    for _ in range(proto.n_blocks):
-        lifted = np.kron(block_iso, lifted)
-    block_messages = lifted.conj().T @ vec
+    block_messages = proto.block_isometry().conj().T @ vec
     outer_iso = codespace_isometry(proto.outer)
     message = outer_iso.conj().T @ block_messages
     p_outer = float(np.vdot(message, message).real)
@@ -920,7 +890,8 @@ def auth1_block_reject_probability(proto: Auth1Protocol, block_channels,
     if len(block_channels) != b:
         raise ValueError(f"need {b} per-qubit channels")
     for q, kraus in enumerate(block_channels):
-        _check_wire_cptp(kraus, f"block qubit {q}")
+        check_trace_preserving((np.conj(k).T @ k for k in kraus), 2,
+                               f"block qubit {q}")
     weights = [twirl_channel(k) for k in block_channels]
     acc_op = auth1_block_accept_operator(proto)
     accept = 0.0

@@ -21,7 +21,7 @@ from . import __version__
 from .aqec import ErasureAdversary, compose, erasure_harness, random_adversary
 from .auth import (Auth13Protocol, NmCode, TamperFunction, auth13_attack_harness,
                    nm_search, nm_verify, systematic_parity_nm)
-from .densesim import QuantumChannel
+from .densesim import kraus_from_record
 from .limits import SizeGuardError
 from .pmd import build_pmd, measure_pmd_epsilon
 from .ptc import build_bcgst_family, measure_pairwise_detectability, \
@@ -187,6 +187,16 @@ def cmd_ptc_check(args) -> int:
     return _emit(report, args)
 
 
+def _pmd_bound(family):
+    """(eps_ptc, delta, max(eps_ptc, sqrt(2^-lam + delta))): the PMD
+    error bound from the family's exhaustive detection figures."""
+    eps_ptc = measure_strong_ptc_error(family)
+    delta = measure_pairwise_detectability(family)
+    bound = max(float(eps_ptc.value),
+                float(np.sqrt(2.0 ** -family.lam + float(delta.value))))
+    return eps_ptc, delta, bound
+
+
 def cmd_pmd_verify(args) -> int:
     seed = _seed(args)
     config = {"n": args.n, "lam": args.lam}
@@ -195,10 +205,7 @@ def cmd_pmd_verify(args) -> int:
     family = build_bcgst_family(args.n, args.lam, field=_field_override(args))
     pmd = build_pmd(family)
     eps_rep = measure_pmd_epsilon(pmd, samples=args.samples, seed=seed)
-    eps_ptc = measure_strong_ptc_error(family)
-    delta = measure_pairwise_detectability(family)
-    bound = max(float(eps_ptc.value),
-                float(np.sqrt(2.0 ** -args.lam + float(delta.value))))
+    eps_ptc, delta, bound = _pmd_bound(family)
     report = Report("pmd verify", config, seed)
     report.add("epsilon", f"{eps_rep.value:.12f}",
                "max(eps_ptc, sqrt(2^-lam + delta))", f"{bound:.12f}",
@@ -259,11 +266,10 @@ def cmd_qlde_sample_css(args) -> int:
 
 def _load_adversary(path: str, n: int) -> ErasureAdversary:
     record = json.loads(Path(path).read_text(encoding="utf-8"))
-    branches = []
-    for br in record["branches"]:
-        mat = np.array([[complex(re, im) for re, im in row] for row in br["matrix"]])
-        branches.append((mat, tuple(br["support"])))
-    return ErasureAdversary(record.get("n", n), tuple(branches),
+    mats = kraus_from_record(br["matrix"] for br in record["branches"])
+    branches = tuple((mat, tuple(br["support"]))
+                     for mat, br in zip(mats, record["branches"]))
+    return ErasureAdversary(record.get("n", n), branches,
                             int(record["max_erased"]),
                             mode=record.get("mode", "adaptive"))
 
@@ -304,11 +310,7 @@ def cmd_aqec_simulate(args) -> int:
 
 def _load_attack(path: str):
     record = json.loads(Path(path).read_text(encoding="utf-8"))
-    wires = []
-    for wire in record["wires"]:
-        kraus = tuple(np.array([[complex(re, im) for re, im in row] for row in k])
-                      for k in wire)
-        wires.append(kraus)
+    wires = [kraus_from_record(wire) for wire in record["wires"]]
     classical = TamperFunction(tuple(record["classical"]))
     return wires, classical
 
@@ -344,15 +346,17 @@ def cmd_auth_simulate(args) -> int:
     # inner stabilizer code comes from --inner (default [[4,3]] Z^4).
     from .auth import (Auth1Protocol, auth1_block_codeword_density,
                        auth1_block_reject_probability, auth1_decode,
-                       auth1_encode, stabilizer_mass, twirl_channel)
+                       auth1_encode, auth1_pad_seed_bits, stabilizer_mass,
+                       twirl_channel)
     if args.inner:
         inner_code = parse_code(Path(args.inner).read_text(encoding="utf-8"))
     else:
         from .symplectic import PauliOperator
         inner_code = StabilizerCode(4, [PauliOperator.from_label("ZZZZ")],
                                     name="[[4,3]]")
-    proto = Auth1Protocol(outer, compose(pmd, inner_code),
-                          systematic_parity_nm_for_pad(pmd, outer, inner_code))
+    n_blocks = outer.n // pmd.message_qubits
+    nm = systematic_parity_nm(auth1_pad_seed_bits(n_blocks, inner_code.n))
+    proto = Auth1Protocol(outer, compose(pmd, inner_code), nm)
     wires, _classical = _load_attack(args.attack)
     if len(wires) != proto.total_quantum:
         raise ValueError(f"attack needs {proto.total_quantum} quantum wires")
@@ -375,13 +379,6 @@ def cmd_auth_simulate(args) -> int:
                    "1 - (eps_pmd^2 + stabilizer_mass)", f"{floor:.12f}",
                    reject >= floor - 1e-9)
     return _emit(report, args)
-
-
-def systematic_parity_nm_for_pad(pmd, outer, inner_code) -> NmCode:
-    from .auth import twise_pad_seed_bits
-    total = outer.n // pmd.message_qubits * inner_code.n
-    seed_bits = twise_pad_seed_bits(2, 2 * total, word_bits=2 * inner_code.n)
-    return systematic_parity_nm(seed_bits)
 
 
 def cmd_nm_search(args) -> int:
@@ -417,10 +414,7 @@ def cmd_sweep(args) -> int:
             family = build_bcgst_family(n, lam)
             pmd = build_pmd(family)
             eps = measure_pmd_epsilon(pmd)
-            eps_ptc = measure_strong_ptc_error(family)
-            delta = measure_pairwise_detectability(family)
-            bound = max(float(eps_ptc.value),
-                        float(np.sqrt(2.0 ** -lam + float(delta.value))))
+            eps_ptc, delta, bound = _pmd_bound(family)
             ok = eps.value <= bound + 1e-9
             rows.append({"n": n, "lam": lam, "epsilon": f"{eps.value:.12f}",
                          "eps_ptc": _frac(eps_ptc.value),

@@ -4,9 +4,11 @@ Statevectors and operators are complex128 numpy arrays.  Basis-state
 index bit j holds qubit j (little-endian), matching the bit-packed
 Pauli convention in `symplectic`.
 
-Mixed states appear only as weighted lists of pure branches
-(`Branch` = (weight, vector)); density matrices are used nowhere above
-a few qubits.
+Mixed states are weighted lists of pure branches (`Branch` =
+(weight, vector)); the authentication harnesses use small density
+matrices instead, through `dm_conjugate_pauli` and
+`dm_apply_single_qubit_kraus`.  Every Kraus map is checked by
+`check_trace_preserving` and serialized by `kraus_to_record`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import f2
 from .limits import SizeGuardError, check_qubits
 from .symplectic import CliffordCircuit, PauliOperator, StabilizerCode
 
@@ -162,6 +163,24 @@ def apply_on_qubits(u: np.ndarray, qubits: tuple[int, ...], array: np.ndarray,
     return result.transpose(perm).reshape(array.shape, order="F")
 
 
+def dm_conjugate_pauli(p: PauliOperator, rho: np.ndarray) -> np.ndarray:
+    """P rho P^dagger for a density matrix on p.n qubits."""
+    left = apply_pauli(p, rho)
+    return apply_pauli(p, left.conj().T).conj().T
+
+
+def dm_apply_single_qubit_kraus(kraus, qubit: int, rho: np.ndarray,
+                                n: int) -> np.ndarray:
+    """sum_K K rho K^dagger with each K acting on one qubit of n."""
+    out = np.zeros_like(rho)
+    for k in kraus:
+        k = np.asarray(k, dtype=complex)
+        left = apply_on_qubits(k, (qubit,), rho, n)
+        # K rho K^dag == (K (K rho)^dag)^dag, row-applying K both times.
+        out += apply_on_qubits(k, (qubit,), left.conj().T, n).conj().T
+    return out
+
+
 def apply_circuit(circ: CliffordCircuit, array: np.ndarray) -> np.ndarray:
     """Apply a Clifford circuit gate by gate."""
     n = circ.n
@@ -217,9 +236,7 @@ def codespace_projector(code: StabilizerCode) -> np.ndarray:
     check_qubits(code.n, "codespace_projector")
     dim = 1 << code.n
     acc = np.zeros((dim, dim), dtype=complex)
-    elements = [PauliOperator.identity(code.n)]
-    for g in code.gens:
-        elements += [e.mul(g) for e in elements]
+    elements = code.stabilizer_group(up_to_phase=False)
     for e in elements:
         acc += pauli_matrix(e)
     return acc / len(elements)
@@ -261,6 +278,27 @@ def operator_norm(m: np.ndarray, max_iter: int = 10**4) -> float:
 # Channels
 # ---------------------------------------------------------------------------
 
+def check_trace_preserving(grams, dim: int, what: str) -> None:
+    """Raise unless the terms K^dagger K of a Kraus map sum to the
+    identity on `dim` dimensions, every entry to within ATOL."""
+    total = sum(grams, np.zeros((dim, dim), dtype=complex))
+    if not np.allclose(total, np.eye(dim), rtol=0.0, atol=ATOL):
+        raise ValueError(f"{what}: Kraus operators are not trace preserving "
+                         "(the CPTP condition fails)")
+
+
+def kraus_to_record(kraus) -> list:
+    """JSON form of Kraus matrices: each entry an [re, im] pair."""
+    return [[[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(k)]
+            for k in kraus]
+
+
+def kraus_from_record(record) -> tuple[np.ndarray, ...]:
+    """Inverse of `kraus_to_record`."""
+    return tuple(np.array([[complex(re, im) for re, im in row] for row in k])
+                 for k in record)
+
+
 @dataclass(frozen=True)
 class QuantumChannel:
     """CPTP map given by Kraus matrices on a declared qubit support.
@@ -286,23 +324,16 @@ class QuantumChannel:
         for k in ops:
             if k.shape != (dim, dim):
                 raise ValueError(f"Kraus shape {k.shape} does not match support {support}")
-        total = sum(k.conj().T @ k for k in ops)
-        if not np.allclose(total, np.eye(dim), atol=ATOL):
-            raise ValueError("Kraus operators do not satisfy the CPTP condition")
+        check_trace_preserving((k.conj().T @ k for k in ops), dim, "channel")
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "support": list(self.support),
-            "kraus": [[[[float(z.real), float(z.imag)] for z in row] for row in k]
-                      for k in self.kraus],
-        }
+        return {"n": self.n, "support": list(self.support),
+                "kraus": kraus_to_record(self.kraus)}
 
     @classmethod
     def from_record(cls, record: dict) -> "QuantumChannel":
-        kraus = tuple(np.array([[complex(re, im) for re, im in row] for row in k])
-                      for k in record["kraus"])
-        return cls(int(record["n"]), kraus, tuple(record["support"]))
+        return cls(int(record["n"]), kraus_from_record(record["kraus"]),
+                   tuple(record["support"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_record(), sort_keys=True)
@@ -358,12 +389,6 @@ def replace_channel(target_state: np.ndarray, qubit: int, n: int) -> QuantumChan
     psi = psi / np.linalg.norm(psi)
     k = [np.outer(psi, e) for e in np.eye(2)]
     return QuantumChannel(n, tuple(k), (qubit,))
-
-
-def pauli_unitary_channel(p: PauliOperator, n: int) -> QuantumChannel:
-    support = p.support if p.support else (0,)
-    small = p.restricted_to(support)
-    return QuantumChannel(n, (pauli_matrix(small),), support)
 
 
 # ---------------------------------------------------------------------------

@@ -143,13 +143,14 @@ def _undetected_key_counts(family: PtcFamily, ex: np.ndarray, ez: np.ndarray) ->
 
 
 def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
-                             seed: int | None = None,
+                             seed: int = 0,
                              chunk: int = 1 << 16) -> SweepResult:
     """Worst-case fraction of keys that miss a fixed nonidentity Pauli.
 
     Exhaustive over all 4^n - 1 errors by default; pass `samples` for a
-    seeded uniform sample when the sweep would exceed the iteration
-    guard.  Per-error key fractions are exact in both modes.
+    uniform sample drawn from a Philox generator seeded with `seed`
+    when the sweep would exceed the iteration guard.  Per-error key
+    fractions are exact in both modes.
     """
     n = family.n
     total_errors = (1 << (2 * n)) - 1
@@ -180,19 +181,9 @@ def measure_pairwise_detectability(family: PtcFamily) -> SweepResult:
     """Worst case over shifts s != 0 of P_k[S_k meets N_{k+s} nontrivially]."""
     worst = Fraction(0)
     for shift in family.field.elements():
-        if not shift:
-            continue
-        bad_keys = 0
-        for key in family.keys():
-            code_k = family.code_for(key)
-            code_shifted = family.code_for(key + shift)
-            for sigma in code_k.stabilizer_group():
-                if sigma.is_identity():
-                    continue
-                if syndrome(code_shifted, sigma).bits == 0:
-                    bad_keys += 1
-                    break
-        worst = max(worst, Fraction(bad_keys, family.num_keys))
+        if shift:
+            bad_keys = len(commuting_shift_keys(family, shift))
+            worst = max(worst, Fraction(bad_keys, family.num_keys))
     return SweepResult(worst, exhaustive=True)
 
 

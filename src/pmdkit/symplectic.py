@@ -157,6 +157,20 @@ def pauli_mul(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return p.mul(q)
 
 
+def pauli_span(n: int, gens, up_to_phase: bool = True) -> list[PauliOperator]:
+    """All 2^len(gens) products of a generator subset (mod phase if requested).
+
+    The list doubles once per generator, so element i is the product of
+    the generators whose bits are set in i, multiplied in index order.
+    """
+    elements = [PauliOperator.identity(n)]
+    for g in gens:
+        elements += [e.mul(g) for e in elements]
+    if up_to_phase:
+        elements = [PauliOperator(n, e.x, e.z, 0) for e in elements]
+    return elements
+
+
 # ---------------------------------------------------------------------------
 # Clifford circuits as gate lists (used for deterministic encoders)
 # ---------------------------------------------------------------------------
@@ -308,12 +322,7 @@ class StabilizerCode:
 
     def stabilizer_group(self, up_to_phase: bool = True):
         """All 2^r stabilizer elements (mod phase if requested)."""
-        elements = [PauliOperator.identity(self.n)]
-        for g in self.gens:
-            elements += [e.mul(g) for e in elements]
-        if up_to_phase:
-            elements = [PauliOperator(self.n, e.x, e.z, 0) for e in elements]
-        return elements
+        return pauli_span(self.n, self.gens, up_to_phase)
 
     def contains_in_stabilizer(self, p: PauliOperator) -> bool:
         """Membership of p in S(Q) up to phase."""

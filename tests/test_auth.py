@@ -401,6 +401,14 @@ def test_auth13_rejects_non_cptp_wire():
         auth13_attack_harness(proto, bad, TamperFunction.keep_all(proto.nm.n))
 
 
+def test_wire_cptp_check_uses_the_channel_tolerance():
+    proto = make_auth13()
+    # 5e-10 off identity: inside the old 1e-9 wire tolerance, outside ATOL.
+    bad = [(np.sqrt(1 + 5e-10) * I2,)] + identity_wires(3)
+    with pytest.raises(ValueError, match="wire 0: .*trace preserving"):
+        auth13_attack_harness(proto, bad, TamperFunction.keep_all(proto.nm.n))
+
+
 def test_auth13_completeness_exact():
     proto = make_auth13()
     rep = auth13_attack_harness(proto, identity_wires(4),

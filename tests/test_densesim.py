@@ -295,6 +295,30 @@ def test_non_cptp_rejected():
         ds.QuantumChannel(1, (0.5 * np.eye(2, dtype=complex),), (0,))
 
 
+def test_trace_preserving_tolerance_is_absolute_atol():
+    # Every entry of sum K^dag K - I must be within ATOL, the diagonal too.
+    ds.QuantumChannel(1, (np.sqrt(1 + 0.2 * ds.ATOL) * I2,), (0,))
+    with pytest.raises(ValueError, match="trace preserving.*CPTP"):
+        ds.QuantumChannel(1, (np.sqrt(1 + 5 * ds.ATOL) * I2,), (0,))
+    with pytest.raises(ValueError, match="^adversary: "):
+        ds.check_trace_preserving([np.eye(2) + 5 * ds.ATOL], 2, "adversary")
+
+
+def test_density_matrix_helpers_match_dense_products():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    rho = m @ m.conj().T
+    p = pauli("XYZ")
+    dense_p = ds.pauli_matrix(p)
+    assert np.allclose(ds.dm_conjugate_pauli(p, rho), dense_p @ rho @ dense_p.conj().T,
+                       atol=1e-12)
+    kraus = [np.sqrt(0.7) * I2, np.sqrt(0.3) * X]
+    want = sum(np.kron(np.kron(I2, k), I2) @ rho @ np.kron(np.kron(I2, k), I2).conj().T
+               for k in kraus)
+    assert np.allclose(ds.dm_apply_single_qubit_kraus(kraus, 1, rho, 3), want,
+                       atol=1e-12)
+
+
 def test_channel_weight_conservation_random():
     rng = np.random.default_rng(23)
     chan = ds.depolarizing_channel(0.3, 1, 3)

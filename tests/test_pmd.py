@@ -195,6 +195,14 @@ def test_sampling_mode_deterministic():
     assert a.value <= measure_pmd_epsilon(pmd).value + ATOL
 
 
+def test_sampling_mode_without_seed_uses_seed_zero():
+    pmd = make_pmd(4, 2)
+    a = measure_pmd_epsilon(pmd, samples=5)
+    b = measure_pmd_epsilon(pmd, samples=5)
+    assert a == b
+    assert a == measure_pmd_epsilon(pmd, samples=5, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Detection unitary
 # ---------------------------------------------------------------------------

@@ -1,0 +1,128 @@
+"""Property tests against brute-force oracles at small size."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from pmdkit import f2
+from pmdkit.densesim import (circuit_unitary, kraus_from_record, kraus_to_record,
+                             pauli_matrix)
+from pmdkit.symplectic import CliffordCircuit, PauliOperator, pauli_span
+
+# A fixed example sequence and no example database, so reruns are identical.
+_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def paulis(draw, n):
+    return PauliOperator(n, draw(st.integers(0, (1 << n) - 1)),
+                         draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, 3)))
+
+
+@st.composite
+def pauli_lists(draw):
+    n = draw(st.integers(1, 3))
+    return n, draw(st.lists(paulis(n), max_size=4))
+
+
+@_SETTINGS
+@given(pauli_lists())
+def test_pauli_span_matches_subset_products(case):
+    n, gens = case
+    span = pauli_span(n, gens, up_to_phase=False)
+    assert len(span) == 1 << len(gens)
+    for subset, element in enumerate(span):
+        want = PauliOperator.identity(n)
+        dense = np.eye(1 << n, dtype=complex)
+        for i, g in enumerate(gens):
+            if (subset >> i) & 1:
+                want = want.mul(g)
+                dense = dense @ pauli_matrix(g)
+        assert element == want
+        assert np.allclose(pauli_matrix(element), dense, atol=1e-12)
+    assert pauli_span(n, gens) == [PauliOperator(n, e.x, e.z, 0) for e in span]
+
+
+_GATES = st.sampled_from(("h", "s", "x", "z", "cnot", "cz"))
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 3))
+    gates = []
+    for name in draw(st.lists(_GATES, max_size=8)):
+        arity = 2 if name in ("cnot", "cz") else 1
+        if arity > n:
+            continue
+        qubits = draw(st.permutations(range(n)))[:arity]
+        gates.append((name, tuple(qubits)))
+    return CliffordCircuit(n, tuple(gates)), draw(paulis(n))
+
+
+@_SETTINGS
+@given(circuits())
+def test_conjugate_pauli_matches_dense(case):
+    circ, p = case
+    u = circuit_unitary(circ)
+    want = u @ pauli_matrix(p) @ u.conj().T
+    assert np.allclose(pauli_matrix(circ.conjugate_pauli(p)), want, atol=1e-12)
+
+
+@st.composite
+def f2_systems(draw):
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=8))
+    rhs = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return ncols, rows, rhs
+
+
+def _satisfies(rows, rhs, x):
+    return all(f2.dot(row, x) == b for row, b in zip(rows, rhs))
+
+
+@_SETTINGS
+@given(f2_systems())
+def test_solve_matches_enumeration(case):
+    ncols, rows, rhs = case
+    solvable = any(_satisfies(rows, rhs, x) for x in range(1 << ncols))
+    x = f2.solve(rows, rhs, ncols)
+    if solvable:
+        assert x is not None and _satisfies(rows, rhs, x)
+    else:
+        assert x is None
+
+
+@_SETTINGS
+@given(f2_systems())
+def test_kernel_basis_matches_enumeration(case):
+    ncols, rows, _ = case
+    kernel = {x for x in range(1 << ncols) if _satisfies(rows, [0] * len(rows), x)}
+    basis = f2.kernel_basis(rows, ncols)
+    span = {0}
+    for v in basis:
+        span |= {s ^ v for s in span}
+    assert span == kernel
+    assert len(kernel) == 1 << len(basis)  # independent
+
+
+_ENTRIES = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kraus_lists(draw):
+    dim = 1 << draw(st.integers(0, 2))
+    return draw(st.lists(arrays(np.complex128, (dim, dim), elements=_ENTRIES),
+                         min_size=1, max_size=3))
+
+
+@_SETTINGS
+@given(kraus_lists())
+def test_kraus_record_round_trips_exactly(kraus):
+    back = kraus_from_record(json.loads(json.dumps(kraus_to_record(kraus))))
+    assert len(back) == len(kraus)
+    for got, want in zip(back, kraus):
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, want)

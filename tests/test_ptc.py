@@ -90,6 +90,13 @@ def test_sampling_mode_is_seeded_and_bounded():
     assert a.value <= measure_strong_ptc_error(fam).value
 
 
+def test_sampling_mode_without_seed_uses_seed_zero():
+    fam = build_bcgst_family(4, 2)
+    a = measure_strong_ptc_error(fam, samples=5)
+    assert a == measure_strong_ptc_error(fam, samples=5)
+    assert a == measure_strong_ptc_error(fam, samples=5, seed=0)
+
+
 def test_guard_error_mentions_sampling():
     fam = build_bcgst_family(4, 2)
     import pmdkit.ptc as ptc_module
