@@ -83,13 +83,13 @@ class DenseOperator:
 
     def is_isometry(self, atol: float = ATOL) -> bool:
         m = self.entries
-        return np.allclose(m.conj().T @ m, np.eye(self.cols), atol=atol)
+        return np.allclose(m.conj().T @ m, np.eye(self.cols), rtol=0, atol=atol)
 
     def is_projector(self, atol: float = ATOL) -> bool:
         m = self.entries
         return (m.shape[0] == m.shape[1]
-                and np.allclose(m @ m, m, atol=atol)
-                and np.allclose(m, m.conj().T, atol=atol))
+                and np.allclose(m @ m, m, rtol=0, atol=atol)
+                and np.allclose(m, m.conj().T, rtol=0, atol=atol))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ Key basis states are field elements in polynomial-basis bit order.
 The detection figure of merit is the worst operator norm of the
 code-space-compressed error, max over nonidentity Paulis E of
 |B^dag E B|, measured exhaustively (or by seeded sampling above the
-size guard).
+work guard).  The exhaustive sweep handles all Z parts of one X part
+with a Walsh transform factored over the key and code registers, and
+runs an SVD only on the blocks whose cheap norm bounds can still reach
+the running maximum.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .densesim import (apply_pauli, codespace_isometry, circuit_unitary,
                        f2_parity_array)
-from .limits import SizeGuardError, check_qubits
+from .limits import SWEEP_GUARD, SizeGuardError, check_qubits
 from .ptc import PtcFamily
 from .symplectic import PauliOperator
 
@@ -97,21 +100,6 @@ class EpsilonReport:
     seed: int | None = None
 
 
-def _compressed_norms_for_x(encoder: np.ndarray, x_mask: int, walsh: np.ndarray) -> np.ndarray:
-    """Largest singular value of B^dag E B for all z at a fixed x mask.
-
-    Phases of E drop out of singular values, so only the (x, z)
-    exponents matter; row permutation handles X, the Walsh matrix
-    handles every Z sign pattern at once.
-    """
-    dim, k_dim = encoder.shape
-    permuted = encoder[np.arange(dim) ^ x_mask]
-    # T[i, (j,l)] = conj(B[i,j]) * (P_x B)[i,l]
-    t = (encoder.conj()[:, :, None] * permuted[:, None, :]).reshape(dim, k_dim * k_dim)
-    stacked = (walsh @ t).reshape(dim, k_dim, k_dim)
-    return np.linalg.svd(stacked, compute_uv=False)[:, 0]
-
-
 def _walsh_matrix(n_qubits: int) -> np.ndarray:
     dim = 1 << n_qubits
     idx = np.arange(dim, dtype=np.uint64)
@@ -119,31 +107,74 @@ def _walsh_matrix(n_qubits: int) -> np.ndarray:
     return (1.0 - 2.0 * par).astype(float)
 
 
+def _norm_bounds(m: np.ndarray) -> np.ndarray:
+    """Upper bounds on the spectral norm of each matrix in a stack.
+
+    The smaller of the Frobenius norm and the Schur/Hoelder bound
+    sqrt(|M|_1 |M|_inf) (largest column and row absolute sums).
+    """
+    a = np.abs(m)
+    holder = np.sqrt(a.sum(axis=1).max(axis=1) * a.sum(axis=2).max(axis=1))
+    return np.minimum(holder, np.sqrt(np.einsum("ijk,ijk->i", a, a)))
+
+
 def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
                         seed: int = 0) -> EpsilonReport:
     """max over E != I (mod phase) of |B^dag E B|, with the argmax.
 
-    Exhaustive over all 4^total - 1 exponent pairs for total <= 10;
-    beyond that pass `samples` for a uniform sample drawn from a Philox
-    generator seeded with `seed` (each sampled norm is still exact).
+    Exhaustive over all 4^total - 1 exponent pairs while the sweep's
+    4^total * 4^(n-lam) block entries stay within `SWEEP_GUARD`
+    (SizeGuardError before any work otherwise); pass `samples` for a
+    uniform sample drawn from a Philox generator seeded with `seed`
+    (each sampled norm is still exact).
+
+    Phases of E drop out of singular values, so only the (x, z)
+    exponents matter.  For each x mask the rows of B are permuted by
+    X^x, and T[i, (j, l)] = conj(B[i, j]) (X^x B)[i, l] turns every Z
+    sign pattern into one Walsh transform: the block of W T at row z is
+    B^dag X^x Z^z B up to phase.  Rows are indexed key << n | c, so
+    W = W_key (x) W_code is applied factor by factor, on the real view
+    of T.  Singular values are then computed only for blocks whose norm
+    bounds (`_norm_bounds` of the block, then the square root of the
+    same bounds on its Gram matrix) reach the running maximum less a
+    relative 1e-9, which no rounding error can cross; a skipped block
+    can neither exceed the maximum nor tie it.
     """
     total = pmd.total
     if samples is None:
-        if total > 10:
+        n, lam = pmd.code_qubits, pmd.key_qubits
+        dim, k_dim = pmd.encoder.shape
+        work = (1 << (2 * total)) * k_dim * k_dim
+        if work > SWEEP_GUARD:
             raise SizeGuardError(
-                "exhaustive detection sweep is limited to 10 total qubits; "
-                "re-run with samples=<count> and a seed for sampling mode")
-        walsh = _walsh_matrix(total)
+                f"exhaustive detection sweep would compute {work:.2e} block "
+                f"entries, above the guard of {SWEEP_GUARD:.0e}; re-run with "
+                "samples=<count> and a seed for sampling mode")
+        walsh_code, walsh_key = _walsh_matrix(n), _walsh_matrix(lam)
+        rows = np.arange(dim)
+        conj = pmd.encoder.conj()
         best = -1.0
         best_xz = (0, 0)
         for x_mask in range(1 << total):
-            norms = _compressed_norms_for_x(pmd.encoder, x_mask, walsh)
+            t = conj[:, :, None] * pmd.encoder[rows ^ x_mask][:, None, :]
+            t = np.matmul(walsh_code, t.view(float).reshape(1 << lam, 1 << n, -1))
+            blocks = (walsh_key @ t.reshape(1 << lam, -1)).view(complex)
+            blocks = blocks.reshape(dim, k_dim, k_dim)
+            bound = _norm_bounds(blocks)
             if x_mask == 0:
-                norms[0] = -np.inf  # exclude the identity
-            z_best = int(np.argmax(norms))
-            if norms[z_best] > best:
-                best = float(norms[z_best])
-                best_xz = (x_mask, z_best)
+                bound[0] = -np.inf  # exclude the identity
+            floor = best * (1.0 - 1e-9)
+            cand = np.flatnonzero(bound >= floor)
+            m = blocks[cand]
+            keep = np.sqrt(_norm_bounds(m.conj().transpose(0, 2, 1) @ m)) >= floor
+            if not keep.any():
+                continue
+            cand = cand[keep]
+            norms = np.linalg.svd(m[keep], compute_uv=False)[:, 0]
+            i = int(np.argmax(norms))
+            if norms[i] > best:
+                best = float(norms[i])
+                best_xz = (x_mask, int(cand[i]))
         x, z = best_xz
         return EpsilonReport(best, PauliOperator(total, x, z, 0), exhaustive=True)
     rng = np.random.default_rng(np.random.Philox(seed))

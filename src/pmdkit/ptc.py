@@ -179,10 +179,11 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
 
 def measure_pairwise_detectability(family: PtcFamily) -> SweepResult:
     """Worst case over shifts s != 0 of P_k[S_k meets N_{k+s} nontrivially]."""
+    groups = _nonidentity_stabilizers(family)
     worst = Fraction(0)
     for shift in family.field.elements():
         if shift:
-            bad_keys = len(commuting_shift_keys(family, shift))
+            bad_keys = len(_commuting_shift_keys(family, shift, groups))
             worst = max(worst, Fraction(bad_keys, family.num_keys))
     return SweepResult(worst, exhaustive=True)
 
@@ -206,16 +207,22 @@ def pbeta_roots(beta: FieldElement, r: int) -> set[FieldElement]:
     return roots
 
 
+def _nonidentity_stabilizers(family: PtcFamily) -> dict[int, list[PauliOperator]]:
+    """Each key's stabilizer group (mod phase) without the identity."""
+    return {key_bits: [s for s in code.stabilizer_group() if not s.is_identity()]
+            for key_bits, code in family.codes.items()}
+
+
 def commuting_shift_keys(family: PtcFamily, beta: FieldElement) -> set[FieldElement]:
     """Keys k whose stabilizer group meets N(Q_{k+beta}) nontrivially."""
+    return _commuting_shift_keys(family, beta, _nonidentity_stabilizers(family))
+
+
+def _commuting_shift_keys(family: PtcFamily, beta: FieldElement,
+                          groups: dict[int, list[PauliOperator]]) -> set[FieldElement]:
     bad = set()
     for key in family.keys():
-        code_k = family.code_for(key)
         code_shifted = family.code_for(key + beta)
-        for sigma in code_k.stabilizer_group():
-            if sigma.is_identity():
-                continue
-            if syndrome(code_shifted, sigma).bits == 0:
-                bad.add(key)
-                break
+        if any(syndrome(code_shifted, sigma).bits == 0 for sigma in groups[key.coeffs]):
+            bad.add(key)
     return bad

@@ -54,6 +54,14 @@ def test_dense_operator_contract():
         ds.DenseOperator(np.ones((3, 2)))
 
 
+def test_dense_operator_tolerance_is_absolute_atol():
+    # 5e-6 on the diagonal of B^dag B is far above ATOL, however close to
+    # 1 the entries are; so is a 5e-6 defect in P^2 = P.
+    assert not ds.DenseOperator(np.sqrt(1 + 5e-6) * np.eye(4, 2)).is_isometry()
+    assert not ds.DenseOperator((1 + 5e-6) * np.eye(2)).is_projector()
+    assert ds.DenseOperator(np.sqrt(1 + 0.2 * ds.ATOL) * np.eye(4, 2)).is_isometry()
+
+
 # ---------------------------------------------------------------------------
 # Pauli matrices
 # ---------------------------------------------------------------------------

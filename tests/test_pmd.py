@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from pmdkit.densesim import apply_pauli
+from pmdkit.densesim import apply_pauli, f2_parity_array
+from pmdkit.galois import FieldSpec
 from pmdkit.limits import SizeGuardError
 from pmdkit.pmd import (PmdCode, auth_unitary, build_pmd, compressed_error_norm,
                         key_phase_error, measure_pmd_epsilon)
@@ -99,6 +101,51 @@ def test_vectorized_sweep_matches_naive_oracle():
     want, _ = naive_epsilon(pmd)
     assert abs(rep.value - want) < ATOL
     assert abs(compressed_error_norm(pmd, rep.argmax) - rep.value) < ATOL
+
+
+def dense_sweep_epsilon(pmd):
+    """Unfactored sweep: per x mask, the whole 2^total-point Walsh matmul
+    and an SVD of every block, with no pruning."""
+    dim, k_dim = pmd.encoder.shape
+    idx = np.arange(dim, dtype=np.uint64)
+    walsh = 1.0 - 2.0 * f2_parity_array(idx[:, None] & idx[None, :])
+    best = -1.0
+    for x_mask in range(dim):
+        permuted = pmd.encoder[np.arange(dim) ^ x_mask]
+        t = (pmd.encoder.conj()[:, :, None] * permuted[:, None, :]).reshape(dim, -1)
+        blocks = (walsh @ t).reshape(dim, k_dim, k_dim)
+        norms = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+        if x_mask == 0:
+            norms[0] = -np.inf  # the identity
+        best = max(best, float(norms.max()))
+    return best
+
+
+@pytest.mark.parametrize("n,lam,kwargs", [
+    (2, 1, {}),
+    (4, 2, {"encoder_pivot": "low"}),
+    (4, 2, {"encoder_pivot": "high"}),
+    # GF(4) has a single irreducible modulus; GF(8) also has x^3+x^2+1.
+    (3, 3, {"field": FieldSpec(3, 0b1101)}),
+    (6, 2, {}),
+])
+def test_exhaustive_sweep_matches_dense_oracle(n, lam, kwargs):
+    pmd = make_pmd(n, lam, **kwargs)
+    rep = measure_pmd_epsilon(pmd)
+    want = dense_sweep_epsilon(pmd)
+    assert abs(rep.value - want) <= 1e-12
+    # Any maximiser will do, as long as it attains the value.
+    assert abs(compressed_error_norm(pmd, rep.argmax) - rep.value) <= 1e-12
+    assert not rep.argmax.is_identity()
+
+
+def test_exhaustive_work_guard_fails_fast():
+    pmd = make_pmd(8, 2)  # 4^10 x-z pairs times 4^6 block entries
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="sampling mode"):
+        measure_pmd_epsilon(pmd)
+    assert time.perf_counter() - start < 1.0
+    assert not measure_pmd_epsilon(pmd, samples=2).exhaustive
 
 
 # Regression constants: the exhaustive sweep is its own oracle.

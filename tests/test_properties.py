@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from pmdkit import f2
 from pmdkit.densesim import (circuit_unitary, kraus_from_record, kraus_to_record,
                              pauli_matrix)
+from pmdkit.galois import FieldSpec
+from pmdkit.pmd import _norm_bounds
 from pmdkit.symplectic import CliffordCircuit, PauliOperator, pauli_span
 
 # A fixed example sequence and no example database, so reruns are identical.
@@ -126,3 +128,75 @@ def test_kraus_record_round_trips_exactly(kraus):
     for got, want in zip(back, kraus):
         assert got.dtype == np.complex128
         assert np.array_equal(got, want)
+
+
+@st.composite
+def complex_matrices(draw):
+    """Square complex matrices: general, rank 1 or zero."""
+    k = 1 << draw(st.integers(0, 3))
+    entries = st.integers(-64, 64).map(lambda v: v / 16)
+    kind = draw(st.sampled_from(("general", "rank1", "zero")))
+    if kind == "zero":
+        return np.zeros((k, k), dtype=complex)
+    shape = (k, k) if kind == "general" else (2, k)
+    re = draw(arrays(np.float64, shape, elements=entries))
+    im = draw(arrays(np.float64, shape, elements=entries))
+    m = re + 1j * im
+    return m if kind == "general" else np.outer(m[0], m[1])
+
+
+@_SETTINGS
+@given(complex_matrices())
+def test_norm_bounds_dominate_the_top_singular_value(m):
+    # The exhaustive PMD sweep skips an SVD when these bounds fall below
+    # the running maximum less a relative 1e-9, so they must never be
+    # further than that below the spectral norm.
+    sigma = np.linalg.svd(m, compute_uv=False)[0]
+    a = np.abs(m)
+    holder = np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
+    bound = _norm_bounds(m[None])[0]
+    gram_bound = np.sqrt(_norm_bounds((m.conj().T @ m)[None])[0])
+    assert bound <= holder
+    for b in (holder, bound, gram_bound):
+        assert b >= sigma * (1 - 1e-9)
+    if not m.any():
+        assert bound == gram_bound == 0.0
+
+
+def _clmul(a, b):
+    out = 0
+    for i in range(b.bit_length()):
+        if (b >> i) & 1:
+            out ^= a << i
+    return out
+
+
+def _reduce(a, modulus):
+    deg = modulus.bit_length() - 1
+    for shift in range(a.bit_length() - 1 - deg, -1, -1):
+        if (a >> (shift + deg)) & 1:
+            a ^= modulus << shift
+    return a
+
+
+# Every irreducible modulus of degree <= 6: no product of a factor of
+# degree <= m/2 with another polynomial gives it.
+_MODULI = [p for m in range(1, 7) for p in range(1 << m, 2 << m)
+           if all(_clmul(a, b) != p
+                  for a in range(2, 1 << (m // 2 + 1)) for b in range(2, 1 << m))]
+
+
+@st.composite
+def field_products(draw):
+    modulus = draw(st.sampled_from(_MODULI))
+    m = modulus.bit_length() - 1
+    a, b = draw(st.integers(0, (1 << m) - 1)), draw(st.integers(0, (1 << m) - 1))
+    return FieldSpec(m, modulus), a, b
+
+
+@_SETTINGS
+@given(field_products())
+def test_field_multiplication_matches_carryless_product(case):
+    field, a, b = case
+    got = field.element(a) * field.element(b)
+    assert got.coeffs == _reduce(_clmul(a, b), field.modulus)
