@@ -110,10 +110,8 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
 
 def f2_parity_array(values: np.ndarray) -> np.ndarray:
     """Bitwise parity of each entry of a nonnegative integer array."""
-    v = np.asarray(values).astype(np.uint64).copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.int64)
+    v = np.asarray(values).astype(np.uint64)
+    return (np.bitwise_count(v) & 1).astype(np.int64)
 
 
 def apply_pauli(p: PauliOperator, array: np.ndarray) -> np.ndarray:

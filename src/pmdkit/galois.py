@@ -15,6 +15,7 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import f2
 
@@ -215,12 +216,33 @@ class DualBasisPair:
                 if gf_trace(gf_mul(a, b)) != (1 if i == j else 0):
                     raise ValueError(f"trace Gram matrix is not identity at ({i}, {j})")
 
+    @cached_property
+    def _coord_columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Alpha and beta coordinates of each polynomial basis element x^l.
+
+        Coordinates are GF(2)-linear, so these m images per basis fix
+        both maps; entry i of an image is tr(x^l * dual_i).
+        """
+        xs = self.alpha[0].field.polynomial_basis()
+        return tuple(tuple(f2.bits_to_int(gf_trace(gf_mul(x, d)) for d in dual) for x in xs)
+                     for dual in (self.beta, self.alpha))
+
     def alpha_coords(self, a: FieldElement) -> int:
-        """Coordinates of a in the alpha basis, via traces against beta."""
-        return f2.bits_to_int(gf_trace(gf_mul(a, b)) for b in self.beta)
+        """Coordinates of a in the alpha basis: the XOR of the images of
+        the polynomial basis elements present in a."""
+        return _xor_columns(self._coord_columns[0], a.coeffs)
 
     def beta_coords(self, a: FieldElement) -> int:
-        return f2.bits_to_int(gf_trace(gf_mul(a, al)) for al in self.alpha)
+        return _xor_columns(self._coord_columns[1], a.coeffs)
+
+
+def _xor_columns(columns: tuple[int, ...], bits: int) -> int:
+    out = 0
+    for col in columns:
+        if bits & 1:
+            out ^= col
+        bits >>= 1
+    return out
 
 
 def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:

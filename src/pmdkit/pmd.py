@@ -177,6 +177,8 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
                 best_xz = (x_mask, int(cand[i]))
         x, z = best_xz
         return EpsilonReport(best, PauliOperator(total, x, z, 0), exhaustive=True)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(np.random.Philox(seed))
     best = -1.0
     best_xz = (0, 0)

@@ -18,16 +18,15 @@ Two exhaustively measured figures of merit:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import f2
-from .densesim import f2_parity_array
 from .galois import DualBasisPair, FieldElement, FieldSpec, compute_dual_basis
 from .limits import SWEEP_GUARD
-from .symplectic import PauliOperator, StabilizerCode, symplectic_product, syndrome
+from .symplectic import PauliOperator, StabilizerCode, symplectic_product
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,29 @@ class PtcFamily:
 
     def keys(self):
         return (self.field.element(c) for c in range(self.num_keys))
+
+    @functools.cached_property
+    def _syndrome_tables(self) -> list[tuple[int, np.uint64, np.ndarray]]:
+        """Partial syndromes for `_key_syndromes`: (half, shift, table)
+        for each byte of ex (half 0) and of ez (half 1).
+
+        Generator (x, z) meets error (ex, ez) in the parity of
+        (z & ex) ^ (x & ez), which is linear in the error's bytes; entry
+        [b, k] of a 256 x keys table holds key k's syndrome of the error
+        whose only nonzero byte is b, at that table's half and shift.
+        """
+        gx, gz = _generator_masks(self)
+        width = gx.shape[1]
+        dtype = np.min_scalar_type((1 << width) - 1)
+        weights = (1 << np.arange(width)).astype(dtype)
+        byte = np.arange(256, dtype=np.uint64)[:, None, None]
+        tables = []
+        for half, masks in enumerate((gz, gx)):
+            for shift in np.uint64(8) * np.arange((self.n + 7) // 8, dtype=np.uint64):
+                part = (masks >> shift) & np.uint64(0xFF)
+                bits = (np.bitwise_count(byte & part) & 1).astype(dtype)
+                tables.append((half, shift, (bits * weights).sum(axis=-1, dtype=dtype)))
+        return tables
 
 
 @dataclass(frozen=True)
@@ -115,42 +137,40 @@ def build_bcgst_family(n: int, lam: int,
     return PtcFamily(n, lam, field, codes)
 
 
-def _stacked_generator_masks(family: PtcFamily) -> tuple[np.ndarray, np.ndarray]:
-    """(num_keys*lam) x-mask and z-mask arrays, row-major by key."""
-    xs, zs = [], []
-    for key in family.keys():
-        for g in family.code_for(key).gens:
-            xs.append(g.x)
-            zs.append(g.z)
-    return np.array(xs, dtype=np.uint64), np.array(zs, dtype=np.uint64)
+# Entries of one (errors x keys) syndrome chunk: bounds the sweeps' memory.
+_ENTRY_BUDGET = 1 << 18
 
 
-def _undetected_key_counts(family: PtcFamily, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
-    """For each error (ex, ez), the number of keys whose code misses it."""
-    gen_x, gen_z = _stacked_generator_masks(family)
-    counts = np.zeros(ex.shape[0], dtype=np.int64)
-    in_normalizer = np.ones(ex.shape[0], dtype=bool)
-    lam = family.lam
-    for key_index in range(family.num_keys):
-        in_normalizer[:] = True
-        for j in range(lam):
-            gx = gen_x[key_index * lam + j]
-            gz = gen_z[key_index * lam + j]
-            bit = f2_parity_array(ex & gz) ^ f2_parity_array(ez & gx)
-            in_normalizer &= bit == 0
-        counts += in_normalizer
-    return counts
+def _generator_masks(family: PtcFamily) -> tuple[np.ndarray, np.ndarray]:
+    """x and z masks of every key's generators, each of shape (keys, lam)."""
+    gens = [family.codes[k].gens for k in range(family.num_keys)]
+    return (np.array([[g.x for g in row] for row in gens], dtype=np.uint64),
+            np.array([[g.z for g in row] for row in gens], dtype=np.uint64))
+
+
+def _key_syndromes(family: PtcFamily, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
+    """Each key's syndrome of each error (ex, ez), shape (errors, keys).
+
+    Bit j of entry [e, k] is the symplectic product of generator j of
+    key k with error e, so a zero entry means key k misses error e.  It
+    is the XOR of one `PtcFamily._syndrome_tables` row per byte of ex
+    and of ez.
+    """
+    halves = (ex.astype(np.uint64), ez.astype(np.uint64))
+    return functools.reduce(np.bitwise_xor, (
+        np.take(table, ((halves[half] >> shift) & np.uint64(0xFF)).astype(np.intp), axis=0)
+        for half, shift, table in family._syndrome_tables))
 
 
 def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
-                             seed: int = 0,
-                             chunk: int = 1 << 16) -> SweepResult:
+                             seed: int = 0) -> SweepResult:
     """Worst-case fraction of keys that miss a fixed nonidentity Pauli.
 
     Exhaustive over all 4^n - 1 errors by default; pass `samples` for a
     uniform sample drawn from a Philox generator seeded with `seed`
     when the sweep would exceed the iteration guard.  Per-error key
-    fractions are exact in both modes.
+    fractions are exact in both modes.  Both modes walk the errors in
+    chunks of `_ENTRY_BUDGET` syndrome entries.
     """
     n = family.n
     total_errors = (1 << (2 * n)) - 1
@@ -159,33 +179,65 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
             raise ValueError(
                 "exhaustive sweep exceeds the iteration guard; "
                 "re-run with samples=<count> and a seed for sampling mode")
-        best = 0
-        for start in range(1, total_errors + 1, chunk):
-            stop = min(start + chunk, total_errors + 1)
-            codes_int = np.arange(start, stop, dtype=np.uint64)
-            ex = codes_int & np.uint64((1 << n) - 1)
-            ez = codes_int >> np.uint64(n)
-            best = max(best, int(_undetected_key_counts(family, ex, ez).max()))
-        return SweepResult(Fraction(best, family.num_keys), exhaustive=True)
-    rng = np.random.default_rng(np.random.Philox(seed))
-    draws = rng.integers(1, total_errors + 1, size=samples, dtype=np.uint64)
-    ex = draws & np.uint64((1 << n) - 1)
-    ez = draws >> np.uint64(n)
-    best = int(_undetected_key_counts(family, ex, ez).max())
+        count = total_errors
+    elif samples < 1:
+        raise ValueError("samples must be >= 1")
+    else:
+        count = samples
+        rng = np.random.default_rng(np.random.Philox(seed))
+    rows = max(1, _ENTRY_BUDGET // family.num_keys)
+    best = 0
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        if samples is None:
+            codes = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        else:
+            codes = rng.integers(1, total_errors + 1, size=stop - start, dtype=np.uint64)
+        syn = _key_syndromes(family, codes & np.uint64((1 << n) - 1), codes >> np.uint64(n))
+        best = max(best, int(np.count_nonzero(syn == 0, axis=1).max()))
+    value = Fraction(best, family.num_keys)
+    if samples is None:
+        return SweepResult(value, exhaustive=True)
     miss = float((1.0 - 1.0 / total_errors) ** samples)
-    return SweepResult(Fraction(best, family.num_keys), exhaustive=False,
-                       samples=samples, seed=seed, worst_miss_probability=miss)
+    return SweepResult(value, exhaustive=False, samples=samples, seed=seed,
+                       worst_miss_probability=miss)
+
+
+def _shift_miss_matrix(family: PtcFamily) -> np.ndarray:
+    """bad[k, j]: some nonidentity stabilizer of code k is missed by code j.
+
+    Each key's stabilizer group is spanned (mod phase) from its
+    generators by doubling, as in `pauli_span`, and all of them go
+    through `_key_syndromes`, a whole number of owning keys per chunk.
+    """
+    keys = family.num_keys
+    gx, gz = _generator_masks(family)
+    sx = np.zeros((keys, 1), dtype=np.uint64)
+    sz = np.zeros((keys, 1), dtype=np.uint64)
+    for j in range(gx.shape[1]):
+        sx = np.concatenate([sx, sx ^ gx[:, j:j + 1]], axis=1)
+        sz = np.concatenate([sz, sz ^ gz[:, j:j + 1]], axis=1)
+    sx, sz = sx[:, 1:], sz[:, 1:]  # drop the identity
+    per_key = sx.shape[1]
+    owners = max(1, _ENTRY_BUDGET // (keys * per_key))
+    bad = np.zeros((keys, keys), dtype=bool)
+    for k in range(0, keys, owners):
+        syn = _key_syndromes(family, sx[k:k + owners].ravel(), sz[k:k + owners].ravel())
+        bad[k:k + owners] = (syn == 0).reshape(-1, per_key, keys).any(axis=1)
+    return bad
 
 
 def measure_pairwise_detectability(family: PtcFamily) -> SweepResult:
-    """Worst case over shifts s != 0 of P_k[S_k meets N_{k+s} nontrivially]."""
-    groups = _nonidentity_stabilizers(family)
-    worst = Fraction(0)
-    for shift in family.field.elements():
-        if shift:
-            bad_keys = len(_commuting_shift_keys(family, shift, groups))
-            worst = max(worst, Fraction(bad_keys, family.num_keys))
-    return SweepResult(worst, exhaustive=True)
+    """Worst case over shifts s != 0 of P_k[S_k meets N_{k+s} nontrivially].
+
+    Field addition XORs coefficients, so the count for shift s is the
+    sum over k of bad[k, k ^ s] in the `_shift_miss_matrix`.
+    """
+    keys = np.arange(family.num_keys)
+    bad = _shift_miss_matrix(family)
+    per_shift = bad[keys[:, None], keys[:, None] ^ keys[None, :]].sum(axis=0)
+    return SweepResult(Fraction(int(per_shift[1:].max()), family.num_keys),
+                       exhaustive=True)
 
 
 def pbeta_roots(beta: FieldElement, r: int) -> set[FieldElement]:
@@ -207,22 +259,7 @@ def pbeta_roots(beta: FieldElement, r: int) -> set[FieldElement]:
     return roots
 
 
-def _nonidentity_stabilizers(family: PtcFamily) -> dict[int, list[PauliOperator]]:
-    """Each key's stabilizer group (mod phase) without the identity."""
-    return {key_bits: [s for s in code.stabilizer_group() if not s.is_identity()]
-            for key_bits, code in family.codes.items()}
-
-
 def commuting_shift_keys(family: PtcFamily, beta: FieldElement) -> set[FieldElement]:
     """Keys k whose stabilizer group meets N(Q_{k+beta}) nontrivially."""
-    return _commuting_shift_keys(family, beta, _nonidentity_stabilizers(family))
-
-
-def _commuting_shift_keys(family: PtcFamily, beta: FieldElement,
-                          groups: dict[int, list[PauliOperator]]) -> set[FieldElement]:
-    bad = set()
-    for key in family.keys():
-        code_shifted = family.code_for(key + beta)
-        if any(syndrome(code_shifted, sigma).bits == 0 for sigma in groups[key.coeffs]):
-            bad.add(key)
-    return bad
+    bad = _shift_miss_matrix(family)
+    return {key for key in family.keys() if bad[key.coeffs, (key + beta).coeffs]}

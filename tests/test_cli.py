@@ -282,3 +282,13 @@ def test_ptc_sampling_reports_confidence(capsys):
                                  "--samples", "100", "--seed", "4"])
     assert rc == 0
     assert "worst_miss_probability" in out
+
+
+@pytest.mark.parametrize("command", [["ptc", "check"], ["pmd", "verify"]])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_nonpositive_samples_exit_2(capsys, command, samples):
+    rc, out, err = invoke(capsys, command + ["--n", "4", "--lambda", "2",
+                                             "--samples", samples])
+    assert rc == 2
+    assert "samples must be >= 1" in err
+    assert "PASS" not in out

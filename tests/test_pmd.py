@@ -250,6 +250,12 @@ def test_sampling_mode_without_seed_uses_seed_zero():
     assert a == measure_pmd_epsilon(pmd, samples=5, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampling_mode_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        measure_pmd_epsilon(make_pmd(2, 1), samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # Detection unitary
 # ---------------------------------------------------------------------------

@@ -3,16 +3,17 @@
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pmdkit import f2
 from pmdkit.densesim import (circuit_unitary, kraus_from_record, kraus_to_record,
                              pauli_matrix)
-from pmdkit.galois import FieldSpec
+from pmdkit.galois import FieldSpec, compute_dual_basis
 from pmdkit.pmd import _norm_bounds
-from pmdkit.symplectic import CliffordCircuit, PauliOperator, pauli_span
+from pmdkit.ptc import _key_syndromes, build_bcgst_family
+from pmdkit.symplectic import CliffordCircuit, PauliOperator, pauli_span, symplectic_product
 
 # A fixed example sequence and no example database, so reruns are identical.
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -200,3 +201,68 @@ def test_field_multiplication_matches_carryless_product(case):
     field, a, b = case
     got = field.element(a) * field.element(b)
     assert got.coeffs == _reduce(_clmul(a, b), field.modulus)
+
+
+@st.composite
+def bases(draw, field):
+    """A random basis of GF(2^m) over F2, as field elements."""
+    coeffs = draw(st.lists(st.integers(1, field.order - 1),
+                           min_size=field.m, max_size=field.m))
+    assume(f2.rank(coeffs, field.m) == field.m)
+    return [field.element(c) for c in coeffs]
+
+
+@st.composite
+def families_and_errors(draw):
+    modulus = draw(st.sampled_from([p for p in _MODULI if p < 1 << 5]))
+    field = FieldSpec(modulus.bit_length() - 1, modulus)
+    n = field.m * draw(st.integers(1, 12 // field.m))
+    pair = compute_dual_basis(field, draw(bases(field)))
+    family = build_bcgst_family(n, field.m, basis_pair=pair, field=field)
+    errors = draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1),
+                                     st.integers(0, (1 << n) - 1)), min_size=1, max_size=8))
+    return family, errors
+
+
+@_SETTINGS
+@given(families_and_errors())
+def test_key_syndromes_match_symplectic_products(case):
+    family, errors = case
+    ex = np.array([x for x, _ in errors], dtype=np.uint64)
+    ez = np.array([z for _, z in errors], dtype=np.uint64)
+    syn = _key_syndromes(family, ex, ez)
+    assert syn.shape == (len(errors), family.num_keys)
+    for e, (x, z) in enumerate(errors):
+        err = PauliOperator(family.n, x, z, 0)
+        for k, code in family.codes.items():
+            for j, g in enumerate(code.gens):
+                assert (int(syn[e, k]) >> j) & 1 == symplectic_product(g, err)
+
+
+def _trace_coords(a, dual):
+    return f2.bits_to_int((a * d).trace() for d in dual)
+
+
+def _assert_coords_match_traces(pair, field):
+    for a in field.elements():
+        assert pair.alpha_coords(a) == _trace_coords(a, pair.beta)
+        assert pair.beta_coords(a) == _trace_coords(a, pair.alpha)
+
+
+def test_default_basis_coords_match_traces():
+    for modulus in _MODULI:
+        field = FieldSpec(modulus.bit_length() - 1, modulus)
+        _assert_coords_match_traces(compute_dual_basis(field), field)
+
+
+@st.composite
+def dual_pairs(draw):
+    modulus = draw(st.sampled_from(_MODULI))
+    field = FieldSpec(modulus.bit_length() - 1, modulus)
+    return compute_dual_basis(field, draw(bases(field))), field
+
+
+@_SETTINGS
+@given(dual_pairs())
+def test_random_basis_coords_match_traces(case):
+    _assert_coords_match_traces(*case)

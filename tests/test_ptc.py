@@ -1,12 +1,15 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from pmdkit.densesim import f2_parity_array
 from pmdkit.galois import FieldSpec, compute_dual_basis
-from pmdkit.ptc import (PtcFamily, build_bcgst_family, commuting_shift_keys,
-                        measure_pairwise_detectability, measure_strong_ptc_error,
-                        pbeta_roots)
+from pmdkit.limits import SWEEP_GUARD
+from pmdkit.ptc import (_ENTRY_BUDGET, PtcFamily, _key_syndromes, build_bcgst_family,
+                        commuting_shift_keys, measure_pairwise_detectability,
+                        measure_strong_ptc_error, pbeta_roots)
 from pmdkit.symplectic import PauliOperator, StabilizerCode, symplectic_product, syndrome
 
 
@@ -202,3 +205,165 @@ def test_every_built_code_has_commuting_generators():
             for g, h in itertools.combinations(code.gens, 2):
                 assert symplectic_product(g, h) == 0
             assert len(code.gens) == lam
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampling_mode_rejects_nonpositive_samples(samples):
+    fam = build_bcgst_family(4, 2)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        measure_strong_ptc_error(fam, samples=samples)
+
+
+# Oracles: the sweeps as written before the byte-table syndrome kernel.
+
+def oracle_pairwise(family):
+    """One `syndrome` call per (key, shift, nonidentity stabilizer)."""
+    groups = {k: [s for s in code.stabilizer_group() if not s.is_identity()]
+              for k, code in family.codes.items()}
+    bad_by_shift = {}
+    for shift in family.field.elements():
+        bad_by_shift[shift.coeffs] = {
+            key.coeffs for key in family.keys()
+            if any(syndrome(family.code_for(key + shift), sigma).bits == 0
+                   for sigma in groups[key.coeffs])}
+    worst = max(Fraction(len(bad), family.num_keys)
+                for s, bad in bad_by_shift.items() if s)
+    return worst, bad_by_shift
+
+
+def oracle_undetected_counts(family, ex, ez):
+    """For each error, the number of keys that miss it: one parity pass
+    per (key, generator)."""
+    counts = np.zeros(ex.shape[0], dtype=np.int64)
+    for key in family.keys():
+        missed = np.ones(ex.shape[0], dtype=bool)
+        for g in family.code_for(key).gens:
+            bit = f2_parity_array(ex & np.uint64(g.z)) ^ f2_parity_array(ez & np.uint64(g.x))
+            missed &= bit == 0
+        counts += missed
+    return counts
+
+
+def oracle_strong(family, samples=None, seed=0):
+    n = family.n
+    total = (1 << (2 * n)) - 1
+    if samples is None:
+        codes = np.arange(1, total + 1, dtype=np.uint64)
+    else:
+        rng = np.random.default_rng(np.random.Philox(seed))
+        codes = rng.integers(1, total + 1, size=samples, dtype=np.uint64)
+    counts = oracle_undetected_counts(family, codes & np.uint64((1 << n) - 1),
+                                      codes >> np.uint64(n))
+    return Fraction(int(counts.max()), family.num_keys)
+
+
+def _alt_pair(field):
+    alpha = field.polynomial_basis()
+    alpha[1] = alpha[1] + field.one()  # {1, x+1, x^2, ...}
+    return compute_dual_basis(field, alpha)
+
+
+ORACLE_FAMILIES = {
+    "2-1": lambda: build_bcgst_family(2, 1),
+    "4-2": lambda: build_bcgst_family(4, 2),
+    "6-2": lambda: build_bcgst_family(6, 2),
+    "6-3": lambda: build_bcgst_family(6, 3),
+    "8-4": lambda: build_bcgst_family(8, 4),
+    "12-4": lambda: build_bcgst_family(12, 4),
+    "4-4-x4+x3+1": lambda: build_bcgst_family(4, 4, field=FieldSpec(4, 0b11001)),
+    "6-3-alt-basis": lambda: build_bcgst_family(
+        6, 3, basis_pair=_alt_pair(FieldSpec.default(3))),
+    "4-2-high-pivot": lambda: build_bcgst_family(4, 2, encoder_pivot="high"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_pairwise_detectability_matches_syndrome_oracle(name):
+    fam = ORACLE_FAMILIES[name]()
+    want, bad_by_shift = oracle_pairwise(fam)
+    assert measure_pairwise_detectability(fam).value == want
+    for shift in fam.field.elements():
+        got = commuting_shift_keys(fam, shift)
+        assert {k.coeffs for k in got} == bad_by_shift[shift.coeffs]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_strong_error_matches_parity_oracle(name):
+    fam = ORACLE_FAMILIES[name]()
+    if (1 << (2 * fam.n)) * fam.num_keys * fam.lam <= SWEEP_GUARD:
+        assert measure_strong_ptc_error(fam).value == oracle_strong(fam)
+    # Three sample counts: below one chunk, one chunk plus a ragged tail.
+    rows = _ENTRY_BUDGET // fam.num_keys
+    for samples, seed in [(37, 0), (rows + 7, 5), (500, 21)]:
+        got = measure_strong_ptc_error(fam, samples=samples, seed=seed)
+        assert got.value == oracle_strong(fam, samples, seed)
+        assert got.samples == samples and got.seed == seed
+
+
+def test_n12_lambda6_pinned_values():
+    fam = build_bcgst_family(12, 6)
+    assert measure_pairwise_detectability(fam).value == Fraction(1, 32)
+    eps = measure_strong_ptc_error(fam, samples=100000, seed=21)
+    assert eps.value == Fraction(3, 64)
+    assert eps.value == oracle_strong(fam, 100000, 21)
+
+
+def test_key_syndromes_widen_past_eight_generators():
+    # Nine generators per key do not fit a uint8 syndrome.
+    code = StabilizerCode(10, [PauliOperator(10, 0, 1 << i, 0) for i in range(9)])
+    fam = PtcFamily(10, 9, FieldSpec.default(9), {k: code for k in range(1 << 9)})
+    rng = np.random.default_rng(0)
+    ex = rng.integers(0, 1 << 10, size=20, dtype=np.uint64)
+    ez = rng.integers(0, 1 << 10, size=20, dtype=np.uint64)
+    syn = _key_syndromes(fam, ex, ez)
+    assert syn.dtype == np.uint16 and syn.shape == (20, 1 << 9)
+    for e, (x, z) in enumerate(zip(ex, ez)):
+        err = PauliOperator(10, int(x), int(z), 0)
+        want = sum(symplectic_product(g, err) << j for j, g in enumerate(code.gens))
+        assert (syn[e] == want).all()
+
+
+def test_wide_blocks_match_oracles():
+    # 2n > 64 bits: the x and z halves are looked up separately.
+    rng = np.random.default_rng(7)
+    codes = {}
+    for key in range(4):
+        gens = []
+        for qubit in rng.choice(40, size=2, replace=False):
+            mask = 1 << int(qubit)
+            gens.append(PauliOperator(40, mask, 0, 0) if rng.integers(2)
+                        else PauliOperator(40, 0, mask, 0))
+        codes[key] = StabilizerCode(40, gens)
+    fam = PtcFamily(40, 2, FieldSpec.default(2), codes)
+    want, bad_by_shift = oracle_pairwise(fam)
+    assert measure_pairwise_detectability(fam).value == want
+    for shift in fam.field.elements():
+        assert {k.coeffs for k in commuting_shift_keys(fam, shift)} == bad_by_shift[shift.coeffs]
+    fam32 = PtcFamily(32, 2, FieldSpec.default(2),
+                      {k: StabilizerCode(32, [PauliOperator(32, 0, 1 << 31, 0),
+                                              PauliOperator(32, 1 << k, 0, 0)])
+                       for k in range(4)})
+    got = measure_strong_ptc_error(fam32, samples=3000, seed=2)
+    assert got.value == oracle_strong(fam32, 3000, 2)
+
+
+def test_chunks_cover_each_error_once(monkeypatch):
+    # A tiny entry budget gives 16-row chunks and a ragged last chunk.
+    import pmdkit.ptc as ptc_module
+    fam = build_bcgst_family(4, 2)
+    seen = []
+
+    def recording(family, ex, ez):
+        seen.append((ez << np.uint64(4)) | ex)
+        return _key_syndromes(family, ex, ez)
+
+    monkeypatch.setattr(ptc_module, "_ENTRY_BUDGET", 64)
+    monkeypatch.setattr(ptc_module, "_key_syndromes", recording)
+    assert measure_strong_ptc_error(fam).value == oracle_strong(fam)
+    assert np.array_equal(np.concatenate(seen), np.arange(1, 256, dtype=np.uint64))
+    seen.clear()
+    measure_strong_ptc_error(fam, samples=101, seed=9)
+    rng = np.random.default_rng(np.random.Philox(9))
+    want = rng.integers(1, 256, size=101, dtype=np.uint64)
+    assert np.array_equal(np.concatenate(seen), want)
+    assert [len(s) for s in seen] == [16] * 6 + [5]
