@@ -98,11 +98,15 @@ class ErasureAdversary:
             if mat.shape != (1 << len(support),) * 2:
                 raise ValueError("Kraus shape does not match support size")
             norm_branches.append((mat, support))
-        # (K (x) I)^dag (K (x) I) = K^dag K (x) I, so embed the small Gram.
-        eye = np.eye(1 << self.n, dtype=complex)
+        # (K (x) I)^dag (K (x) I) = K^dag K (x) I, so the sum is the
+        # identity iff its block on the union of the supports is.
+        union = sorted({q for _, support in norm_branches for q in support})
+        pos = {q: i for i, q in enumerate(union)}
+        eye = np.eye(1 << len(union), dtype=complex)
         check_trace_preserving(
-            (apply_on_qubits(mat.conj().T @ mat, support, eye, self.n)
-             for mat, support in norm_branches), 1 << self.n, "adversary branches")
+            (apply_on_qubits(mat.conj().T @ mat, tuple(pos[q] for q in support),
+                             eye, len(union))
+             for mat, support in norm_branches), 1 << len(union), "adversary branches")
         object.__setattr__(self, "branches", tuple(norm_branches))
 
     @classmethod
@@ -174,6 +178,9 @@ class CorrectionCascade:
     unitary onto flag 1; then for each further candidate, controlled on
     the previous flag being 0, switch corrections and authenticate onto
     the next flag (a previous success just cascades 1s down the flags).
+
+    `apply` runs the detection step structurally and needs every flag in
+    |0>; `dense` is the full unitary built with the dense `auth_unitary`.
     """
 
     def __init__(self, corrections: CorrectionList, code: ComposedCode):
@@ -183,7 +190,6 @@ class CorrectionCascade:
         self.entries = corrections.entries
         self.length = len(self.entries)
         check_qubits(code.n + self.length, "algorithm2_unitary")
-        self._auth = auth_unitary(code.pmd)
         self._outer_dec = code.outer.encoder.inverse()
         # Switch operators in the decoded frame: candidate i -> i+1.
         self._switches = []
@@ -193,25 +199,62 @@ class CorrectionCascade:
 
     def apply(self, vec: np.ndarray, n_qubits: int, flag_base: int) -> np.ndarray:
         """Run the cascade; flags occupy [flag_base, flag_base+L), all |0>."""
-        pmd_qubits = tuple(range(self.code.pmd.total))
-        out = _apply_pauli_on_block(self.entries[0].inverse(), vec, n_qubits)
-        out = _apply_circuit_on_block(self._outer_dec, out, n_qubits)
-        out = apply_on_qubits(self._auth, pmd_qubits + (flag_base,), out, n_qubits)
-        for i in range(1, self.length):
-            prev_flag = flag_base + i - 1
-            this_flag = flag_base + i
-            out = _apply_controlled_pauli(out, n_qubits, prev_flag, 0,
-                                          self._switches[i - 1])
-            out = _apply_controlled_auth(out, n_qubits, prev_flag, self._auth,
-                                         pmd_qubits, this_flag)
-        return out
+        if not self.code.n <= flag_base <= n_qubits - self.length:
+            raise ValueError(f"flags [{flag_base}, {flag_base + self.length}) must "
+                             f"lie above the code block and within {n_qubits} qubits")
+        return self._run(vec, n_qubits, flag_base, self._detect)
 
     def dense(self) -> np.ndarray:
         total = self.code.n + self.length
         check_qubits(total, "cascade dense matrix", limit=11)
-        eye = np.eye(1 << total, dtype=complex)
-        cols = self.apply(eye, total, self.code.n)
-        return cols
+        auth = auth_unitary(self.code.pmd)
+        pmd_qubits = tuple(range(self.code.pmd.total))
+
+        def detect(vec, n_qubits, flag, controlled):
+            if controlled:
+                return _apply_controlled_auth(vec, n_qubits, flag - 1, auth,
+                                              pmd_qubits, flag)
+            return apply_on_qubits(auth, pmd_qubits + (flag,), vec, n_qubits)
+
+        return self._run(np.eye(1 << total, dtype=complex), total, self.code.n, detect)
+
+    def _run(self, vec, n_qubits, flag_base, detect):
+        out = _apply_pauli_on_block(self.entries[0].inverse(), vec, n_qubits)
+        out = _apply_circuit_on_block(self._outer_dec, out, n_qubits)
+        out = detect(out, n_qubits, flag_base, False)
+        for i in range(1, self.length):
+            prev_flag = flag_base + i - 1
+            out = _apply_controlled_pauli(out, n_qubits, prev_flag, 0,
+                                          self._switches[i - 1])
+            out = detect(out, n_qubits, prev_flag + 1, True)
+        return out
+
+    def _detect(self, vec: np.ndarray, n_qubits: int, flag: int,
+                controlled: bool) -> np.ndarray:
+        """`auth_unitary` on (PMD qubits, flag) for a flag in |0>.
+
+        On that input it leaves v - B(B^dag v) under flag 0 and puts
+        B^dag v on the message qubits under flag 1, v being the PMD
+        register (the lowest qubits).  When `controlled`, that happens
+        only where the flag below is 0; where it is 1, the flag flips.
+        """
+        pmd = self.code.pmd
+        dim_p, dim_m = pmd.encoder.shape
+        states = vec.reshape(1 << n_qubits, -1).T  # one state per row
+        out = np.zeros(states.shape, dtype=complex)
+        below = 2 if controlled else 1
+        # Axes: state, qubits above the flag, the flag, the flag below
+        # (if controlled), qubits between them and the PMD register, PMD.
+        shape = (states.shape[0], -1, 2, below, (1 << flag) // (below * dim_p), dim_p)
+        src, dst = states.reshape(shape), out.reshape(shape)
+        v = src[:, :, 0, 0].reshape(-1, dim_p)
+        coeffs = v @ pmd.encoder_dagger.T
+        kept, decoded = dst[:, :, 0, 0], dst[:, :, 1, 0, :, :dim_m]
+        kept[...] = (v - coeffs @ pmd.encoder.T).reshape(kept.shape)
+        decoded[...] = coeffs.reshape(decoded.shape)
+        if controlled:
+            dst[:, :, 1, 1] = src[:, :, 0, 1]
+        return out.T.reshape(vec.shape)
 
 
 def _apply_pauli_on_block(p: PauliOperator, vec: np.ndarray, n_qubits: int) -> np.ndarray:

@@ -31,9 +31,7 @@ from scipy.optimize import linprog
 from . import f2
 from .aqec import ComposedCode, entangled_code_state
 from .densesim import (apply_on_qubits, apply_pauli, check_trace_preserving,
-                       codespace_isometry,
-                       dm_apply_single_qubit_kraus as _dm_apply_single_qubit_kraus,
-                       dm_conjugate_pauli as _dm_conjugate_pauli)
+                       codespace_isometry, dm_conjugate_pauli as _dm_conjugate_pauli)
 from .galois import FieldSpec
 from .limits import SizeGuardError
 from .symplectic import PauliOperator, StabilizerCode, pauli_span
@@ -590,19 +588,38 @@ def auth13_encode(proto: Auth13Protocol, message: np.ndarray) -> list[KeyedEncod
     return branches
 
 
-def _maxent_projector(k: int) -> np.ndarray:
+def _maxent_vector(k: int) -> np.ndarray:
+    """Phi on k message qubits (low) and k reference qubits."""
     phi = np.zeros(1 << (2 * k), dtype=complex)
     for m in range(1 << k):
         phi[m | (m << k)] = 1.0
-    phi /= np.linalg.norm(phi)
+    return phi / np.linalg.norm(phi)
+
+
+def _maxent_projector(k: int) -> np.ndarray:
+    phi = _maxent_vector(k)
     return np.outer(phi, phi.conj())
+
+
+def _trace_and_overlap(tau: np.ndarray, k: int) -> tuple[float, float]:
+    """(tr tau, <Phi|tau|Phi>) for an operator on message (x) reference."""
+    phi = _maxent_vector(k)
+    return float(np.trace(tau).real), float(np.vdot(phi, tau @ phi).real)
 
 
 def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
                           classical: TamperFunction) -> AttackReport:
     """Exact security experiment: enumerate keys, apply the per-wire
     channels and the classical tampering, decode, and score acceptance
-    of anything other than the original entangled message."""
+    of anything other than the original entangled message.
+
+    The wire channels are linear, so the padded states of all keys that
+    decode to the same classical key s~ are summed, weighted, before the
+    channels act; REJECT outcomes only add their weight.  The vec(rho)
+    of every s~ (Fortran order: row bits, then column bits) is one
+    column of a stack, and each wire acts once on the whole stack as its
+    superoperator sum_K conj(K) (x) K on row bit q and column bit N+q.
+    """
     n = proto.n_quantum
     k = proto.composed.message_qubits
     if len(wire_kraus) != n:
@@ -613,45 +630,51 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     vec = entangled_code_state(proto.composed)
     rho0 = np.outer(vec, vec.conj())
     total_qubits = n + k
-    # Accept POVM and decode collapse to contraction with the composed
-    # isometry (syndrome-0 and detection projection), reference alongside.
-    big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
-    phi_proj = _maxent_projector(k)
-    p_accept = 0.0
-    p_wrong = 0.0
-    p_reject = 0.0
-    fid_acc = 0.0
     key_weight = 1.0 / proto.key_count
     rand_weight = 1.0 / (1 << proto.nm.rand_bits)
 
     def widen(p: PauliOperator) -> PauliOperator:
         return PauliOperator(total_qubits, p.x, p.z, p.phase)
 
+    # Classical side: each key's decode distribution of the tampered
+    # codeword; the padded state's weight goes to its decoded key s~.
+    p_reject = 0.0
+    weights: dict = {}
+    mixed: dict = {}
     for s in range(proto.key_count):
-        pad = widen(pad_to_pauli(s, n))
-        rho = _dm_conjugate_pauli(pad, rho0)
-        for q in range(n):
-            rho = _dm_apply_single_qubit_kraus(wire_kraus[q], q, rho, total_qubits)
-        # Classical side: decode distribution of the tampered codeword.
         outcomes: dict = {}
         for r in range(1 << proto.nm.rand_bits):
-            word = classical.apply(proto.nm.encode(s, r))
-            got = proto.nm.decode(word)
+            got = proto.nm.decode(classical.apply(proto.nm.encode(s, r)))
             outcomes[got] = outcomes.get(got, 0.0) + rand_weight
+        padded = None
         for s_tilde, cl_weight in outcomes.items():
             w = key_weight * cl_weight
             if s_tilde is REJECT:
                 p_reject += w
                 continue
-            unpad = widen(pad_to_pauli(s_tilde, n))
-            sigma = _dm_conjugate_pauli(unpad, rho)  # pads are self-inverse
-            tau = big_iso.conj().T @ sigma @ big_iso
-            tr = float(np.trace(tau).real)
-            p_accept += w * tr
-            p_reject += w * (1.0 - tr)
-            overlap = float(np.trace(phi_proj @ tau).real)
-            fid_acc += w * overlap
-            p_wrong += w * (tr - overlap)
+            if padded is None:
+                padded = _dm_conjugate_pauli(widen(pad_to_pauli(s, n)), rho0)
+            weights[s_tilde] = weights.get(s_tilde, 0.0) + w
+            mixed[s_tilde] = mixed.get(s_tilde, 0.0) + w * padded
+    dim = 1 << total_qubits
+    stack = np.empty((dim * dim, len(mixed)), dtype=complex)
+    for j, rho in enumerate(mixed.values()):
+        stack[:, j] = rho.reshape(-1, order="F")
+    for q, kraus in enumerate(wire_kraus):
+        superop = sum(np.kron(np.conj(op), op) for op in map(np.asarray, kraus))
+        stack = apply_on_qubits(superop, (q, total_qubits + q), stack, 2 * total_qubits)
+    # Accept POVM and decode collapse to contraction with the composed
+    # isometry (syndrome-0 and detection projection), reference alongside.
+    big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
+    p_accept = p_wrong = fid_acc = 0.0
+    for s_tilde, column in zip(mixed, stack.T):
+        unpad = widen(pad_to_pauli(s_tilde, n))
+        sigma = _dm_conjugate_pauli(unpad, column.reshape(dim, dim, order="F"))
+        tr, overlap = _trace_and_overlap(big_iso.conj().T @ sigma @ big_iso, k)
+        p_accept += tr
+        p_reject += weights[s_tilde] - tr
+        fid_acc += overlap
+        p_wrong += tr - overlap
     fidelity = fid_acc / p_accept if p_accept > 1e-15 else 1.0
     return AttackReport(p_accept, p_wrong, p_reject, fidelity)
 
@@ -670,7 +693,7 @@ def auth13_key_recovered_branch(proto: Auth13Protocol, wire_kraus) -> AttackRepo
     weights = [twirl_channel(kraus) for kraus in wire_kraus]
     b_pmd = pmd.encoder
     dec_circuit = outer.encoder.inverse()
-    phi_proj = _maxent_projector(k)
+    phi = _maxent_vector(k)
     p_accept = p_wrong = fid_acc = 0.0
     elements = _normalizer_elements(outer)
     for element in elements:
@@ -688,11 +711,9 @@ def auth13_key_recovered_branch(proto: Auth13Protocol, wire_kraus) -> AttackRepo
             # Z action on the outer ancillas is trivial on |0>; drop it.
             inner = PauliOperator(pmd.total, logical.x & ((1 << pmd.total) - 1),
                                   logical.z & ((1 << pmd.total) - 1), logical.phase)
-        amp = b_pmd.conj().T @ apply_pauli(inner, b_pmd)
-        tau = np.kron(np.eye(1 << k), amp)
-        tau = tau @ _maxent_projector(k) @ tau.conj().T
-        tr = float(np.trace(tau).real)
-        overlap = float(np.trace(phi_proj @ tau).real)
+        amp = pmd.encoder_dagger @ apply_pauli(inner, b_pmd)
+        psi = np.kron(np.eye(1 << k), amp) @ phi
+        tr, overlap = _trace_and_overlap(np.outer(psi, psi.conj()), k)
         p_accept += prob * tr
         fid_acc += prob * overlap
         p_wrong += prob * (tr - overlap)
@@ -744,8 +765,7 @@ def substitution_overlap_oracle(proto: Auth13Protocol, marginals,
     # The reference register is maximally mixed and uncorrelated, so the
     # post-decode overlap with the entangled target is 2^-k per unit of
     # accepted message mass, distributed through the identity component.
-    tau_full = np.kron(np.eye(1 << k) / (1 << k), tau)
-    overlap = float(np.trace(_maxent_projector(k) @ tau_full).real)
+    _, overlap = _trace_and_overlap(np.kron(np.eye(1 << k) / (1 << k), tau), k)
     return accept, accept - overlap
 
 

@@ -335,7 +335,7 @@ def cmd_auth_simulate(args) -> int:
         rep = auth13_attack_harness(proto, wires, classical)
         report.add("p_accept_wrong", f"{rep.p_accept_wrong:.12f}",
                    "eps_pmd^2 (key-recovered context)", f"{eps ** 2:.6f}",
-                   True)
+                   rep.p_accept_wrong <= eps ** 2 + 1e-10)
         report.extras.update({
             "p_accept": f"{rep.p_accept:.12f}",
             "p_reject": f"{rep.p_reject:.12f}",

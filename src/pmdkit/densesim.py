@@ -6,9 +6,11 @@ Pauli convention in `symplectic`.
 
 Mixed states are weighted lists of pure branches (`Branch` =
 (weight, vector)); the authentication harnesses use small density
-matrices instead, through `dm_conjugate_pauli` and
-`dm_apply_single_qubit_kraus`.  Every Kraus map is checked by
-`check_trace_preserving` and serialized by `kraus_to_record`.
+matrices instead, padded by `dm_conjugate_pauli` and sent through a
+wire as its superoperator by `apply_on_qubits` on vec(rho)
+(`dm_apply_single_qubit_kraus` is the per-Kraus form).  Every Kraus map
+is checked by `check_trace_preserving` and serialized by
+`kraus_to_record`.
 """
 
 from __future__ import annotations
@@ -180,33 +182,39 @@ def dm_apply_single_qubit_kraus(kraus, qubit: int, rho: np.ndarray,
 
 
 def apply_circuit(circ: CliffordCircuit, array: np.ndarray) -> np.ndarray:
-    """Apply a Clifford circuit gate by gate."""
+    """Apply a Clifford circuit to a statevector or to each column of a
+    matrix, one view operation per gate on a C-ordered copy.
+
+    A one-qubit gate contracts the middle axis of the (-1, 2, 2^q * cols)
+    view, which is qubit q, in one matrix product.  CNOT and CZ act on the
+    (-1, 2, 2^(hi-lo-1), 2, 2^lo * cols) view of their two qubits: CZ
+    negates the |11> slice, CNOT swaps the target's halves where the
+    control is 1.
+    """
     n = circ.n
-    out = np.asarray(array, dtype=complex)
+    out = np.array(array, dtype=complex, order="C")
+    cols = out.size >> n
     for name, qubits in circ.gates:
-        if name == "cnot":
-            out = _apply_cnot(qubits[0], qubits[1], out, n)
-        elif name == "cz":
-            out = _apply_cz(qubits[0], qubits[1], out, n)
+        if name in ("cnot", "cz"):
+            lo, hi = sorted(qubits)
+            view = out.reshape(-1, 2, 1 << (hi - lo - 1), 2, (1 << lo) * cols)
+            if name == "cz":
+                view[:, 1, :, 1] *= -1
+            elif qubits[0] == hi:
+                half = view[:, 1]
+                half[...] = half[:, :, ::-1]
+            else:
+                half = view[:, :, :, 1]
+                half[...] = half[:, ::-1]
         else:
-            out = apply_on_qubits(GATE_MATRICES[name], qubits, out, n)
+            (q,) = qubits
+            low = (1 << q) * cols
+            # One np.dot on the qubit-major copy, as apply_on_qubits's
+            # tensordot does, so the rounding is the same.
+            moved = np.dot(GATE_MATRICES[name], out.reshape(-1, 2, low)
+                           .transpose(1, 0, 2).reshape(2, -1))
+            out = moved.reshape(2, -1, low).transpose(1, 0, 2).reshape(out.shape)
     return out
-
-
-def _apply_cnot(c: int, t: int, array: np.ndarray, n: int) -> np.ndarray:
-    dim = 1 << n
-    idx = np.arange(dim)
-    src = np.where((idx >> c) & 1 == 1, idx ^ (1 << t), idx)
-    return array[src]
-
-
-def _apply_cz(c: int, t: int, array: np.ndarray, n: int) -> np.ndarray:
-    dim = 1 << n
-    idx = np.arange(dim)
-    signs = 1 - 2.0 * (((idx >> c) & (idx >> t)) & 1)
-    if array.ndim == 1:
-        return signs * array
-    return signs[:, None] * array
 
 
 def circuit_unitary(circ: CliffordCircuit) -> np.ndarray:

@@ -58,8 +58,13 @@ class PmdCode:
         return enc
 
     @cached_property
+    def encoder_dagger(self) -> np.ndarray:
+        """B^dagger, conjugated once per code."""
+        return self.encoder.conj().T
+
+    @cached_property
     def projector(self) -> np.ndarray:
-        return self.encoder @ self.encoder.conj().T
+        return self.encoder @ self.encoder_dagger
 
     @cached_property
     def encoder_unitary(self) -> np.ndarray:
@@ -189,7 +194,7 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
         # trim and re-fault the heap under the 2^total-row temporaries,
         # which made 300 samples at (8,2) take 1.0 s instead of 0.55 s.
         e = PauliOperator(total, x, z, 0)
-        m = pmd.encoder.conj().T @ apply_pauli(e, pmd.encoder)
+        m = pmd.encoder_dagger @ apply_pauli(e, pmd.encoder)
         norm = float(np.linalg.svd(m, compute_uv=False)[0])
         if norm > best:
             best, best_xz = norm, (x, z)
@@ -202,7 +207,7 @@ def compressed_error_norm(pmd: PmdCode, e: PauliOperator) -> float:
     """|B^dag E B| for one specific error."""
     if e.n != pmd.total:
         raise ValueError(f"error acts on {e.n} qubits, code has {pmd.total}")
-    m = pmd.encoder.conj().T @ apply_pauli(e, pmd.encoder)
+    m = pmd.encoder_dagger @ apply_pauli(e, pmd.encoder)
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

@@ -67,6 +67,28 @@ def test_adversary_cptp_enforced():
         ErasureAdversary(2, ((0.5 * np.eye(2, dtype=complex), (0,)),), 1)
 
 
+def test_adversary_cptp_check_on_two_supports():
+    # |+><+| (x) I + I (x) I/2 on qubits (0, 2): the sum misses the
+    # identity only off the diagonal.
+    plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
+    half = np.sqrt(0.5) * np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="trace preserving"):
+        ErasureAdversary(4, ((plus, (0,)), (half, (2,))), 1)
+    ok = ErasureAdversary(4, ((half, (0,)), (half, (2,))), 1)
+    assert [s for _, s in ok.branches] == [(0,), (2,)]
+    # Measure qubit 2; on outcome 1 also rotate qubit 0.  Qubit 2 is the
+    # high bit of the (0, 2) branch, the only bit of the (2,) branch.
+    ket0, ket1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    rot = np.array([[0, 1j], [1, 0]], dtype=complex)
+    ErasureAdversary(4, ((ket0, (2,)), (np.kron(ket1, rot), (0, 2))), 2)
+
+
+def test_identity_adversary_passes_cptp_check():
+    adv = ErasureAdversary.identity(3)
+    assert adv.branches[0][1] == ()
+    assert ErasureAdversary(3, ((np.eye(1, dtype=complex), ()),), 0).mode == "adaptive"
+
+
 def test_adversary_budget_enforced():
     with pytest.raises(ValueError, match="budget"):
         ErasureAdversary(3, ((np.eye(4, dtype=complex), (0, 1)),), 1)
@@ -155,6 +177,45 @@ def test_cascade_dense_is_unitary():
     assert np.allclose(u.conj().T @ u, np.eye(64), atol=1e-10)
 
 
+def _cascades():
+    """Cascades of list length 1, 2 and 3 on [[4,3]] o PMD(2,1), and
+    length 2 on [[7,6]] o PMD(4,2)."""
+    import dataclasses
+    small = small_setup()
+    three = erasure_list_decode(small.outer, (0, 1), (0,))
+    return [CorrectionCascade(erasure_list_decode(small.outer, (), (0,)), small),
+            CorrectionCascade(erasure_list_decode(small.outer, (1,), (0,)), small),
+            CorrectionCascade(dataclasses.replace(three, entries=three.entries[:3]), small),
+            CorrectionCascade(erasure_list_decode(main_setup().outer, (3,), (0,)),
+                              main_setup())]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_cascade_apply_matches_dense_on_flag_zero_inputs(index):
+    cascade = _cascades()[index]
+    n, flags = cascade.code.n, cascade.length
+    assert flags == [1, 2, 3, 2][index]
+    u = cascade.dense()
+    rng = np.random.default_rng(20 + index)
+    block = 1 << n
+    # Every flag-|0> column at once, then random vectors.
+    cols = cascade.apply(np.eye(block << flags, dtype=complex)[:, :block], n + flags, n)
+    assert np.allclose(cols, u[:, :block], rtol=0, atol=1e-12)
+    for _ in range(3):
+        vec = np.zeros(block << flags, dtype=complex)
+        vec[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
+        got = cascade.apply(vec, n + flags, n)
+        assert np.allclose(got, u @ vec, rtol=0, atol=1e-12)
+    # A reference qubit between the block and the flags rides along.
+    from pmdkit.densesim import apply_on_qubits
+    vec = np.zeros(block << (flags + 1), dtype=complex)
+    vec[:2 * block] = rng.standard_normal(2 * block) + 1j * rng.standard_normal(2 * block)
+    qubits = tuple(range(n)) + tuple(range(n + 1, n + 1 + flags))
+    want = apply_on_qubits(u, qubits, vec, n + 1 + flags)
+    got = cascade.apply(vec, n + 1 + flags, n + 1)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 def encoded_message(code, rng):
     psi = rng.standard_normal(1 << code.message_qubits) \
         + 1j * rng.standard_normal(1 << code.message_qubits)
@@ -241,6 +302,16 @@ def test_cascade_superposition_trace_distance_bound():
     overlap = np.linalg.norm(amps)
     trace_distance = 2 * math.sqrt(max(0.0, 1 - overlap ** 2))
     assert trace_distance <= 3 * math.sqrt(eps) * len(corr.entries) ** 0.75 + 1e-9
+
+
+def test_cascade_apply_rejects_flags_inside_the_block():
+    code = small_setup()
+    cascade = CorrectionCascade(erasure_list_decode(code.outer, (1,), (0,)), code)
+    vec = np.zeros(1 << 6, dtype=complex)
+    with pytest.raises(ValueError, match="above the code block"):
+        cascade.apply(vec, 6, 3)
+    with pytest.raises(ValueError, match="above the code block"):
+        cascade.apply(vec, 6, 5)
 
 
 def test_cascade_rejects_empty_list():

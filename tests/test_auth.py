@@ -493,6 +493,114 @@ def test_auth13_triangle_decomposition_bound():
     assert rep.p_accept_wrong <= nm_term + eps ** 2 + overlap_term + 1e-9
 
 
+def _harness_by_key(proto, wire_kraus, classical):
+    """The harness as a per-key loop: pad, every wire's Kraus operators on
+    the density matrix, then unpad and project once per decoded key."""
+    from pmdkit.aqec import entangled_code_state
+    from pmdkit.densesim import dm_apply_single_qubit_kraus, dm_conjugate_pauli
+    n, k = proto.n_quantum, proto.composed.message_qubits
+    vec = entangled_code_state(proto.composed)
+    rho0 = np.outer(vec, vec.conj())
+    total_qubits = n + k
+    big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
+    phi_proj = auth._maxent_projector(k)
+    p_accept = p_wrong = p_reject = fid_acc = 0.0
+    key_weight = 1.0 / proto.key_count
+    rand_weight = 1.0 / (1 << proto.nm.rand_bits)
+
+    def widen(p):
+        return PauliOperator(total_qubits, p.x, p.z, p.phase)
+
+    for s in range(proto.key_count):
+        rho = dm_conjugate_pauli(widen(pad_to_pauli(s, n)), rho0)
+        for q in range(n):
+            rho = dm_apply_single_qubit_kraus(wire_kraus[q], q, rho, total_qubits)
+        outcomes = {}
+        for r in range(1 << proto.nm.rand_bits):
+            got = proto.nm.decode(classical.apply(proto.nm.encode(s, r)))
+            outcomes[got] = outcomes.get(got, 0.0) + rand_weight
+        for s_tilde, cl_weight in outcomes.items():
+            w = key_weight * cl_weight
+            if s_tilde is REJECT:
+                p_reject += w
+                continue
+            sigma = dm_conjugate_pauli(widen(pad_to_pauli(s_tilde, n)), rho)
+            tau = big_iso.conj().T @ sigma @ big_iso
+            tr = float(np.trace(tau).real)
+            overlap = float(np.trace(phi_proj @ tau).real)
+            p_accept += w * tr
+            p_reject += w * (1.0 - tr)
+            fid_acc += w * overlap
+            p_wrong += w * (tr - overlap)
+    fidelity = fid_acc / p_accept if p_accept > 1e-15 else 1.0
+    return p_accept, p_wrong, p_reject, fidelity
+
+
+def _assert_harness_matches_key_loop(proto, wires, classical):
+    rep = auth13_attack_harness(proto, wires, classical)
+    got = (rep.p_accept, rep.p_accept_wrong, rep.p_reject, rep.fidelity_given_accept)
+    want = _harness_by_key(proto, wires, classical)
+    assert np.allclose(got, want, rtol=0, atol=1e-12), (got, want)
+    return rep
+
+
+@pytest.mark.parametrize("fixed_key", [137, 42, 0])
+def test_harness_matches_key_loop_on_substitution(fixed_key):
+    proto = make_auth13()
+    wires, classical, _ = substitution_attack(proto, fixed_key)
+    rep = _assert_harness_matches_key_loop(proto, wires, classical)
+    assert rep.p_accept_wrong > 0
+
+
+def test_harness_matches_key_loop_on_keep_all_and_random_tags():
+    proto = make_auth13()
+    rng = np.random.default_rng(11)
+    keep = TamperFunction.keep_all(proto.nm.n)
+    _assert_harness_matches_key_loop(proto, [random_cptp(rng) for _ in range(4)], keep)
+    _assert_harness_matches_key_loop(proto, [depolarizing_kraus(0.3)] * 4, keep)
+    for _ in range(4):
+        tags = tuple(rng.choice(auth.BIT_TAGS, size=proto.nm.n).tolist())
+        wires = [random_cptp(rng, n_kraus=int(rng.integers(1, 4))) for _ in range(4)]
+        _assert_harness_matches_key_loop(proto, wires, TamperFunction(tags))
+
+
+def test_harness_all_reject_tampering():
+    # Flipping the parity bit makes every key decode to REJECT.
+    proto = make_auth13()
+    tags = ("keep",) * 8 + ("flip", "keep")
+    rng = np.random.default_rng(12)
+    rep = _assert_harness_matches_key_loop(
+        proto, [random_cptp(rng) for _ in range(4)], TamperFunction(tags))
+    assert (rep.p_accept, rep.p_accept_wrong, rep.p_reject) == (0.0, 0.0, 1.0)
+
+
+def test_harness_matches_key_loop_on_table_code():
+    # A random injective table code read back from its record: decoded
+    # keys spread over many values and REJECT.
+    rng = np.random.default_rng(13)
+    words = rng.permutation(1 << 10)
+    record = {"k": 8, "n": 10, "rand_bits": 1, "name": "table",
+              "encode": {f"{s},{r}": int(words[2 * s + r])
+                         for s in range(256) for r in range(2)},
+              "decode": {str(int(words[i])): i // 2 for i in range(512)}}
+    nm = NmCode.from_record(record)
+    base = make_auth13()
+    proto = Auth13Protocol(base.composed, nm)
+    for _ in range(3):
+        tags = tuple(rng.choice(auth.BIT_TAGS, size=nm.n).tolist())
+        wires = [random_cptp(rng) for _ in range(4)]
+        _assert_harness_matches_key_loop(proto, wires, TamperFunction(tags))
+
+
+def test_maxent_overlap_helper_matches_projector():
+    rng = np.random.default_rng(14)
+    for k in (1, 2):
+        m = rng.standard_normal((4 ** k, 4 ** k)) + 1j * rng.standard_normal((4 ** k, 4 ** k))
+        tr, overlap = auth._trace_and_overlap(m, k)
+        assert tr == float(np.trace(m).real)
+        assert abs(overlap - np.trace(auth._maxent_projector(k) @ m).real) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Rate-1 protocol at toy scale
 # ---------------------------------------------------------------------------
@@ -604,17 +712,17 @@ def test_auth1_block_twirl_matches_pad_average():
     message = np.array([1, 1], dtype=complex) / np.sqrt(2)
     block_rho = auth1_block_codeword_density(proto, message, block=1)
     channels = [depolarizing_kraus(0.5), (I2,), (X,), depolarizing_kraus(0.2)]
-    from pmdkit.auth import _dm_apply_single_qubit_kraus, _dm_conjugate_pauli
+    from pmdkit.densesim import dm_apply_single_qubit_kraus, dm_conjugate_pauli
     acc_op = np.zeros((16, 16), dtype=complex)
     iso = proto.inner.encoder_isometry()
     acc_op = iso @ iso.conj().T
     brute_accept = 0.0
     for pad_bits in range(256):
         pad = pad_to_pauli(pad_bits, 4)
-        rho = _dm_conjugate_pauli(pad, block_rho)
+        rho = dm_conjugate_pauli(pad, block_rho)
         for q in range(4):
-            rho = _dm_apply_single_qubit_kraus(channels[q], q, rho, 4)
-        rho = _dm_conjugate_pauli(pad, rho)
+            rho = dm_apply_single_qubit_kraus(channels[q], q, rho, 4)
+        rho = dm_conjugate_pauli(pad, rho)
         brute_accept += float(np.trace(acc_op @ rho).real) / 256
     alg_reject = auth1_block_reject_probability(proto, channels, block_rho)
     assert abs((1 - alg_reject) - brute_accept) < 1e-10

@@ -138,6 +138,24 @@ def test_auth_simulate_attack_file(capsys, tmp_path):
     assert "p_accept: 1.000000000000" in out
 
 
+def test_auth_simulate_third_fails_above_eps_squared(capsys, tmp_path, monkeypatch):
+    from pmdkit import cli
+    from pmdkit.auth import AttackReport
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=4 k=3\nXXXX\n")
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    attack_file = tmp_path / "attack.json"
+    attack_file.write_text(json.dumps({"wires": [[eye]] * 4, "classical": ["keep"] * 10}))
+    argv = ["auth", "simulate", "--protocol", "third", "--pmd-n", "2",
+            "--pmd-lambda", "1", "--outer", str(outer), "--attack", str(attack_file)]
+    # eps^2 is 0.5 at (2,1); 0.6 wrongly accepted breaks criterion 8.
+    monkeypatch.setattr(cli, "auth13_attack_harness",
+                        lambda *args: AttackReport(0.7, 0.6, 0.3, 0.14))
+    rc, out, _ = invoke(capsys, argv)
+    assert rc == 1
+    assert "[FAIL] p_accept_wrong: 0.600000000000" in out
+
+
 def test_auth_simulate_rate1(capsys, tmp_path):
     import math
     outer = tmp_path / "outer.txt"

@@ -242,6 +242,16 @@ def test_sampling_mode_deterministic():
     assert a.value <= measure_pmd_epsilon(pmd).value + ATOL
 
 
+def test_sampled_epsilon_is_the_max_of_compressed_error_norms():
+    # The sampled loop and compressed_error_norm share the cached B^dagger,
+    # so the reported epsilon is exactly the norm at the reported argmax.
+    pmd = make_pmd(4, 2)
+    assert pmd.encoder_dagger is pmd.encoder_dagger
+    assert np.array_equal(pmd.encoder_dagger, pmd.encoder.conj().T)
+    rep = measure_pmd_epsilon(pmd, samples=40, seed=21)
+    assert rep.value == compressed_error_norm(pmd, rep.argmax)
+
+
 def test_sampling_mode_without_seed_uses_seed_zero():
     pmd = make_pmd(4, 2)
     a = measure_pmd_epsilon(pmd, samples=5)

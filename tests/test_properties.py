@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pmdkit import f2
-from pmdkit.densesim import (circuit_unitary, kraus_from_record, kraus_to_record,
-                             pauli_matrix)
+from pmdkit.densesim import (apply_circuit, circuit_unitary, kraus_from_record,
+                             kraus_to_record, pauli_matrix)
 from pmdkit.galois import FieldSpec, compute_dual_basis
 from pmdkit.pmd import _norm_bounds
 from pmdkit.ptc import _key_syndromes, build_bcgst_family
@@ -53,8 +53,8 @@ _GATES = st.sampled_from(("h", "s", "x", "z", "cnot", "cz"))
 
 
 @st.composite
-def circuits(draw):
-    n = draw(st.integers(1, 3))
+def circuits(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
     gates = []
     for name in draw(st.lists(_GATES, max_size=8)):
         arity = 2 if name in ("cnot", "cz") else 1
@@ -72,6 +72,45 @@ def test_conjugate_pauli_matches_dense(case):
     u = circuit_unitary(circ)
     want = u @ pauli_matrix(p) @ u.conj().T
     assert np.allclose(pauli_matrix(circ.conjugate_pauli(p)), want, atol=1e-12)
+
+
+_ONE_QUBIT = {"h": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "s": np.diag([1, 1j]),
+              "x": np.array([[0, 1], [1, 0]]), "z": np.diag([1, -1])}
+_KET0, _KET1 = np.diag([1, 0]), np.diag([0, 1])
+
+
+def _embed(n, factors):
+    """Kronecker product of per-qubit 2x2 factors, qubit 0 rightmost."""
+    out = np.eye(1)
+    for q in reversed(range(n)):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def _gate_matrix(n, name, qubits):
+    if name == "cnot":
+        c, t = qubits
+        return _embed(n, {c: _KET0}) + _embed(n, {c: _KET1, t: _ONE_QUBIT["x"]})
+    if name == "cz":
+        c, t = qubits
+        return np.eye(1 << n) - 2 * _embed(n, {c: _KET1, t: _KET1})
+    return _embed(n, {qubits[0]: _ONE_QUBIT[name]})
+
+
+@_SETTINGS
+@given(circuits(max_n=5), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_apply_circuit_matches_kron_gate_product(case, cols, seed):
+    circ, _ = case
+    dim = 1 << circ.n
+    want = np.eye(dim)
+    for name, qubits in circ.gates:
+        want = _gate_matrix(circ.n, name, qubits) @ want
+    rng = np.random.default_rng(seed)
+    shape = (dim, cols) if cols else (dim,)
+    array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = apply_circuit(circ, array)
+    assert got.shape == array.shape
+    assert np.allclose(got, want @ array, rtol=0, atol=1e-12)
 
 
 @st.composite
