@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import f2
 from .aqec import ComposedCode, entangled_code_state
@@ -197,6 +196,8 @@ def nm_decompose(code: NmCode, f: TamperFunction) -> NmDecomposition:
     is the worst-message total-variation distance to the exact
     tampered-decode distribution.
     """
+    from scipy.optimize import linprog  # 0.3 s of import, needed only here
+
     dists = code.tampered_distributions(f)
     n_msg = 1 << code.k
     atoms = n_msg + 2  # [messages..., reject, same]
@@ -273,28 +274,93 @@ def all_tamper_functions(n: int):
         yield TamperFunction(tags)
 
 
-def _nm_sweep(code: NmCode, solved: dict) -> float:
-    """Worst simulator gap over all 4^n tamperings, one LP per decode table.
+# Bit tag -> (and-bit, xor-bit): the tampering is f(w) = (w & a) ^ b.
+_TAG_OF_MASK_BITS = {(1, 0): "keep", (1, 1): "flip", (0, 0): "set0", (0, 1): "set1"}
+
+
+def tamper_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """And- and xor-masks (a, b) of all 4^n bit-wise tamperings."""
+    return np.divmod(np.arange(1 << (2 * n)), 1 << n)
+
+
+def tamper_from_masks(a: int, b: int, n: int) -> TamperFunction:
+    """The tampering w -> (w & a) ^ b as a TamperFunction."""
+    return TamperFunction(tuple(_TAG_OF_MASK_BITS[(a >> i) & 1, (b >> i) & 1]
+                                for i in range(n)))
+
+
+def nm_decode_tables(code: NmCode) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct decode tables over all 4^n tamperings, and one tampering each.
+
+    Returns (tables, masks): tables[t, s] holds the sorted decode outcomes
+    (reject as -1) of message s's 2^rand_bits codewords under one
+    tampering, and masks[t] is the (a, b) pair of the first tampering in
+    `tamper_masks` order that yields table t.
+    """
+    if code.k > 3 or code.n > 8 or code.k + code.rand_bits > 8:
+        raise SizeGuardError("nm_verify sweeps 4^n tamperings of 2^(k + rand_bits) "
+                             "codewords; needs k <= 3, n <= 8, k + rand_bits <= 8")
+    n, n_msg, n_rand = code.n, 1 << code.k, 1 << code.rand_bits
+    decode = np.array([-1 if (o := code.decode(w)) is REJECT else o
+                       for w in range(1 << n)], dtype=np.int8)
+    codewords = np.array([[code.encode(s, r) for r in range(n_rand)]
+                          for s in range(n_msg)], dtype=np.uint8)
+    a, b = tamper_masks(n)
+    a8, b8 = a.astype(np.uint8), b.astype(np.uint8)
+    words = (codewords[None] & a8[:, None, None]) ^ b8[:, None, None]
+    outcomes = np.sort(decode[words], axis=2).reshape(len(a), n_msg * n_rand)
+    tables, first = np.unique(outcomes, axis=0, return_index=True)
+    return tables.reshape(-1, n_msg, n_rand), np.stack([a[first], b[first]], axis=1)
+
+
+def nm_upper_bounds(tables: np.ndarray, k: int) -> np.ndarray:
+    """An upper bound on the simulator-LP epsilon of each decode table.
+
+    Every feasible simulator q has max_s TV(D_s, p_s(q)) >= epsilon; this
+    takes the least over these candidates: q = "same" (TV = 1 - D_s(s)),
+    q = the mean of the D_s, and q = (D_t + D_u) / 2 for each pair of
+    messages t <= u (t = u is D_t itself).  The sums are kept in integers
+    over the common denominator 4 * 2^k * 2^rand_bits, so the bounds are
+    exact dyadic floats.
+    """
+    _, n_msg, n_rand = tables.shape
+    # counts[t, s, o]: decode outcome o - 1 (o = 0 is reject) for message s.
+    counts = np.stack([np.count_nonzero(tables == o, axis=2)
+                       for o in range(-1, 1 << k)], axis=2).astype(np.int32)
+    msg = np.arange(n_msg)
+    same = 4 * n_msg * (n_rand - counts[:, msg, msg + 1]).max(axis=1)
+    mean = 2 * np.abs(n_msg * counts - counts.sum(axis=1, keepdims=True)).sum(axis=2).max(axis=1)
+    best = np.minimum(same, mean)
+    for t in range(n_msg):
+        for u in range(t, n_msg):
+            mid = np.abs(2 * counts - counts[:, t:t + 1] - counts[:, u:u + 1])
+            best = np.minimum(best, n_msg * mid.sum(axis=2).max(axis=1))
+    return best / (4 * n_msg * n_rand)
+
+
+def _nm_sweep(code: NmCode, solved: dict, stop_at: float = np.inf) -> float:
+    """Worst simulator gap over all 4^n tamperings, as a bound-pruned maximum.
 
     The LP of `nm_decompose` reads only k and the per-message decode
-    distributions, so tamperings are keyed by their sorted decode
-    outcomes per message (reject as -1) and `solved` maps each key to
-    its epsilon.  The key fixes the whole LP, k and rand_bits included,
-    so one `solved` dict may serve several codes.
+    distributions, so the sweep solves at most one LP per distinct decode
+    table (`nm_decode_tables`).  Tables are visited in descending order of
+    their exact upper bound (`nm_upper_bounds`); once a bound falls more
+    than 1e-9 below the running maximum, no later table can reach it and
+    the sweep ends.  `solved` maps (k, rand_bits, table bytes) to epsilon,
+    a key that fixes the whole LP, so one dict may serve several codes.
+    The sweep also ends once the running maximum reaches `stop_at`; its
+    return value is then only known to be >= `stop_at`.
     """
-    if code.k > 3 or code.n > 8:
-        raise SizeGuardError("nm_verify sweeps 4^n tamperings; needs k <= 3, n <= 8")
-    codewords = [[code.encode(s, r) for r in range(1 << code.rand_bits)]
-                 for s in range(1 << code.k)]
+    tables, masks = nm_decode_tables(code)
+    bounds = nm_upper_bounds(tables, code.k)
     worst = 0.0
-    for f in all_tamper_functions(code.n):
-        rows = []
-        for words in codewords:
-            outcomes = [code.decode(f.apply(w)) for w in words]
-            rows.append(tuple(sorted(-1 if o is REJECT else o for o in outcomes)))
-        key = tuple(rows)
+    for t in np.argsort(-bounds, kind="stable"):
+        if bounds[t] < worst - 1e-9 or worst >= stop_at:
+            break
+        key = (code.k, code.rand_bits, tables[t].tobytes())
         eps = solved.get(key)
         if eps is None:
+            f = tamper_from_masks(int(masks[t, 0]), int(masks[t, 1]), code.n)
             eps = solved[key] = nm_decompose(code, f).epsilon
         worst = max(worst, eps)
     return worst
@@ -312,11 +378,17 @@ def nm_verify(code: NmCode) -> float:
 
 def nm_search(k: int, n: int, trials: int, rng: np.random.Generator,
               rand_bits: int = 1) -> tuple[NmCode, float]:
-    """Best-of-`trials` random injective table codes, ranked by nm_verify."""
+    """Best-of-`trials` random injective table codes, ranked by nm_verify.
+
+    The first trial with the least epsilon wins.  LP results are shared
+    by every trial, and a trial's sweep stops as soon as its running
+    maximum reaches the best finished trial's epsilon: it can no longer
+    win, since only a strictly smaller epsilon replaces the best.
+    """
     if k + rand_bits > n:
         raise ValueError("codeword too short for message plus randomness")
     best_code, best_eps = None, np.inf
-    solved: dict = {}  # decode table -> epsilon, shared by every trial
+    solved: dict = {}  # (k, rand_bits, decode table) -> epsilon
     for trial in range(max(1, trials)):
         perm = rng.permutation(1 << n)
         enc_table = {}
@@ -332,7 +404,7 @@ def nm_search(k: int, n: int, trials: int, rng: np.random.Generator,
                       lambda s, r, table=enc_table: table[(s, r)],
                       lambda w, table=dec_table: table.get(w, REJECT),
                       name=f"random[{k}->{n}]#{trial}")
-        eps = _nm_sweep(code, solved)
+        eps = _nm_sweep(code, solved, stop_at=best_eps)
         if eps < best_eps:
             best_code, best_eps = code, eps
     return best_code, best_eps

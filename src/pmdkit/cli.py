@@ -423,10 +423,15 @@ def cmd_sweep(args) -> int:
             report.add(f"pmd[{n},{lam}]", f"{eps.value:.12f}", "lemma bound",
                        f"{bound:.12f}", ok)
         except (SizeGuardError, ValueError) as exc:
+            message = str(exc)
+            if isinstance(exc, SizeGuardError):
+                message += (" (sweep itself has no sampling mode; run `pmdkit pmd verify"
+                            f" --n {n} --lambda {lam} --samples N --seed S`)")
             rows.append({"n": n, "lam": lam, "epsilon": "error",
                          "eps_ptc": "", "delta": "", "bound": "",
-                         "status": f"error: {exc}"})
-            report.extras[f"error[{n},{lam}]"] = str(exc)
+                         "status": f"error: {message}"})
+            report.add(f"pmd[{n},{lam}]", "error", "lemma bound", "", False)
+            report.extras[f"error[{n},{lam}]"] = message
     report.extras["rows"] = rows
     if args.format == "csv":
         lines = ["n,lam,epsilon,eps_ptc,delta,bound,status"]

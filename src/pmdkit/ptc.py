@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .galois import DualBasisPair, FieldElement, FieldSpec, compute_dual_basis
-from .limits import SWEEP_GUARD
+from .limits import SWEEP_GUARD, SizeGuardError
 from .symplectic import PauliOperator, StabilizerCode, symplectic_product
 
 
@@ -182,6 +182,9 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
         count = total_errors
     elif samples < 1:
         raise ValueError("samples must be >= 1")
+    elif n > 32:
+        raise SizeGuardError(
+            f"sampling mode draws each error as one 64-bit word and needs n <= 32, got n = {n}")
     else:
         count = samples
         rng = np.random.default_rng(np.random.Philox(seed))

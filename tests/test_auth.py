@@ -11,11 +11,13 @@ from pmdkit.auth import (Auth1Protocol, Auth13Protocol, NmCode, TamperFunction,
                          auth1_block_codeword_density, auth1_block_reject_probability,
                          auth1_decode, auth1_encode, auth13_attack_harness,
                          auth13_encode, auth13_key_recovered_branch, channel_choi,
-                         eta_classify, nm_decompose, nm_search, nm_verify,
+                         eta_classify, nm_decode_tables, nm_decompose, nm_search,
+                         nm_upper_bounds, nm_verify,
                          normalizer_l1_mass, pad_to_pauli, pauli_channel_choi,
                          pauli_decompose_channel, pure_distance, stabilizer_mass,
                          substitution_attack, substitution_overlap_oracle,
-                         systematic_parity_nm, twirl_channel,
+                         systematic_parity_nm, tamper_from_masks, tamper_masks,
+                         twirl_channel,
                          twirled_choi_by_pad_average, twise_pad,
                          twise_pad_seed_bits, REJECT)
 from pmdkit.limits import SizeGuardError
@@ -108,6 +110,9 @@ def test_nm_verify_parity_k1():
 def test_nm_verify_guard():
     with pytest.raises(SizeGuardError):
         nm_verify(systematic_parity_nm(8))
+    many_rand = NmCode(1, 4, 8, lambda s, r: s, lambda w: w if w < 2 else REJECT)
+    with pytest.raises(SizeGuardError, match="rand_bits"):
+        nm_verify(many_rand)
 
 
 def test_nm_search_returns_valid_code_and_improves():
@@ -182,6 +187,8 @@ def test_nm_search_matches_brute_force_best_of_trials(seed21_trials):
 
 
 def test_nm_search_solves_one_lp_per_decode_table(monkeypatch, seed21_trials):
+    # The bound-pruned sweep solves an LP only for tables whose upper bound
+    # reaches the running maximum: 15 of the 539 distinct tables at seed 21.
     codes, _ = seed21_trials
     tables = {decode_table(c, f) for c in codes for f in all_tamper_functions(c.n)}
     solved = []
@@ -193,7 +200,65 @@ def test_nm_search_solves_one_lp_per_decode_table(monkeypatch, seed21_trials):
 
     monkeypatch.setattr(auth, "nm_decompose", counting)
     nm_search(2, 5, 2, np.random.default_rng(np.random.Philox(21)))
-    assert len(solved) == len(set(solved)) == len(tables) == 539
+    assert len(solved) == len(set(solved))
+    assert set(solved) <= tables and len(tables) == 539
+    assert len(solved) == 15
+
+
+def test_tamper_masks_match_tag_application():
+    for n in range(1, 5):
+        a, b = tamper_masks(n)
+        words = np.arange(1 << n)
+        masked = (words[None, :] & a[:, None]) ^ b[:, None]
+        seen = set()
+        for f in all_tamper_functions(n):
+            ai = sum(1 << i for i, tag in enumerate(f.tags) if tag in ("keep", "flip"))
+            bi = sum(1 << i for i, tag in enumerate(f.tags) if tag in ("flip", "set1"))
+            row = ai * (1 << n) + bi
+            assert (a[row], b[row]) == (ai, bi)
+            assert masked[row].tolist() == [f.apply(int(w)) for w in words]
+            assert tamper_from_masks(ai, bi, n) == f
+            seen.add(row)
+        assert seen == set(range(4 ** n))
+
+
+def test_nm_decode_tables_are_the_distinct_tampered_tables():
+    code = systematic_parity_nm(2)
+    tables, masks = nm_decode_tables(code)
+    want = {decode_table(code, f) for f in all_tamper_functions(code.n)}
+    got = [decode_table(code, tamper_from_masks(int(a), int(b), code.n)) for a, b in masks]
+    assert len(set(got)) == len(got) == len(want) and set(got) == want
+    for table, rep in zip(tables.tolist(), got):
+        assert tuple(tuple((o, Fraction(row.count(o), 2)) for o in sorted(set(row)))
+                     for row in table) == rep
+
+
+@pytest.mark.parametrize("which", ["parity_k1", "parity_k2", "parity_k3",
+                                   "seed21_trial0", "seed21_trial1"])
+def test_nm_upper_bounds_dominate_lp_epsilon(which, seed21_trials):
+    if which.startswith("parity"):
+        code = systematic_parity_nm(int(which[-1]))
+    else:
+        code = seed21_trials[0][int(which[-1])]
+    tables, masks = nm_decode_tables(code)
+    bounds = nm_upper_bounds(tables, code.k)
+    eps = np.array([nm_decompose(code, tamper_from_masks(int(a), int(b), code.n)).epsilon
+                    for a, b in masks])
+    # The bounds are exact dyadics; 1e-12 covers HiGHS's float optimum.
+    assert np.all(eps <= bounds + 1e-12)
+    assert np.all(bounds * (1 << (code.k + code.rand_bits + 2)) % 1 == 0)
+
+
+def test_nm_search_stops_a_losing_trial_early(monkeypatch):
+    # Once the running maximum reaches stop_at the trial cannot win, so the
+    # sweep stops; here the first LP already reaches it.
+    calls = []
+    real = auth.nm_decompose
+    monkeypatch.setattr(auth, "nm_decompose",
+                        lambda code, f: calls.append(f) or real(code, f))
+    code = systematic_parity_nm(2)
+    assert auth._nm_sweep(code, {}, stop_at=1e-6) >= 1e-6
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

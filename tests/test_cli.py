@@ -231,10 +231,36 @@ def test_sweep_flags_partial_failure_and_continues(capsys):
     # and still completes the remaining grid points.
     rc, out, _ = invoke(capsys, ["sweep", "--points", "5:2,2:1",
                                  "--format", "csv"])
-    assert rc == 0  # no measured check failed; the bad point is flagged
+    assert rc == 1  # a point that was not measured fails the run
     lines = out.strip().splitlines()
     assert any("error" in line for line in lines)
     assert any(line.startswith("2,1") for line in lines)
+
+
+def test_sweep_refused_point_fails_the_run(capsys):
+    rc, out, _ = invoke(capsys, ["sweep", "--points", "2:1,8:2"])
+    assert rc == 1
+    assert "[PASS] pmd[2,1]" in out and "[FAIL] pmd[8,2]" in out
+    assert "pmdkit pmd verify --n 8 --lambda 2 --samples N --seed S" in out
+    assert "RESULT: FAILED" in out
+
+
+def test_ptc_check_sampling_refuses_words_wider_than_64_bits(capsys):
+    rc, _, err = invoke(capsys, ["ptc", "check", "--n", "34", "--lambda", "2",
+                                 "--samples", "10"])
+    assert rc == 2
+    assert "needs n <= 32" in err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ)
+    src = str(Path(pmdkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, pmdkit.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_sweep_deterministic_repeat(capsys):

@@ -84,6 +84,20 @@ def test_identity_norm_is_one():
     assert abs(compressed_error_norm(pmd, PauliOperator.identity(3)) - 1.0) < ATOL
 
 
+def test_error_norm_buffer_matches_apply_pauli():
+    pmd = make_pmd(4, 2)
+    encd = pmd.encoder.conj().T
+    buf = np.empty_like(pmd.encoder)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        x, z = (int(v) for v in rng.integers(0, 1 << pmd.total, size=2))
+        e = PauliOperator(pmd.total, x, z, int(rng.integers(0, 4)))
+        want = float(np.linalg.svd(encd @ apply_pauli(e, pmd.encoder),
+                                   compute_uv=False)[0])
+        assert compressed_error_norm(pmd, e) == want
+        assert compressed_error_norm(pmd, e, out=buf) == want
+
+
 def naive_epsilon(pmd):
     best, arg = -1.0, None
     for code in range(1, 1 << (2 * pmd.total)):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pmdkit import f2
+from pmdkit.auth import NmCode, REJECT, all_tamper_functions, nm_decompose, nm_verify
 from pmdkit.densesim import (apply_circuit, circuit_unitary, kraus_from_record,
                              kraus_to_record, pauli_matrix)
 from pmdkit.galois import FieldSpec, compute_dual_basis
@@ -305,3 +306,36 @@ def dual_pairs(draw):
 @given(dual_pairs())
 def test_random_basis_coords_match_traces(case):
     _assert_coords_match_traces(*case)
+
+
+@st.composite
+def nm_table_codes(draw):
+    """Injective random table codes with k <= 2, n <= 5; a word outside the
+    code decodes to reject or to any message."""
+    k = draw(st.integers(1, 2))
+    rand_bits = draw(st.integers(0, 1))
+    n = draw(st.integers(k + rand_bits, 5))
+    words = draw(st.permutations(range(1 << n)))
+    enc = {(s, r): words[(s << rand_bits) | r]
+           for s in range(1 << k) for r in range(1 << rand_bits)}
+    dec = {w: draw(st.sampled_from([REJECT, *range(1 << k)])) for w in range(1 << n)}
+    dec.update({w: s for (s, _), w in enc.items()})
+    return NmCode(k, n, rand_bits, lambda s, r: enc[(s, r)], dec.__getitem__)
+
+
+def brute_force_nm_epsilon(code):
+    """One LP per tampering over all 4^n of them, memoized on the exact
+    Fraction decode distributions (the whole input of the LP)."""
+    solved = {}
+    for f in all_tamper_functions(code.n):
+        key = tuple(tuple(sorted((-1 if o is REJECT else o, p) for o, p in d.items()))
+                    for d in code.tampered_distributions(f))
+        if key not in solved:
+            solved[key] = nm_decompose(code, f).epsilon
+    return max(solved.values())
+
+
+@settings(_SETTINGS, max_examples=12)  # the oracle solves up to ~400 LPs a code
+@given(nm_table_codes())
+def test_pruned_nm_verify_matches_brute_force(code):
+    assert nm_verify(code) == brute_force_nm_epsilon(code)
