@@ -16,7 +16,9 @@ code-space-compressed error, max over nonidentity Paulis E of
 work guard).  The exhaustive sweep handles all Z parts of one X part
 with a Walsh transform factored over the key and code registers, and
 runs an SVD only on the blocks whose cheap norm bounds can still reach
-the running maximum.
+the running maximum.  The sampled path works in the frame of the
+per-key Clifford encoders, where each key's part of B^dag E B is a
+signed row gather from a table built once per key shift.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .densesim import (codespace_isometry, circuit_unitary,
+from .densesim import (apply_circuit, codespace_isometry, circuit_unitary,
                        f2_parity_array)
 from .limits import SWEEP_GUARD, SizeGuardError, check_qubits
 from .ptc import PtcFamily
@@ -130,8 +132,11 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
     Exhaustive over all 4^total - 1 exponent pairs while the sweep's
     4^total * 4^(n-lam) block entries stay within `SWEEP_GUARD`
     (SizeGuardError before any work otherwise); pass `samples` for a
-    uniform sample drawn from a Philox generator seeded with `seed`
-    (each sampled norm is still exact).
+    uniform sample drawn from a Philox generator seeded with `seed`.
+    Sampled norms come from `frame_norms`; the argmax is the first drawn
+    Pauli with the largest of them, and the reported value is
+    `compressed_error_norm` there, so it is exactly the dense norm at
+    the reported argmax.
 
     Phases of E drop out of singular values, so only the (x, z)
     exponents matter.  For each x mask the rows of B are permuted by
@@ -185,33 +190,70 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(np.random.Philox(seed))
-    best = -1.0
-    best_xz = (0, 0)
-    eb = np.empty_like(pmd.encoder)
+    drawn = []
     for _ in range(samples):
         code = int(rng.integers(1, (1 << (2 * total))))
-        x, z = code & ((1 << total) - 1), code >> total
-        norm = compressed_error_norm(pmd, PauliOperator(total, x, z, 0), out=eb)
-        if norm > best:
-            best, best_xz = norm, (x, z)
-    x, z = best_xz
-    return EpsilonReport(best, PauliOperator(total, x, z, 0), exhaustive=False,
-                         samples=samples, seed=seed)
+        drawn.append((code & ((1 << total) - 1), code >> total))
+    x, z = drawn[int(np.argmax(frame_norms(pmd, drawn)))]
+    argmax = PauliOperator(total, x, z, 0)
+    return EpsilonReport(compressed_error_norm(pmd, argmax), argmax,
+                         exhaustive=False, samples=samples, seed=seed)
 
 
-def compressed_error_norm(pmd: PmdCode, e: PauliOperator,
-                          out: np.ndarray | None = None) -> float:
-    """|B^dag E B| for one specific error.
+def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
+    """|B^dag X^x Z^z B| for each (x, z) exponent pair, in the Clifford frame.
 
-    E B (as `densesim.apply_pauli` computes it) is gathered into `out`
-    when given.  A loop that passes one buffer avoids a fresh 2^total-row
-    temporary per call, which glibc would trim and re-fault every time:
-    300 samples at (8,2) took 144,000 page faults that way.
+    With U_k the key-k encoder circuit and B_k = U_k (I (x) |0^lam>) the
+    key-k rows of the encoder, write E = E_c (x) X^a Z^b on the code and
+    key registers and P'_k = U_{k^a}^dag E_c U_{k^a} = i^phi X^x' Z^z'
+    (`CliffordCircuit.conjugate_pauli`).  Then
+
+        B^dag E B = 2^-lam sum_k (-1)^(b.k) (I (x) <0^lam|) P'_k G_{k^a,k}
+
+    with G_{k^a,k} = U_{k^a}^dag B_k, so each key's term is the signed
+    gather i^phi (-1)^(z'.(r^x')) G_{k^a,k}[r ^ x'] over the message rows
+    r.  The Paulis are handled grouped by key shift a, with only that
+    shift's K tables (K = 2^lam tables of 2^n x 2^(n-lam)) alive; each
+    summed block costs one SVD.
     """
+    n, num_keys = pmd.code_qubits, pmd.family.num_keys
+    dim_code, dim_msg = 1 << n, 1 << pmd.message_qubits
+    inverses = [pmd.family.codes[k].encoder.inverse() for k in range(num_keys)]
+    # Key k's encoder rows are 2^(-lam/2) B_k; the other 2^(-lam/2) is here.
+    scale = 1.0 / np.sqrt(num_keys)
+    rows = pmd.encoder.reshape(num_keys, dim_code, dim_msg)
+    msg = np.arange(dim_msg)
+    by_shift: dict[int, list[int]] = {}
+    for i, (x, _) in enumerate(paulis):
+        by_shift.setdefault(x >> n, []).append(i)
+    norms = np.empty(len(paulis))
+    block = np.empty((dim_msg, dim_msg), dtype=complex)
+    term = np.empty_like(block)
+    for a, members in sorted(by_shift.items()):
+        tables = [apply_circuit(inverses[k ^ a], rows[k]) for k in range(num_keys)]
+        for i in members:
+            x, z = paulis[i]
+            e_c = PauliOperator(n, x & (dim_code - 1), z & (dim_code - 1), 0)
+            b = z >> n
+            block.fill(0)
+            for k, table in enumerate(tables):
+                p = inverses[k ^ a].conjugate_pauli(e_c)
+                src = msg ^ p.x
+                sign = scale * (1j ** p.phase) * (-1) ** (b & k).bit_count()
+                np.take(table, src, axis=0, out=term)
+                term *= (sign * (1 - 2.0 * f2_parity_array(src & p.z)))[:, None]
+                block += term
+            norms[i] = np.linalg.svd(block, compute_uv=False)[0]
+    return norms
+
+
+def compressed_error_norm(pmd: PmdCode, e: PauliOperator) -> float:
+    """|B^dag E B| for one specific error, with E B as
+    `densesim.apply_pauli` computes it."""
     if e.n != pmd.total:
         raise ValueError(f"error acts on {e.n} qubits, code has {pmd.total}")
     rows = np.arange(1 << pmd.total) ^ e.x
-    eb = np.take(pmd.encoder, rows, axis=0, out=out)
+    eb = pmd.encoder[rows]
     eb *= ((1j ** e.phase) * (1 - 2.0 * f2_parity_array(rows & e.z)))[:, None]
     return float(np.linalg.svd(pmd.encoder_dagger @ eb, compute_uv=False)[0])
 

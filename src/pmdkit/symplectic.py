@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import f2
 
@@ -176,6 +177,9 @@ def pauli_span(n: int, gens, up_to_phase: bool = True) -> list[PauliOperator]:
 # ---------------------------------------------------------------------------
 
 _GATE_ARITY = {"h": 1, "s": 1, "x": 1, "z": 1, "cnot": 2, "cz": 2}
+# Gates that are exact permutations or sign flips and their own inverse,
+# so two identical ones in a row cancel with no rounding in any state.
+_EXACT_INVOLUTIONS = ("x", "z", "cnot", "cz")
 
 
 @dataclass(frozen=True)
@@ -202,11 +206,6 @@ class CliffordCircuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def then(self, other: "CliffordCircuit") -> "CliffordCircuit":
-        if self.n != other.n:
-            raise ValueError("circuit width mismatch")
-        return CliffordCircuit(self.n, self.gates + other.gates)
 
     def inverse(self) -> "CliffordCircuit":
         inv = []
@@ -284,12 +283,14 @@ class SyndromeVector:
 
 
 class StabilizerCode:
-    """An [[n, n-r]] stabilizer code with eagerly derived structure.
+    """An [[n, n-r]] stabilizer code.
 
     Generators must commute pairwise and be independent; all carry
-    phase +1.  Construction computes the normalizer basis, logical
-    representatives, and a deterministic encoder circuit; instances are
-    immutable afterwards, so all queries are safe to share.
+    phase +1.  Construction validates them and computes the normalizer
+    basis and logical representatives; the deterministic encoder circuit
+    is synthesized on first use of `encoder`, so families whose encoders
+    are never simulated pay nothing for them.  Instances are immutable
+    afterwards, so all queries are safe to share.
     """
 
     def __init__(self, n: int, gens: list[PauliOperator], name: str = "",
@@ -314,11 +315,17 @@ class StabilizerCode:
         self._gen_pivots, self._gen_rref = f2.rref(vecs, 2 * n)
         self.normalizer = tuple(normalizer_basis(self))
         self.logical_reps = tuple(logical_representatives(self))
-        self.encoder = standard_form_encoder(self, pivot=encoder_pivot)
+        _check_pivot(encoder_pivot)
+        self._encoder_pivot = encoder_pivot
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"StabilizerCode([[{self.n}, {self.k}]]{tag})"
+
+    @cached_property
+    def encoder(self) -> CliffordCircuit:
+        """`standard_form_encoder` of this code, built once on first use."""
+        return standard_form_encoder(self, pivot=self._encoder_pivot)
 
     def stabilizer_group(self, up_to_phase: bool = True):
         """All 2^r stabilizer elements (mod phase if requested)."""
@@ -398,6 +405,11 @@ def css_from_classical(h1, h2, name: str = "") -> StabilizerCode:
     return StabilizerCode(n, gens, name=name)
 
 
+def _check_pivot(pivot: str) -> None:
+    if pivot not in ("low", "high"):
+        raise ValueError(f"pivot must be 'low' or 'high', got {pivot!r}")
+
+
 def standard_form_encoder(code: StabilizerCode, pivot: str = "low") -> CliffordCircuit:
     """Deterministic encoder circuit for the code.
 
@@ -406,20 +418,24 @@ def standard_form_encoder(code: StabilizerCode, pivot: str = "low") -> CliffordC
     U (|m> tensor |0^r>) spans the code space.  `pivot` selects the
     lowest- or highest-index support qubit at each step; both are
     deterministic, and byte-identical circuits result from identical
-    inputs.
+    inputs.  The reduction's gates collect in one list, where a gate from
+    `_EXACT_INVOLUTIONS` that repeats the gate just before it cancels it
+    (a pivot fold followed by a swap emits such CNOT pairs).
     """
-    if pivot not in ("low", "high"):
-        raise ValueError(f"pivot must be 'low' or 'high', got {pivot!r}")
+    _check_pivot(pivot)
     n, k = code.n, code.k
-    gates: list[tuple[str, tuple[int, ...]]] = []
-    reduction = CliffordCircuit(n)
+    reduction: list[tuple[str, tuple[int, ...]]] = []
     work = list(code.gens)
 
     def emit(new_gates):
-        nonlocal reduction, work
+        nonlocal work
         step = CliffordCircuit(n, tuple(new_gates))
         work = [step.conjugate_pauli(p) for p in work]
-        reduction = reduction.then(step)
+        for gate in step.gates:
+            if reduction and reduction[-1] == gate and gate[0] in _EXACT_INVOLUTIONS:
+                reduction.pop()
+            else:
+                reduction.append(gate)
 
     for i in range(code.r):
         target = k + i
@@ -455,7 +471,7 @@ def standard_form_encoder(code: StabilizerCode, pivot: str = "low") -> CliffordC
     emit(sign_fixes)
     for i in range(code.r):
         assert work[i] == PauliOperator(n, 0, 1 << (k + i), 0)
-    return reduction.inverse()
+    return CliffordCircuit(n, tuple(reduction)).inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -235,6 +236,22 @@ def test_sweep_flags_partial_failure_and_continues(capsys):
     lines = out.strip().splitlines()
     assert any("error" in line for line in lines)
     assert any(line.startswith("2,1") for line in lines)
+
+
+def test_csv_rows_quote_fields_with_commas(capsys):
+    # The refusal message and the lemma bound's expression contain commas.
+    rc, out, _ = invoke(capsys, ["sweep", "--points", "2:1,8:2", "--format", "csv"])
+    assert rc == 1
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == 3 and all(len(row) == 7 for row in rows)
+    assert rows[2][6].startswith("error: exhaustive detection sweep")
+    assert out.splitlines()[1] == ",".join(rows[1])  # no comma, no quotes
+    rc, out, _ = invoke(capsys, ["pmd", "verify", "--n", "2", "--lambda", "1",
+                                 "--format", "csv"])
+    assert rc == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert [len(row) for row in rows] == [5, 5]
+    assert rows[1][2] == "max(eps_ptc, sqrt(2^-lam + delta))"
 
 
 def test_sweep_refused_point_fails_the_run(capsys):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pmdkit import densesim as ds
+from pmdkit import symplectic
 from pmdkit.limits import SizeGuardError
+from pmdkit.ptc import build_bcgst_family
 from pmdkit.symplectic import (CliffordCircuit, PauliOperator, StabilizerCode,
-                               css_from_classical)
+                               css_from_classical, parse_code, standard_form_encoder)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -185,6 +187,21 @@ def test_apply_circuit_matches_unitary():
     assert np.allclose(ds.apply_circuit(circ, vec), u @ vec)
     inv = ds.circuit_unitary(circ.inverse())
     assert np.allclose(inv @ u, np.eye(8), atol=1e-12)
+
+
+def test_cancelled_gate_pairs_leave_every_unitary_bit_identical(monkeypatch):
+    # Synthesis without the cancellation is the oracle: dropping a pair of
+    # identical permutation or sign gates must not move a single bit.
+    codes = [parse_code("n=7 k=6\nZZZZZZZ\n")]
+    for n, lam in [(4, 2), (8, 2)]:
+        codes += build_bcgst_family(n, lam).codes.values()
+    kept = [standard_form_encoder(code) for code in codes]
+    monkeypatch.setattr(symplectic, "_EXACT_INVOLUTIONS", ())
+    full = [standard_form_encoder(code) for code in codes]
+    assert (len(full[0]), len(kept[0])) == (17, 15)
+    assert sum(len(a) - len(b) for a, b in zip(full, kept)) > 2
+    for a, b in zip(full, kept):
+        assert np.array_equal(ds.circuit_unitary(a), ds.circuit_unitary(b))
 
 
 # ---------------------------------------------------------------------------

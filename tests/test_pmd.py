@@ -7,8 +7,9 @@ import pytest
 from pmdkit.densesim import apply_pauli, f2_parity_array
 from pmdkit.galois import FieldSpec
 from pmdkit.limits import SizeGuardError
+import pmdkit.pmd
 from pmdkit.pmd import (PmdCode, auth_unitary, build_pmd, compressed_error_norm,
-                        key_phase_error, measure_pmd_epsilon)
+                        frame_norms, key_phase_error, measure_pmd_epsilon)
 from pmdkit.ptc import (build_bcgst_family, measure_pairwise_detectability,
                         measure_strong_ptc_error)
 from pmdkit.symplectic import PauliOperator
@@ -84,10 +85,9 @@ def test_identity_norm_is_one():
     assert abs(compressed_error_norm(pmd, PauliOperator.identity(3)) - 1.0) < ATOL
 
 
-def test_error_norm_buffer_matches_apply_pauli():
+def test_error_norm_matches_apply_pauli():
     pmd = make_pmd(4, 2)
     encd = pmd.encoder.conj().T
-    buf = np.empty_like(pmd.encoder)
     rng = np.random.default_rng(3)
     for _ in range(50):
         x, z = (int(v) for v in rng.integers(0, 1 << pmd.total, size=2))
@@ -95,7 +95,6 @@ def test_error_norm_buffer_matches_apply_pauli():
         want = float(np.linalg.svd(encd @ apply_pauli(e, pmd.encoder),
                                    compute_uv=False)[0])
         assert compressed_error_norm(pmd, e) == want
-        assert compressed_error_norm(pmd, e, out=buf) == want
 
 
 def naive_epsilon(pmd):
@@ -264,6 +263,71 @@ def test_sampled_epsilon_is_the_max_of_compressed_error_norms():
     assert np.array_equal(pmd.encoder_dagger, pmd.encoder.conj().T)
     rep = measure_pmd_epsilon(pmd, samples=40, seed=21)
     assert rep.value == compressed_error_norm(pmd, rep.argmax)
+
+
+# ---------------------------------------------------------------------------
+# Clifford-frame kernel of the sampled path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,lam", [(2, 1), (4, 2)])
+def test_frame_norms_match_dense_on_every_pauli(n, lam):
+    pmd = make_pmd(n, lam)
+    mask = (1 << pmd.total) - 1
+    paulis = [(c & mask, c >> pmd.total) for c in range(1, 1 << (2 * pmd.total))]
+    got = frame_norms(pmd, paulis)
+    for (x, z), norm in zip(paulis, got):
+        want = compressed_error_norm(pmd, PauliOperator(pmd.total, x, z, 0))
+        assert abs(norm - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n,lam", [(6, 3), (8, 2), (8, 4)])
+def test_frame_norms_match_dense_on_random_paulis(n, lam):
+    pmd = make_pmd(n, lam)
+    rng = np.random.default_rng(n * 16 + lam)
+    paulis = [tuple(int(v) for v in rng.integers(0, 1 << pmd.total, size=2))
+              for _ in range(200)]
+    got = frame_norms(pmd, paulis)
+    for (x, z), norm in zip(paulis, got):
+        want = compressed_error_norm(pmd, PauliOperator(pmd.total, x, z, 0))
+        assert abs(norm - want) <= 1e-12
+
+
+def dense_sampled_epsilon(pmd, samples, seed):
+    """The sampled loop before the Clifford frame: one dense
+    |B^dag E B| per drawn Pauli.  Returns (epsilon, drawn exponent pairs)."""
+    total = pmd.total
+    rng = np.random.default_rng(np.random.Philox(seed))
+    best, drawn = -1.0, []
+    for _ in range(samples):
+        code = int(rng.integers(1, (1 << (2 * total))))
+        x, z = code & ((1 << total) - 1), code >> total
+        drawn.append((x, z))
+        best = max(best, compressed_error_norm(pmd, PauliOperator(total, x, z, 0)))
+    return best, drawn
+
+
+@pytest.mark.parametrize("n,lam", [(4, 2), (6, 2), (8, 2)])
+def test_sampled_epsilon_matches_dense_loop(n, lam):
+    pmd = make_pmd(n, lam)
+    for seed in (0, 21, 36):
+        rep = measure_pmd_epsilon(pmd, samples=60, seed=seed)
+        want, drawn = dense_sampled_epsilon(pmd, 60, seed)
+        assert abs(rep.value - want) <= 1e-12
+        assert (rep.argmax.x, rep.argmax.z) in drawn
+
+
+def test_sampled_epsilon_computes_one_dense_norm(monkeypatch):
+    calls = []
+    dense = pmdkit.pmd.compressed_error_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(pmdkit.pmd, "compressed_error_norm", counted)
+    pmd = make_pmd(6, 2)
+    rep = measure_pmd_epsilon(pmd, samples=100, seed=5)
+    assert calls == [rep.argmax]
 
 
 def test_sampling_mode_without_seed_uses_seed_zero():

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from pmdkit import f2
+from pmdkit import f2, symplectic
+from pmdkit.ptc import build_bcgst_family, measure_strong_ptc_error
 from pmdkit.symplectic import (CliffordCircuit, PauliOperator, StabilizerCode,
                                css_from_classical, format_code,
                                is_logically_equivalent, logical_representatives,
@@ -292,6 +293,38 @@ def test_encoder_alternate_pivot_differs_but_valid():
         assert alt.conjugate_pauli(z_anc) == g
     with pytest.raises(ValueError, match="pivot"):
         standard_form_encoder(code, pivot="middle")
+
+
+def test_encoder_is_synthesized_on_first_use_only(monkeypatch):
+    calls = []
+    synthesize = symplectic.standard_form_encoder
+
+    def counted(code, pivot="low"):
+        calls.append(code)
+        return synthesize(code, pivot)
+
+    monkeypatch.setattr(symplectic, "standard_form_encoder", counted)
+    family = build_bcgst_family(12, 6)
+    measure_strong_ptc_error(family, samples=2000, seed=0)
+    assert calls == []
+    code = family.codes[5]
+    assert code.encoder is code.encoder
+    assert calls == [code]
+    assert code.encoder.gates == synthesize(code).gates
+
+
+def test_bad_encoder_pivot_rejected_at_construction():
+    with pytest.raises(ValueError, match="pivot"):
+        StabilizerCode(3, [pauli("ZZI")], encoder_pivot="middle")
+
+
+def test_encoder_has_no_adjacent_cancelling_pairs():
+    decoder = parse_code("n=7 k=6\nZZZZZZZ\n").encoder.inverse()
+    assert len(decoder) == 15
+    for code in build_bcgst_family(12, 6).codes.values():
+        gates = code.encoder.gates
+        assert not any(g == h and g[0] in ("x", "z", "cnot", "cz")
+                       for g, h in zip(gates, gates[1:]))
 
 
 def test_circuit_inverse_roundtrip_on_paulis():
