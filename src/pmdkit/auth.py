@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from . import f2
 from .aqec import ComposedCode, entangled_code_state
 from .densesim import (apply_on_qubits, apply_pauli, check_trace_preserving,
                        codespace_isometry, dm_conjugate_pauli as _dm_conjugate_pauli)
@@ -52,17 +52,30 @@ REJECT = None  # decoder sentinel
 
 BIT_TAGS = ("keep", "flip", "set0", "set1")
 
+# Bit tag <-> (and-bit, xor-bit): the tampering is f(w) = (w & a) ^ b.
+_TAG_OF_MASK_BITS = {(1, 0): "keep", (1, 1): "flip", (0, 0): "set0", (0, 1): "set1"}
+_MASK_BITS_OF_TAG = {tag: bits for bits, tag in _TAG_OF_MASK_BITS.items()}
+
 
 @dataclass(frozen=True)
 class TamperFunction:
-    """Deterministic bit-wise tampering, one tag per codeword bit."""
+    """Deterministic bit-wise tampering, one tag per codeword bit.
+
+    The tags fix an and-mask and a xor-mask, so `apply(w)` is
+    `(w & and_mask) ^ xor_mask`, on an int or an integer array.
+    """
 
     tags: tuple[str, ...]
+    and_mask: int = field(init=False, repr=False, compare=False)
+    xor_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for tag in self.tags:
             if tag not in BIT_TAGS:
                 raise ValueError(f"unknown bit tag {tag!r}")
+        for j, mask in enumerate(("and_mask", "xor_mask")):
+            object.__setattr__(self, mask, sum(_MASK_BITS_OF_TAG[tag][j] << i
+                                               for i, tag in enumerate(self.tags)))
 
     @property
     def n(self) -> int:
@@ -76,92 +89,103 @@ class TamperFunction:
     def set_to(cls, word: int, n: int) -> "TamperFunction":
         return cls(tuple("set1" if (word >> i) & 1 else "set0" for i in range(n)))
 
-    def apply(self, word: int) -> int:
-        out = 0
-        for i, tag in enumerate(self.tags):
-            bit = (word >> i) & 1
-            if tag == "flip":
-                bit ^= 1
-            elif tag == "set0":
-                bit = 0
-            elif tag == "set1":
-                bit = 1
-            out |= bit << i
-        return out
+    def apply(self, word):
+        return (word & self.and_mask) ^ self.xor_mask
+
+
+# Most entries an NmCode's tables may hold, 2^(k + rand_bits) + 2^n:
+# enough for systematic_parity_nm(20), with 6.3 million.
+NM_MAX_ENTRIES = 1 << 23
+
+
+def _check_table_size(k: int, n: int, rand_bits: int) -> None:
+    """Refuse tables above NM_MAX_ENTRIES before building them; the
+    exponents are checked first, so no huge 2^n is ever formed."""
+    if (max(k + rand_bits, n) >= NM_MAX_ENTRIES.bit_length()
+            or (1 << (k + rand_bits)) + (1 << n) > NM_MAX_ENTRIES):
+        raise SizeGuardError(f"non-malleable code tables need 2^{k + rand_bits} + 2^{n} "
+                             f"entries, above the guard of {NM_MAX_ENTRIES}")
 
 
 class NmCode:
-    """A randomized code with reject-capable decoding.
+    """A randomized code with reject-capable decoding, as integer tables.
 
-    `encode(s, r)` maps a k-bit message and rand_bits of randomness to
-    an n-bit codeword; `decode` returns the message or REJECT.  Correct
-    decoding of untampered codewords is checked on construction.
+    `codewords[s, r]` is the n-bit codeword of the k-bit message s under
+    randomness r < 2^rand_bits; `decoded[w]` is the message that the
+    n-bit word w decodes to, or -1 for REJECT.  Shapes, ranges and
+    correct decoding of untampered codewords are checked on construction.
     """
 
-    def __init__(self, k: int, n: int, rand_bits: int, encode, decode,
+    def __init__(self, k: int, n: int, rand_bits: int, codewords, decoded,
                  name: str = ""):
+        _check_table_size(k, n, rand_bits)
+        codewords, decoded = np.asarray(codewords), np.asarray(decoded)
+        if codewords.shape != (1 << k, 1 << rand_bits) or decoded.shape != (1 << n,):
+            raise ValueError(f"tables need shapes (2^{k}, 2^{rand_bits}) and (2^{n},)")
+        if (codewords.min() < 0 or codewords.max() >= 1 << n
+                or decoded.min() < -1 or decoded.max() >= 1 << k):
+            raise ValueError(f"codewords must lie in [0, 2^{n}) and decode values "
+                             f"in [0, 2^{k}), or be -1 (reject)")
         self.k = k
         self.n = n
         self.rand_bits = rand_bits
-        self._encode = encode
-        self._decode = decode
         self.name = name
-        if k > 20 or rand_bits > 10:
-            raise SizeGuardError("non-malleable code table too large to validate")
-        for s in range(1 << k):
-            for r in range(1 << rand_bits):
-                if decode(encode(s, r)) != s:
-                    raise ValueError(f"decode(encode({s}, {r})) != {s}")
+        # Compact dtypes: the rate-1 key code's decode table has 2^18 entries.
+        self.codewords = codewords.astype(np.min_scalar_type((1 << n) - 1), copy=False)
+        self.decoded = decoded.astype(np.min_scalar_type(-(1 << k)), copy=False)
+        messages = np.arange(1 << k, dtype=self.decoded.dtype)[:, None]
+        wrong = np.argwhere(self.decoded[self.codewords] != messages)
+        if len(wrong):
+            s, r = wrong[0].tolist()
+            raise ValueError(f"decode(encode({s}, {r})) != {s}")
 
     def encode(self, s: int, r: int) -> int:
-        return self._encode(s, r)
+        return int(self.codewords[s, r])
 
     def decode(self, word: int) -> int | None:
-        return self._decode(word)
+        got = int(self.decoded[word])
+        return REJECT if got < 0 else got
 
     def tampered_distributions(self, f: TamperFunction) -> list[dict]:
-        """Exact decode distribution per message under the tampering."""
+        """Exact decode distribution per message under the tampering,
+        outcomes in order of first occurrence over r."""
         if f.n != self.n:
             raise ValueError("tampering arity does not match the codeword length")
-        out = []
         weight = Fraction(1, 1 << self.rand_bits)
-        for s in range(1 << self.k):
-            dist: dict = {}
-            for r in range(1 << self.rand_bits):
-                result = self.decode(f.apply(self.encode(s, r)))
-                dist[result] = dist.get(result, Fraction(0)) + weight
-            out.append(dist)
-        return out
+        return [{(REJECT if o < 0 else o): count * weight
+                 for o, count in Counter(row).items()}
+                for row in self.decoded[f.apply(self.codewords)].tolist()]
 
     # Table serialization -------------------------------------------------
 
     def to_record(self) -> dict:
-        encode_table = {f"{s},{r}": self.encode(s, r)
-                        for s in range(1 << self.k)
-                        for r in range(1 << self.rand_bits)}
-        decode_table = {}
-        for w in range(1 << self.n):
-            got = self.decode(w)
-            decode_table[str(w)] = -1 if got is REJECT else got
+        encode_table = {f"{s},{r}": w for s, row in enumerate(self.codewords.tolist())
+                        for r, w in enumerate(row)}
+        decode_table = {str(w): s for w, s in enumerate(self.decoded.tolist())}
         return {"k": self.k, "n": self.n, "rand_bits": self.rand_bits,
                 "name": self.name, "encode": encode_table, "decode": decode_table}
 
     @classmethod
     def from_record(cls, record: dict) -> "NmCode":
-        enc = {tuple(map(int, key.split(","))): int(w)
-               for key, w in record["encode"].items()}
-        dec = {int(w): (None if s == -1 else int(s))
-               for w, s in record["decode"].items()}
-        return cls(int(record["k"]), int(record["n"]), int(record["rand_bits"]),
-                   lambda s, r: enc[(s, r)], lambda w: dec.get(w, REJECT),
-                   name=record.get("name", ""))
+        """The code of a record; decode words it omits are rejected."""
+        k, n, rand_bits = int(record["k"]), int(record["n"]), int(record["rand_bits"])
+        _check_table_size(k, n, rand_bits)
+        encode = {tuple(map(int, key.split(","))): w for key, w in record["encode"].items()}
+        pairs = list(itertools.product(range(1 << k), range(1 << rand_bits)))
+        if sorted(encode) != pairs:
+            raise ValueError(f"encode table needs one entry per (s, r) with "
+                             f"s < 2^{k}, r < 2^{rand_bits}")
+        decode = {int(w): int(s) for w, s in record["decode"].items()}
+        if not all(0 <= w < 1 << n and -1 <= s < 1 << k for w, s in decode.items()):
+            raise ValueError(f"decode entries need words in [0, 2^{n}) and messages "
+                             f"in [0, 2^{k}), or -1 (reject)")
+        decoded = np.full(1 << n, -1, dtype=np.int64)
+        decoded[list(decode)] = list(decode.values())
+        codewords = np.reshape([encode[p] for p in pairs], (1 << k, 1 << rand_bits))
+        return cls(k, n, rand_bits, codewords, decoded, name=record.get("name", ""))
 
     def dumps(self) -> str:
         return json.dumps(self.to_record(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "NmCode":
-        return cls.from_record(json.loads(text))
 
 
 def systematic_parity_nm(k: int) -> NmCode:
@@ -170,15 +194,15 @@ def systematic_parity_nm(k: int) -> NmCode:
     A weak but fully explicit code; protocols accept any NmCode table in
     its place.
     """
-    def enc(s, r):
-        return s | ((f2.parity(s) ^ r) << k) | (r << (k + 1))
-
-    def dec(w):
-        s = w & ((1 << k) - 1)
-        check, r = (w >> k) & 1, (w >> (k + 1)) & 1
-        return s if check == (f2.parity(s) ^ r) else REJECT
-
-    return NmCode(k, k + 2, 1, enc, dec, name=f"parity[{k}]")
+    _check_table_size(k, k + 2, 1)
+    s = np.arange(1 << k, dtype=np.uint32)[:, None]
+    r = np.arange(2, dtype=np.uint32)
+    codewords = (np.bitwise_count(s) & 1) ^ r  # the check bit; shifted in place
+    codewords <<= k
+    codewords |= s | (r << (k + 1))
+    decoded = np.full(1 << (k + 2), -1, dtype=np.int32)  # other words reject
+    decoded[codewords] = s
+    return NmCode(k, k + 2, 1, codewords, decoded, name=f"parity[{k}]")
 
 
 @dataclass(frozen=True)
@@ -208,74 +232,49 @@ def nm_decompose(code: NmCode, f: TamperFunction) -> NmDecomposition:
     # Only outcomes in the decode support (plus the message itself and
     # reject) need slack variables; simulator mass on any other message
     # value contributes to the distance linearly.
-    slack_index = {}
-    n_vars = atoms + 1
-    supports = []
-    for s, dist in enumerate(dists):
-        support = sorted(o for o in dist if o is not REJECT)
-        if s not in support:
-            support.insert(0, s)
-        support.append(REJECT)
-        supports.append(support)
-        for o in support:
-            slack_index[(s, repr(o))] = n_vars
-            n_vars += 1
-
-    a_ub, b_ub = [], []
-    for s, dist in enumerate(dists):
-        tv_row = np.zeros(n_vars)
-        for o in supports[s]:
-            d_val = float(dist.get(o, Fraction(0)))
-            # p(o) = q_o + q_same * [o == s]; p(Rej) = q_Rej.
-            p_row = np.zeros(n_vars)
-            if o is REJECT:
-                p_row[rej_atom] = 1.0
-            else:
-                p_row[o] = 1.0
-                if o == s:
-                    p_row[same_atom] = 1.0
-            e_col = slack_index[(s, repr(o))]
-            up = p_row.copy()
-            up[e_col] = -1.0
-            a_ub.append(up)        # p - d <= e
-            b_ub.append(d_val)
-            down = -p_row
-            down[e_col] = -1.0
-            a_ub.append(down)      # d - p <= e
-            b_ub.append(-d_val)
-            tv_row[e_col] += 0.5
-        # Simulator mass on messages outside the tracked set counts whole.
-        for v in range(n_msg):
-            if v not in supports[s]:
-                tv_row[v] += 0.5
-        tv_row[t_col] = -1.0
-        a_ub.append(tv_row)        # TV_s <= t
-        b_ub.append(0.0)
+    pairs = [(s, o) for s, dist in enumerate(dists)
+             for o in [s] * (s not in dist) + sorted(o for o in dist if o is not REJECT)
+             + [REJECT]]
+    msg = np.array([s for s, _ in pairs])
+    atom = np.array([rej_atom if o is REJECT else o for _, o in pairs])
+    d = np.array([float(dists[s].get(o, 0)) for s, o in pairs])
+    slack = t_col + 1 + np.arange(len(pairs))
+    n_vars = t_col + 1 + len(pairs)
+    # Rows per message s: p - d <= e and d - p <= e for each tracked
+    # outcome in turn, then TV_s <= t.
+    up = 2 * np.arange(len(pairs)) + msg
+    tv = 2 * np.searchsorted(msg, np.arange(n_msg), side="right") + np.arange(n_msg)
+    a_ub = np.zeros((2 * len(pairs) + n_msg, n_vars))
+    b_ub = np.zeros(len(a_ub))
+    # p(o) = q_o + q_same * [o == s]; p(Rej) = q_Rej.
+    same = (atom == msg).astype(float)
+    a_ub[up, atom], a_ub[up, same_atom], b_ub[up] = 1.0, same, d
+    a_ub[up + 1, atom], a_ub[up + 1, same_atom], b_ub[up + 1] = -1.0, -same, -d
+    a_ub[up, slack] = a_ub[up + 1, slack] = -1.0
+    # TV_s: half of each slack, and simulator mass on messages outside the
+    # tracked set counts whole.
+    a_ub[tv[msg], slack] = 0.5
+    a_ub[tv, :n_msg] = 0.5
+    tracked = atom < n_msg
+    a_ub[tv[msg[tracked]], atom[tracked]] = 0.0
+    a_ub[tv, t_col] = -1.0
     a_eq = np.zeros((1, n_vars))
     a_eq[0, :atoms] = 1.0
     objective = np.zeros(n_vars)
     objective[t_col] = 1.0
-    result = linprog(c=objective, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
+    result = linprog(c=objective, A_ub=a_ub, b_ub=b_ub,
                      A_eq=a_eq, b_eq=[1.0],
                      bounds=[(0, None)] * n_vars, method="highs")
     if not result.success:  # pragma: no cover - the LP is always feasible
         raise RuntimeError(f"simulator LP failed: {result.message}")
-    q = result.x[:atoms]
-    simulator = {i: float(q[i]) for i in range(n_msg) if q[i] > 1e-12}
-    if q[rej_atom] > 1e-12:
-        simulator[REJECT] = float(q[rej_atom])
-    if q[same_atom] > 1e-12:
-        simulator["same"] = float(q[same_atom])
+    simulator = {label: float(q) for label, q in zip([*range(n_msg), REJECT, "same"],
+                                                     result.x[:atoms]) if q > 1e-12}
     return NmDecomposition(float(result.x[t_col]), simulator)
 
 
 def all_tamper_functions(n: int):
     for tags in itertools.product(BIT_TAGS, repeat=n):
         yield TamperFunction(tags)
-
-
-# Bit tag -> (and-bit, xor-bit): the tampering is f(w) = (w & a) ^ b.
-_TAG_OF_MASK_BITS = {(1, 0): "keep", (1, 1): "flip", (0, 0): "set0", (0, 1): "set1"}
 
 
 def tamper_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,28 +288,39 @@ def tamper_from_masks(a: int, b: int, n: int) -> TamperFunction:
                                 for i in range(n)))
 
 
+# Tampered words that nm_decode_tables holds at once: bounds its memory.
+_ENTRY_BUDGET = 1 << 22
+
+
 def nm_decode_tables(code: NmCode) -> tuple[np.ndarray, np.ndarray]:
     """Distinct decode tables over all 4^n tamperings, and one tampering each.
 
     Returns (tables, masks): tables[t, s] holds the sorted decode outcomes
     (reject as -1) of message s's 2^rand_bits codewords under one
     tampering, and masks[t] is the (a, b) pair of the first tampering in
-    `tamper_masks` order that yields table t.
+    `tamper_masks` order that yields table t.  The and-masks are walked in
+    that order, `_ENTRY_BUDGET` tampered words at a time, so the first
+    chunk that holds a table also holds its first tampering.
     """
     if code.k > 3 or code.n > 8 or code.k + code.rand_bits > 8:
         raise SizeGuardError("nm_verify sweeps 4^n tamperings of 2^(k + rand_bits) "
                              "codewords; needs k <= 3, n <= 8, k + rand_bits <= 8")
-    n, n_msg, n_rand = code.n, 1 << code.k, 1 << code.rand_bits
-    decode = np.array([-1 if (o := code.decode(w)) is REJECT else o
-                       for w in range(1 << n)], dtype=np.int8)
-    codewords = np.array([[code.encode(s, r) for r in range(n_rand)]
-                          for s in range(n_msg)], dtype=np.uint8)
-    a, b = tamper_masks(n)
-    a8, b8 = a.astype(np.uint8), b.astype(np.uint8)
-    words = (codewords[None] & a8[:, None, None]) ^ b8[:, None, None]
-    outcomes = np.sort(decode[words], axis=2).reshape(len(a), n_msg * n_rand)
-    tables, first = np.unique(outcomes, axis=0, return_index=True)
-    return tables.reshape(-1, n_msg, n_rand), np.stack([a[first], b[first]], axis=1)
+    size, n_words = 1 << code.n, code.codewords.size
+    codewords, decode = code.codewords.astype(np.uint8), code.decoded.astype(np.int8)
+    b = np.arange(size, dtype=np.uint8)[:, None, None]
+    step = max(1, _ENTRY_BUDGET // (size * n_words))
+    chunks, firsts = [], []
+    for start in range(0, size, step):
+        a = np.arange(start, min(start + step, size), dtype=np.uint8)[:, None, None, None]
+        outcomes = np.sort(decode[(codewords & a) ^ b], axis=-1).reshape(-1, n_words)
+        tables, first = np.unique(outcomes, axis=0, return_index=True)
+        chunks.append(tables)
+        firsts.append(first + start * size)
+    merged = np.concatenate(chunks)
+    chunks.clear()  # hold one copy of the chunk tables through the merge
+    tables, pick = np.unique(merged, axis=0, return_index=True)
+    masks = np.stack(np.divmod(np.concatenate(firsts)[pick], size), axis=1)
+    return tables.reshape(len(tables), *codewords.shape), masks
 
 
 def nm_upper_bounds(tables: np.ndarray, k: int) -> np.ndarray:
@@ -387,23 +397,14 @@ def nm_search(k: int, n: int, trials: int, rng: np.random.Generator,
     """
     if k + rand_bits > n:
         raise ValueError("codeword too short for message plus randomness")
+    _check_table_size(k, n, rand_bits)
     best_code, best_eps = None, np.inf
     solved: dict = {}  # (k, rand_bits, decode table) -> epsilon
     for trial in range(max(1, trials)):
-        perm = rng.permutation(1 << n)
-        enc_table = {}
-        dec_table = {}
-        idx = 0
-        for s in range(1 << k):
-            for r in range(1 << rand_bits):
-                word = int(perm[idx])
-                idx += 1
-                enc_table[(s, r)] = word
-                dec_table[word] = s
-        code = NmCode(k, n, rand_bits,
-                      lambda s, r, table=enc_table: table[(s, r)],
-                      lambda w, table=dec_table: table.get(w, REJECT),
-                      name=f"random[{k}->{n}]#{trial}")
+        codewords = rng.permutation(1 << n)[:1 << (k + rand_bits)].reshape(1 << k, -1)
+        decoded = np.full(1 << n, -1)  # words outside the code reject
+        decoded[codewords] = np.arange(1 << k)[:, None]
+        code = NmCode(k, n, rand_bits, codewords, decoded, name=f"random[{k}->{n}]#{trial}")
         eps = _nm_sweep(code, solved, stop_at=best_eps)
         if eps < best_eps:
             best_code, best_eps = code, eps
@@ -632,32 +633,27 @@ class AttackReport:
 
 @dataclass(frozen=True)
 class KeyedEncoding:
-    """One key's branch of the protocol state (explicit mode)."""
+    """One key's branch of the protocol state (explicit mode); its
+    classical codewords, each of weight 2^-rand_bits, are
+    `proto.nm.codewords[key]`."""
 
     probability: float
     key: int
-    classical_words: tuple[tuple[float, int], ...]
     quantum: np.ndarray
 
 
 def auth13_encode(proto: Auth13Protocol, message: np.ndarray) -> list[KeyedEncoding]:
     """Explicit mixture over keys of the padded encoding of a message.
 
-    Each branch carries its classical codeword distribution and the
-    padded pure quantum state; product-channel analyses can instead use
+    Each branch carries its key and the padded pure quantum state;
+    product-channel analyses can instead use
     the algebraic twirl path (`auth13_key_recovered_branch`) and skip
     this enumeration.
     """
     vec = proto.composed.encoder_isometry() @ message
-    branches = []
-    key_weight = 1.0 / proto.key_count
-    rand_weight = 1.0 / (1 << proto.nm.rand_bits)
-    for s in range(proto.key_count):
-        words = tuple((rand_weight, proto.nm.encode(s, r))
-                      for r in range(1 << proto.nm.rand_bits))
-        padded = apply_pauli(pad_to_pauli(s, proto.n_quantum), vec)
-        branches.append(KeyedEncoding(key_weight, s, words, padded))
-    return branches
+    return [KeyedEncoding(1.0 / proto.key_count, s,
+                          apply_pauli(pad_to_pauli(s, proto.n_quantum), vec))
+            for s in range(proto.key_count)]
 
 
 def _maxent_vector(k: int) -> np.ndarray:
@@ -703,7 +699,6 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     rho0 = np.outer(vec, vec.conj())
     total_qubits = n + k
     key_weight = 1.0 / proto.key_count
-    rand_weight = 1.0 / (1 << proto.nm.rand_bits)
 
     def widen(p: PauliOperator) -> PauliOperator:
         return PauliOperator(total_qubits, p.x, p.z, p.phase)
@@ -713,14 +708,10 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     p_reject = 0.0
     weights: dict = {}
     mixed: dict = {}
-    for s in range(proto.key_count):
-        outcomes: dict = {}
-        for r in range(1 << proto.nm.rand_bits):
-            got = proto.nm.decode(classical.apply(proto.nm.encode(s, r)))
-            outcomes[got] = outcomes.get(got, 0.0) + rand_weight
+    for s, outcomes in enumerate(proto.nm.tampered_distributions(classical)):
         padded = None
         for s_tilde, cl_weight in outcomes.items():
-            w = key_weight * cl_weight
+            w = key_weight * float(cl_weight)
             if s_tilde is REJECT:
                 p_reject += w
                 continue
@@ -777,12 +768,9 @@ def auth13_key_recovered_branch(proto: Auth13Protocol, wire_kraus) -> AttackRepo
         logical = dec_circuit.conjugate_pauli(element.hermitian_form())
         if logical.x >> pmd.total:
             raise AssertionError("normalizer element has X action on ancillas")
-        inner = logical.restricted_to(tuple(range(pmd.total))) \
-            if not ((logical.x | logical.z) >> pmd.total) else None
-        if inner is None:
-            # Z action on the outer ancillas is trivial on |0>; drop it.
-            inner = PauliOperator(pmd.total, logical.x & ((1 << pmd.total) - 1),
-                                  logical.z & ((1 << pmd.total) - 1), logical.phase)
+        # Z action on the outer ancillas is trivial on |0>; drop it.
+        mask = (1 << pmd.total) - 1
+        inner = PauliOperator(pmd.total, logical.x & mask, logical.z & mask, logical.phase)
         amp = pmd.encoder_dagger @ apply_pauli(inner, b_pmd)
         psi = np.kron(np.eye(1 << k), amp) @ phi
         tr, overlap = _trace_and_overlap(np.outer(psi, psi.conj()), k)

@@ -20,15 +20,18 @@ import numpy as np
 
 from . import __version__
 from .aqec import ErasureAdversary, compose, erasure_harness, random_adversary
-from .auth import (Auth13Protocol, NmCode, TamperFunction, auth13_attack_harness,
-                   nm_search, nm_verify, systematic_parity_nm)
+from .auth import (Auth1Protocol, Auth13Protocol, NmCode, TamperFunction,
+                   auth1_block_codeword_density, auth1_block_reject_probability,
+                   auth1_decode, auth1_encode, auth1_pad_seed_bits, auth13_attack_harness,
+                   nm_search, nm_verify, stabilizer_mass, systematic_parity_nm,
+                   twirl_channel)
 from .densesim import kraus_from_record
 from .limits import SizeGuardError
 from .pmd import build_pmd, measure_pmd_epsilon
 from .ptc import build_bcgst_family, measure_pairwise_detectability, \
     measure_strong_ptc_error
 from .qlde import erasure_list_decode, list_size_profile, sample_random_css
-from .symplectic import StabilizerCode, format_code, parse_code
+from .symplectic import PauliOperator, StabilizerCode, format_code, parse_code
 
 
 def _csv_text(header, rows) -> str:
@@ -277,8 +280,17 @@ def cmd_qlde_sample_css(args) -> int:
     return _emit(report, args)
 
 
+def _read_record(path: str) -> dict:
+    """A JSON input file; reading a field it lacks raises a ValueError
+    (exit 2) that names the file and the field."""
+    class Record(dict):
+        def __missing__(self, key):
+            raise ValueError(f"{path}: missing field {key!r}")
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=Record)
+
+
 def _load_adversary(path: str, n: int) -> ErasureAdversary:
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    record = _read_record(path)
     mats = kraus_from_record(br["matrix"] for br in record["branches"])
     branches = tuple((mat, tuple(br["support"]))
                      for mat, br in zip(mats, record["branches"]))
@@ -322,7 +334,7 @@ def cmd_aqec_simulate(args) -> int:
 
 
 def _load_attack(path: str):
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    record = _read_record(path)
     wires = [kraus_from_record(wire) for wire in record["wires"]]
     classical = TamperFunction(tuple(record["classical"]))
     return wires, classical
@@ -339,10 +351,8 @@ def cmd_auth_simulate(args) -> int:
     report = Report("auth simulate", config, args.seed)
     if args.protocol == "third":
         composed = compose(pmd, outer)
-        if args.nm:
-            nm = NmCode.loads(Path(args.nm).read_text(encoding="utf-8"))
-        else:
-            nm = systematic_parity_nm(2 * outer.n)
+        nm = (NmCode.from_record(_read_record(args.nm)) if args.nm
+              else systematic_parity_nm(2 * outer.n))
         proto = Auth13Protocol(composed, nm)
         wires, classical = _load_attack(args.attack)
         rep = auth13_attack_harness(proto, wires, classical)
@@ -357,14 +367,9 @@ def cmd_auth_simulate(args) -> int:
         return _emit(report, args)
     # rate-1 toy layout: the outer file spans the block messages; the
     # inner stabilizer code comes from --inner (default [[4,3]] Z^4).
-    from .auth import (Auth1Protocol, auth1_block_codeword_density,
-                       auth1_block_reject_probability, auth1_decode,
-                       auth1_encode, auth1_pad_seed_bits, stabilizer_mass,
-                       twirl_channel)
     if args.inner:
         inner_code = parse_code(Path(args.inner).read_text(encoding="utf-8"))
     else:
-        from .symplectic import PauliOperator
         inner_code = StabilizerCode(4, [PauliOperator.from_label("ZZZZ")],
                                     name="[[4,3]]")
     n_blocks = outer.n // pmd.message_qubits
@@ -407,7 +412,7 @@ def cmd_nm_search(args) -> int:
 
 
 def cmd_nm_verify(args) -> int:
-    code = NmCode.loads(Path(args.nm).read_text(encoding="utf-8"))
+    code = NmCode.from_record(_read_record(args.nm))
     eps = nm_verify(code)
     report = Report("nm verify", {"nm": args.nm, "k": code.k, "n": code.n}, None)
     report.add("epsilon_nm", f"{eps:.12f}", "exhaustive tamper sweep", "4^n", True)

@@ -114,9 +114,6 @@ class PauliOperator:
         return PauliOperator(self.n, self.x, self.z,
                              -self.phase + 2 * f2.dot(self.x, self.z))
 
-    def commutes_with(self, other: "PauliOperator") -> bool:
-        return symplectic_product(self, other) == 0
-
     def tensor(self, other: "PauliOperator") -> "PauliOperator":
         return PauliOperator(self.n + other.n,
                              self.x | (other.x << self.n),
@@ -286,11 +283,11 @@ class StabilizerCode:
     """An [[n, n-r]] stabilizer code.
 
     Generators must commute pairwise and be independent; all carry
-    phase +1.  Construction validates them and computes the normalizer
-    basis and logical representatives; the deterministic encoder circuit
-    is synthesized on first use of `encoder`, so families whose encoders
-    are never simulated pay nothing for them.  Instances are immutable
-    afterwards, so all queries are safe to share.
+    phase +1.  Construction only validates them: the normalizer basis,
+    the logical representatives and the deterministic encoder circuit
+    are derived on first use of `normalizer`, `logical_reps` and
+    `encoder`, so families that never read them pay nothing for them.
+    Instances are immutable afterwards, so all queries are safe to share.
     """
 
     def __init__(self, n: int, gens: list[PauliOperator], name: str = "",
@@ -313,8 +310,6 @@ class StabilizerCode:
         self.r = len(gens)
         self.k = n - self.r
         self._gen_pivots, self._gen_rref = f2.rref(vecs, 2 * n)
-        self.normalizer = tuple(normalizer_basis(self))
-        self.logical_reps = tuple(logical_representatives(self))
         _check_pivot(encoder_pivot)
         self._encoder_pivot = encoder_pivot
 
@@ -326,6 +321,16 @@ class StabilizerCode:
     def encoder(self) -> CliffordCircuit:
         """`standard_form_encoder` of this code, built once on first use."""
         return standard_form_encoder(self, pivot=self._encoder_pivot)
+
+    @cached_property
+    def normalizer(self) -> tuple[PauliOperator, ...]:
+        """`normalizer_basis` of this code, derived on first use."""
+        return tuple(normalizer_basis(self))
+
+    @cached_property
+    def logical_reps(self) -> tuple[PauliOperator, ...]:
+        """`logical_representatives` of this code, derived on first use."""
+        return tuple(logical_representatives(self))
 
     def stabilizer_group(self, up_to_phase: bool = True):
         """All 2^r stabilizer elements (mod phase if requested)."""

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -59,14 +60,223 @@ def test_tamper_function_apply():
         TamperFunction(("copy",))
 
 
+def test_tamper_function_masks_apply_to_ints_and_arrays():
+    f = TamperFunction(("keep", "flip", "set0", "set1"))
+    assert (f.and_mask, f.xor_mask) == (0b0011, 0b1010)
+    words = np.arange(16, dtype=np.uint8)
+    assert f.apply(words).tolist() == [f.apply(int(w)) for w in words]
+
+
 def test_nm_roundtrip_enforced():
     with pytest.raises(ValueError, match="decode"):
-        NmCode(1, 2, 0, lambda s, r: s, lambda w: 0)
+        NmCode(1, 2, 0, [[0], [1]], [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("codewords, decoded", [
+    ([[0], [9]], [0, 1, -1, -1]),    # codeword outside [0, 2^n)
+    ([[0], [-1]], [0, 1, -1, -1]),   # negative codeword
+    ([[0], [1]], [0, 1, 2, -1]),     # decode value outside [0, 2^k)
+    ([[0], [1]], [0, 1, -2, -1]),    # decode value below -1
+])
+def test_nm_tables_out_of_range_rejected(codewords, decoded):
+    with pytest.raises(ValueError, match="must lie in"):
+        NmCode(1, 2, 0, codewords, decoded)
+
+
+def test_nm_table_shapes_checked():
+    with pytest.raises(ValueError, match="shapes"):
+        NmCode(1, 2, 0, [[0, 1]], [0, 1, -1, -1])
+    with pytest.raises(ValueError, match="shapes"):
+        NmCode(1, 2, 0, [[0], [1]], [0, 1, -1])
+
+
+def nm_record(encode, decode, k=1, n=2, rand_bits=0):
+    return {"k": k, "n": n, "rand_bits": rand_bits, "encode": encode, "decode": decode}
+
+
+@pytest.mark.parametrize("record, match", [
+    # A codeword and a decode word outside [0, 2^n): once read as eps_nm = 0.5.
+    (nm_record({"0,0": 0, "1,0": 9}, {"0": 0, "9": 1}), "decode entries"),
+    (nm_record({"0,0": 0, "1,0": 9}, {"0": 0, "1": 1}), "codewords must lie"),
+    (nm_record({"0,0": 0, "1,0": 2 ** 70}, {"0": 0, "1": 1}), "codewords must lie"),
+    (nm_record({"0,0": 0, "1,0": 1}, {"0": 0, "1": 2}), "decode entries"),
+    (nm_record({"0,0": 0, "1,0": 1}, {"0": 0, "1": 1, "2": 2 ** 70}), "decode entries"),
+    (nm_record({"0,0": 0, "1,0": 1}, {"0": 0, "-1": 1}), "decode entries"),
+    (nm_record({"0,0": 0}, {"0": 0}), "one entry per"),
+    (nm_record({"0,0": 0, "1,0": 1, "2,0": 2}, {"0": 0, "1": 1}), "one entry per"),
+    (nm_record({"0,0": 0, "1,1": 1}, {"0": 0, "1": 1}), "one entry per"),
+])
+def test_nm_record_out_of_range_rejected(record, match):
+    with pytest.raises(ValueError, match=match):
+        NmCode.from_record(record)
+
+
+def test_nm_record_missing_decode_words_reject():
+    code = NmCode.from_record(nm_record({"0,0": 0, "1,0": 3}, {"0": 0, "3": 1}))
+    assert [code.decode(w) for w in range(4)] == [0, REJECT, REJECT, 1]
+    assert code.to_record()["decode"] == {"0": 0, "1": -1, "2": -1, "3": 1}
+
+
+def test_nm_table_guard_refuses_before_allocating():
+    # 2^40 decode entries would exhaust memory if anything were built.
+    with pytest.raises(SizeGuardError, match="entries"):
+        NmCode.from_record(nm_record({}, {}, n=40))
+    with pytest.raises(SizeGuardError, match="entries"):
+        NmCode(1, 40, 0, [[0], [1]], [0, 1])
+    with pytest.raises(SizeGuardError, match="entries"):
+        systematic_parity_nm(10 ** 9)
+    rng = np.random.default_rng(np.random.Philox(3))
+    with pytest.raises(SizeGuardError, match="entries"):
+        nm_search(2, 40, 1, rng)
+    # Refused before any draw: the stream is where a fresh one starts.
+    assert rng.integers(1 << 62) == np.random.default_rng(np.random.Philox(3)).integers(1 << 62)
+    # The guard sits on the entry count: 2^(k + rand_bits) + 2^n.
+    assert auth.NM_MAX_ENTRIES == 1 << 23
+    auth._check_table_size(20, 22, 1)  # systematic_parity_nm(20): 6.3 million
+    auth._check_table_size(22, 22, 0)  # exactly 2^23
+    with pytest.raises(SizeGuardError):
+        auth._check_table_size(22, 22, 1)
+
+
+def test_rate1_key_code_admitted_in_compact_tables():
+    code = systematic_parity_nm(16)
+    assert (code.k, code.n, code.rand_bits) == (16, 18, 1)
+    assert code.codewords.dtype == np.uint32 and code.decoded.dtype == np.int32
+    assert systematic_parity_nm(2).decoded.dtype == np.int8
+
+
+def tamper_by_tags(tags, word):
+    """A tampering applied bit by bit from its tags."""
+    out = 0
+    for i, tag in enumerate(tags):
+        bit = (word >> i) & 1
+        if tag == "flip":
+            bit ^= 1
+        elif tag == "set0":
+            bit = 0
+        elif tag == "set1":
+            bit = 1
+        out |= bit << i
+    return out
+
+
+def tampered_distributions_by_calls(code, f):
+    """Oracle: the decode distributions tabulated one codeword at a time,
+    one decode(apply(encode(s, r))) call each, outcomes in order of first
+    occurrence over r."""
+    out = []
+    weight = Fraction(1, 1 << code.rand_bits)
+    for s in range(1 << code.k):
+        dist = {}
+        for r in range(1 << code.rand_bits):
+            result = code.decode(tamper_by_tags(f.tags, code.encode(s, r)))
+            dist[result] = dist.get(result, Fraction(0)) + weight
+        out.append(dist)
+    return out
+
+
+def random_decode_table_code(rng, k, n, rand_bits):
+    """An injective code whose other words decode to reject or any message."""
+    words = rng.permutation(1 << n)[:1 << (k + rand_bits)].reshape(1 << k, -1)
+    decoded = rng.integers(-1, 1 << k, size=1 << n)
+    decoded[words] = np.arange(1 << k)[:, None]
+    return NmCode(k, n, rand_bits, words, decoded)
+
+
+def test_tampered_distributions_match_per_codeword_loop():
+    rng = np.random.default_rng(31)
+    codes = [systematic_parity_nm(k) for k in (1, 2, 3, 8)]
+    codes += [random_decode_table_code(rng, k, n, rand_bits)
+              for k, n, rand_bits in [(1, 3, 1), (2, 5, 2), (3, 6, 2), (2, 6, 3)]
+              for _ in range(3)]
+    for code in codes:
+        tampers = [TamperFunction(tuple(rng.choice(auth.BIT_TAGS, size=code.n).tolist()))
+                   for _ in range(25)]
+        if code.n <= 3:
+            tampers = list(all_tamper_functions(code.n))
+        for f in tampers:
+            got = code.tampered_distributions(f)
+            want = tampered_distributions_by_calls(code, f)
+            # Same keys in the same order, the same exact Fractions.
+            assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+            assert all(type(p) is Fraction for d in got for p in d.values())
+
+
+def simulator_lp_rows_by_loop(code, f):
+    """Oracle: the simulator LP's inequality rows (A_ub, b_ub), built one
+    row at a time from the decode distributions."""
+    dists = code.tampered_distributions(f)
+    n_msg = 1 << code.k
+    atoms = n_msg + 2
+    rej_atom, same_atom, t_col = n_msg, n_msg + 1, n_msg + 2
+    slack_index, supports = {}, []
+    n_vars = atoms + 1
+    for s, dist in enumerate(dists):
+        support = sorted(o for o in dist if o is not REJECT)
+        if s not in support:
+            support.insert(0, s)
+        support.append(REJECT)
+        supports.append(support)
+        for o in support:
+            slack_index[(s, repr(o))] = n_vars
+            n_vars += 1
+    a_ub, b_ub = [], []
+    for s, dist in enumerate(dists):
+        tv_row = np.zeros(n_vars)
+        for o in supports[s]:
+            d_val = float(dist.get(o, Fraction(0)))
+            p_row = np.zeros(n_vars)
+            if o is REJECT:
+                p_row[rej_atom] = 1.0
+            else:
+                p_row[o] = 1.0
+                if o == s:
+                    p_row[same_atom] = 1.0
+            e_col = slack_index[(s, repr(o))]
+            up = p_row.copy()
+            up[e_col] = -1.0
+            a_ub.append(up)
+            b_ub.append(d_val)
+            down = -p_row
+            down[e_col] = -1.0
+            a_ub.append(down)
+            b_ub.append(-d_val)
+            tv_row[e_col] += 0.5
+        for v in range(n_msg):
+            if v not in supports[s]:
+                tv_row[v] += 0.5
+        tv_row[t_col] = -1.0
+        a_ub.append(tv_row)
+        b_ub.append(0.0)
+    return np.array(a_ub), np.array(b_ub)
+
+
+def test_simulator_lp_rows_match_row_by_row_build(monkeypatch):
+    import scipy.optimize
+    rng = np.random.default_rng(33)
+    seen = []
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda **kw: seen.append(kw) or real(**kw))
+    codes = [systematic_parity_nm(2), random_decode_table_code(rng, 2, 5, 1),
+             random_decode_table_code(rng, 3, 6, 2)]
+    for code in codes:
+        for _ in range(6):
+            f = TamperFunction(tuple(rng.choice(auth.BIT_TAGS, size=code.n).tolist()))
+            nm_decompose(code, f)
+            a_ub, b_ub = simulator_lp_rows_by_loop(code, f)
+            assert np.array_equal(seen[-1]["A_ub"], a_ub)
+            assert np.array_equal(seen[-1]["b_ub"], b_ub)
+
+
+def test_tampered_distributions_check_arity():
+    code = systematic_parity_nm(2)
+    with pytest.raises(ValueError, match="arity"):
+        code.tampered_distributions(TamperFunction.keep_all(code.n - 1))
 
 
 def test_parity_code_roundtrip_and_record():
     code = systematic_parity_nm(2)
-    back = NmCode.loads(code.dumps())
+    back = NmCode.from_record(json.loads(code.dumps()))
     for s in range(4):
         for r in range(2):
             assert back.encode(s, r) == code.encode(s, r)
@@ -110,7 +320,7 @@ def test_nm_verify_parity_k1():
 def test_nm_verify_guard():
     with pytest.raises(SizeGuardError):
         nm_verify(systematic_parity_nm(8))
-    many_rand = NmCode(1, 4, 8, lambda s, r: s, lambda w: w if w < 2 else REJECT)
+    many_rand = NmCode(1, 4, 8, np.repeat([[0], [1]], 256, axis=1), [0, 1] + [-1] * 14)
     with pytest.raises(SizeGuardError, match="rand_bits"):
         nm_verify(many_rand)
 
@@ -218,6 +428,7 @@ def test_tamper_masks_match_tag_application():
             assert (a[row], b[row]) == (ai, bi)
             assert masked[row].tolist() == [f.apply(int(w)) for w in words]
             assert tamper_from_masks(ai, bi, n) == f
+            assert (f.and_mask, f.xor_mask) == (ai, bi)
             seen.add(row)
         assert seen == set(range(4 ** n))
 
@@ -231,6 +442,21 @@ def test_nm_decode_tables_are_the_distinct_tampered_tables():
     for table, rep in zip(tables.tolist(), got):
         assert tuple(tuple((o, Fraction(row.count(o), 2)) for o in sorted(set(row)))
                      for row in table) == rep
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 32 * 8, 1000])
+def test_nm_decode_tables_chunked_equal_one_shot(monkeypatch, budget, seed21_trials):
+    rng = np.random.default_rng(32)
+    codes = [systematic_parity_nm(k) for k in (1, 2, 3)] + list(seed21_trials[0])
+    codes += [random_decode_table_code(rng, 2, 5, 1), random_decode_table_code(rng, 1, 4, 2)]
+    one_shot = [nm_decode_tables(code) for code in codes]
+    assert all(len(code.codewords.reshape(-1)) << (2 * code.n) <= auth._ENTRY_BUDGET
+               for code in codes)
+    monkeypatch.setattr(auth, "_ENTRY_BUDGET", budget)
+    for code, (tables, masks) in zip(codes, one_shot):
+        chunked_tables, chunked_masks = nm_decode_tables(code)
+        assert np.array_equal(chunked_tables, tables)
+        assert np.array_equal(chunked_masks, masks)
 
 
 @pytest.mark.parametrize("which", ["parity_k1", "parity_k2", "parity_k3",
@@ -637,6 +863,13 @@ def test_harness_all_reject_tampering():
     rep = _assert_harness_matches_key_loop(
         proto, [random_cptp(rng) for _ in range(4)], TamperFunction(tags))
     assert (rep.p_accept, rep.p_accept_wrong, rep.p_reject) == (0.0, 0.0, 1.0)
+
+
+def test_harness_refuses_tampering_of_wrong_length():
+    # The key code has 10 bits; 3 tags used to tamper only the low bits.
+    proto = make_auth13()
+    with pytest.raises(ValueError, match="arity"):
+        auth13_attack_harness(proto, identity_wires(4), TamperFunction(("flip",) * 3))
 
 
 def test_harness_matches_key_loop_on_table_code():

@@ -187,6 +187,64 @@ def test_nm_search_verify_roundtrip(capsys, tmp_path):
     assert "epsilon_nm" in out2
 
 
+def test_auth_simulate_wrong_length_tampering_exits_2(capsys, tmp_path):
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=4 k=3\nXXXX\n")
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    attack_file = tmp_path / "attack.json"
+    attack_file.write_text(json.dumps({"wires": [[eye]] * 4, "classical": ["flip"] * 3}))
+    rc, out, err = invoke(capsys, ["auth", "simulate", "--protocol", "third",
+                                   "--pmd-n", "2", "--pmd-lambda", "1",
+                                   "--outer", str(outer), "--attack", str(attack_file)])
+    assert rc == 2 and out == ""
+    assert "arity" in err
+
+
+def test_nm_verify_out_of_range_record_exits_2(capsys, tmp_path):
+    nm_file = tmp_path / "nm.json"
+    nm_file.write_text(json.dumps({"k": 1, "n": 2, "rand_bits": 0,
+                                   "encode": {"0,0": 0, "1,0": 9},
+                                   "decode": {"0": 0, "9": 1}}))
+    rc, out, err = invoke(capsys, ["nm", "verify", "--nm", str(nm_file)])
+    assert rc == 2 and out == ""
+    assert "decode entries need words in [0, 2^2)" in err
+
+
+def _write_json(tmp_path, name, record):
+    path = tmp_path / name
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+def test_nm_file_missing_field_exits_2(capsys, tmp_path):
+    nm = _write_json(tmp_path, "nm.json", {"k": 1, "n": 2, "rand_bits": 0,
+                                           "decode": {"0": 0}})
+    rc, _, err = invoke(capsys, ["nm", "verify", "--nm", nm])
+    assert rc == 2
+    assert f"{nm}: missing field 'encode'" in err
+
+
+def test_attack_file_missing_field_exits_2(capsys, tmp_path):
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=4 k=3\nXXXX\n")
+    attack = _write_json(tmp_path, "attack.json", {"classical": ["keep"] * 10})
+    rc, _, err = invoke(capsys, ["auth", "simulate", "--protocol", "third",
+                                 "--pmd-n", "2", "--pmd-lambda", "1",
+                                 "--outer", str(outer), "--attack", attack])
+    assert rc == 2
+    assert f"{attack}: missing field 'wires'" in err
+
+
+def test_adversary_file_missing_field_exits_2(capsys, tmp_path):
+    outer = tmp_path / "outer.txt"
+    outer.write_text(SEVEN6_TEXT)
+    adv = _write_json(tmp_path, "adv.json", {"n": 7, "max_erased": 1})
+    rc, _, err = invoke(capsys, ["aqec", "simulate", "--pmd-n", "4", "--pmd-lambda", "2",
+                                 "--outer", str(outer), "--adversary", adv])
+    assert rc == 2
+    assert f"{adv}: missing field 'branches'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["pmd", "verify", "--n", "4", "--lambda", "2", "--samples", "5"],
     ["nm", "search", "--k", "1", "--n", "4", "--trials", "1"],

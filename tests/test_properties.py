@@ -316,11 +316,10 @@ def nm_table_codes(draw):
     rand_bits = draw(st.integers(0, 1))
     n = draw(st.integers(k + rand_bits, 5))
     words = draw(st.permutations(range(1 << n)))
-    enc = {(s, r): words[(s << rand_bits) | r]
-           for s in range(1 << k) for r in range(1 << rand_bits)}
-    dec = {w: draw(st.sampled_from([REJECT, *range(1 << k)])) for w in range(1 << n)}
-    dec.update({w: s for (s, _), w in enc.items()})
-    return NmCode(k, n, rand_bits, lambda s, r: enc[(s, r)], dec.__getitem__)
+    enc = np.array(words[:1 << (k + rand_bits)]).reshape(1 << k, 1 << rand_bits)
+    dec = np.array([draw(st.sampled_from([-1, *range(1 << k)])) for _ in range(1 << n)])
+    dec[enc] = np.arange(1 << k)[:, None]
+    return NmCode(k, n, rand_bits, enc, dec)
 
 
 def brute_force_nm_epsilon(code):

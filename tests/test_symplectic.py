@@ -116,6 +116,22 @@ def test_trivial_code_normalizer_and_logicals():
     assert len(code.logical_reps) == 4
 
 
+def test_family_build_defers_normalizer_and_logicals(monkeypatch):
+    real_basis, real_logicals = symplectic.normalizer_basis, symplectic.logical_representatives
+    calls = []
+    monkeypatch.setattr(symplectic, "normalizer_basis",
+                        lambda code: calls.append("normalizer") or real_basis(code))
+    monkeypatch.setattr(symplectic, "logical_representatives",
+                        lambda code: calls.append("logicals") or real_logicals(code))
+    family = build_bcgst_family(4, 2)
+    assert calls == []
+    for code in family.codes.values():
+        assert code.normalizer == tuple(real_basis(code))
+        assert code.logical_reps == tuple(real_logicals(code))
+        assert code.normalizer is code.normalizer  # derived once, then cached
+    assert calls.count("normalizer") == calls.count("logicals") == family.num_keys
+
+
 def brute_normalizer(code):
     """All Paulis (mod phase) with zero syndrome, by exhaustive scan."""
     found = []
