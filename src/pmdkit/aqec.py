@@ -303,8 +303,8 @@ def algorithm2_unitary(corrections: CorrectionList, code: ComposedCode) -> Corre
     return CorrectionCascade(corrections, code)
 
 
-def algorithm1_decode(branch: TaggedBranch, code: ComposedCode,
-                      prob_tol: float = 1e-12) -> tuple[list[TaggedBranch], int]:
+def algorithm1_decode(branch: TaggedBranch,
+                      code: ComposedCode) -> tuple[list[TaggedBranch], int]:
     """Measure the outer syndrome exactly, list-decode, run the cascade.
 
     Returns (decoded branches, max list length over realized outcomes).
@@ -321,7 +321,7 @@ def algorithm1_decode(branch: TaggedBranch, code: ComposedCode,
             want = (outcome >> i) & 1
             post = 0.5 * (post + (1 - 2 * want) * _apply_pauli_on_block(g, post, n_now))
         prob = float(np.vdot(post, post).real)
-        if prob <= prob_tol:
+        if prob <= WEIGHT_TOL:
             continue
         post = post / np.sqrt(prob)
         s_bits = tuple((outcome >> i) & 1 for i in range(outer.r))

@@ -130,7 +130,7 @@ class NmCode:
         self.n = n
         self.rand_bits = rand_bits
         self.name = name
-        # Compact dtypes: the rate-1 key code's decode table has 2^18 entries.
+        # Compact dtypes: systematic_parity_nm(16)'s decode table has 2^18 entries.
         self.codewords = codewords.astype(np.min_scalar_type((1 << n) - 1), copy=False)
         self.decoded = decoded.astype(np.min_scalar_type(-(1 << k)), copy=False)
         messages = np.arange(1 << k, dtype=self.decoded.dtype)[:, None]
@@ -386,25 +386,26 @@ def nm_verify(code: NmCode) -> float:
     return _nm_sweep(code, {})
 
 
-def nm_search(k: int, n: int, trials: int, rng: np.random.Generator,
-              rand_bits: int = 1) -> tuple[NmCode, float]:
-    """Best-of-`trials` random injective table codes, ranked by nm_verify.
+def nm_search(k: int, n: int, trials: int,
+              rng: np.random.Generator) -> tuple[NmCode, float]:
+    """Best-of-`trials` random injective table codes with one random
+    bit, ranked by nm_verify.
 
     The first trial with the least epsilon wins.  LP results are shared
     by every trial, and a trial's sweep stops as soon as its running
     maximum reaches the best finished trial's epsilon: it can no longer
     win, since only a strictly smaller epsilon replaces the best.
     """
-    if k + rand_bits > n:
+    if k + 1 > n:
         raise ValueError("codeword too short for message plus randomness")
-    _check_table_size(k, n, rand_bits)
+    _check_table_size(k, n, 1)
     best_code, best_eps = None, np.inf
     solved: dict = {}  # (k, rand_bits, decode table) -> epsilon
     for trial in range(max(1, trials)):
-        codewords = rng.permutation(1 << n)[:1 << (k + rand_bits)].reshape(1 << k, -1)
+        codewords = rng.permutation(1 << n)[:1 << (k + 1)].reshape(1 << k, -1)
         decoded = np.full(1 << n, -1)  # words outside the code reject
         decoded[codewords] = np.arange(1 << k)[:, None]
-        code = NmCode(k, n, rand_bits, codewords, decoded, name=f"random[{k}->{n}]#{trial}")
+        code = NmCode(k, n, 1, codewords, decoded, name=f"random[{k}->{n}]#{trial}")
         eps = _nm_sweep(code, solved, stop_at=best_eps)
         if eps < best_eps:
             best_code, best_eps = code, eps
@@ -781,11 +782,11 @@ def auth13_key_recovered_branch(proto: Auth13Protocol, wire_kraus) -> AttackRepo
     return AttackReport(p_accept, p_wrong, 1.0 - p_accept, fidelity)
 
 
-def substitution_attack(proto: Auth13Protocol, fixed_key: int,
-                        fixed_rand: int = 0):
+def substitution_attack(proto: Auth13Protocol, fixed_key: int):
     """Every wire replaced by the matching wire of one fixed valid
-    encoding of |0...0>.  Returns (wire channels, classical tampering,
-    the substituted product state marginals)."""
+    encoding of |0...0>, its key encoded with randomness 0.  Returns
+    (wire channels, classical tampering, the substituted product state
+    marginals)."""
     n = proto.n_quantum
     iso = proto.composed.encoder_isometry()
     codeword = apply_pauli(pad_to_pauli(fixed_key, n), iso[:, 0])
@@ -803,8 +804,7 @@ def substitution_attack(proto: Auth13Protocol, fixed_key: int,
                 for basis in np.eye(2):
                     kraus.append(np.sqrt(val) * np.outer(vec, basis))
         wire_channels.append(tuple(kraus))
-    classical = TamperFunction.set_to(proto.nm.encode(fixed_key, fixed_rand),
-                                      proto.nm.n)
+    classical = TamperFunction.set_to(proto.nm.encode(fixed_key, 0), proto.nm.n)
     return wire_channels, classical, marginals
 
 
@@ -837,20 +837,17 @@ def substitution_overlap_oracle(proto: Auth13Protocol, marginals,
 class Auth1Protocol:
     """Two inner blocks, each a detection code inside an inner stabilizer
     code; an outer code across block messages; a pairwise-independent
-    Pauli pad keyed through a non-malleable code."""
+    Pauli pad.  Its `seed_bits`-bit seed is the key a non-malleable code
+    would carry; the rate-1 functions take the seed itself."""
 
     outer: StabilizerCode           # [[n_blocks * k_pmd, k_msg]]
     inner: ComposedCode             # per-block composition
-    nm: NmCode
 
     def __post_init__(self):
         if self.outer.n % self.inner.message_qubits:
             raise ValueError("outer block length must split into inner messages")
         if self.total_quantum > 10:
             raise SizeGuardError("toy protocol limited to 10 quantum qubits")
-        if self.nm.k != self.seed_bits:
-            raise ValueError(f"key carries {self.nm.k} bits, pad seed needs "
-                             f"{self.seed_bits}")
 
     @property
     def n_blocks(self) -> int:
@@ -874,7 +871,9 @@ class Auth1Protocol:
 
     @property
     def seed_bits(self) -> int:
-        return auth1_pad_seed_bits(self.n_blocks, self.block_qubits)
+        """Seed size of the pad: pairwise independent over one field
+        word (two pad bits per qubit) per block."""
+        return twise_pad_seed_bits(2, self.pad_bits, word_bits=self.word_bits)
 
     def pad_for_seed(self, seed: int) -> PauliOperator:
         bits = twise_pad(seed, 2, self.pad_bits, word_bits=self.word_bits)
@@ -895,13 +894,6 @@ class Auth1Protocol:
         return self.block_isometry() @ outer_iso
 
 
-def auth1_pad_seed_bits(n_blocks: int, block_qubits: int) -> int:
-    """Seed size of the rate-1 pad: pairwise independent over one field
-    word (two pad bits per qubit) per block."""
-    return twise_pad_seed_bits(2, 2 * n_blocks * block_qubits,
-                               word_bits=2 * block_qubits)
-
-
 def auth1_encode(proto: Auth1Protocol, message: np.ndarray, seed: int) -> np.ndarray:
     """Pure encoded state for one fixed pad seed."""
     vec = proto.encoder_isometry() @ message
@@ -916,8 +908,7 @@ class Auth1DecodeResult:
     message: np.ndarray | None
 
 
-def auth1_decode(proto: Auth1Protocol, state: np.ndarray, seed: int,
-                 abort_tol: float = 1e-12) -> Auth1DecodeResult:
+def auth1_decode(proto: Auth1Protocol, state: np.ndarray, seed: int) -> Auth1DecodeResult:
     """Decode a pure branch with the given recovered seed.
 
     Reverts the pad, then walks the inner blocks: each block's syndrome
@@ -936,7 +927,7 @@ def auth1_decode(proto: Auth1Protocol, state: np.ndarray, seed: int,
         projected = apply_on_qubits(acc_op, block_qubits, vec, n)
         p_block = float(np.vdot(projected, projected).real)
         prob *= p_block
-        if p_block <= abort_tol:
+        if p_block <= 1e-12:
             return Auth1DecodeResult(False, 0.0, f"inner block {j}", None)
         vec = projected / np.sqrt(p_block)
     # Un-encode the accepted blocks, then check the outer code.
@@ -945,7 +936,7 @@ def auth1_decode(proto: Auth1Protocol, state: np.ndarray, seed: int,
     message = outer_iso.conj().T @ block_messages
     p_outer = float(np.vdot(message, message).real)
     prob *= p_outer
-    if p_outer <= abort_tol:
+    if p_outer <= 1e-12:
         return Auth1DecodeResult(False, 0.0, "outer", None)
     return Auth1DecodeResult(True, prob, None, message / np.sqrt(p_outer))
 

@@ -22,9 +22,8 @@ from . import __version__
 from .aqec import ErasureAdversary, compose, erasure_harness, random_adversary
 from .auth import (Auth1Protocol, Auth13Protocol, NmCode, TamperFunction,
                    auth1_block_codeword_density, auth1_block_reject_probability,
-                   auth1_decode, auth1_encode, auth1_pad_seed_bits, auth13_attack_harness,
-                   nm_search, nm_verify, stabilizer_mass, systematic_parity_nm,
-                   twirl_channel)
+                   auth1_decode, auth1_encode, auth13_attack_harness, nm_search,
+                   nm_verify, stabilizer_mass, systematic_parity_nm, twirl_channel)
 from .densesim import kraus_from_record
 from .limits import SizeGuardError
 from .pmd import build_pmd, measure_pmd_epsilon
@@ -107,8 +106,11 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _emit(report: Report, args) -> int:
-    text = report.render(args.format)
+def _emit(report: Report, args, table=None) -> int:
+    """Write the report to --out or stdout and return its exit code.  A
+    CSV report lists `table`, a (header, rows) pair, in place of its checks."""
+    text = (_csv_text(*table) if table is not None and args.format == "csv"
+            else report.render(args.format))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -141,13 +143,16 @@ def dump_config(entries: dict) -> str:
 def _expand_config(argv: list[str]) -> list[str]:
     """Splice config-file entries in as flags, before the real flags.
 
-    Entries become `--key value` tokens right after the subcommand
-    words, so anything typed on the command line wins.
+    `--config FILE` and `--config=FILE` both work.  Entries become
+    `--key value` tokens right after the subcommand words, so anything
+    typed on the command line wins.
     """
+    argv = [part for token in argv for part in
+            (token.split("=", 1) if token.startswith("--config=") else [token])]
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
-    if at + 1 >= len(argv):
+    if at + 1 >= len(argv) or not argv[at + 1]:
         raise ValueError("--config needs a file path")
     path = argv[at + 1]
     rest = argv[:at] + argv[at + 2:]
@@ -245,7 +250,7 @@ def cmd_qlde_decode(args) -> int:
     result = erasure_list_decode(code, erased, bits)
     config = {"code": args.code, "erased": args.erased, "syndrome": args.syndrome}
     report = Report("qlde decode", config, None)
-    report.add("list_size", len(result.entries), "guard", "nonneg", True)
+    report.extras["list_size"] = len(result.entries)
     report.extras["corrections"] = [p.label() for p in result.entries]
     if args.format == "text" and not args.out:
         for p in result.entries:
@@ -280,22 +285,47 @@ def cmd_qlde_sample_css(args) -> int:
     return _emit(report, args)
 
 
+# JSON types of the fields of the NM, attack and adversary records, and
+# of the entries of their array and object fields.
+_FIELD_TYPES = {"k": int, "n": int, "rand_bits": int, "max_erased": int, "name": str,
+                "mode": str, "encode": dict, "decode": dict, "classical": list,
+                "support": list, "branches": list, "wires": list, "matrix": list}
+_ENTRY_TYPES = {"encode": int, "decode": int, "classical": str, "support": int,
+                "branches": dict, "wires": list, "matrix": list}
+
+
 def _read_record(path: str) -> dict:
-    """A JSON input file; reading a field it lacks raises a ValueError
-    (exit 2) that names the file and the field."""
+    """A JSON input file.  A field of the wrong JSON type, or reading a
+    field it lacks, raises a ValueError (exit 2) that names the file and
+    the field."""
     class Record(dict):
         def __missing__(self, key):
             raise ValueError(f"{path}: missing field {key!r}")
-    return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=Record)
+
+    def checked(record: dict) -> Record:
+        for key, value in record.items():
+            entries = value.values() if isinstance(value, dict) else value
+            if (not isinstance(value, _FIELD_TYPES.get(key, object)) or key in _ENTRY_TYPES
+                    and not all(isinstance(v, _ENTRY_TYPES[key]) for v in entries)):
+                raise ValueError(f"{path}: field {key!r} has the wrong JSON type")
+        return Record(record)
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=checked)
+
+
+def _kraus(path: str, key: str, record) -> tuple[np.ndarray, ...]:
+    """kraus_from_record, refusing a malformed field with a ValueError."""
+    try:
+        return kraus_from_record(record)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field {key!r} must hold matrices of [re, im] pairs") from exc
 
 
 def _load_adversary(path: str, n: int) -> ErasureAdversary:
     record = _read_record(path)
-    mats = kraus_from_record(br["matrix"] for br in record["branches"])
+    mats = _kraus(path, "matrix", [br["matrix"] for br in record["branches"]])
     branches = tuple((mat, tuple(br["support"]))
                      for mat, br in zip(mats, record["branches"]))
-    return ErasureAdversary(record.get("n", n), branches,
-                            int(record["max_erased"]),
+    return ErasureAdversary(record.get("n", n), branches, record["max_erased"],
                             mode=record.get("mode", "adaptive"))
 
 
@@ -335,7 +365,7 @@ def cmd_aqec_simulate(args) -> int:
 
 def _load_attack(path: str):
     record = _read_record(path)
-    wires = [kraus_from_record(wire) for wire in record["wires"]]
+    wires = [_kraus(path, "wires", wire) for wire in record["wires"]]
     classical = TamperFunction(tuple(record["classical"]))
     return wires, classical
 
@@ -348,7 +378,7 @@ def cmd_auth_simulate(args) -> int:
               "pmd_lambda": args.pmd_lambda, "outer": args.outer,
               "attack": args.attack}
     eps = measure_pmd_epsilon(pmd).value
-    report = Report("auth simulate", config, args.seed)
+    report = Report("auth simulate", config, None)
     if args.protocol == "third":
         composed = compose(pmd, outer)
         nm = (NmCode.from_record(_read_record(args.nm)) if args.nm
@@ -372,9 +402,7 @@ def cmd_auth_simulate(args) -> int:
     else:
         inner_code = StabilizerCode(4, [PauliOperator.from_label("ZZZZ")],
                                     name="[[4,3]]")
-    n_blocks = outer.n // pmd.message_qubits
-    nm = systematic_parity_nm(auth1_pad_seed_bits(n_blocks, inner_code.n))
-    proto = Auth1Protocol(outer, compose(pmd, inner_code), nm)
+    proto = Auth1Protocol(outer, compose(pmd, inner_code))
     wires, _classical = _load_attack(args.attack)
     if len(wires) != proto.total_quantum:
         raise ValueError(f"attack needs {proto.total_quantum} quantum wires")
@@ -415,7 +443,7 @@ def cmd_nm_verify(args) -> int:
     code = NmCode.from_record(_read_record(args.nm))
     eps = nm_verify(code)
     report = Report("nm verify", {"nm": args.nm, "k": code.k, "n": code.n}, None)
-    report.add("epsilon_nm", f"{eps:.12f}", "exhaustive tamper sweep", "4^n", True)
+    report.extras["epsilon_nm"] = f"{eps:.12f}"
     return _emit(report, args)
 
 
@@ -451,15 +479,8 @@ def cmd_sweep(args) -> int:
             report.add(f"pmd[{n},{lam}]", "error", "lemma bound", "", False)
             report.extras[f"error[{n},{lam}]"] = message
     report.extras["rows"] = rows
-    if args.format == "csv":
-        columns = ("n", "lam", "epsilon", "eps_ptc", "delta", "bound", "status")
-        text = _csv_text(columns, ([r[k] for k in columns] for r in rows))
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-        return 0 if report.passed else 1
-    return _emit(report, args)
+    columns = ("n", "lam", "epsilon", "eps_ptc", "delta", "bound", "status")
+    return _emit(report, args, (columns, ([r[k] for k in columns] for r in rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +490,7 @@ def cmd_sweep(args) -> int:
 def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None, help="write the report to a file")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.epilog = "--config FILE (or --config=FILE) splices in flat `key = value` defaults."
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,6 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
+    # The commands whose reports record a seed.
+    for seeded in (ptc_check, pmd_verify, samp, sim, search, sweep):
+        seeded.add_argument("--seed", type=int, default=None)
     return parser
 
 

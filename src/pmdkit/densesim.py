@@ -83,15 +83,15 @@ class DenseOperator:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def is_isometry(self, atol: float = ATOL) -> bool:
+    def is_isometry(self) -> bool:
         m = self.entries
-        return np.allclose(m.conj().T @ m, np.eye(self.cols), rtol=0, atol=atol)
+        return np.allclose(m.conj().T @ m, np.eye(self.cols), rtol=0, atol=ATOL)
 
-    def is_projector(self, atol: float = ATOL) -> bool:
+    def is_projector(self) -> bool:
         m = self.entries
         return (m.shape[0] == m.shape[1]
-                and np.allclose(m @ m, m, rtol=0, atol=atol)
-                and np.allclose(m, m.conj().T, rtol=0, atol=atol))
+                and np.allclose(m @ m, m, rtol=0, atol=ATOL)
+                and np.allclose(m, m.conj().T, rtol=0, atol=ATOL))
 
 
 # ---------------------------------------------------------------------------
@@ -252,32 +252,12 @@ def codespace_projector(code: StabilizerCode) -> np.ndarray:
 # Operator norm
 # ---------------------------------------------------------------------------
 
-def operator_norm(m: np.ndarray, max_iter: int = 10**4) -> float:
-    """Largest singular value to 1e-10 absolute accuracy.
-
-    Full decomposition up to dimension 512; power iteration on M^dagger M
-    above that.
-    """
+def operator_norm(m: np.ndarray) -> float:
+    """Largest singular value, from a full SVD, up to dimension 4096."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     if max(m.shape) > 4096:
         raise SizeGuardError(f"operator_norm limited to dimension 4096, got {m.shape}")
-    if max(m.shape) <= 512:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    gram = m.conj().T @ m if m.shape[1] <= m.shape[0] else m @ m.conj().T
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(gram.shape[0]) + 1j * rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    last = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-        if abs(norm - last) < 1e-13 * max(norm, 1.0):
-            return float(np.sqrt(norm))
-        last = norm
-    raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +329,12 @@ class QuantumChannel:
         return cls.from_record(json.loads(text))
 
 
-def apply_channel(channel: QuantumChannel, branches: list[Branch] | np.ndarray,
-                  drop_tol: float = 1e-14) -> list[Branch]:
+def apply_channel(channel: QuantumChannel,
+                  branches: list[Branch] | np.ndarray) -> list[Branch]:
     """One branch per (input branch, Kraus operator), total weight preserved.
 
-    Zero-weight branches (below drop_tol) are dropped since they cannot
-    be normalized.
+    Zero-weight branches (weight at most 1e-14) are dropped since they
+    cannot be normalized.
     """
     if isinstance(branches, np.ndarray):
         branches = [(1.0, branches)]
@@ -364,7 +344,7 @@ def apply_channel(channel: QuantumChannel, branches: list[Branch] | np.ndarray,
         for k in channel.kraus:
             new = apply_on_qubits(k, channel.support, vec, n)
             w = float(np.linalg.norm(new) ** 2) * weight
-            if w > drop_tol:
+            if w > 1e-14:
                 out.append((w, new / np.linalg.norm(new)))
     return out
 

@@ -161,8 +161,7 @@ def _supported_stabilizer_basis(code: StabilizerCode, mask: int) -> list[int]:
     return basis
 
 
-def erasure_list_decode(code: StabilizerCode, erased, s: SyndromeVector,
-                        guard: int = 4096) -> CorrectionList:
+def erasure_list_decode(code: StabilizerCode, erased, s: SyndromeVector) -> CorrectionList:
     """Candidate corrections on the erased set matching syndrome s.
 
     Entries pairwise logically distinct, each the lexicographic minimum
@@ -187,8 +186,9 @@ def erasure_list_decode(code: StabilizerCode, erased, s: SyndromeVector,
                         for v in f2.kernel_basis(rows, 2 * len(cols))]
     stab_vecs = _supported_stabilizer_basis(code, pattern.mask)
     coset_gens = f2.extend_basis(stab_vecs, normalizer_vecs, 2 * code.n)
-    if 1 << len(coset_gens) > guard:
-        raise SizeGuardError(f"correction list would have 2^{len(coset_gens)} entries")
+    if 1 << len(coset_gens) > 4096:
+        raise SizeGuardError(f"correction list would have 2^{len(coset_gens)} entries, "
+                              "above 4096")
     stab_pivots, stab_rref = f2.rref(stab_vecs, 2 * code.n)
     entries = []
     seen = set()
@@ -218,11 +218,10 @@ def quantum_list_size(code: StabilizerCode, erased) -> int:
     return 1 << (dim_normalizer - dim_stabilizer)
 
 
-def list_size_profile(code: StabilizerCode, delta: float,
-                      max_n: int = 12) -> int:
-    """Worst |N_T / S_T| over erased sets of size <= delta * n."""
-    if code.n > max_n:
-        raise SizeGuardError(f"profile sweep limited to n <= {max_n}")
+def list_size_profile(code: StabilizerCode, delta: float) -> int:
+    """Worst |N_T / S_T| over erased sets of size <= delta * n, for n <= 12."""
+    if code.n > 12:
+        raise SizeGuardError("profile sweep limited to n <= 12")
     budget = int(delta * code.n)
     worst = 1
     for size in range(budget + 1):
@@ -242,14 +241,13 @@ class CssSampleReport:
     redraws: int
 
 
-def sample_random_css(n: int, k: int, rng: np.random.Generator,
-                      max_redraws: int = 100) -> CssSampleReport:
+def sample_random_css(n: int, k: int, rng: np.random.Generator) -> CssSampleReport:
     """Random CSS code of target dimensions [[n, k]].
 
     Draws (n+k)/2 uniform vectors as a generator matrix for the first
     classical code; the first (n-k)/2 of them double as the parity
     check of the second, which makes the dual-containment automatic.
-    Dependent draws are retried wholesale (up to `max_redraws`); the
+    Dependent draws are retried wholesale (up to 100 times); the
     report records whether the first draw was already full rank, which
     is the rate-failure event of interest for unconditioned sampling.
     """
@@ -260,7 +258,7 @@ def sample_random_css(n: int, k: int, rng: np.random.Generator,
     k1 = (n + k) // 2
     k2 = n - k1
     first_full_rank = None
-    for attempt in range(max_redraws + 1):
+    for attempt in range(101):
         gs = [int(v) for v in rng.integers(0, 1 << n, size=k1, dtype=np.uint64)]
         full_rank = f2.rank(gs, n) == k1
         if first_full_rank is None:
@@ -272,4 +270,4 @@ def sample_random_css(n: int, k: int, rng: np.random.Generator,
             if code.k != k:  # pragma: no cover - guaranteed by rank checks
                 raise AssertionError("sampled CSS code has the wrong dimension")
             return CssSampleReport(code, bool(first_full_rank), attempt)
-    raise RuntimeError(f"no independent draw after {max_redraws} redraws")
+    raise RuntimeError("no independent draw after 100 redraws")

@@ -97,9 +97,9 @@ class PauliOperator:
         return self.x | (self.z << self.n)
 
     @classmethod
-    def from_symplectic_vector(cls, n: int, vec: int, phase: int = 0) -> "PauliOperator":
+    def from_symplectic_vector(cls, n: int, vec: int) -> "PauliOperator":
         mask = (1 << n) - 1
-        return cls(n, vec & mask, (vec >> n) & mask, phase)
+        return cls(n, vec & mask, (vec >> n) & mask)
 
     def mul(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
@@ -489,7 +489,7 @@ def format_code(code: StabilizerCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_code(text: str, name: str = "") -> StabilizerCode:
+def parse_code(text: str) -> StabilizerCode:
     lines = [ln.strip() for ln in text.splitlines()]
     numbered = [(i + 1, ln) for i, ln in enumerate(lines)
                 if ln and not ln.startswith("#")]
@@ -520,4 +520,4 @@ def parse_code(text: str, name: str = "") -> StabilizerCode:
                 raise ValueError(f"line {gens[idx][0]}: generator depends on earlier ones")
     if len(gens) != n - k:
         raise ValueError(f"header says k={k} but {len(gens)} generators imply k={n - len(gens)}")
-    return StabilizerCode(n, [g for _, g in gens], name=name)
+    return StabilizerCode(n, [g for _, g in gens])

@@ -908,8 +908,7 @@ def make_auth1():
     inner_code = StabilizerCode(4, [pauli("ZZZZ")], name="[[4,3]]")
     inner = compose(pmd, inner_code)
     outer = StabilizerCode(2, [pauli("XX")], name="[[2,1]]")
-    nm = systematic_parity_nm(16)
-    return Auth1Protocol(outer, inner, nm)
+    return Auth1Protocol(outer, inner)
 
 
 def test_auth1_shapes():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pmdkit
+from pmdkit.auth import systematic_parity_nm
 from pmdkit.cli import run
 
 FOUR22_TEXT = "n=4 k=2\nXXXX\nZZZZ\n"
@@ -245,6 +246,71 @@ def test_adversary_file_missing_field_exits_2(capsys, tmp_path):
     assert f"{adv}: missing field 'branches'" in err
 
 
+def test_nm_file_wrong_type_exits_2(capsys, tmp_path):
+    nm = _write_json(tmp_path, "nm.json", {"k": 1, "n": 2, "rand_bits": 0,
+                                           "encode": [0, 1], "decode": {"0": 0}})
+    rc, out, err = invoke(capsys, ["nm", "verify", "--nm", nm])
+    assert rc == 2 and out == ""
+    assert f"{nm}: field 'encode' has the wrong JSON type" in err
+
+
+@pytest.mark.parametrize("attack, message", [
+    ({"wires": 5, "classical": ["keep"] * 10}, "field 'wires' has the wrong JSON type"),
+    ({"wires": [[[[["1", 0]]]]] * 4, "classical": ["keep"] * 10},
+     "field 'wires' must hold matrices of [re, im] pairs"),
+], ids=["wires-not-array", "kraus-entry-string"])
+def test_attack_file_wrong_type_exits_2(capsys, tmp_path, attack, message):
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=4 k=3\nXXXX\n")
+    path = _write_json(tmp_path, "attack.json", attack)
+    rc, out, err = invoke(capsys, ["auth", "simulate", "--protocol", "third",
+                                   "--pmd-n", "2", "--pmd-lambda", "1",
+                                   "--outer", str(outer), "--attack", path])
+    assert rc == 2 and out == ""
+    assert f"{path}: {message}" in err
+
+
+def test_adversary_file_wrong_type_exits_2(capsys, tmp_path):
+    outer = tmp_path / "outer.txt"
+    outer.write_text(SEVEN6_TEXT)
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    adv = _write_json(tmp_path, "adv.json", {"n": 7, "max_erased": 1, "branches": [
+        {"matrix": eye, "support": ["0"]}]})
+    rc, out, err = invoke(capsys, ["aqec", "simulate", "--pmd-n", "4", "--pmd-lambda", "2",
+                                   "--outer", str(outer), "--adversary", adv])
+    assert rc == 2 and out == ""
+    assert f"{adv}: field 'support' has the wrong JSON type" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qlde", "decode", "--code", "code.txt", "--syndrome", "00"],
+    ["qlde", "profile", "--code", "code.txt", "--delta", "0.5"],
+    ["nm", "verify", "--nm", "nm.json"],
+    ["auth", "simulate", "--protocol", "third", "--pmd-n", "2", "--pmd-lambda", "1",
+     "--outer", "outer.txt", "--attack", "attack.json"],
+])
+def test_unseeded_commands_refuse_seed(capsys, argv):
+    rc, out, err = invoke(capsys, argv + ["--seed", "1"])
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --seed 1" in err
+
+
+def test_nm_verify_and_qlde_decode_report_values_not_checks(capsys, tmp_path):
+    nm = _write_json(tmp_path, "nm.json", systematic_parity_nm(1).to_record())
+    rc, out, _ = invoke(capsys, ["nm", "verify", "--nm", nm, "--format", "json"])
+    payload = json.loads(out)
+    assert rc == 0 and payload["checks"] == [] and payload["passed"] is True
+    assert set(payload["extras"]) == {"epsilon_nm"}
+    code_file = tmp_path / "code.txt"
+    code_file.write_text(FOUR22_TEXT)
+    rc, out, _ = invoke(capsys, ["qlde", "decode", "--code", str(code_file),
+                                 "--erased", "0,1", "--syndrome", "00", "--format", "json"])
+    payload = json.loads(out)
+    assert rc == 0 and payload["checks"] == [] and payload["passed"] is True
+    assert payload["extras"] == {"list_size": 4,
+                                 "corrections": ["IIII", "ZZII", "XXII", "YYII"]}
+
+
 @pytest.mark.parametrize("argv", [
     ["pmd", "verify", "--n", "4", "--lambda", "2", "--samples", "5"],
     ["nm", "search", "--k", "1", "--n", "4", "--trials", "1"],
@@ -353,6 +419,27 @@ def test_config_file_sets_optionals(capsys, tmp_path):
     assert rc == 0
     payload = json.loads(out)
     assert payload["command"] == "sweep"
+
+
+def test_config_equals_form_sets_optionals(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    rc, out, _ = invoke(capsys, ["sweep", "--points", "2:1", f"--config={cfg}"])
+    assert rc == 0
+    assert json.loads(out)["command"] == "sweep"
+    rc, _, err = invoke(capsys, ["sweep", "--points", "2:1", "--config="])
+    assert rc == 2 and "--config needs a file path" in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--conf"])
+def test_config_not_spliced_exits_2(capsys, tmp_path, flag):
+    # A second --config, or an abbreviation of it, would not be read.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    rc, out, err = invoke(capsys, ["sweep", "--points", "2:1", "--config", str(cfg),
+                                   flag, str(cfg)])
+    assert rc == 2 and out == ""
+    assert f"unrecognized arguments: {flag} {cfg}" in err
 
 
 def test_config_file_rejects_unknown_key(capsys, tmp_path):
