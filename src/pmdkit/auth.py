@@ -5,7 +5,9 @@ exact LP-based verifier.  For a fixed tampering, the decoder's output
 distribution must be close to a message-independent mixture over
 {original, reject, unrelated value}; the verifier computes the exact
 tampered-decode distribution for every message and solves the best
-simulator distribution as a linear program over the simplex.
+simulator distribution as a linear program over the simplex, exactly
+(`lp.exact_lp`: a float simplex whose optimal basis is certified in
+rational arithmetic), so epsilon is a Fraction.
 
 Quantum side: Pauli one-time pads and their twirls, eta-Pauli channel
 classification, packing masses of product channels over stabilizer and
@@ -33,6 +35,7 @@ from .densesim import (apply_on_qubits, apply_pauli, check_trace_preserving,
                        codespace_isometry, dm_conjugate_pauli as _dm_conjugate_pauli)
 from .galois import FieldSpec
 from .limits import SizeGuardError
+from .lp import exact_lp
 from .symplectic import PauliOperator, StabilizerCode, pauli_span
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -209,19 +212,18 @@ def systematic_parity_nm(k: int) -> NmCode:
 class NmDecomposition:
     """Best simulator distribution for one tampering, plus its distance."""
 
-    epsilon: float
+    epsilon: Fraction
     simulator: dict  # atom -> probability; atoms: int message, REJECT, "same"
 
 
-def nm_decompose(code: NmCode, f: TamperFunction) -> NmDecomposition:
-    """Solve the inner simulator LP for one fixed tampering.
+def simulator_lp(code: NmCode, f: TamperFunction) -> tuple[np.ndarray, ...]:
+    """The simulator LP of one tampering as (c, A_ub, b_ub, A_eq, b_eq):
+    minimise c.x subject to A_ub x <= b_ub, A_eq x = b_eq and x >= 0.
 
     Atoms are the 2^k messages plus reject plus "same"; the objective
     is the worst-message total-variation distance to the exact
-    tampered-decode distribution.
+    tampered-decode distribution.  Every entry is a dyadic float.
     """
-    from scipy.optimize import linprog  # 0.3 s of import, needed only here
-
     dists = code.tampered_distributions(f)
     n_msg = 1 << code.k
     atoms = n_msg + 2  # [messages..., reject, same]
@@ -262,14 +264,16 @@ def nm_decompose(code: NmCode, f: TamperFunction) -> NmDecomposition:
     a_eq[0, :atoms] = 1.0
     objective = np.zeros(n_vars)
     objective[t_col] = 1.0
-    result = linprog(c=objective, A_ub=a_ub, b_ub=b_ub,
-                     A_eq=a_eq, b_eq=[1.0],
-                     bounds=[(0, None)] * n_vars, method="highs")
-    if not result.success:  # pragma: no cover - the LP is always feasible
-        raise RuntimeError(f"simulator LP failed: {result.message}")
-    simulator = {label: float(q) for label, q in zip([*range(n_msg), REJECT, "same"],
-                                                     result.x[:atoms]) if q > 1e-12}
-    return NmDecomposition(float(result.x[t_col]), simulator)
+    return objective, a_ub, b_ub, a_eq, np.ones(1)
+
+
+def nm_decompose(code: NmCode, f: TamperFunction) -> NmDecomposition:
+    """Solve the inner simulator LP (`simulator_lp`) for one fixed
+    tampering, exactly (`exact_lp`)."""
+    epsilon, x = exact_lp(*simulator_lp(code, f))
+    labels = [*range(1 << code.k), REJECT, "same"]
+    return NmDecomposition(epsilon, {label: float(q) for label, q in zip(labels, x)
+                                     if q > 0})
 
 
 def all_tamper_functions(n: int):
@@ -300,26 +304,40 @@ def nm_decode_tables(code: NmCode) -> tuple[np.ndarray, np.ndarray]:
     tampering, and masks[t] is the (a, b) pair of the first tampering in
     `tamper_masks` order that yields table t.  The and-masks are walked in
     that order, `_ENTRY_BUDGET` tampered words at a time, so the first
-    chunk that holds a table also holds its first tampering.
+    chunk that holds a table also holds its first tampering.  Tables are
+    deduplicated with two outcomes (-1..7, stored +1) to a byte, the first
+    in the high nibble; the packed rows sort like the outcome rows.
     """
     if code.k > 3 or code.n > 8 or code.k + code.rand_bits > 8:
         raise SizeGuardError("nm_verify sweeps 4^n tamperings of 2^(k + rand_bits) "
                              "codewords; needs k <= 3, n <= 8, k + rand_bits <= 8")
     size, n_words = 1 << code.n, code.codewords.size
-    codewords, decode = code.codewords.astype(np.uint8), code.decoded.astype(np.int8)
+    codewords, decode = code.codewords.astype(np.uint8), (code.decoded + 1).astype(np.uint8)
     b = np.arange(size, dtype=np.uint8)[:, None, None]
     step = max(1, _ENTRY_BUDGET // (size * n_words))
-    chunks, firsts = [], []
-    for start in range(0, size, step):
+
+    def distinct(start: int) -> tuple[np.ndarray, np.ndarray]:
+        """The packed distinct tables of the and-masks from `start` on, and
+        the index of each one's first tampering."""
         a = np.arange(start, min(start + step, size), dtype=np.uint8)[:, None, None, None]
         outcomes = np.sort(decode[(codewords & a) ^ b], axis=-1).reshape(-1, n_words)
-        tables, first = np.unique(outcomes, axis=0, return_index=True)
-        chunks.append(tables)
-        firsts.append(first + start * size)
+        if n_words % 2:
+            outcomes = np.pad(outcomes, ((0, 0), (0, 1)))
+        tables, first = np.unique((outcomes[:, ::2] << 4) | outcomes[:, 1::2], axis=0,
+                                  return_index=True)
+        return tables, first + start * size
+
+    chunks, firsts = zip(*map(distinct, range(0, size, step)))
     merged = np.concatenate(chunks)
-    chunks.clear()  # hold one copy of the chunk tables through the merge
-    tables, pick = np.unique(merged, axis=0, return_index=True)
+    del chunks  # hold one copy of the chunk tables through the merge
+    packed, pick = np.unique(merged, axis=0, return_index=True)
+    del merged
     masks = np.stack(np.divmod(np.concatenate(firsts)[pick], size), axis=1)
+    tables = np.empty((len(packed), 2 * packed.shape[1]), dtype=np.uint8)
+    np.right_shift(packed, 4, out=tables[:, ::2])
+    np.bitwise_and(packed, 15, out=tables[:, 1::2])
+    tables = tables.view(np.int8)[:, :n_words]
+    tables -= 1
     return tables.reshape(len(tables), *codewords.shape), masks
 
 
@@ -348,7 +366,7 @@ def nm_upper_bounds(tables: np.ndarray, k: int) -> np.ndarray:
     return best / (4 * n_msg * n_rand)
 
 
-def _nm_sweep(code: NmCode, solved: dict, stop_at: float = np.inf) -> float:
+def _nm_sweep(code: NmCode, solved: dict, stop_at: float = np.inf) -> Fraction:
     """Worst simulator gap over all 4^n tamperings, as a bound-pruned maximum.
 
     The LP of `nm_decompose` reads only k and the per-message decode
@@ -356,14 +374,14 @@ def _nm_sweep(code: NmCode, solved: dict, stop_at: float = np.inf) -> float:
     table (`nm_decode_tables`).  Tables are visited in descending order of
     their exact upper bound (`nm_upper_bounds`); once a bound falls more
     than 1e-9 below the running maximum, no later table can reach it and
-    the sweep ends.  `solved` maps (k, rand_bits, table bytes) to epsilon,
-    a key that fixes the whole LP, so one dict may serve several codes.
-    The sweep also ends once the running maximum reaches `stop_at`; its
-    return value is then only known to be >= `stop_at`.
+    the sweep ends.  `solved` maps (k, rand_bits, table bytes) to the exact
+    epsilon, a key that fixes the whole LP, so one dict may serve several
+    codes.  The sweep also ends once the running maximum reaches `stop_at`;
+    its return value is then only known to be >= `stop_at`.
     """
     tables, masks = nm_decode_tables(code)
     bounds = nm_upper_bounds(tables, code.k)
-    worst = 0.0
+    worst = Fraction(0)
     for t in np.argsort(-bounds, kind="stable"):
         if bounds[t] < worst - 1e-9 or worst >= stop_at:
             break
@@ -376,7 +394,7 @@ def _nm_sweep(code: NmCode, solved: dict, stop_at: float = np.inf) -> float:
     return worst
 
 
-def nm_verify(code: NmCode) -> float:
+def nm_verify(code: NmCode) -> Fraction:
     """max over deterministic bit-wise tamperings of the simulator gap.
 
     Randomized tamperings are convex mixtures of deterministic ones and
@@ -387,7 +405,7 @@ def nm_verify(code: NmCode) -> float:
 
 
 def nm_search(k: int, n: int, trials: int,
-              rng: np.random.Generator) -> tuple[NmCode, float]:
+              rng: np.random.Generator) -> tuple[NmCode, Fraction]:
     """Best-of-`trials` random injective table codes with one random
     bit, ranked by nm_verify.
 

@@ -276,8 +276,7 @@ def cmd_qlde_sample_css(args) -> int:
     rng = np.random.default_rng(np.random.Philox(seed))
     sample = sample_random_css(args.n, args.k, rng)
     report = Report("qlde sample-css", {"n": args.n, "k": args.k}, seed)
-    report.add("realized_k", sample.code.k, "target", args.k,
-               sample.code.k == args.k)
+    report.extras["realized_k"] = sample.code.k
     report.extras["first_draw_full_rank"] = sample.first_draw_full_rank
     report.extras["generators"] = [g.label() for g in sample.code.gens]
     if args.out_code:
@@ -364,13 +363,20 @@ def cmd_aqec_simulate(args) -> int:
 
 
 def _load_attack(path: str):
+    """(per-wire Kraus maps, record) of an attack file; only the rate-1/3
+    protocol reads the record's `classical` tampering."""
     record = _read_record(path)
-    wires = [_kraus(path, "wires", wire) for wire in record["wires"]]
-    classical = TamperFunction(tuple(record["classical"]))
-    return wires, classical
+    return [_kraus(path, "wires", wire) for wire in record["wires"]], record
+
+
+# The auth simulate option that each protocol never reads.
+_UNREAD_AUTH_OPTION = {"third": "inner", "rate1": "nm"}
 
 
 def cmd_auth_simulate(args) -> int:
+    unread = _UNREAD_AUTH_OPTION[args.protocol]
+    if getattr(args, unread) is not None:
+        raise ValueError(f"--{unread} is not read by --protocol {args.protocol}")
     family = build_bcgst_family(args.pmd_n, args.pmd_lambda)
     pmd = build_pmd(family)
     outer = parse_code(Path(args.outer).read_text(encoding="utf-8"))
@@ -384,7 +390,8 @@ def cmd_auth_simulate(args) -> int:
         nm = (NmCode.from_record(_read_record(args.nm)) if args.nm
               else systematic_parity_nm(2 * outer.n))
         proto = Auth13Protocol(composed, nm)
-        wires, classical = _load_attack(args.attack)
+        wires, record = _load_attack(args.attack)
+        classical = TamperFunction(tuple(record["classical"]))
         rep = auth13_attack_harness(proto, wires, classical)
         report.add("p_accept_wrong", f"{rep.p_accept_wrong:.12f}",
                    "eps_pmd^2 (key-recovered context)", f"{eps ** 2:.6f}",
@@ -403,7 +410,7 @@ def cmd_auth_simulate(args) -> int:
         inner_code = StabilizerCode(4, [PauliOperator.from_label("ZZZZ")],
                                     name="[[4,3]]")
     proto = Auth1Protocol(outer, compose(pmd, inner_code))
-    wires, _classical = _load_attack(args.attack)
+    wires, _ = _load_attack(args.attack)
     if len(wires) != proto.total_quantum:
         raise ValueError(f"attack needs {proto.total_quantum} quantum wires")
     message = np.zeros(1 << outer.k, dtype=complex)
@@ -433,7 +440,7 @@ def cmd_nm_search(args) -> int:
     code, eps = nm_search(args.k, args.n, args.trials, rng)
     report = Report("nm search", {"k": args.k, "n": args.n, "trials": args.trials},
                     seed)
-    report.add("epsilon_nm", f"{eps:.12f}", "best-of-trials", args.trials, True)
+    report.add("epsilon_nm", f"{float(eps):.12f}", "best-of-trials", args.trials, True)
     if args.out_nm:
         Path(args.out_nm).write_text(code.dumps(), encoding="utf-8")
     return _emit(report, args)
@@ -443,7 +450,8 @@ def cmd_nm_verify(args) -> int:
     code = NmCode.from_record(_read_record(args.nm))
     eps = nm_verify(code)
     report = Report("nm verify", {"nm": args.nm, "k": code.k, "n": code.n}, None)
-    report.extras["epsilon_nm"] = f"{eps:.12f}"
+    report.extras["epsilon_nm"] = f"{float(eps):.12f}"
+    report.extras["epsilon_nm_exact"] = _frac(eps)
     return _emit(report, args)
 
 
@@ -565,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     asim.add_argument("--inner", default=None,
                       help="inner stabilizer code file (rate1 only)")
     asim.add_argument("--attack", required=True)
-    asim.add_argument("--nm", default=None)
+    asim.add_argument("--nm", default=None,
+                      help="non-malleable key code file (third only)")
     _add_common(asim)
     asim.set_defaults(func=cmd_auth_simulate)
 

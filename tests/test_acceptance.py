@@ -353,9 +353,9 @@ def test_criterion_09_nm_verifier():
         assert nm_decompose(code, const).epsilon <= 1e-9
     rng = np.random.default_rng(np.random.Philox(21))
     _, searched_eps = nm_search(2, 6, 2, rng)
-    assert abs(searched_eps - 2 / 3) <= 1e-9  # seeded regression constant
+    assert searched_eps == Fraction(2, 3)  # seeded regression constant, exact
     report(9, True, "keep-all and constant substitutions decompose at 0; "
-                    f"seeded searched code pinned at eps_nm = {searched_eps:.6f}")
+                    f"seeded searched code pinned at eps_nm = {searched_eps}")
 
 
 def test_criterion_10_packing_inequalities():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pmdkit import auth
+from pmdkit import auth, lp
 from pmdkit.aqec import compose
 from pmdkit.auth import (Auth1Protocol, Auth13Protocol, NmCode, TamperFunction,
                          abs_coeffs_from_kraus, all_tamper_functions,
@@ -15,13 +15,15 @@ from pmdkit.auth import (Auth1Protocol, Auth13Protocol, NmCode, TamperFunction,
                          eta_classify, nm_decode_tables, nm_decompose, nm_search,
                          nm_upper_bounds, nm_verify,
                          normalizer_l1_mass, pad_to_pauli, pauli_channel_choi,
-                         pauli_decompose_channel, pure_distance, stabilizer_mass,
+                         pauli_decompose_channel, pure_distance, simulator_lp,
+                         stabilizer_mass,
                          substitution_attack, substitution_overlap_oracle,
                          systematic_parity_nm, tamper_from_masks, tamper_masks,
                          twirl_channel,
                          twirled_choi_by_pad_average, twise_pad,
                          twise_pad_seed_bits, REJECT)
 from pmdkit.limits import SizeGuardError
+from pmdkit.lp import exact_lp
 from pmdkit.pmd import build_pmd, measure_pmd_epsilon
 from pmdkit.ptc import build_bcgst_family
 from pmdkit.symplectic import PauliOperator, StabilizerCode
@@ -251,21 +253,17 @@ def simulator_lp_rows_by_loop(code, f):
     return np.array(a_ub), np.array(b_ub)
 
 
-def test_simulator_lp_rows_match_row_by_row_build(monkeypatch):
-    import scipy.optimize
+def test_simulator_lp_rows_match_row_by_row_build():
     rng = np.random.default_rng(33)
-    seen = []
-    real = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda **kw: seen.append(kw) or real(**kw))
     codes = [systematic_parity_nm(2), random_decode_table_code(rng, 2, 5, 1),
              random_decode_table_code(rng, 3, 6, 2)]
     for code in codes:
         for _ in range(6):
             f = TamperFunction(tuple(rng.choice(auth.BIT_TAGS, size=code.n).tolist()))
-            nm_decompose(code, f)
+            _, got_a_ub, got_b_ub, _, _ = simulator_lp(code, f)
             a_ub, b_ub = simulator_lp_rows_by_loop(code, f)
-            assert np.array_equal(seen[-1]["A_ub"], a_ub)
-            assert np.array_equal(seen[-1]["b_ub"], b_ub)
+            assert np.array_equal(got_a_ub, a_ub)
+            assert np.array_equal(got_b_ub, b_ub)
 
 
 def test_tampered_distributions_check_arity():
@@ -470,8 +468,8 @@ def test_nm_upper_bounds_dominate_lp_epsilon(which, seed21_trials):
     bounds = nm_upper_bounds(tables, code.k)
     eps = np.array([nm_decompose(code, tamper_from_masks(int(a), int(b), code.n)).epsilon
                     for a, b in masks])
-    # The bounds are exact dyadics; 1e-12 covers HiGHS's float optimum.
-    assert np.all(eps <= bounds + 1e-12)
+    # The bounds are exact dyadics and the LP optima exact Fractions.
+    assert all(e <= bound for e, bound in zip(eps, bounds.tolist()))
     assert np.all(bounds * (1 << (code.k + code.rand_bits + 2)) % 1 == 0)
 
 
@@ -485,6 +483,183 @@ def test_nm_search_stops_a_losing_trial_early(monkeypatch):
     code = systematic_parity_nm(2)
     assert auth._nm_sweep(code, {}, stop_at=1e-6) >= 1e-6
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# The exact simplex behind nm_decompose
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def swept_lps():
+    """(code, tampering) of every LP that nm_verify solves on parity k = 1..3
+    and that nm_search(2, 5, 2) solves at seeds 21..36."""
+    seen, real = [], auth.nm_decompose
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(auth, "nm_decompose",
+                      lambda code, f: seen.append((code, f)) or real(code, f))
+        for k in (1, 2, 3):
+            nm_verify(systematic_parity_nm(k))
+        for seed in range(21, 37):
+            nm_search(2, 5, 2, np.random.default_rng(np.random.Philox(seed)))
+    return seen
+
+
+def test_exact_lp_matches_highs(swept_lps):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    assert len(swept_lps) > 300
+    optima = set()
+    for code, f in swept_lps:
+        c, a_ub, b_ub, a_eq, b_eq = simulator_lp(code, f)
+        value, x = exact_lp(c, a_ub, b_ub, a_eq, b_eq)
+        highs = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                        bounds=[(0, None)] * len(c), method="highs")
+        assert highs.success and abs(value - highs.fun) <= 1e-12
+        assert type(value) is Fraction
+        assert value == sum(Fraction(ci) * xi for ci, xi in zip(c, x))
+        optima.add(value)
+    assert optima == {Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(3, 4),
+                      Fraction(4, 5), Fraction(7, 8)}
+
+
+def fraction_simplex(c, a_ub, b_ub, a_eq, b_eq):
+    """Oracle: min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, by
+    a textbook two-phase tableau with Bland's rule on lists of Fractions.
+    Every row gets an artificial; artificials never enter."""
+    rows = [list(map(Fraction, row)) for row in np.vstack([a_ub, a_eq])]
+    rhs = list(map(Fraction, np.concatenate([b_ub, b_eq])))
+    m, n, m_ub = len(rows), len(c), len(b_ub)
+    real_cols = n + m_ub
+    tab = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        full = row + [Fraction(i == j) for j in range(m_ub)] + [Fraction(0)] * m
+        if b < 0:
+            full, b = [-v for v in full], -b
+        full[real_cols + i] = Fraction(1)
+        tab.append(full + [b])
+    basis = [real_cols + i for i in range(m)]
+
+    def pivot(r, j):
+        tab[r] = [v / tab[r][j] for v in tab[r]]
+        for i in range(m):
+            if i != r and tab[i][j]:
+                tab[i] = [v - tab[i][j] * w for v, w in zip(tab[i], tab[r])]
+        basis[r] = j
+
+    def optimise(cost):
+        while True:
+            reduced = [cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m))
+                       for j in range(real_cols)]
+            entering = [j for j, r in enumerate(reduced) if r < 0]
+            if not entering:
+                return sum(cost[basis[i]] * tab[i][-1] for i in range(m))
+            j = entering[0]
+            _, _, r = min((tab[i][-1] / tab[i][j], basis[i], i) for i in range(m)
+                          if tab[i][j] > 0)
+            pivot(r, j)
+
+    assert optimise([0] * real_cols + [1] * m) == 0
+    for r in range(m):
+        if basis[r] >= real_cols:
+            cols = [j for j in range(real_cols) if tab[r][j]]
+            if cols:
+                pivot(r, cols[0])
+    return optimise(list(map(Fraction, c)) + [0] * (m_ub + m))
+
+
+def distinct_table_lps(code):
+    """One tampering per distinct decode table of the code."""
+    _, masks = nm_decode_tables(code)
+    return [tamper_from_masks(int(a), int(b), code.n) for a, b in masks]
+
+
+def record_results(monkeypatch, owner, name, results):
+    """Wrap owner.name so that each call's result is appended to `results`."""
+    real = getattr(owner, name)
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+    monkeypatch.setattr(owner, name, recording)
+
+
+K1_CODES = {"parity_k1": lambda: systematic_parity_nm(1),
+            "random_k1_n4": lambda: random_table_codes(1, 4, 1, 5)[0]}
+
+
+@pytest.mark.parametrize("make", K1_CODES.values(), ids=K1_CODES.keys())
+def test_exact_lp_equals_fraction_tableau_oracle(make):
+    code = make()
+    tampers = distinct_table_lps(code)
+    assert len(tampers) > 10
+    for f in tampers:
+        assert nm_decompose(code, f).epsilon == fraction_simplex(*simulator_lp(code, f))
+
+
+@pytest.mark.parametrize("make", K1_CODES.values(), ids=K1_CODES.keys())
+def test_exact_pivoting_takes_over_when_the_rational_point_fails(monkeypatch, make):
+    code = make()
+    tampers = distinct_table_lps(code)
+    want = [nm_decompose(code, f).epsilon for f in tampers]
+    certified = []
+    record_results(monkeypatch, lp, "_certificate", certified)
+    # The float solution is read as the origin, which violates sum(q) = 1.
+    monkeypatch.setattr(lp, "_rationalise", lambda values: [Fraction(0)] * len(values))
+    assert [nm_decompose(code, f).epsilon for f in tampers] == want
+    assert certified == [v for eps in want for v in (None, eps)]
+
+
+def test_exact_pivoting_continues_from_a_feasible_float_basis(monkeypatch):
+    # The float stage stops after phase 1: its basis is feasible but, on
+    # some tables, not optimal, and the Fraction simplex pivots on from it.
+    code = random_table_codes(1, 4, 1, 5)[0]
+    tampers = distinct_table_lps(code)
+    want = [nm_decompose(code, f).epsilon for f in tampers]
+    real_solve = lp._Simplex.solve
+    stopped_at, entered = [], []
+
+    def phase_one_only(self, limit=None):
+        if not self.tol:
+            return real_solve(self, limit)
+        phase1 = np.zeros_like(self.cost)
+        phase1[self.n_std:-1] = 1
+        self.price(phase1)
+        self.bland(limit)
+        self.drive_out_artificials()
+        self.price(self.cost)
+        stopped_at.append(-self.tab[-1, -1])
+
+    monkeypatch.setattr(lp._Simplex, "solve", phase_one_only)
+    record_results(monkeypatch, lp._Simplex, "enter", entered)
+    assert [nm_decompose(code, f).epsilon for f in tampers] == want
+    assert all(entered)
+    improved = [start > eps + 1e-9 for start, eps in zip(stopped_at, want)]
+    assert any(improved) and len(entered) >= sum(improved)
+
+
+def test_exact_simplex_restarts_when_the_float_basis_is_infeasible(monkeypatch):
+    # With a huge tolerance the float stage never leaves its initial basis,
+    # whose artificials are positive: the Fraction simplex starts afresh.
+    code = systematic_parity_nm(1)
+    tampers = distinct_table_lps(code)
+    want = [nm_decompose(code, f).epsilon for f in tampers]
+    monkeypatch.setattr(lp, "_FLOAT_TOL", 10.0)
+    entered = []
+    record_results(monkeypatch, lp._Simplex, "enter", entered)
+    assert [nm_decompose(code, f).epsilon for f in tampers] == want
+    assert entered == [False] * len(tampers)
+
+
+def test_nm_decompose_simulator_is_the_exact_optimal_point():
+    code = systematic_parity_nm(2)
+    tags = ["keep"] * code.n
+    tags[0] = tags[code.k] = "flip"
+    f = TamperFunction(tuple(tags))
+    value, x = exact_lp(*simulator_lp(code, f))
+    dec = nm_decompose(code, f)
+    assert dec.epsilon == value and type(dec.epsilon) is Fraction
+    labels = [*range(1 << code.k), REJECT, "same"]
+    assert dec.simulator == {label: float(q) for label, q in zip(labels, x) if q > 0}
+    assert sum(x[:len(labels)]) == 1
 
 
 # ---------------------------------------------------------------------------

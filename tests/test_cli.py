@@ -85,9 +85,11 @@ def test_qlde_profile_bound_negative_control(capsys, tmp_path):
 
 def test_qlde_sample_css_roundtrip(capsys, tmp_path):
     out_code = tmp_path / "sampled.txt"
-    rc, _, _ = invoke(capsys, ["qlde", "sample-css", "--n", "6", "--k", "2",
-                               "--seed", "9", "--out-code", str(out_code)])
+    rc, out, _ = invoke(capsys, ["qlde", "sample-css", "--n", "6", "--k", "2", "--seed", "9",
+                                 "--out-code", str(out_code), "--format", "json"])
     assert rc == 0
+    payload = json.loads(out)
+    assert payload["checks"] == [] and payload["extras"]["realized_k"] == 2
     rc2, out, _ = invoke(capsys, ["qlde", "profile", "--code", str(out_code),
                                   "--delta", "0.17"])
     assert rc2 == 0
@@ -187,6 +189,46 @@ def test_nm_search_verify_roundtrip(capsys, tmp_path):
     assert rc2 == 0
     assert "epsilon_nm" in out2
 
+
+def test_nm_verify_reports_the_exact_epsilon_of_the_seed21_winner(capsys, tmp_path):
+    nm_file = tmp_path / "nm.json"
+    rc, out, _ = invoke(capsys, ["nm", "search", "--k", "2", "--n", "5", "--trials", "2",
+                                 "--seed", "21", "--out-nm", str(nm_file)])
+    assert rc == 0 and "[PASS] epsilon_nm: 0.666666666667" in out
+    rc, out, _ = invoke(capsys, ["nm", "verify", "--nm", str(nm_file), "--format", "json"])
+    assert rc == 0
+    assert json.loads(out)["extras"] == {"epsilon_nm": "0.666666666667",
+                                         "epsilon_nm_exact": "2/3"}
+
+
+@pytest.mark.parametrize("protocol, option", [("rate1", "--nm"), ("third", "--inner")])
+def test_auth_simulate_refuses_an_option_its_protocol_never_reads(capsys, tmp_path,
+                                                                   protocol, option):
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=4 k=3\nXXXX\n")
+    rc, out, err = invoke(capsys, ["auth", "simulate", "--protocol", protocol,
+                                   "--pmd-n", "2", "--pmd-lambda", "1", "--outer", str(outer),
+                                   "--attack", "attack.json", option, "does-not-exist"])
+    assert rc == 2 and out == ""
+    assert f"{option} is not read by --protocol {protocol}" in err
+
+
+def test_auth_simulate_rate1_attack_without_classical(capsys, tmp_path):
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=2 k=1\nXX\n")
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    argv = ["auth", "simulate", "--protocol", "rate1", "--pmd-n", "2", "--pmd-lambda", "1",
+            "--outer", str(outer), "--format", "json", "--attack"]
+    with_classical = _write_json(tmp_path, "a.json", {"wires": [[eye]] * 8,
+                                                      "classical": ["keep"] * 18})
+    without = _write_json(tmp_path, "b.json", {"wires": [[eye]] * 8})
+    rc1, out1, _ = invoke(capsys, argv + [with_classical])
+    rc2, out2, _ = invoke(capsys, argv + [without])
+    assert rc1 == rc2 == 0
+    first, second = json.loads(out1), json.loads(out2)
+    assert first["config"].pop("attack") == with_classical
+    assert second["config"].pop("attack") == without
+    assert first == second and first["passed"]
 
 def test_auth_simulate_wrong_length_tampering_exits_2(capsys, tmp_path):
     outer = tmp_path / "outer.txt"
@@ -300,7 +342,7 @@ def test_nm_verify_and_qlde_decode_report_values_not_checks(capsys, tmp_path):
     rc, out, _ = invoke(capsys, ["nm", "verify", "--nm", nm, "--format", "json"])
     payload = json.loads(out)
     assert rc == 0 and payload["checks"] == [] and payload["passed"] is True
-    assert set(payload["extras"]) == {"epsilon_nm"}
+    assert payload["extras"] == {"epsilon_nm": "0.500000000000", "epsilon_nm_exact": "1/2"}
     code_file = tmp_path / "code.txt"
     code_file.write_text(FOUR22_TEXT)
     rc, out, _ = invoke(capsys, ["qlde", "decode", "--code", str(code_file),
@@ -393,15 +435,24 @@ def test_ptc_check_sampling_refuses_words_wider_than_64_bits(capsys):
     assert "needs n <= 32" in err
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # nm search and nm verify solve their LPs in-repo: scipy is never imported.
     env = dict(os.environ)
     src = str(Path(pmdkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, pmdkit.cli; print('scipy.optimize' in sys.modules)"
+    nm = tmp_path / "parity.json"
+    nm.write_text(systematic_parity_nm(2).dumps())
+    probe = ("import sys, pmdkit.cli as cli\n"
+             "assert cli.run(['nm', 'search', '--k', '2', '--n', '5', '--trials', '2',"
+             " '--seed', '21']) == 0\n"
+             f"assert cli.run(['nm', 'verify', '--nm', {str(nm)!r}]) == 0\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert "epsilon_nm: 0.666666666667" in done.stdout
+    assert "epsilon_nm_exact: 3/4" in done.stdout
 
 
 def test_sweep_deterministic_repeat(capsys):
