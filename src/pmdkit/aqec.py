@@ -23,16 +23,18 @@ message occupies the lowest qubits of the code block after decoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .densesim import (apply_circuit, apply_on_qubits, apply_pauli,
-                       check_trace_preserving, maximally_entangled_overlap)
+from .densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
+                       check_trace_preserving, codespace_isometry,
+                       maximally_entangled_overlap, pauli_gather)
 from .limits import check_qubits
 from .pmd import PmdCode, auth_unitary
 from .qlde import CorrectionList, erasure_list_decode
-from .symplectic import CliffordCircuit, PauliOperator, StabilizerCode
+from .symplectic import CliffordCircuit, StabilizerCode
 
 WEIGHT_TOL = 1e-12
 
@@ -43,6 +45,8 @@ class ComposedCode:
 
     pmd: PmdCode
     outer: StabilizerCode
+    # (erased set, syndrome bits) -> (candidate list, its cascade or None)
+    _cascades: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.outer.k != self.pmd.total:
@@ -59,8 +63,25 @@ class ComposedCode:
         return self.pmd.message_qubits
 
     def encoder_isometry(self) -> np.ndarray:
-        from .densesim import codespace_isometry
-        return codespace_isometry(self.outer) @ self.pmd.encoder
+        """The composed isometry, computed once per code and read-only."""
+        return self._isometry
+
+    @cached_property
+    def _isometry(self) -> np.ndarray:
+        iso = codespace_isometry(self.outer) @ self.pmd.encoder
+        iso.flags.writeable = False
+        return iso
+
+    def correction_cascade(self, erased: tuple[int, ...], s_bits: tuple[int, ...]
+                           ) -> tuple[CorrectionList, CorrectionCascade | None]:
+        """The candidate list of an erased set and syndrome, and its cascade
+        (None when the list is empty), built once per code."""
+        key = (erased, s_bits)
+        if key not in self._cascades:
+            corrections = erasure_list_decode(self.outer, erased, s_bits)
+            cascade = CorrectionCascade(corrections, self) if corrections.entries else None
+            self._cascades[key] = corrections, cascade
+        return self._cascades[key]
 
 
 def compose(pmd: PmdCode, outer: StabilizerCode) -> ComposedCode:
@@ -179,8 +200,10 @@ class CorrectionCascade:
     the previous flag being 0, switch corrections and authenticate onto
     the next flag (a previous success just cascades 1s down the flags).
 
-    `apply` runs the detection step structurally and needs every flag in
-    |0>; `dense` is the full unitary built with the dense `auth_unitary`.
+    `decode` runs the revert and the un-encoding, which touch no flag,
+    before appending the flags; `apply` (its oracle) takes them appended.
+    Both run the detection step structurally and need every flag in |0>;
+    `dense` is the full unitary built with the dense `auth_unitary`.
     """
 
     def __init__(self, corrections: CorrectionList, code: ComposedCode):
@@ -190,6 +213,7 @@ class CorrectionCascade:
         self.entries = corrections.entries
         self.length = len(self.entries)
         check_qubits(code.n + self.length, "algorithm2_unitary")
+        self._revert = self.entries[0].inverse()
         self._outer_dec = code.outer.encoder.inverse()
         # Switch operators in the decoded frame: candidate i -> i+1.
         self._switches = []
@@ -197,36 +221,50 @@ class CorrectionCascade:
             step = self.entries[i + 1].inverse().mul(self.entries[i])
             self._switches.append(self._outer_dec.conjugate_pauli(step))
 
+    def decode(self, vec: np.ndarray) -> np.ndarray:
+        """`apply` to vec (x) |0...0>, the flags appended above vec's qubits."""
+        n_qubits = vec.shape[0].bit_length() - 1
+        head = self._head(vec)
+        wide = np.zeros((head.shape[0] << self.length,) + head.shape[1:], dtype=complex)
+        wide[: head.shape[0]] = head
+        return self._flag_steps(wide, n_qubits + self.length, n_qubits, self._detect)
+
     def apply(self, vec: np.ndarray, n_qubits: int, flag_base: int) -> np.ndarray:
         """Run the cascade; flags occupy [flag_base, flag_base+L), all |0>."""
         if not self.code.n <= flag_base <= n_qubits - self.length:
             raise ValueError(f"flags [{flag_base}, {flag_base + self.length}) must "
                              f"lie above the code block and within {n_qubits} qubits")
-        return self._run(vec, n_qubits, flag_base, self._detect)
+        return self._flag_steps(self._head(vec), n_qubits, flag_base, self._detect)
 
     def dense(self) -> np.ndarray:
         total = self.code.n + self.length
         check_qubits(total, "cascade dense matrix", limit=11)
         auth = auth_unitary(self.code.pmd)
         pmd_qubits = tuple(range(self.code.pmd.total))
+        # On (PMD, flag, flag below): auth where the flag below is 0; where
+        # it is 1, just increment the cascade by flipping the flag.
+        flip = np.kron(GATE_MATRICES["x"], np.eye(len(auth) // 2))
+        controlled_auth = np.kron(np.diag([1, 0]), auth) + np.kron(np.diag([0, 1]), flip)
 
         def detect(vec, n_qubits, flag, controlled):
             if controlled:
-                return _apply_controlled_auth(vec, n_qubits, flag - 1, auth,
-                                              pmd_qubits, flag)
+                return apply_on_qubits(controlled_auth, pmd_qubits + (flag, flag - 1),
+                                       vec, n_qubits)
             return apply_on_qubits(auth, pmd_qubits + (flag,), vec, n_qubits)
 
-        return self._run(np.eye(1 << total, dtype=complex), total, self.code.n, detect)
+        eye = np.eye(1 << total, dtype=complex)
+        return self._flag_steps(self._head(eye), total, self.code.n, detect)
 
-    def _run(self, vec, n_qubits, flag_base, detect):
-        out = _apply_pauli_on_block(self.entries[0].inverse(), vec, n_qubits)
-        out = _apply_circuit_on_block(self._outer_dec, out, n_qubits)
-        out = detect(out, n_qubits, flag_base, False)
-        for i in range(1, self.length):
-            prev_flag = flag_base + i - 1
-            out = _apply_controlled_pauli(out, n_qubits, prev_flag, 0,
-                                          self._switches[i - 1])
-            out = detect(out, n_qubits, prev_flag + 1, True)
+    def _head(self, vec: np.ndarray) -> np.ndarray:
+        """Revert candidate 1 and un-encode the outer code on the low qubits."""
+        return apply_circuit(self._outer_dec, pauli_gather(vec, self._revert))
+
+    def _flag_steps(self, vec, n_qubits, flag_base, detect):
+        out = detect(vec, n_qubits, flag_base, False)
+        for i, switch in enumerate(self._switches):
+            flag = flag_base + i
+            out = pauli_gather(out, switch, control=(flag, 0))
+            out = detect(out, n_qubits, flag + 1, True)
         return out
 
     def _detect(self, vec: np.ndarray, n_qubits: int, flag: int,
@@ -257,48 +295,6 @@ class CorrectionCascade:
         return out.T.reshape(vec.shape)
 
 
-def _apply_pauli_on_block(p: PauliOperator, vec: np.ndarray, n_qubits: int) -> np.ndarray:
-    wide = PauliOperator(n_qubits, p.x, p.z, p.phase)
-    return apply_pauli(wide, vec)
-
-
-def _apply_circuit_on_block(circ: CliffordCircuit, vec: np.ndarray,
-                            n_qubits: int) -> np.ndarray:
-    wide = CliffordCircuit(n_qubits, circ.gates)
-    return apply_circuit(wide, vec)
-
-
-def _flag_masks(n_qubits: int, flag: int):
-    idx = np.arange(1 << n_qubits)
-    hot = ((idx >> flag) & 1).astype(bool)
-    return ~hot, hot
-
-
-def _masked(vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return vec * (mask if vec.ndim == 1 else mask[:, None])
-
-
-def _apply_controlled_pauli(vec: np.ndarray, n_qubits: int, control: int,
-                            control_val: int, p: PauliOperator) -> np.ndarray:
-    cold, hot = _flag_masks(n_qubits, control)
-    active = cold if control_val == 0 else hot
-    # The Pauli never touches the control qubit, so it maps the active
-    # subspace to itself and the inactive part rides along unchanged.
-    return _apply_pauli_on_block(p, _masked(vec, active), n_qubits) \
-        + _masked(vec, ~active)
-
-
-def _apply_controlled_auth(vec: np.ndarray, n_qubits: int, control: int,
-                           auth: np.ndarray, pmd_qubits: tuple[int, ...],
-                           target_flag: int) -> np.ndarray:
-    cold, hot = _flag_masks(n_qubits, control)
-    out = apply_on_qubits(auth, pmd_qubits + (target_flag,), _masked(vec, cold),
-                          n_qubits)
-    # Control 1: just increment the cascade by flipping the next flag.
-    x_flag = PauliOperator(n_qubits, 1 << target_flag, 0, 0)
-    return out + apply_pauli(x_flag, _masked(vec, hot))
-
-
 def algorithm2_unitary(corrections: CorrectionList, code: ComposedCode) -> CorrectionCascade:
     return CorrectionCascade(corrections, code)
 
@@ -311,7 +307,6 @@ def algorithm1_decode(branch: TaggedBranch,
     A zero-probability-free outcome with an empty correction list is an
     invariant violation and raises.
     """
-    n_now = branch.n_qubits
     outer = code.outer
     max_list = 0
     decoded = []
@@ -319,24 +314,20 @@ def algorithm1_decode(branch: TaggedBranch,
         post = branch.vector
         for i, g in enumerate(outer.gens):
             want = (outcome >> i) & 1
-            post = 0.5 * (post + (1 - 2 * want) * _apply_pauli_on_block(g, post, n_now))
+            post = 0.5 * (post + (1 - 2 * want) * pauli_gather(post, g))
         prob = float(np.vdot(post, post).real)
         if prob <= WEIGHT_TOL:
             continue
         post = post / np.sqrt(prob)
         s_bits = tuple((outcome >> i) & 1 for i in range(outer.r))
-        corrections = erasure_list_decode(outer, branch.erased, s_bits)
+        corrections, cascade = code.correction_cascade(branch.erased, s_bits)
         if not corrections.entries:
             raise RuntimeError(
                 f"syndrome {s_bits} has probability {prob:.3e} but no supported "
                 "correction; erasure bookkeeping is inconsistent")
         max_list = max(max_list, len(corrections.entries))
-        cascade = CorrectionCascade(corrections, code)
-        flags = len(corrections.entries)
-        widened = np.zeros(post.shape[0] << flags, dtype=complex)
-        widened[: post.shape[0]] = post
-        result = cascade.apply(widened, n_now + flags, n_now)
-        decoded.append(TaggedBranch(branch.weight * prob, result, branch.erased))
+        decoded.append(TaggedBranch(branch.weight * prob, cascade.decode(post),
+                                    branch.erased))
     return decoded, max_list
 
 
@@ -359,14 +350,8 @@ def entangled_code_state(code: ComposedCode) -> np.ndarray:
 
     Code block on qubits [0, n), reference on [n, n + k_msg).
     """
-    iso = code.encoder_isometry()
-    k = code.message_qubits
-    vec = np.zeros((1 << code.n) * (1 << k), dtype=complex)
-    for m in range(1 << k):
-        offset = m << code.n
-        vec[offset:offset + (1 << code.n)] += iso[:, m]
-    vec /= np.sqrt(1 << k)
-    return vec
+    # Reference basis state m carries column m of the isometry.
+    return code.encoder_isometry().T.reshape(-1) / np.sqrt(1 << code.message_qubits)
 
 
 def erasure_harness(code: ComposedCode, adv: ErasureAdversary,

@@ -349,9 +349,14 @@ def nm_upper_bounds(tables: np.ndarray, k: int) -> np.ndarray:
     q = the mean of the D_s, and q = (D_t + D_u) / 2 for each pair of
     messages t <= u (t = u is D_t itself).  The sums are kept in integers
     over the common denominator 4 * 2^k * 2^rand_bits, so the bounds are
-    exact dyadic floats.
+    exact dyadic floats.  Tables are counted `_ENTRY_BUDGET` outcomes at a
+    time, which bounds the memory of the counts and their temporaries.
     """
     _, n_msg, n_rand = tables.shape
+    step = max(1, _ENTRY_BUDGET // (n_msg * n_rand))
+    if len(tables) > step:
+        return np.concatenate([nm_upper_bounds(tables[i:i + step], k)
+                               for i in range(0, len(tables), step)])
     # counts[t, s, o]: decode outcome o - 1 (o = 0 is reject) for message s.
     counts = np.stack([np.count_nonzero(tables == o, axis=2)
                        for o in range(-1, 1 << k)], axis=2).astype(np.int32)
@@ -719,9 +724,6 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     total_qubits = n + k
     key_weight = 1.0 / proto.key_count
 
-    def widen(p: PauliOperator) -> PauliOperator:
-        return PauliOperator(total_qubits, p.x, p.z, p.phase)
-
     # Classical side: each key's decode distribution of the tampered
     # codeword; the padded state's weight goes to its decoded key s~.
     p_reject = 0.0
@@ -735,7 +737,7 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
                 p_reject += w
                 continue
             if padded is None:
-                padded = _dm_conjugate_pauli(widen(pad_to_pauli(s, n)), rho0)
+                padded = _dm_conjugate_pauli(pad_to_pauli(s, n), rho0)
             weights[s_tilde] = weights.get(s_tilde, 0.0) + w
             mixed[s_tilde] = mixed.get(s_tilde, 0.0) + w * padded
     dim = 1 << total_qubits
@@ -750,7 +752,7 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
     p_accept = p_wrong = fid_acc = 0.0
     for s_tilde, column in zip(mixed, stack.T):
-        unpad = widen(pad_to_pauli(s_tilde, n))
+        unpad = pad_to_pauli(s_tilde, n)
         sigma = _dm_conjugate_pauli(unpad, column.reshape(dim, dim, order="F"))
         tr, overlap = _trace_and_overlap(big_iso.conj().T @ sigma @ big_iso, k)
         p_accept += tr

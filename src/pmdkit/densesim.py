@@ -116,22 +116,31 @@ def f2_parity_array(values: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(v) & 1).astype(np.int64)
 
 
-def apply_pauli(p: PauliOperator, array: np.ndarray) -> np.ndarray:
-    """Apply a Pauli to a statevector or to each column of a matrix.
+def pauli_gather(array: np.ndarray, p: PauliOperator,
+                 control: tuple[int, int] | None = None) -> np.ndarray:
+    """P on the rows of `array` as one gather and one multiply.
 
-    Row index bit j is qubit j; columns (if any) are untouched.
+    Row index bit j is qubit j and the row count fixes the width, so P
+    acts on the low p.n qubits of a register that may be wider; columns
+    (if any) are untouched.  With control = (qubit, value), P acts only
+    on rows whose control bit equals value, and must not touch that qubit.
     """
+    rows = np.arange(array.shape[0])
+    active = True if control is None else ((rows >> control[0]) & 1) == control[1]
+    rows ^= active * p.x
+    # (P v)[r] = i^phase (-1)^{(r ^ x) . z} v[r ^ x]
+    signs = (1j ** p.phase) * (1 - 2.0 * f2_parity_array(rows & p.z))
+    if control is not None:
+        signs[~active] = 1
+    return array[rows] * (signs if array.ndim == 1 else signs[:, None])
+
+
+def apply_pauli(p: PauliOperator, array: np.ndarray) -> np.ndarray:
+    """`pauli_gather` on an array whose rows span exactly p.n qubits."""
     dim = 1 << p.n
     if array.shape[0] != dim:
         raise ValueError(f"array has {array.shape[0]} rows, expected {dim}")
-    rows = np.arange(dim) ^ p.x
-    signs = (1j ** p.phase) * (1 - 2.0 * f2_parity_array(np.arange(dim) & p.z))
-    out = np.empty_like(array, dtype=complex)
-    if array.ndim == 1:
-        out[rows] = signs * array
-    else:
-        out[rows] = signs[:, None] * array
-    return out
+    return pauli_gather(array, p)
 
 
 def apply_on_qubits(u: np.ndarray, qubits: tuple[int, ...], array: np.ndarray,
@@ -164,9 +173,10 @@ def apply_on_qubits(u: np.ndarray, qubits: tuple[int, ...], array: np.ndarray,
 
 
 def dm_conjugate_pauli(p: PauliOperator, rho: np.ndarray) -> np.ndarray:
-    """P rho P^dagger for a density matrix on p.n qubits."""
-    left = apply_pauli(p, rho)
-    return apply_pauli(p, left.conj().T).conj().T
+    """P rho P^dagger, P acting on the low p.n qubits of rho's register."""
+    rows = np.arange(rho.shape[0]) ^ p.x
+    signs = (1j ** p.phase) * (1 - 2.0 * f2_parity_array(rows & p.z))
+    return rho[np.ix_(rows, rows)] * np.outer(signs, signs.conj())
 
 
 def dm_apply_single_qubit_kraus(kraus, qubit: int, rho: np.ndarray,
@@ -185,15 +195,18 @@ def apply_circuit(circ: CliffordCircuit, array: np.ndarray) -> np.ndarray:
     """Apply a Clifford circuit to a statevector or to each column of a
     matrix, one view operation per gate on a C-ordered copy.
 
-    A one-qubit gate contracts the middle axis of the (-1, 2, 2^q * cols)
+    The rows index a register of at least circ.n qubits; the circuit acts
+    on its lowest circ.n qubits and any higher ones ride along.  A
+    one-qubit gate contracts the middle axis of the (-1, 2, 2^q * cols)
     view, which is qubit q, in one matrix product.  CNOT and CZ act on the
     (-1, 2, 2^(hi-lo-1), 2, 2^lo * cols) view of their two qubits: CZ
     negates the |11> slice, CNOT swaps the target's halves where the
     control is 1.
     """
-    n = circ.n
+    if _qubit_count(array.shape[0], "row") < circ.n:
+        raise ValueError(f"array has {array.shape[0]} rows, fewer than 2^{circ.n}")
     out = np.array(array, dtype=complex, order="C")
-    cols = out.size >> n
+    cols = out.size // out.shape[0]
     for name, qubits in circ.gates:
         if name in ("cnot", "cz"):
             lo, hi = sorted(qubits)

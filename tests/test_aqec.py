@@ -201,6 +201,9 @@ def test_cascade_apply_matches_dense_on_flag_zero_inputs(index):
     # Every flag-|0> column at once, then random vectors.
     cols = cascade.apply(np.eye(block << flags, dtype=complex)[:, :block], n + flags, n)
     assert np.allclose(cols, u[:, :block], rtol=0, atol=1e-12)
+    # decode appends the flags itself, after the revert and the outer decoder.
+    cols = cascade.decode(np.eye(block, dtype=complex))
+    assert np.allclose(cols, u[:, :block], rtol=0, atol=1e-12)
     for _ in range(3):
         vec = np.zeros(block << flags, dtype=complex)
         vec[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
@@ -214,6 +217,77 @@ def test_cascade_apply_matches_dense_on_flag_zero_inputs(index):
     want = apply_on_qubits(u, qubits, vec, n + 1 + flags)
     got = cascade.apply(vec, n + 1 + flags, n + 1)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.allclose(cascade.decode(vec[:2 * block]), want, rtol=0, atol=1e-12)
+
+
+def seed606_adversaries(code, count=100):
+    """The adversaries of `aqec simulate --count 100 --seed 606`."""
+    rng = np.random.default_rng(np.random.Philox(606))
+    return [random_adversary(code.n, 1, rng) for _ in range(count)]
+
+
+def test_decode_equals_apply_on_every_seed606_input(monkeypatch):
+    # Every cascade input of the seed-606 sweep: the narrow head gives the
+    # same bits as `apply` on the branch with its flags already appended.
+    code = main_setup()
+    real = CorrectionCascade.decode
+    cascades = {}
+
+    def checked(self, vec):
+        got = real(self, vec)
+        n = vec.shape[0].bit_length() - 1
+        widened = np.zeros(vec.shape[0] << self.length, dtype=complex)
+        widened[:vec.shape[0]] = vec
+        assert np.array_equal(got, self.apply(widened, n + self.length, n))
+        cascades[id(self)] = self
+        return got
+
+    monkeypatch.setattr(CorrectionCascade, "decode", checked)
+    eps = measure_pmd_epsilon(code.pmd).value
+    for adv in seed606_adversaries(code):
+        erasure_harness(code, adv, eps)
+    # Erased qubit 0..6 x syndrome 0/1, one cascade each.
+    assert len(cascades) == 14
+
+
+def test_seed606_decodes_each_erased_set_and_syndrome_once(monkeypatch, capsys, tmp_path):
+    # One list decode and one cascade per (erased set, syndrome) of the
+    # code; building them per branch and outcome made 336 of each.
+    import pmdkit.aqec as aqec
+    from pmdkit.cli import run
+    decodes, built = [], []
+    real_decode, real_cascade = aqec.erasure_list_decode, aqec.CorrectionCascade
+
+    def counted_decode(outer, erased, s_bits):
+        decodes.append((erased, s_bits))
+        return real_decode(outer, erased, s_bits)
+
+    def counted_cascade(corrections, code):
+        built.append(corrections)
+        return real_cascade(corrections, code)
+
+    monkeypatch.setattr(aqec, "erasure_list_decode", counted_decode)
+    monkeypatch.setattr(aqec, "CorrectionCascade", counted_cascade)
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=7 k=6\nZZZZZZZ\n")
+    assert run(["aqec", "simulate", "--pmd-n", "4", "--pmd-lambda", "2",
+                "--outer", str(outer), "--count", "100", "--seed", "606"]) == 0
+    assert "RESULT: ok" in capsys.readouterr().out
+    assert len(decodes) == len(set(decodes)) == 14
+    assert len(built) == 14
+
+
+def test_composed_isometry_is_computed_once_and_read_only():
+    code = small_setup()
+    iso = code.encoder_isometry()
+    assert code.encoder_isometry() is iso
+    assert not iso.flags.writeable
+    with pytest.raises(ValueError):
+        iso[0, 0] = 1.0
+    # The same code built anew has its own memo, with equal contents.
+    again = small_setup()
+    assert again.encoder_isometry() is not iso
+    assert np.array_equal(again.encoder_isometry(), iso)
 
 
 def encoded_message(code, rng):
@@ -358,8 +432,10 @@ def test_decode_raises_on_inconsistent_tag():
     rng = np.random.default_rng(11)
     _, encoded = encoded_message(code, rng)
     corrupted = apply_pauli(pauli("XIII"), encoded)
-    with pytest.raises(RuntimeError, match="no supported correction"):
-        algorithm1_decode(TaggedBranch(1.0, corrupted, ()), code)
+    # The memoized empty list raises on every call, not just the first.
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no supported correction"):
+            algorithm1_decode(TaggedBranch(1.0, corrupted, ()), code)
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,36 @@ def test_nm_decode_tables_chunked_equal_one_shot(monkeypatch, budget, seed21_tri
         assert np.array_equal(chunked_masks, masks)
 
 
+def one_shot_upper_bounds(tables, k):
+    """`nm_upper_bounds` over all tables at once, as it was before chunking."""
+    _, n_msg, n_rand = tables.shape
+    counts = np.stack([np.count_nonzero(tables == o, axis=2)
+                       for o in range(-1, 1 << k)], axis=2).astype(np.int32)
+    msg = np.arange(n_msg)
+    same = 4 * n_msg * (n_rand - counts[:, msg, msg + 1]).max(axis=1)
+    mean = 2 * np.abs(n_msg * counts - counts.sum(axis=1, keepdims=True)).sum(axis=2).max(axis=1)
+    best = np.minimum(same, mean)
+    for t in range(n_msg):
+        for u in range(t, n_msg):
+            mid = np.abs(2 * counts - counts[:, t:t + 1] - counts[:, u:u + 1])
+            best = np.minimum(best, n_msg * mid.sum(axis=2).max(axis=1))
+    return best / (4 * n_msg * n_rand)
+
+
+@pytest.mark.parametrize("budget", [1, 8 * 10, 8 * 72])
+def test_nm_upper_bounds_chunked_equal_one_shot(monkeypatch, budget, seed21_trials):
+    # Parity k = 2 has 73 tables of 4 x 2 outcomes: each budget splits them.
+    rng = np.random.default_rng(33)
+    codes = [systematic_parity_nm(k) for k in (1, 2, 3)] + list(seed21_trials[0])
+    codes.append(random_decode_table_code(rng, 2, 5, 1))
+    tables = [nm_decode_tables(code)[0] for code in codes]
+    assert len(tables[1]) == 73
+    monkeypatch.setattr(auth, "_ENTRY_BUDGET", budget)
+    for code, table in zip(codes, tables):
+        assert np.array_equal(nm_upper_bounds(table, code.k),
+                              one_shot_upper_bounds(table, code.k))
+
+
 @pytest.mark.parametrize("which", ["parity_k1", "parity_k2", "parity_k3",
                                    "seed21_trial0", "seed21_trial1"])
 def test_nm_upper_bounds_dominate_lp_epsilon(which, seed21_trials):

@@ -107,6 +107,32 @@ def test_aqec_simulate_seeded_sweep_deterministic(capsys, tmp_path):
     assert out1 == out2  # byte-identical reports for identical config+seed
 
 
+def test_aqec_simulate_reports_do_not_depend_on_earlier_codes(capsys, tmp_path):
+    # Cascades are memoized per composed code: a run with another outer
+    # code in between must not change the first run's bytes.
+    seven, other = tmp_path / "outer.txt", tmp_path / "other.txt"
+    seven.write_text(SEVEN6_TEXT)
+    other.write_text("n=7 k=6\nXXXXXXX\n")
+    def argv(outer):
+        return ["aqec", "simulate", "--pmd-n", "4", "--pmd-lambda", "2", "--outer",
+                str(outer), "--count", "20", "--seed", "606", "--format", "json"]
+
+    rc1, out1, _ = invoke(capsys, argv(seven))
+    rc2, out2, _ = invoke(capsys, argv(other))
+    rc3, out3, _ = invoke(capsys, argv(seven))
+    assert rc1 == rc2 == rc3 == 0
+    assert out1 == out3
+    # The middle run matches the same run in a fresh interpreter, where no
+    # earlier code exists to leak from.
+    env = dict(os.environ)
+    src = str(Path(pmdkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "pmdkit"] + argv(other), env=env,
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0
+    assert fresh.stdout == out2 != out1
+
+
 def test_aqec_simulate_adversary_file(capsys, tmp_path):
     outer = tmp_path / "outer.txt"
     outer.write_text(SEVEN6_TEXT)

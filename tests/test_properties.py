@@ -9,8 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from pmdkit import f2
 from pmdkit.auth import NmCode, REJECT, all_tamper_functions, nm_decompose, nm_verify
-from pmdkit.densesim import (apply_circuit, circuit_unitary, kraus_from_record,
-                             kraus_to_record, pauli_matrix)
+from pmdkit.densesim import (apply_circuit, circuit_unitary, dm_conjugate_pauli,
+                             kraus_from_record, kraus_to_record, pauli_gather,
+                             pauli_matrix)
 from pmdkit.galois import FieldSpec, compute_dual_basis
 from pmdkit.pmd import _norm_bounds
 from pmdkit.ptc import _key_syndromes, build_bcgst_family
@@ -112,6 +113,45 @@ def test_apply_circuit_matches_kron_gate_product(case, cols, seed):
     got = apply_circuit(circ, array)
     assert got.shape == array.shape
     assert np.allclose(got, want @ array, rtol=0, atol=1e-12)
+
+
+@st.composite
+def controlled_paulis(draw):
+    """A Pauli on n <= 6 qubits and, when one is free, maybe a control
+    (qubit, value) outside its support."""
+    p = draw(paulis(draw(st.integers(1, 6))))
+    free = [q for q in range(p.n) if not ((p.x | p.z) >> q) & 1]
+    if not free or not draw(st.booleans()):
+        return p, None
+    return p, (draw(st.sampled_from(free)), draw(st.integers(0, 1)))
+
+
+@_SETTINGS
+@given(controlled_paulis(), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_pauli_gather_matches_pauli_matrix(case, cols, seed):
+    p, control = case
+    dim = 1 << p.n
+    mat = pauli_matrix(p)
+    rng = np.random.default_rng(seed)
+    shape = (dim, cols) if cols else (dim,)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.allclose(pauli_gather(v, p), mat @ v, rtol=0, atol=1e-12)
+    # On a register one qubit wider, P acts on the low p.n qubits.
+    wide = np.kron(np.eye(2), mat)
+    v2 = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+    assert np.allclose(pauli_gather(v2, p), wide @ v2, rtol=0, atol=1e-12)
+    for m in (mat, wide):
+        rho = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        assert np.allclose(dm_conjugate_pauli(p, rho), m @ rho @ m.conj().T,
+                           rtol=0, atol=1e-12)
+    if control is not None:
+        # The masked form the cascade used: P (v . active) + v . inactive.
+        qubit, value = control
+        active = ((np.arange(dim) >> qubit) & 1) == value
+        mask = active if v.ndim == 1 else active[:, None]
+        want = mat @ (v * mask) + v * ~mask
+        got = pauli_gather(v, p, control=control)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 @st.composite
