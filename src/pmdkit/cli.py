@@ -459,8 +459,12 @@ def cmd_sweep(args) -> int:
     points = []
     if args.points:
         for token in args.points.split(","):
-            n_str, lam_str = token.split(":")
-            points.append((int(n_str), int(lam_str)))
+            try:
+                n_str, lam_str = token.split(":")
+                points.append((int(n_str), int(lam_str)))
+            except ValueError:
+                raise ValueError(f"--points token {token!r} is not of the form "
+                                 "n:lambda with two integers, e.g. 6:2") from None
     report = Report("sweep", {"points": args.points}, args.seed)
     rows = []
     for n, lam in points:

@@ -13,12 +13,15 @@ Key basis states are field elements in polynomial-basis bit order.
 The detection figure of merit is the worst operator norm of the
 code-space-compressed error, max over nonidentity Paulis E of
 |B^dag E B|, measured exhaustively (or by seeded sampling above the
-work guard).  The exhaustive sweep handles all Z parts of one X part
-with a Walsh transform factored over the key and code registers, and
-runs an SVD only on the blocks whose cheap norm bounds can still reach
-the running maximum.  The sampled path works in the frame of the
-per-key Clifford encoders, where each key's part of B^dag E B is a
-signed row gather from a table built once per key shift.
+work guard).  Both paths rest on the frame of the per-key Clifford
+encoders, where each key's part of B^dag E B is a signed row gather
+from a table U_{k^a}^dag B_k.  The sampled path sums these gathers.
+The exhaustive sweep handles all Z parts of one X part with a Walsh
+transform factored over the key and code registers.  It multiplies
+only the code Z rows whose frame bound (the sum over keys of the norms
+of the gathered slabs, rigorous by the triangle inequality) can still
+reach the running maximum, and runs an SVD only on the blocks whose
+cheap norm bounds can too.
 """
 
 from __future__ import annotations
@@ -144,11 +147,19 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
     sign pattern into one Walsh transform: the block of W T at row z is
     B^dag X^x Z^z B up to phase.  Rows are indexed key << n | c, so
     W = W_key (x) W_code is applied factor by factor, on the real view
-    of T.  Singular values are then computed only for blocks whose norm
-    bounds (`_norm_bounds` of the block, then the square root of the
-    same bounds on its Gram matrix) reach the running maximum less a
-    relative 1e-9, which no rounding error can cross; a skipped block
-    can neither exceed the maximum nor tie it.
+    of T.
+
+    Before the transform, `_row_bounds` bounds each code Z part z_c of
+    the x mask over all 2^lam key Z parts at once, and only the rows
+    W_code[z_c] whose bound reaches the running maximum less a relative
+    1e-9 are multiplied.  Singular values are then computed only for
+    blocks whose norm bounds (`_norm_bounds` of the block, then the
+    square root of the same bounds on its Gram matrix) reach that floor
+    too.  No rounding error can cross the 1e-9 margin, so a skipped row
+    or block can neither exceed the maximum nor tie it, and the argmax
+    is the first maximiser in (x, z) order.  Without a message qubit
+    the row bound is not built (at the final maximum it keeps nearly
+    every row there) and every row is multiplied.
     """
     total = pmd.total
     if samples is None:
@@ -163,17 +174,26 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
         walsh_code, walsh_key = _walsh_matrix(n), _walsh_matrix(lam)
         rows = np.arange(dim)
         conj = pmd.encoder.conj()
+        z_c, walsh_rows = np.arange(1 << n), walsh_code
+        if k_dim > 1:
+            row_bounds = _row_bounds(pmd)
         best = -1.0
         best_xz = (0, 0)
         for x_mask in range(1 << total):
+            floor = best * (1.0 - 1e-9)
+            if k_dim > 1:
+                # x_mask 0 keeps every row: the floor is still negative.
+                z_c = np.flatnonzero(row_bounds[x_mask >> n, x_mask & ((1 << n) - 1)] >= floor)
+                if z_c.size == 0:
+                    continue
+                walsh_rows = walsh_code[z_c]
             t = conj[:, :, None] * pmd.encoder[rows ^ x_mask][:, None, :]
-            t = np.matmul(walsh_code, t.view(float).reshape(1 << lam, 1 << n, -1))
+            t = np.matmul(walsh_rows, t.view(float).reshape(1 << lam, 1 << n, -1))
             blocks = (walsh_key @ t.reshape(1 << lam, -1)).view(complex)
-            blocks = blocks.reshape(dim, k_dim, k_dim)
+            blocks = blocks.reshape(-1, k_dim, k_dim)
             bound = _norm_bounds(blocks)
             if x_mask == 0:
                 bound[0] = -np.inf  # exclude the identity
-            floor = best * (1.0 - 1e-9)
             cand = np.flatnonzero(bound >= floor)
             m = blocks[cand]
             keep = np.sqrt(_norm_bounds(m.conj().transpose(0, 2, 1) @ m)) >= floor
@@ -184,7 +204,9 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
             i = int(np.argmax(norms))
             if norms[i] > best:
                 best = float(norms[i])
-                best_xz = (x_mask, int(cand[i]))
+                # Blocks run over b, then over the kept z_c, so z ascends.
+                b, j = divmod(int(cand[i]), z_c.size)
+                best_xz = (x_mask, b << n | int(z_c[j]))
         x, z = best_xz
         return EpsilonReport(best, PauliOperator(total, x, z, 0), exhaustive=True)
     if samples < 1:
@@ -200,21 +222,61 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
                          exhaustive=False, samples=samples, seed=seed)
 
 
+def _row_bounds(pmd: PmdCode) -> np.ndarray:
+    """r[a, x_c, z_c] >= |B^dag X^x Z^z B| for x = a << n | x_c, every
+    z = b << n | z_c and every key Z part b.
+
+    By `frame_norms`' identity, key k's term of B^dag E B is a signed row
+    permutation of the 2^(n-lam) rows of 2^-lam G_{k^a,k} whose ancilla
+    bits (the high lam bits of the code register) are those of the X
+    part of P'_k: one slab of the table.  A signed row permutation keeps
+    the spectral norm, so by the triangle inequality the sum over k of
+    these slab norms bounds the block, whatever the signs (-1)^(b.k) of
+    the key Z part are.  The slab norms come from K*K*2^lam small SVDs,
+    the slab index from P'_k's X part, which is linear in (x_c, z_c) and
+    so the xor of the X parts of U^dag X^x_c U and of U^dag Z^z_c U.
+    """
+    dim_code, num_keys = 1 << pmd.code_qubits, pmd.family.num_keys
+    k_dim, shift = 1 << pmd.message_qubits, pmd.message_qubits
+    keys = np.arange(num_keys)
+    masks = np.arange(dim_code)
+    zero = np.zeros_like(masks)
+    # Key k's encoder rows 2^(-lam/2) B_k side by side, as one 2^n-row array.
+    encoders = np.moveaxis(pmd.encoder.reshape(num_keys, dim_code, k_dim), 1, 0)
+    encoders = encoders.reshape(dim_code, -1)
+    norms, slab = [], []
+    for j in range(num_keys):
+        inv = pmd.family.codes[j].encoder.inverse()
+        # norms[j, k, c]: slab c of 2^-lam G_{j,k}; the other 2^(-lam/2) is below.
+        tables = apply_circuit(inv, encoders).reshape(dim_code, num_keys, k_dim)
+        tables = np.moveaxis(tables, 1, 0).reshape(num_keys, -1, k_dim, k_dim)
+        norms.append(np.linalg.svd(tables, compute_uv=False)[..., 0])
+        # slab[j, x_c, z_c]: ancilla bits of the X part of U_j^dag X^x_c Z^z_c U_j,
+        # from one call on X^x_c and Z^z_c for all 2^n masks.
+        ancilla = inv.conjugate_masks(np.concatenate([masks, zero]),
+                                      np.concatenate([zero, masks]))[0] >> shift
+        slab.append(ancilla[:dim_code, None] ^ ancilla[dim_code:])
+    norms = np.array(norms) / np.sqrt(num_keys)
+    slab = np.array(slab)
+    j = keys[:, None] ^ keys  # j[a, k] = k ^ a
+    return norms[j[..., None, None], keys[:, None, None], slab[j]].sum(axis=1)
+
+
 def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
     """|B^dag X^x Z^z B| for each (x, z) exponent pair, in the Clifford frame.
 
     With U_k the key-k encoder circuit and B_k = U_k (I (x) |0^lam>) the
     key-k rows of the encoder, write E = E_c (x) X^a Z^b on the code and
     key registers and P'_k = U_{k^a}^dag E_c U_{k^a} = i^phi X^x' Z^z'
-    (`CliffordCircuit.conjugate_pauli`).  Then
+    (`CliffordCircuit.conjugate_masks`).  Then
 
         B^dag E B = 2^-lam sum_k (-1)^(b.k) (I (x) <0^lam|) P'_k G_{k^a,k}
 
     with G_{k^a,k} = U_{k^a}^dag B_k, so each key's term is the signed
     gather i^phi (-1)^(z'.(r^x')) G_{k^a,k}[r ^ x'] over the message rows
     r.  The Paulis are handled grouped by key shift a, with only that
-    shift's K tables (K = 2^lam tables of 2^n x 2^(n-lam)) alive; each
-    summed block costs one SVD.
+    shift's K tables (K = 2^lam tables of 2^n x 2^(n-lam)) alive.  U_j^dag E_c U_j for all the Paulis comes
+    from one array call per key j; each summed block costs one SVD.
     """
     n, num_keys = pmd.code_qubits, pmd.family.num_keys
     dim_code, dim_msg = 1 << n, 1 << pmd.message_qubits
@@ -229,19 +291,23 @@ def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
     norms = np.empty(len(paulis))
     block = np.empty((dim_msg, dim_msg), dtype=complex)
     term = np.empty_like(block)
+    # frames[j][i] = (x', z', phi) of U_j^dag E_c U_j for Pauli i.
+    exps = np.array(paulis, dtype=np.int64).reshape(-1, 2) & (dim_code - 1)
+    frames = []
+    for inv in inverses:
+        px, pz, phase = np.broadcast_arrays(*inv.conjugate_masks(exps[:, 0], exps[:, 1]))
+        frames.append(list(zip(px.tolist(), pz.tolist(), (phase % 4).tolist())))
     for a, members in sorted(by_shift.items()):
         tables = [apply_circuit(inverses[k ^ a], rows[k]) for k in range(num_keys)]
         for i in members:
-            x, z = paulis[i]
-            e_c = PauliOperator(n, x & (dim_code - 1), z & (dim_code - 1), 0)
-            b = z >> n
+            b = paulis[i][1] >> n
             block.fill(0)
             for k, table in enumerate(tables):
-                p = inverses[k ^ a].conjugate_pauli(e_c)
-                src = msg ^ p.x
-                sign = scale * (1j ** p.phase) * (-1) ** (b & k).bit_count()
+                px, pz, phase = frames[k ^ a][i]
+                src = msg ^ px
+                sign = scale * (1j ** phase) * (-1) ** (b & k).bit_count()
                 np.take(table, src, axis=0, out=term)
-                term *= (sign * (1 - 2.0 * f2_parity_array(src & p.z)))[:, None]
+                term *= (sign * (1 - 2.0 * f2_parity_array(src & pz)))[:, None]
                 block += term
             norms[i] = np.linalg.svd(block, compute_uv=False)[0]
     return norms

@@ -217,35 +217,45 @@ class CliffordCircuit:
     def conjugate_pauli(self, p: PauliOperator) -> PauliOperator:
         if p.n != self.n:
             raise ValueError("operator width mismatch")
-        x, z, phase = p.x, p.z, p.phase
+        x, z, phase = self.conjugate_masks(p.x, p.z)
+        return PauliOperator(self.n, x, z, p.phase + phase)
+
+    def conjugate_masks(self, x, z):
+        """C X^x Z^z C^dagger = i^phase X^x' Z^z' as (x', z', phase).
+
+        x and z are exponent masks: ints, or integer numpy arrays that
+        broadcast against each other, conjugated elementwise by the same
+        shifts, ands and xors.  The inputs are never modified; phase is
+        not reduced mod 4.
+        """
+        phase = 0
         for name, qubits in self.gates:
             if name == "h":
                 (q,) = qubits
                 bx, bz = (x >> q) & 1, (z >> q) & 1
-                phase += 2 * (bx & bz)
-                x ^= (bx ^ bz) << q
-                z ^= (bx ^ bz) << q
+                phase = phase + 2 * (bx & bz)
+                x = x ^ ((bx ^ bz) << q)
+                z = z ^ ((bx ^ bz) << q)
             elif name == "s":
                 (q,) = qubits
                 bx = (x >> q) & 1
-                phase += bx
-                z ^= bx << q
+                phase = phase + bx
+                z = z ^ (bx << q)
             elif name == "x":
                 (q,) = qubits
-                phase += 2 * ((z >> q) & 1)
+                phase = phase + 2 * ((z >> q) & 1)
             elif name == "z":
                 (q,) = qubits
-                phase += 2 * ((x >> q) & 1)
+                phase = phase + 2 * ((x >> q) & 1)
             elif name == "cnot":
                 c, t = qubits
-                x ^= ((x >> c) & 1) << t
-                z ^= ((z >> t) & 1) << c
+                x = x ^ (((x >> c) & 1) << t)
+                z = z ^ (((z >> t) & 1) << c)
             elif name == "cz":
                 c, t = qubits
-                phase += 2 * ((x >> c) & (x >> t) & 1)
-                z ^= ((x >> c) & 1) << t
-                z ^= ((x >> t) & 1) << c
-        return PauliOperator(self.n, x, z, phase)
+                phase = phase + 2 * ((x >> c) & (x >> t) & 1)
+                z = z ^ (((x >> c) & 1) << t) ^ (((x >> t) & 1) << c)
+        return x, z, phase
 
 
 def _swap_gates(a: int, b: int) -> list[tuple[str, tuple[int, ...]]]:

@@ -419,6 +419,15 @@ def test_sweep_csv_and_empty(capsys):
     assert out2.strip().splitlines() == ["n,lam,epsilon,eps_ptc,delta,bound,status"]
 
 
+@pytest.mark.parametrize("points,token", [
+    ("6", "'6'"), ("a:b", "'a:b'"), ("2:1,,4:2", "''"), ("2:1:3", "'2:1:3'"),
+])
+def test_sweep_rejects_malformed_points_token(capsys, points, token):
+    rc, out, err = invoke(capsys, ["sweep", "--points", points])
+    assert rc == 2 and out == ""
+    assert f"--points token {token} is not of the form n:lambda" in err
+
+
 def test_sweep_flags_partial_failure_and_continues(capsys):
     # 5:2 is invalid (2 does not divide 5); the sweep records the error
     # and still completes the remaining grid points.

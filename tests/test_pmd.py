@@ -141,6 +141,8 @@ def dense_sweep_epsilon(pmd):
     # GF(4) has a single irreducible modulus; GF(8) also has x^3+x^2+1.
     (3, 3, {"field": FieldSpec(3, 0b1101)}),
     (6, 2, {}),
+    (5, 1, {}),  # epsilon = 1: the row bounds prune most rows
+    (4, 4, {}),  # no message qubit: 1x1 blocks and no row bound
 ])
 def test_exhaustive_sweep_matches_dense_oracle(n, lam, kwargs):
     pmd = make_pmd(n, lam, **kwargs)
@@ -150,6 +152,24 @@ def test_exhaustive_sweep_matches_dense_oracle(n, lam, kwargs):
     # Any maximiser will do, as long as it attains the value.
     assert abs(compressed_error_norm(pmd, rep.argmax) - rep.value) <= 1e-12
     assert not rep.argmax.is_identity()
+
+
+@pytest.mark.parametrize("n,lam,kwargs", [
+    (2, 1, {}),
+    (4, 2, {"encoder_pivot": "low"}),
+    (4, 2, {"encoder_pivot": "high"}),
+    (3, 3, {}),
+])
+def test_row_bounds_dominate_every_compressed_norm(n, lam, kwargs):
+    # r[a, x_c, z_c] covers every key Z part b of x = a << n | x_c.
+    pmd = make_pmd(n, lam, **kwargs)
+    bounds = pmdkit.pmd._row_bounds(pmd)
+    assert bounds.shape == (1 << lam, 1 << n, 1 << n)
+    code = (1 << n) - 1
+    for x in range(1 << pmd.total):
+        for z in range(1 << pmd.total):
+            norm = compressed_error_norm(pmd, PauliOperator(pmd.total, x, z, 0))
+            assert norm <= bounds[x >> n, x & code, z & code] + 1e-12
 
 
 def test_exhaustive_work_guard_fails_fast():
@@ -167,6 +187,10 @@ MEASURED_EPS = {
     (4, 2): 0.75,
     (6, 2): 1.0,
     (6, 3): 0.375,
+    (3, 3): (1 + math.sqrt(2)) / 8,
+    (4, 4): 0.25,
+    (5, 5): (1 + math.sqrt(2)) / 16,
+    (6, 6): math.sqrt(563 / 131072 + 195 * math.sqrt(2) / 65536),
 }
 
 

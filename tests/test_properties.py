@@ -76,6 +76,23 @@ def test_conjugate_pauli_matches_dense(case):
     assert np.allclose(pauli_matrix(circ.conjugate_pauli(p)), want, atol=1e-12)
 
 
+@_SETTINGS
+@given(circuits(max_n=4), st.sampled_from((np.int64, np.uint64)), st.data())
+def test_conjugate_masks_on_arrays_matches_scalar_path(case, dtype, data):
+    circ, _ = case
+    masks = st.integers(0, (1 << circ.n) - 1)
+    xs = data.draw(arrays(dtype, st.integers(1, 6), elements=masks))
+    zs = data.draw(arrays(dtype, xs.shape, elements=masks))
+    x_in, z_in = xs.copy(), zs.copy()
+    px, pz, phase = np.broadcast_arrays(*circ.conjugate_masks(xs, zs))
+    only_x = np.broadcast_to(circ.conjugate_masks(xs, 0)[0], xs.shape)
+    assert np.array_equal(xs, x_in) and np.array_equal(zs, z_in)
+    for i, (x, z) in enumerate(zip(xs.tolist(), zs.tolist())):
+        want = circ.conjugate_pauli(PauliOperator(circ.n, x, z))
+        assert (int(px[i]), int(pz[i]), int(phase[i]) % 4) == (want.x, want.z, want.phase)
+        assert int(only_x[i]) == circ.conjugate_pauli(PauliOperator(circ.n, x, 0)).x
+
+
 _ONE_QUBIT = {"h": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "s": np.diag([1, 1j]),
               "x": np.array([[0, 1], [1, 0]]), "z": np.diag([1, -1])}
 _KET0, _KET1 = np.diag([1, 0]), np.diag([0, 1])
