@@ -19,6 +19,15 @@ Decoding is exact branch enumeration, never sampling:
 Register layout per branch vector (little-endian qubit indices):
 [outer code block | reference | environment pairs | flags].  The
 message occupies the lowest qubits of the code block after decoding.
+
+Erasing E swaps qubit E[i] into environment qubit n + k + 2i, which
+neither the syndrome projection P_s nor the cascade D_s touches, so a
+Kraus operator K on E moves past both onto the environment:
+D_s P_s erase_E((K (x) I) psi0) = (K on env_E) D_s P_s erase_E(psi0).
+`erasure_harness` therefore decodes psi0 once per (erased set, syndrome)
+and scores every branch from 2^|E| x 2^|E| Gram matrices over that
+environment (`ErasedState`); `apply_adversary` and `algorithm1_decode`
+are the per-branch path, kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 
 from .densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
                        check_trace_preserving, codespace_isometry,
-                       maximally_entangled_overlap, pauli_gather)
+                       pauli_gather, phi_amplitudes, qubit_rows)
 from .limits import check_qubits
 from .pmd import PmdCode, auth_unitary
 from .qlde import CorrectionList, erasure_list_decode
@@ -47,6 +56,8 @@ class ComposedCode:
     outer: StabilizerCode
     # (erased set, syndrome bits) -> (candidate list, its cascade or None)
     _cascades: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # erased set -> its ErasedState
+    _erased: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.outer.k != self.pmd.total:
@@ -82,6 +93,13 @@ class ComposedCode:
             cascade = CorrectionCascade(corrections, self) if corrections.entries else None
             self._cascades[key] = corrections, cascade
         return self._cascades[key]
+
+    def erased_state(self, erased: tuple[int, ...]) -> ErasedState:
+        """`entangled_code_state` with `erased` moved into the environment,
+        split by syndrome, built once per code."""
+        if erased not in self._erased:
+            self._erased[erased] = ErasedState(self, erased)
+        return self._erased[erased]
 
 
 def compose(pmd: PmdCode, outer: StabilizerCode) -> ComposedCode:
@@ -299,6 +317,35 @@ def algorithm2_unitary(corrections: CorrectionList, code: ComposedCode) -> Corre
     return CorrectionCascade(corrections, code)
 
 
+def syndrome_projection(vec: np.ndarray, outer: StabilizerCode,
+                        s_bits: tuple[int, ...]) -> np.ndarray:
+    """P_s vec for the outer syndrome bits s, not normalized."""
+    post = vec
+    for want, g in zip(s_bits, outer.gens):
+        post = 0.5 * (post + (1 - 2 * want) * pauli_gather(post, g))
+    return post
+
+
+def syndrome_projections(vec: np.ndarray, outer: StabilizerCode):
+    """(syndrome bits, P_s vec) for every outcome s of the outer syndrome
+    measurement, in outcome order."""
+    for outcome in range(1 << outer.r):
+        s_bits = tuple((outcome >> i) & 1 for i in range(outer.r))
+        yield s_bits, syndrome_projection(vec, outer, s_bits)
+
+
+def _realized_cascade(code: ComposedCode, erased: tuple[int, ...],
+                      s_bits: tuple[int, ...], prob: float) -> CorrectionCascade:
+    """The cascade of an outcome with nonzero probability; an empty
+    correction list there is an invariant violation and raises."""
+    corrections, cascade = code.correction_cascade(erased, s_bits)
+    if not corrections.entries:
+        raise RuntimeError(
+            f"syndrome {s_bits} has probability {prob:.3e} but no supported "
+            "correction; erasure bookkeeping is inconsistent")
+    return cascade
+
+
 def algorithm1_decode(branch: TaggedBranch,
                       code: ComposedCode) -> tuple[list[TaggedBranch], int]:
     """Measure the outer syndrome exactly, list-decode, run the cascade.
@@ -307,28 +354,73 @@ def algorithm1_decode(branch: TaggedBranch,
     A zero-probability-free outcome with an empty correction list is an
     invariant violation and raises.
     """
-    outer = code.outer
     max_list = 0
     decoded = []
-    for outcome in range(1 << outer.r):
-        post = branch.vector
-        for i, g in enumerate(outer.gens):
-            want = (outcome >> i) & 1
-            post = 0.5 * (post + (1 - 2 * want) * pauli_gather(post, g))
+    for s_bits, post in syndrome_projections(branch.vector, code.outer):
         prob = float(np.vdot(post, post).real)
         if prob <= WEIGHT_TOL:
             continue
-        post = post / np.sqrt(prob)
-        s_bits = tuple((outcome >> i) & 1 for i in range(outer.r))
-        corrections, cascade = code.correction_cascade(branch.erased, s_bits)
-        if not corrections.entries:
-            raise RuntimeError(
-                f"syndrome {s_bits} has probability {prob:.3e} but no supported "
-                "correction; erasure bookkeeping is inconsistent")
-        max_list = max(max_list, len(corrections.entries))
-        decoded.append(TaggedBranch(branch.weight * prob, cascade.decode(post),
-                                    branch.erased))
+        cascade = _realized_cascade(code, branch.erased, s_bits, prob)
+        max_list = max(max_list, cascade.length)
+        decoded.append(TaggedBranch(branch.weight * prob,
+                                    cascade.decode(post / np.sqrt(prob)), branch.erased))
     return decoded, max_list
+
+
+def _sandwich(kraus: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """tr(K X K^dag) for a matrix X, or for each matrix of a stack."""
+    return ((kraus @ grams) * kraus.conj()).sum(axis=(-2, -1)).real
+
+
+class ErasedState:
+    """psi0 = `entangled_code_state` with one erased set E moved into its
+    environment, split by outer syndrome (see `erasure_harness`).
+
+    With E's environment qubits as the row index (`qubit_rows`), let
+    M_s = P_s erase_E(psi0) and A_s the Phi amplitudes of D_s M_s
+    (`phi_amplitudes`), D_s being outcome s's cascade.  The branch of
+    Kraus operator K at outcome s has weight x prob_s = tr(K Q_s K^dag)
+    with Q_s = M_s M_s^dag, and fidelity term tr(K G_s K^dag) with
+    G_s = A_s A_s^dag.  `grams` stacks every Q_s up front, in the order
+    of `outcomes`; G_s decodes M_s once, on first use.  Outcomes with
+    M_s = 0 can never be realized and are left out.  The state-sized
+    erase_E(psi0) lives only until `release`; a later first use of an
+    outcome erases psi0 again.
+    """
+
+    def __init__(self, code: ComposedCode, erased: tuple[int, ...]):
+        k, n = code.message_qubits, code.n
+        self.erased = erased
+        self.msg, self.ref = tuple(range(k)), tuple(range(n, n + k))
+        self.env = tuple(n + k + 2 * i for i in range(len(erased)))
+        self._vec = self._erase(code)
+        self.outcomes, grams = [], []
+        for s_bits, post in syndrome_projections(self._vec, code.outer):
+            if post.any():
+                m = qubit_rows(post, self.env)
+                self.outcomes.append(s_bits)
+                grams.append(m @ m.conj().T)
+        self.grams = np.array(grams)
+        self._fidelity_grams = {}
+
+    def _erase(self, code: ComposedCode) -> np.ndarray:
+        return _erase_qubits(entangled_code_state(code), self.erased,
+                             code.n + code.message_qubits)
+
+    def fidelity_term(self, code: ComposedCode, kraus: np.ndarray,
+                      s_bits: tuple[int, ...], cascade: CorrectionCascade) -> float:
+        """tr(K G_s K^dag), with `cascade` the outcome's D_s."""
+        if s_bits not in self._fidelity_grams:
+            if self._vec is None:
+                self._vec = self._erase(code)
+            post = syndrome_projection(self._vec, code.outer, s_bits)
+            amp = phi_amplitudes(cascade.decode(post), self.msg, self.ref, self.env)
+            self._fidelity_grams[s_bits] = amp @ amp.conj().T
+        return float(_sandwich(kraus, self._fidelity_grams[s_bits]))
+
+    def release(self) -> None:
+        """Drop erase_E(psi0), keeping only the 2^|E| x 2^|E| matrices."""
+        self._vec = None
 
 
 # ---------------------------------------------------------------------------
@@ -357,27 +449,41 @@ def entangled_code_state(code: ComposedCode) -> np.ndarray:
 def erasure_harness(code: ComposedCode, adv: ErasureAdversary,
                     epsilon: float) -> HarnessReport:
     """Entanglement fidelity of decode(adversary(encode)) vs the bound
-    1 - 3 * epsilon^(1/2) * L^(3/4) with the realized list length."""
+    1 - 3 * epsilon^(1/2) * L^(3/4) with the realized list length.
+
+    Erasing E moves a Kraus operator K on E onto E's environment, which
+    the syndrome projection P_s and the cascade D_s leave alone:
+    D_s P_s erase_E((K (x) I) psi0) = (K on env_E) D_s P_s erase_E(psi0).
+    So each branch and outcome is scored from E's `ErasedState`, decoded
+    once per (erased set, syndrome), with the sum, the drops and the
+    errors of `algorithm1_decode` over `apply_adversary`'s branches.
+    """
     if adv.n != code.n:
         raise ValueError("adversary block length does not match the code")
-    k = code.message_qubits
-    state = entangled_code_state(code)
-    n_state = code.n + k
-    tagged = apply_adversary(state, adv, n_state)
-    final = []
-    realized = 1
-    for branch in tagged:
-        decoded, max_list = algorithm1_decode(branch, code)
-        realized = max(realized, max_list)
-        final.extend(decoded)
-    msg = tuple(range(k))
-    ref = tuple(range(code.n, code.n + k))
-    fidelity = sum(b.weight * maximally_entangled_overlap([(1.0, b.vector)], msg, ref)
-                   for b in final)
+    fidelity, realized, branch_count = 0.0, 1, 0
+    for kraus, erased in adv.branches:
+        state = code.erased_state(erased)
+        try:
+            masses = _sandwich(kraus, state.grams)
+            weight = float(masses.sum())
+            if weight <= WEIGHT_TOL:
+                continue
+            for s_bits, mass in zip(state.outcomes, masses):
+                prob = float(mass) / weight
+                if prob <= WEIGHT_TOL:
+                    continue
+                cascade = _realized_cascade(code, erased, s_bits, prob)
+                realized = max(realized, cascade.length)
+                fidelity += state.fidelity_term(code, kraus, s_bits, cascade)
+                branch_count += 1
+        finally:
+            # The memo keeps no state-sized vector between branches,
+            # whether or not the set could be decoded.
+            state.release()
     bound = float(1.0 - 3.0 * np.sqrt(epsilon) * realized ** 0.75)
-    return HarnessReport(float(fidelity), float(epsilon), realized, bound,
+    return HarnessReport(fidelity, float(epsilon), realized, bound,
                          passed=bool(fidelity >= bound - 1e-9),
-                         branch_count=len(final))
+                         branch_count=branch_count)
 
 
 def random_adversary(n: int, budget: int, rng: np.random.Generator) -> ErasureAdversary:
@@ -391,7 +497,8 @@ def random_adversary(n: int, budget: int, rng: np.random.Generator) -> ErasureAd
         q, r = np.linalg.qr(m)
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
-    budget = max(1, budget)
+    if not 1 <= budget <= n:
+        raise ValueError(f"erasure budget must be in 1..{n}, got {budget}")
     shape = int(rng.integers(3))
     size = int(rng.integers(1, budget + 1))
     support = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))

@@ -329,9 +329,13 @@ def _load_adversary(path: str, n: int) -> ErasureAdversary:
 
 
 def cmd_aqec_simulate(args) -> int:
+    outer = parse_code(Path(args.outer).read_text(encoding="utf-8"))
+    if not 1 <= args.budget <= outer.n:
+        raise ValueError(f"--budget must be in 1..{outer.n}, got {args.budget}")
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     family = build_bcgst_family(args.pmd_n, args.pmd_lambda)
     pmd = build_pmd(family)
-    outer = parse_code(Path(args.outer).read_text(encoding="utf-8"))
     code = compose(pmd, outer)
     eps = measure_pmd_epsilon(pmd).value
     config = {"pmd_n": args.pmd_n, "pmd_lambda": args.pmd_lambda,
@@ -562,8 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--outer", required=True)
     sim.add_argument("--adversary", default=None)
     sim.add_argument("--count", type=int, default=1,
-                     help="seeded adversaries when no file is given")
-    sim.add_argument("--budget", type=int, default=1)
+                     help="seeded adversaries when no file is given, at least 1")
+    sim.add_argument("--budget", type=int, default=1,
+                     help="erasures per seeded adversary branch, 1..n")
     _add_common(sim)
     sim.set_defaults(func=cmd_aqec_simulate)
 

@@ -394,27 +394,41 @@ def replace_channel(target_state: np.ndarray, qubit: int, n: int) -> QuantumChan
 # Fidelity measures
 # ---------------------------------------------------------------------------
 
-def maximally_entangled_overlap(branches: list[Branch], msg_qubits: tuple[int, ...],
-                                ref_qubits: tuple[int, ...]) -> float:
-    """<Phi| rho_{msg,ref} |Phi> for the branch mixture rho.
+def qubit_rows(vec: np.ndarray, rows) -> np.ndarray:
+    """vec as a matrix whose row index bit i is qubit rows[i]; the columns
+    index the other qubits, the lowest one as bit 0."""
+    n = _qubit_count(vec.shape[0])
+    rest = [q for q in range(n) if q not in rows]
+    return vec.reshape([2] * n, order="F").transpose(list(rows) + rest).reshape(
+        1 << len(rows), -1, order="F")
+
+
+def phi_amplitudes(vec: np.ndarray, msg_qubits: tuple[int, ...],
+                   ref_qubits: tuple[int, ...], rows: tuple[int, ...] = ()) -> np.ndarray:
+    """(<Phi| (x) I) vec, with the `rows` qubits as row index (as in
+    `qubit_rows`) and every other qubit outside Phi's as column index.
 
     Phi is the maximally entangled state pairing msg_qubits[i] with
-    ref_qubits[i]; every other qubit is traced out.
+    ref_qubits[i].
     """
     k = len(msg_qubits)
     if len(ref_qubits) != k:
         raise ValueError("message and reference registers differ in size")
+    work = qubit_rows(vec, tuple(msg_qubits) + tuple(ref_qubits) + tuple(rows))
+    work = work.reshape(1 << (2 * k), -1, order="F")
+    # Phi as a row vector over (msg, ref): nonzero where msg == ref.
+    idx = np.arange(1 << k)
+    amp = work[idx | (idx << k)].sum(axis=0) / np.sqrt(1 << k)
+    return amp.reshape(1 << len(rows), -1, order="F")
+
+
+def maximally_entangled_overlap(branches: list[Branch], msg_qubits: tuple[int, ...],
+                                ref_qubits: tuple[int, ...]) -> float:
+    """<Phi| rho_{msg,ref} |Phi> for the branch mixture rho; every qubit
+    outside Phi's is traced out."""
     total = 0.0
     for weight, vec in branches:
-        n = _qubit_count(vec.shape[0])
-        work = vec.reshape([2] * n, order="F")
-        keep = list(msg_qubits) + list(ref_qubits)
-        junk = [q for q in range(n) if q not in keep]
-        work = work.transpose(keep + junk).reshape(1 << len(keep), -1, order="F")
-        # Phi as a row vector over (msg, ref): nonzero where msg == ref.
-        idx = np.arange(1 << k)
-        phi_rows = idx | (idx << k)
-        amp = work[phi_rows, :].sum(axis=0) / np.sqrt(1 << k)
+        amp = phi_amplitudes(vec, msg_qubits, ref_qubits)
         total += weight * float(np.vdot(amp, amp).real)
     return total
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from pmdkit.aqec import (ComposedCode, CorrectionCascade, ErasureAdversary,
-                         TaggedBranch, algorithm1_decode, algorithm2_unitary,
-                         apply_adversary, compose, entangled_code_state,
-                         erasure_harness, random_adversary)
-from pmdkit.densesim import apply_pauli
+                         HarnessReport, TaggedBranch, algorithm1_decode,
+                         algorithm2_unitary, apply_adversary, compose,
+                         entangled_code_state, erasure_harness, random_adversary)
+from pmdkit.densesim import apply_pauli, maximally_entangled_overlap
+from pmdkit.limits import SizeGuardError
 from pmdkit.pmd import build_pmd, measure_pmd_epsilon
 from pmdkit.ptc import build_bcgst_family
 from pmdkit.qlde import erasure_list_decode
@@ -468,6 +469,160 @@ def test_harness_seeded_adversaries_all_pass():
         rep = erasure_harness(code, adv, eps)
         assert rep.passed
         assert rep.fidelity <= 1 + 1e-9
+
+
+def branch_harness(code, adv, epsilon):
+    """The per-branch form of `erasure_harness`: every Kraus branch is
+    erased, syndrome-projected and decoded on its own."""
+    if adv.n != code.n:
+        raise ValueError("adversary block length does not match the code")
+    k = code.message_qubits
+    state = entangled_code_state(code)
+    n_state = code.n + k
+    tagged = apply_adversary(state, adv, n_state)
+    final = []
+    realized = 1
+    for branch in tagged:
+        decoded, max_list = algorithm1_decode(branch, code)
+        realized = max(realized, max_list)
+        final.extend(decoded)
+    msg = tuple(range(k))
+    ref = tuple(range(code.n, code.n + k))
+    fidelity = sum(b.weight * maximally_entangled_overlap([(1.0, b.vector)], msg, ref)
+                   for b in final)
+    bound = float(1.0 - 3.0 * np.sqrt(epsilon) * realized ** 0.75)
+    return HarnessReport(float(fidelity), float(epsilon), realized, bound,
+                         passed=bool(fidelity >= bound - 1e-9),
+                         branch_count=len(final))
+
+
+def _report_or_error(harness, code, adv, eps):
+    try:
+        return harness(code, adv, eps)
+    except (SizeGuardError, RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_harnesses_agree(code, adversaries):
+    """erasure_harness against branch_harness, each on its own code
+    object as the CLI shares one; returns the oracle's outcomes."""
+    eps = measure_pmd_epsilon(code.pmd).value
+    oracle_code = ComposedCode(code.pmd, code.outer)
+    outcomes = []
+    for adv in adversaries:
+        want = _report_or_error(branch_harness, oracle_code, adv, eps)
+        got = _report_or_error(erasure_harness, code, adv, eps)
+        outcomes.append(want)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert abs(got.fidelity - want.fidelity) <= 1e-12
+        assert (got.realized_list, got.branch_count, got.passed, got.bound, got.epsilon) \
+            == (want.realized_list, want.branch_count, want.passed, want.bound, want.epsilon)
+    return outcomes
+
+
+def test_harness_matches_branch_oracle_on_seed606():
+    code = main_setup()
+    outcomes = assert_harnesses_agree(code, seed606_adversaries(code))
+    assert all(isinstance(rep, HarnessReport) and rep.passed for rep in outcomes)
+
+
+def test_harness_matches_branch_oracle_at_budgets_2_and_3():
+    rng = np.random.default_rng(np.random.Philox(5))
+    adversaries = ([random_adversary(4, 2, rng) for _ in range(30)]
+                   + [random_adversary(4, 3, rng) for _ in range(20)])
+    outcomes = assert_harnesses_agree(small_setup(), adversaries)
+    assert SizeGuardError in outcomes
+    assert any(isinstance(rep, HarnessReport) and rep.realized_list == 8
+               for rep in outcomes)
+    rng = np.random.default_rng(np.random.Philox(5))
+    outcomes = assert_harnesses_agree(main_setup(),
+                                      [random_adversary(7, 2, rng) for _ in range(30)])
+    assert SizeGuardError in outcomes
+    assert any(isinstance(rep, HarnessReport) for rep in outcomes)
+
+
+def test_harness_matches_branch_oracle_on_fixed_adversaries():
+    rng = np.random.default_rng(12)
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    two_supports = ErasureAdversary(4, ((np.sqrt(0.3) * u, (1,)),
+                                        (np.sqrt(0.7) * v, (0, 2))), 2)
+    outcomes = assert_harnesses_agree(small_setup(), [
+        ErasureAdversary.identity(4), ErasureAdversary.nonadaptive(4, (2,)),
+        ErasureAdversary.nonadaptive(4, (0, 3)), two_supports])
+    assert [rep.branch_count for rep in outcomes] == [1, 2, 2, 4]
+    outcomes = assert_harnesses_agree(main_setup(), [
+        ErasureAdversary.identity(7), ErasureAdversary.nonadaptive(7, (3,))])
+    assert [rep.realized_list for rep in outcomes] == [1, 2]
+
+
+def test_erased_set_memo_keeps_no_state_sized_vector():
+    code = main_setup()
+    eps = measure_pmd_epsilon(code.pmd).value
+    rng = np.random.default_rng(np.random.Philox(5))
+    raised = set()
+    for adv in [random_adversary(7, 2, rng) for _ in range(30)]:
+        try:
+            erasure_harness(code, adv, eps)
+        except SizeGuardError:
+            raised.update(erased for _, erased in adv.branches if len(erased) >= 2)
+    assert raised <= set(code._erased)
+    # Only 2^|E| x 2^|E| Gram matrices stay, for the sets that raised too.
+    for erased, state in code._erased.items():
+        side = 1 << len(erased)
+        assert state._vec is None and state.grams.shape[1:] == (side, side)
+        assert all(g.shape == (side, side) for g in state._fidelity_grams.values())
+
+
+def test_seed606_erases_each_set_once_and_runs_no_branch(monkeypatch):
+    import pmdkit.aqec as aqec
+    code = main_setup()
+    eps = measure_pmd_epsilon(code.pmd).value
+    calls = {"erase": 0, "adversary": 0, "decode": 0}
+    real_erase, real_decode = aqec._erase_qubits, CorrectionCascade.decode
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(aqec, "_erase_qubits", counted("erase", real_erase))
+    monkeypatch.setattr(aqec, "apply_adversary", counted("adversary", apply_adversary))
+    monkeypatch.setattr(CorrectionCascade, "decode", counted("decode", real_decode))
+    for adv in seed606_adversaries(code):
+        erasure_harness(code, adv, eps)
+    assert calls == {"erase": 7, "adversary": 0, "decode": 14}
+
+
+def test_identity_adversary_builds_only_the_clean_list(monkeypatch):
+    import pmdkit.aqec as aqec
+    code = main_setup()
+    built = []
+    real = aqec.erasure_list_decode
+
+    def counted(outer, erased, s_bits):
+        built.append((erased, s_bits))
+        return real(outer, erased, s_bits)
+
+    monkeypatch.setattr(aqec, "erasure_list_decode", counted)
+    rep = erasure_harness(code, ErasureAdversary.identity(7), 0.0)
+    assert built == [((), (0,))]
+    assert (rep.branch_count, rep.realized_list) == (1, 1)
+
+
+def test_harness_raises_on_an_empty_list(monkeypatch):
+    import dataclasses
+    import pmdkit.aqec as aqec
+    real = aqec.erasure_list_decode
+    monkeypatch.setattr(aqec, "erasure_list_decode", lambda outer, erased, s_bits:
+                        dataclasses.replace(real(outer, erased, s_bits), entries=()))
+    code = main_setup()
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no supported correction"):
+            erasure_harness(code, ErasureAdversary.nonadaptive(7, (3,)), 0.5)
 
 
 def test_harness_rejects_wrong_block_length():

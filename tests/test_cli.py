@@ -152,6 +152,28 @@ def test_aqec_simulate_adversary_file(capsys, tmp_path):
     assert "fidelity[file]" in out
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--budget", "0", "--budget must be in 1..7, got 0"),
+    ("--budget", "-3", "--budget must be in 1..7, got -3"),
+    ("--budget", "9", "--budget must be in 1..7, got 9"),
+    ("--count", "0", "--count must be at least 1, got 0"),
+    ("--count", "-2", "--count must be at least 1, got -2"),
+])
+def test_aqec_simulate_refuses_budget_and_count_out_of_range(capsys, tmp_path, option,
+                                                            value, message):
+    outer = tmp_path / "outer.txt"
+    outer.write_text(SEVEN6_TEXT)
+    argv = ["aqec", "simulate", "--pmd-n", "4", "--pmd-lambda", "2",
+            "--outer", str(outer), "--count", "2", option, value]
+    rc, out, err = invoke(capsys, argv)
+    assert rc == 2 and out == ""
+    assert message in err
+    # The ends of the range run; seed 0 draws two one-qubit erasures.
+    argv[-1] = {"--budget": "7", "--count": "1"}[option]
+    rc, out, _ = invoke(capsys, argv)
+    assert rc == 0 and "RESULT: ok" in out
+
+
 def test_auth_simulate_attack_file(capsys, tmp_path):
     outer = tmp_path / "outer.txt"
     outer.write_text("n=4 k=3\nXXXX\n")
