@@ -32,7 +32,8 @@ import numpy as np
 
 from .aqec import ComposedCode, entangled_code_state
 from .densesim import (apply_on_qubits, apply_pauli, check_trace_preserving,
-                       codespace_isometry, dm_conjugate_pauli as _dm_conjugate_pauli)
+                       codespace_isometry, dm_conjugate_pauli as _dm_conjugate_pauli,
+                       qubit_rows)
 from .galois import FieldSpec
 from .limits import SizeGuardError
 from .lp import exact_lp
@@ -1004,9 +1005,6 @@ def auth1_block_codeword_density(proto: Auth1Protocol, message: np.ndarray,
                                  block: int) -> np.ndarray:
     """Reduced density matrix of one inner block of an encoded message."""
     vec = proto.encoder_isometry() @ message
-    n = proto.total_quantum
-    work = vec.reshape([2] * n, order="F")
-    keep = list(range(block * proto.block_qubits, (block + 1) * proto.block_qubits))
-    junk = [q for q in range(n) if q not in keep]
-    mat = work.transpose(keep + junk).reshape(1 << len(keep), -1, order="F")
+    b = proto.block_qubits
+    mat = qubit_rows(vec, tuple(range(block * b, (block + 1) * b)))
     return mat @ mat.conj().T

@@ -330,24 +330,32 @@ def _load_adversary(path: str, n: int) -> ErasureAdversary:
 
 def cmd_aqec_simulate(args) -> int:
     outer = parse_code(Path(args.outer).read_text(encoding="utf-8"))
-    if not 1 <= args.budget <= outer.n:
-        raise ValueError(f"--budget must be in 1..{outer.n}, got {args.budget}")
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
+    config = {"pmd_n": args.pmd_n, "pmd_lambda": args.pmd_lambda, "outer": args.outer}
+    if args.adversary:
+        # The file fixes the adversary, its erasure budget included.
+        for option in ("budget", "count", "seed"):
+            if getattr(args, option) is not None:
+                raise ValueError(f"--{option} is not read with --adversary")
+        config["adversary"] = args.adversary
+        seed = None
+        adversaries = [("file", _load_adversary(args.adversary, outer.n))]
+    else:
+        budget = 1 if args.budget is None else args.budget
+        count = 1 if args.count is None else args.count
+        if not 1 <= budget <= outer.n:
+            raise ValueError(f"--budget must be in 1..{outer.n}, got {budget}")
+        if count < 1:
+            raise ValueError(f"--count must be at least 1, got {count}")
+        config["budget"] = budget
+        seed = _seed(args)
+        rng = np.random.default_rng(np.random.Philox(seed))
+        adversaries = [(f"seeded[{i}]", random_adversary(outer.n, budget, rng))
+                       for i in range(count)]
     family = build_bcgst_family(args.pmd_n, args.pmd_lambda)
     pmd = build_pmd(family)
     code = compose(pmd, outer)
     eps = measure_pmd_epsilon(pmd).value
-    config = {"pmd_n": args.pmd_n, "pmd_lambda": args.pmd_lambda,
-              "outer": args.outer, "budget": args.budget}
-    seed = _seed(args)
     report = Report("aqec simulate", config, seed)
-    if args.adversary:
-        adversaries = [("file", _load_adversary(args.adversary, outer.n))]
-    else:
-        rng = np.random.default_rng(np.random.Philox(seed))
-        adversaries = [(f"seeded[{i}]", random_adversary(outer.n, args.budget, rng))
-                       for i in range(args.count)]
     rows = []
     for name, adv in adversaries:
         try:
@@ -469,7 +477,7 @@ def cmd_sweep(args) -> int:
             except ValueError:
                 raise ValueError(f"--points token {token!r} is not of the form "
                                  "n:lambda with two integers, e.g. 6:2") from None
-    report = Report("sweep", {"points": args.points}, args.seed)
+    report = Report("sweep", {"points": args.points}, None)
     rows = []
     for n, lam in points:
         try:
@@ -565,10 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--pmd-lambda", type=int, required=True)
     sim.add_argument("--outer", required=True)
     sim.add_argument("--adversary", default=None)
-    sim.add_argument("--count", type=int, default=1,
-                     help="seeded adversaries when no file is given, at least 1")
-    sim.add_argument("--budget", type=int, default=1,
-                     help="erasures per seeded adversary branch, 1..n")
+    sim.add_argument("--count", type=int, default=None,
+                     help="seeded adversaries, at least 1 (default 1); "
+                          "not read with --adversary")
+    sim.add_argument("--budget", type=int, default=None,
+                     help="erasures per seeded adversary branch, 1..n (default 1); "
+                          "not read with --adversary")
     _add_common(sim)
     sim.set_defaults(func=cmd_aqec_simulate)
 
@@ -608,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     # The commands whose reports record a seed.
-    for seeded in (ptc_check, pmd_verify, samp, sim, search, sweep):
+    for seeded in (ptc_check, pmd_verify, samp, sim, search):
         seeded.add_argument("--seed", type=int, default=None)
     return parser
 

@@ -4,19 +4,17 @@ Statevectors and operators are complex128 numpy arrays.  Basis-state
 index bit j holds qubit j (little-endian), matching the bit-packed
 Pauli convention in `symplectic`.
 
-Mixed states are weighted lists of pure branches (`Branch` =
-(weight, vector)); the authentication harnesses use small density
-matrices instead, padded by `dm_conjugate_pauli` and sent through a
+This module has no mixed-state type of its own; mixed states live with
+their users.  The authentication harnesses in `auth` keep small
+density matrices, padded by `dm_conjugate_pauli` and sent through a
 wire as its superoperator by `apply_on_qubits` on vec(rho)
-(`dm_apply_single_qubit_kraus` is the per-Kraus form).  Every Kraus map
-is checked by `check_trace_preserving` and serialized by
-`kraus_to_record`.
+(`dm_apply_single_qubit_kraus` is the per-Kraus form), and the erasure
+harness in `aqec` scores each adversary from 2^|E| x 2^|E| Gram matrices
+over the erased environment (`aqec.ErasedState`).  Every Kraus map is
+checked by `check_trace_preserving` and serialized by `kraus_to_record`.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +23,6 @@ from .symplectic import CliffordCircuit, PauliOperator, StabilizerCode
 
 ATOL = 1e-10
 
-Branch = tuple[float, np.ndarray]
-
-_I2 = np.eye(2, dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,57 +36,6 @@ def _qubit_count(dim: int, what: str = "vector") -> int:
     if 1 << n != dim:
         raise ValueError(f"{what} dimension {dim} is not a power of two")
     return n
-
-
-# ---------------------------------------------------------------------------
-# DenseState / DenseOperator contracts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DenseState:
-    """A normalized statevector on n qubits."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", vec)
-        if vec.shape != (1 << self.n,):
-            raise ValueError(f"expected 2^{self.n} amplitudes, got shape {vec.shape}")
-        if abs(np.linalg.norm(vec) - 1.0) > ATOL:
-            raise ValueError("state is not normalized")
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """A complex matrix between qubit registers (possibly rectangular)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.atleast_2d(np.asarray(self.entries, dtype=complex))
-        object.__setattr__(self, "entries", mat)
-        _qubit_count(mat.shape[0], "row")
-        _qubit_count(mat.shape[1], "column")
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def is_isometry(self) -> bool:
-        m = self.entries
-        return np.allclose(m.conj().T @ m, np.eye(self.cols), rtol=0, atol=ATOL)
-
-    def is_projector(self) -> bool:
-        m = self.entries
-        return (m.shape[0] == m.shape[1]
-                and np.allclose(m @ m, m, rtol=0, atol=ATOL)
-                and np.allclose(m, m.conj().T, rtol=0, atol=ATOL))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +218,7 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Channels
+# Kraus maps
 # ---------------------------------------------------------------------------
 
 def check_trace_preserving(grams, dim: int, what: str) -> None:
@@ -296,98 +240,6 @@ def kraus_from_record(record) -> tuple[np.ndarray, ...]:
     """Inverse of `kraus_to_record`."""
     return tuple(np.array([[complex(re, im) for re, im in row] for row in k])
                  for k in record)
-
-
-@dataclass(frozen=True)
-class QuantumChannel:
-    """CPTP map given by Kraus matrices on a declared qubit support.
-
-    Kraus matrices act on the support register only (dimension
-    2^len(support)); the channel is identity elsewhere.
-    """
-
-    n: int
-    kraus: tuple[np.ndarray, ...]
-    support: tuple[int, ...]
-
-    def __post_init__(self):
-        support = tuple(sorted(self.support))
-        object.__setattr__(self, "support", support)
-        if any(not 0 <= q < self.n for q in support) or len(set(support)) != len(support):
-            raise ValueError(f"bad support {support} for {self.n} qubits")
-        dim = 1 << len(support)
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        object.__setattr__(self, "kraus", ops)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (dim, dim):
-                raise ValueError(f"Kraus shape {k.shape} does not match support {support}")
-        check_trace_preserving((k.conj().T @ k for k in ops), dim, "channel")
-
-    def to_record(self) -> dict:
-        return {"n": self.n, "support": list(self.support),
-                "kraus": kraus_to_record(self.kraus)}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "QuantumChannel":
-        return cls(int(record["n"]), kraus_from_record(record["kraus"]),
-                   tuple(record["support"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "QuantumChannel":
-        return cls.from_record(json.loads(text))
-
-
-def apply_channel(channel: QuantumChannel,
-                  branches: list[Branch] | np.ndarray) -> list[Branch]:
-    """One branch per (input branch, Kraus operator), total weight preserved.
-
-    Zero-weight branches (weight at most 1e-14) are dropped since they
-    cannot be normalized.
-    """
-    if isinstance(branches, np.ndarray):
-        branches = [(1.0, branches)]
-    out: list[Branch] = []
-    for weight, vec in branches:
-        n = _qubit_count(vec.shape[0])
-        for k in channel.kraus:
-            new = apply_on_qubits(k, channel.support, vec, n)
-            w = float(np.linalg.norm(new) ** 2) * weight
-            if w > 1e-14:
-                out.append((w, new / np.linalg.norm(new)))
-    return out
-
-
-def branch_total_weight(branches: list[Branch]) -> float:
-    return float(sum(w for w, _ in branches))
-
-
-# Standard single-qubit channels ------------------------------------------------
-
-def depolarizing_channel(p: float, qubit: int, n: int) -> QuantumChannel:
-    k = [np.sqrt(1 - 3 * p / 4) * _I2, np.sqrt(p / 4) * _X,
-         np.sqrt(p / 4) * (1j * _X @ _Z), np.sqrt(p / 4) * _Z]
-    return QuantumChannel(n, tuple(k), (qubit,))
-
-
-def dephasing_channel(p: float, qubit: int, n: int) -> QuantumChannel:
-    """Phase damping: measure in Z with probability p."""
-    k = [np.sqrt(1 - p) * _I2,
-         np.sqrt(p) * np.diag([1, 0]).astype(complex),
-         np.sqrt(p) * np.diag([0, 1]).astype(complex)]
-    return QuantumChannel(n, tuple(k), (qubit,))
-
-
-def replace_channel(target_state: np.ndarray, qubit: int, n: int) -> QuantumChannel:
-    """Trace out the qubit and substitute the given pure state."""
-    psi = np.asarray(target_state, dtype=complex).reshape(2)
-    psi = psi / np.linalg.norm(psi)
-    k = [np.outer(psi, e) for e in np.eye(2)]
-    return QuantumChannel(n, tuple(k), (qubit,))
 
 
 # ---------------------------------------------------------------------------
@@ -422,31 +274,13 @@ def phi_amplitudes(vec: np.ndarray, msg_qubits: tuple[int, ...],
     return amp.reshape(1 << len(rows), -1, order="F")
 
 
-def maximally_entangled_overlap(branches: list[Branch], msg_qubits: tuple[int, ...],
+def maximally_entangled_overlap(branches: list[tuple[float, np.ndarray]],
+                                msg_qubits: tuple[int, ...],
                                 ref_qubits: tuple[int, ...]) -> float:
-    """<Phi| rho_{msg,ref} |Phi> for the branch mixture rho; every qubit
-    outside Phi's is traced out."""
+    """<Phi| rho_{msg,ref} |Phi> for rho = sum of weight |vec><vec| over
+    the (weight, vec) branches; every qubit outside Phi's is traced out."""
     total = 0.0
     for weight, vec in branches:
         amp = phi_amplitudes(vec, msg_qubits, ref_qubits)
         total += weight * float(np.vdot(amp, amp).real)
     return total
-
-
-def entanglement_fidelity(pipeline, k: int, n_system: int) -> float:
-    """Fidelity of a channel pipeline against the identity on k qubits.
-
-    The pipeline is a callable on branch lists over n_system + k qubits
-    (reference register on the top k qubits, untouched by the pipeline).
-    Input: |Phi> on (message, reference) with ancillas |0>.
-    """
-    check_qubits(n_system + k, "entanglement_fidelity")
-    dim = 1 << (n_system + k)
-    vec = np.zeros(dim, dtype=complex)
-    for m in range(1 << k):
-        vec[m | (m << n_system)] = 1.0
-    vec /= np.linalg.norm(vec)
-    branches = pipeline([(1.0, vec)])
-    msg = tuple(range(k))
-    ref = tuple(range(n_system, n_system + k))
-    return maximally_entangled_overlap(branches, msg, ref)

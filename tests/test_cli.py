@@ -150,6 +150,26 @@ def test_aqec_simulate_adversary_file(capsys, tmp_path):
                                  "--adversary", str(adv_file)])
     assert rc == 0
     assert "fidelity[file]" in out
+    # The file's max_erased governs: no budget or seed is recorded.
+    assert f"adversary = {adv_file}" in out
+    assert "budget =" not in out and "seed =" not in out
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--budget", "1"), ("--count", "40"), ("--seed", "0"),
+])
+def test_aqec_simulate_adversary_file_refuses_seeded_options(capsys, tmp_path, option,
+                                                             value):
+    outer = tmp_path / "outer.txt"
+    outer.write_text(SEVEN6_TEXT)
+    adv_file = tmp_path / "adv.json"
+    adv_file.write_text(json.dumps({"n": 7, "max_erased": 1, "branches": [
+        {"support": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}))
+    rc, out, err = invoke(capsys, ["aqec", "simulate", "--pmd-n", "4",
+                                   "--pmd-lambda", "2", "--outer", str(outer),
+                                   "--adversary", str(adv_file), option, value])
+    assert rc == 2 and out == ""
+    assert f"{option} is not read with --adversary" in err
 
 
 @pytest.mark.parametrize("option, value, message", [
@@ -378,6 +398,7 @@ def test_adversary_file_wrong_type_exits_2(capsys, tmp_path):
     ["nm", "verify", "--nm", "nm.json"],
     ["auth", "simulate", "--protocol", "third", "--pmd-n", "2", "--pmd-lambda", "1",
      "--outer", "outer.txt", "--attack", "attack.json"],
+    ["sweep", "--points", "2:1"],
 ])
 def test_unseeded_commands_refuse_seed(capsys, argv):
     rc, out, err = invoke(capsys, argv + ["--seed", "1"])
@@ -527,6 +548,7 @@ def test_config_file_sets_optionals(capsys, tmp_path):
     assert rc == 0
     payload = json.loads(out)
     assert payload["command"] == "sweep"
+    assert payload["seed"] is None  # sweep draws nothing and takes no --seed
 
 
 def test_config_equals_form_sets_optionals(capsys, tmp_path):

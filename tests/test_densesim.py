@@ -34,37 +34,6 @@ HAMMING_H = [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
-# Contract types
-# ---------------------------------------------------------------------------
-
-def test_dense_state_contract():
-    ds.DenseState(1, np.array([1, 0], dtype=complex))
-    with pytest.raises(ValueError, match="normalized"):
-        ds.DenseState(1, np.array([1, 1], dtype=complex))
-    with pytest.raises(ValueError, match="amplitudes"):
-        ds.DenseState(2, np.array([1, 0], dtype=complex))
-
-
-def test_dense_operator_contract():
-    iso = ds.DenseOperator(ds.codespace_isometry(REP3))
-    assert (iso.rows, iso.cols) == (8, 2)
-    assert iso.is_isometry()
-    proj = ds.DenseOperator(ds.codespace_projector(REP3))
-    assert proj.is_projector()
-    assert not ds.DenseOperator(np.ones((2, 2))).is_projector()
-    with pytest.raises(ValueError, match="power of two"):
-        ds.DenseOperator(np.ones((3, 2)))
-
-
-def test_dense_operator_tolerance_is_absolute_atol():
-    # 5e-6 on the diagonal of B^dag B is far above ATOL, however close to
-    # 1 the entries are; so is a 5e-6 defect in P^2 = P.
-    assert not ds.DenseOperator(np.sqrt(1 + 5e-6) * np.eye(4, 2)).is_isometry()
-    assert not ds.DenseOperator((1 + 5e-6) * np.eye(2)).is_projector()
-    assert ds.DenseOperator(np.sqrt(1 + 0.2 * ds.ATOL) * np.eye(4, 2)).is_isometry()
-
-
-# ---------------------------------------------------------------------------
 # Pauli matrices
 # ---------------------------------------------------------------------------
 
@@ -187,6 +156,8 @@ def test_apply_circuit_matches_unitary():
     assert np.allclose(ds.apply_circuit(circ, vec), u @ vec)
     inv = ds.circuit_unitary(circ.inverse())
     assert np.allclose(inv @ u, np.eye(8), atol=1e-12)
+    with pytest.raises(ValueError, match="power of two"):
+        ds.apply_circuit(circ, np.ones(6))
 
 
 def test_cancelled_gate_pairs_leave_every_unitary_bit_identical(monkeypatch):
@@ -288,43 +259,16 @@ def test_norm_cross_check_isometry_vs_full():
 # Channels
 # ---------------------------------------------------------------------------
 
-def test_identity_channel_keeps_branch():
-    chan = ds.QuantumChannel(2, (np.eye(2, dtype=complex),), (0,))
-    vec = np.array([1, 0, 0, 0], dtype=complex)
-    out = ds.apply_channel(chan, vec)
-    assert len(out) == 1
-    w, v = out[0]
-    assert abs(w - 1.0) < 1e-12 and np.allclose(v, vec)
-
-
-def test_depolarizing_four_branches():
-    chan = ds.depolarizing_channel(1.0, 0, 1)
-    vec = np.array([1, 0], dtype=complex)
-    out = ds.apply_channel(chan, vec)
-    assert len(out) == 4
-    assert all(abs(w - 0.25) < 1e-12 for w, _ in out)
-    assert abs(ds.branch_total_weight(out) - 1.0) < 1e-12
-
-
-def test_z_measurement_on_plus_state():
-    meas = ds.QuantumChannel(1, (np.diag([1, 0]).astype(complex),
-                                 np.diag([0, 1]).astype(complex)), (0,))
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    out = ds.apply_channel(meas, plus)
-    assert len(out) == 2
-    assert all(abs(w - 0.5) < 1e-12 for w, _ in out)
-
-
 def test_non_cptp_rejected():
     with pytest.raises(ValueError, match="CPTP"):
-        ds.QuantumChannel(1, (0.5 * np.eye(2, dtype=complex),), (0,))
+        ds.check_trace_preserving([0.25 * np.eye(2)], 2, "channel")
 
 
 def test_trace_preserving_tolerance_is_absolute_atol():
     # Every entry of sum K^dag K - I must be within ATOL, the diagonal too.
-    ds.QuantumChannel(1, (np.sqrt(1 + 0.2 * ds.ATOL) * I2,), (0,))
+    ds.check_trace_preserving([(1 + 0.2 * ds.ATOL) * np.eye(2)], 2, "channel")
     with pytest.raises(ValueError, match="trace preserving.*CPTP"):
-        ds.QuantumChannel(1, (np.sqrt(1 + 5 * ds.ATOL) * I2,), (0,))
+        ds.check_trace_preserving([(1 + 5 * ds.ATOL) * np.eye(2)], 2, "channel")
     with pytest.raises(ValueError, match="^adversary: "):
         ds.check_trace_preserving([np.eye(2) + 5 * ds.ATOL], 2, "adversary")
 
@@ -342,23 +286,6 @@ def test_density_matrix_helpers_match_dense_products():
                for k in kraus)
     assert np.allclose(ds.dm_apply_single_qubit_kraus(kraus, 1, rho, 3), want,
                        atol=1e-12)
-
-
-def test_channel_weight_conservation_random():
-    rng = np.random.default_rng(23)
-    chan = ds.depolarizing_channel(0.3, 1, 3)
-    vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    vec /= np.linalg.norm(vec)
-    out = ds.apply_channel(chan, [(0.6, vec), (0.4, vec)])
-    assert abs(ds.branch_total_weight(out) - 1.0) < 1e-10
-
-
-def test_channel_record_roundtrip():
-    chan = ds.depolarizing_channel(0.25, 1, 3)
-    back = ds.QuantumChannel.loads(chan.dumps())
-    assert back.n == chan.n and back.support == chan.support
-    for a, b in zip(back.kraus, chan.kraus):
-        assert np.allclose(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -380,34 +307,43 @@ def choi_fidelity_oracle(kraus_ops, k):
     return float((phi.conj() @ out @ phi).real)
 
 
+def channel_fidelity(kraus, qubits, k, n_system):
+    """<Phi| rho |Phi> after the Kraus map acts on `qubits`, by
+    `maximally_entangled_overlap` on one branch per Kraus operator.  Phi
+    pairs message qubits 0..k-1 with reference qubits n_system..n_system+k-1;
+    every other qubit starts in |0>."""
+    n = n_system + k
+    vec = np.zeros(1 << n, dtype=complex)
+    for m in range(1 << k):
+        vec[m | (m << n_system)] = 1 / np.sqrt(1 << k)
+    branches = [(1.0, ds.apply_on_qubits(kk, qubits, vec, n)) for kk in kraus]
+    return ds.maximally_entangled_overlap(branches, tuple(range(k)),
+                                          tuple(range(n_system, n)))
+
+
 def test_entanglement_fidelity_identity():
-    fid = ds.entanglement_fidelity(lambda br: br, k=2, n_system=3)
+    fid = channel_fidelity([np.eye(2)], (0,), k=2, n_system=3)
     assert abs(fid - 1.0) < 1e-12
 
 
 def test_entanglement_fidelity_trace_and_replace():
     # Replacing every qubit with |0> leaves fidelity 1/4^k.
     k = 2
-    def pipeline(branches):
-        for q in range(k):
-            branches = ds.apply_channel(ds.replace_channel(np.array([1, 0]), q, 2 * k),
-                                        branches)
-        return branches
-    fid = ds.entanglement_fidelity(pipeline, k=k, n_system=k)
-    kraus = [np.kron(b, a) for a in
-             [np.outer([1, 0], e) for e in np.eye(2)]
-             for b in [np.outer([1, 0], e) for e in np.eye(2)]]
+    reset = [np.outer([1, 0], e) for e in np.eye(2)]
+    kraus = [np.kron(b, a) for a in reset for b in reset]
+    ds.check_trace_preserving([kk.conj().T @ kk for kk in kraus], 4, "replace")
+    fid = channel_fidelity(kraus, (0, 1), k=k, n_system=k)
     oracle = choi_fidelity_oracle(kraus, k)
     assert abs(oracle - 1 / 4 ** k) < 1e-12
     assert abs(fid - oracle) < 1e-10
 
 
 def test_entanglement_fidelity_dephasing_closed_form():
+    # Phase damping, a Z measurement with probability p: fidelity 1 - p/2.
     p = 0.37
-    def pipeline(branches):
-        return ds.apply_channel(ds.dephasing_channel(p, 0, 1), branches)
-    fid = ds.entanglement_fidelity(pipeline, k=1, n_system=1)
-    chan = ds.dephasing_channel(p, 0, 1)
-    oracle = choi_fidelity_oracle(list(chan.kraus), 1)
+    kraus = [np.sqrt(1 - p) * I2, np.sqrt(p) * np.diag([1, 0]),
+             np.sqrt(p) * np.diag([0, 1])]
+    fid = channel_fidelity(kraus, (0,), k=1, n_system=1)
+    oracle = choi_fidelity_oracle(kraus, 1)
     assert abs(oracle - (1 - p / 2)) < 1e-12
     assert abs(fid - oracle) < 1e-10

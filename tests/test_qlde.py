@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pmdkit import f2
-from pmdkit.densesim import apply_channel, apply_pauli, codespace_isometry
-from pmdkit.densesim import QuantumChannel
+from pmdkit.densesim import apply_on_qubits, apply_pauli, codespace_isometry
 from pmdkit.qlde import (CorrectionList, ErasurePattern, classical_erasure_list_decode,
                          classical_list_profile, erasure_list_decode,
                          list_size_profile, quantum_list_size, sample_random_css)
@@ -191,11 +190,11 @@ def test_css_lifting_squared_bound():
 # Syndrome collapse (channel on erased set -> span of list corrections)
 # ---------------------------------------------------------------------------
 
-def random_two_qubit_channel(rng, qubits, n):
-    """Haar-ish random unitary on two qubits as a one-Kraus channel."""
+def random_two_qubit_unitary(rng):
+    """Haar-ish random unitary on two qubits."""
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q, _ = np.linalg.qr(m)
-    return QuantumChannel(n, (q,), qubits)
+    return q
 
 
 def test_syndrome_collapse_into_list_span():
@@ -205,21 +204,20 @@ def test_syndrome_collapse_into_list_span():
     iso = codespace_isometry(code)
     psi = iso @ (lambda v: v / np.linalg.norm(v))(
         rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    branches = apply_channel(random_two_qubit_channel(rng, erased, code.n), psi)
-    for weight, vec in branches:
-        for s_bits in itertools.product((0, 1), repeat=code.r):
-            post = vec.copy()
-            for g, want in zip(code.gens, s_bits):
-                post = 0.5 * (post + (1 - 2 * want) * apply_pauli(g, post))
-            if np.linalg.norm(post) < 1e-12:
-                continue
-            post /= np.linalg.norm(post)
-            corr = erasure_list_decode(code, erased, s_bits)
-            assert corr.entries, "nonzero outcome must admit corrections"
-            basis = np.stack([apply_pauli(e, psi) for e in corr.entries], axis=1)
-            # Residual after projecting onto span{E_i |psi>} must vanish.
-            coeffs, *_ = np.linalg.lstsq(basis, post, rcond=None)
-            assert np.linalg.norm(basis @ coeffs - post) < 1e-9
+    vec = apply_on_qubits(random_two_qubit_unitary(rng), erased, psi, code.n)
+    for s_bits in itertools.product((0, 1), repeat=code.r):
+        post = vec.copy()
+        for g, want in zip(code.gens, s_bits):
+            post = 0.5 * (post + (1 - 2 * want) * apply_pauli(g, post))
+        if np.linalg.norm(post) < 1e-12:
+            continue
+        post /= np.linalg.norm(post)
+        corr = erasure_list_decode(code, erased, s_bits)
+        assert corr.entries, "nonzero outcome must admit corrections"
+        basis = np.stack([apply_pauli(e, psi) for e in corr.entries], axis=1)
+        # Residual after projecting onto span{E_i |psi>} must vanish.
+        coeffs, *_ = np.linalg.lstsq(basis, post, rcond=None)
+        assert np.linalg.norm(basis @ coeffs - post) < 1e-9
 
 
 # ---------------------------------------------------------------------------
