@@ -40,7 +40,7 @@ import numpy as np
 from .densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
                        check_trace_preserving, codespace_isometry,
                        pauli_gather, phi_amplitudes, qubit_rows)
-from .limits import check_qubits
+from .limits import SizeGuardError, check_qubits
 from .pmd import PmdCode, auth_unitary
 from .qlde import CorrectionList, erasure_list_decode
 from .symplectic import CliffordCircuit, StabilizerCode
@@ -174,7 +174,9 @@ class TaggedBranch:
 
 def _erase_qubits(vec: np.ndarray, erased: tuple[int, ...], n_now: int) -> np.ndarray:
     """Move erased contents to fresh environment qubits and refill each
-    position with half of a maximally entangled pair (purified mixing)."""
+    position with half of a maximally entangled pair (purified mixing).
+    The n_now + 2|E| qubits are checked against the size guard first."""
+    check_qubits(n_now + 2 * len(erased), "erased state")
     out = vec
     for idx, q in enumerate(erased):
         base = n_now + 2 * idx
@@ -462,7 +464,16 @@ def erasure_harness(code: ComposedCode, adv: ErasureAdversary,
         raise ValueError("adversary block length does not match the code")
     fidelity, realized, branch_count = 0.0, 1, 0
     for kraus, erased in adv.branches:
-        state = code.erased_state(erased)
+        try:
+            state = code.erased_state(erased)
+        except SizeGuardError:
+            # Too wide to erase.  A branch of weight 0, which scores
+            # nothing, is still skipped: its weight is tr(K rho_E K^dag)
+            # with rho_E psi0's reduced state on E, as in `apply_adversary`.
+            m = qubit_rows(entangled_code_state(code), erased)
+            if _sandwich(kraus, m @ m.conj().T) <= WEIGHT_TOL:
+                continue
+            raise
         try:
             masses = _sandwich(kraus, state.grams)
             weight = float(masses.sum())

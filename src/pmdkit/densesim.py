@@ -141,18 +141,30 @@ def apply_circuit(circ: CliffordCircuit, array: np.ndarray) -> np.ndarray:
 
     The rows index a register of at least circ.n qubits; the circuit acts
     on its lowest circ.n qubits and any higher ones ride along.  A
-    one-qubit gate contracts the middle axis of the (-1, 2, 2^q * cols)
-    view, which is qubit q, in one matrix product.  CNOT and CZ act on the
-    (-1, 2, 2^(hi-lo-1), 2, 2^lo * cols) view of their two qubits: CZ
-    negates the |11> slice, CNOT swaps the target's halves where the
-    control is 1.
+    one-qubit gate acts on the middle axis of the (-1, 2, 2^q * cols)
+    view, which is qubit q: S and Z multiply its |1> half by i or -1, X
+    swaps its halves, and only H contracts it in a matrix product.  Each
+    gives the gate matrix's result exactly, except that an exact zero
+    may come out with the other sign (-1 * +0 is -0, where the 2 x 2
+    product adds a +0).  CNOT
+    and CZ act on the (-1, 2, 2^(hi-lo-1), 2, 2^lo * cols) view of their
+    two qubits: CZ negates the |11> slice, CNOT swaps the target's halves
+    where the control is 1.
     """
     if _qubit_count(array.shape[0], "row") < circ.n:
         raise ValueError(f"array has {array.shape[0]} rows, fewer than 2^{circ.n}")
     out = np.array(array, dtype=complex, order="C")
     cols = out.size // out.shape[0]
     for name, qubits in circ.gates:
-        if name in ("cnot", "cz"):
+        if name in ("s", "z", "x"):
+            view = out.reshape(-1, 2, (1 << qubits[0]) * cols)
+            if name == "s":
+                view[:, 1] *= 1j
+            elif name == "z":
+                view[:, 1] *= -1
+            else:
+                view[...] = view[:, ::-1]
+        elif name in ("cnot", "cz"):
             lo, hi = sorted(qubits)
             view = out.reshape(-1, 2, 1 << (hi - lo - 1), 2, (1 << lo) * cols)
             if name == "cz":
@@ -166,9 +178,9 @@ def apply_circuit(circ: CliffordCircuit, array: np.ndarray) -> np.ndarray:
         else:
             (q,) = qubits
             low = (1 << q) * cols
-            # One np.dot on the qubit-major copy, as apply_on_qubits's
+            # H: one np.dot on the qubit-major copy, as apply_on_qubits's
             # tensordot does, so the rounding is the same.
-            moved = np.dot(GATE_MATRICES[name], out.reshape(-1, 2, low)
+            moved = np.dot(_H, out.reshape(-1, 2, low)
                            .transpose(1, 0, 2).reshape(2, -1))
             out = moved.reshape(2, -1, low).transpose(1, 0, 2).reshape(out.shape)
     return out

@@ -15,7 +15,12 @@ code-space-compressed error, max over nonidentity Paulis E of
 |B^dag E B|, measured exhaustively (or by seeded sampling above the
 work guard).  Both paths rest on the frame of the per-key Clifford
 encoders, where each key's part of B^dag E B is a signed row gather
-from a table U_{k^a}^dag B_k.  The sampled path sums these gathers.
+from a table U_{k^a}^dag B_k.  The sampled path sums these gathers
+and keeps a running maximum: a block whose Cholesky factor of
+floor^2 I - M^dag M exists, at floor = maximum * (1 - 1e-9), is
+certified below it (the test's rounding is of order n^2 u for n
+columns, at most about 1e-10, inside the margin), and only the other
+blocks get an SVD.
 The exhaustive sweep handles all Z parts of one X part with a Walsh
 transform factored over the key and code registers.  It multiplies
 only the code Z rows whose frame bound (the sum over keys of the norms
@@ -136,10 +141,11 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
     4^total * 4^(n-lam) block entries stay within `SWEEP_GUARD`
     (SizeGuardError before any work otherwise); pass `samples` for a
     uniform sample drawn from a Philox generator seeded with `seed`.
-    Sampled norms come from `frame_norms`; the argmax is the first drawn
-    Pauli with the largest of them, and the reported value is
-    `compressed_error_norm` there, so it is exactly the dense norm at
-    the reported argmax.
+    The argmax is the first drawn Pauli with the largest `frame_norms`
+    norm, found by `_sampled_argmax`, which certifies most blocks below
+    the running maximum by one Cholesky test each and runs the SVD only
+    on the rest.  The reported value is `compressed_error_norm` at the
+    argmax, so it is exactly the dense norm there.
 
     Phases of E drop out of singular values, so only the (x, z)
     exponents matter.  For each x mask the rows of B are permuted by
@@ -216,7 +222,7 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
     for _ in range(samples):
         code = int(rng.integers(1, (1 << (2 * total))))
         drawn.append((code & ((1 << total) - 1), code >> total))
-    x, z = drawn[int(np.argmax(frame_norms(pmd, drawn)))]
+    x, z = drawn[_sampled_argmax(pmd, drawn)]
     argmax = PauliOperator(total, x, z, 0)
     return EpsilonReport(compressed_error_norm(pmd, argmax), argmax,
                          exhaustive=False, samples=samples, seed=seed)
@@ -262,8 +268,9 @@ def _row_bounds(pmd: PmdCode) -> np.ndarray:
     return norms[j[..., None, None], keys[:, None, None], slab[j]].sum(axis=1)
 
 
-def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
-    """|B^dag X^x Z^z B| for each (x, z) exponent pair, in the Clifford frame.
+def _frame_blocks(pmd: PmdCode, paulis: list[tuple[int, int]]):
+    """Yield (i, B^dag X^x Z^z B) for each (x, z) = paulis[i], in the
+    Clifford frame, grouped by key shift a = x >> n.
 
     With U_k the key-k encoder circuit and B_k = U_k (I (x) |0^lam>) the
     key-k rows of the encoder, write E = E_c (x) X^a Z^b on the code and
@@ -274,9 +281,11 @@ def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
 
     with G_{k^a,k} = U_{k^a}^dag B_k, so each key's term is the signed
     gather i^phi (-1)^(z'.(r^x')) G_{k^a,k}[r ^ x'] over the message rows
-    r.  The Paulis are handled grouped by key shift a, with only that
-    shift's K tables (K = 2^lam tables of 2^n x 2^(n-lam)) alive.  U_j^dag E_c U_j for all the Paulis comes
-    from one array call per key j; each summed block costs one SVD.
+    r.  Shifts come in ascending order, and within one shift the Paulis
+    in draw order, with only that shift's K tables (K = 2^lam tables of
+    2^n x 2^(n-lam)) alive.  U_j^dag E_c U_j for all the Paulis comes
+    from one array call per key j.  Every block is yielded in one reused
+    buffer, so a caller must be done with it before the next.
     """
     n, num_keys = pmd.code_qubits, pmd.family.num_keys
     dim_code, dim_msg = 1 << n, 1 << pmd.message_qubits
@@ -288,7 +297,6 @@ def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
     by_shift: dict[int, list[int]] = {}
     for i, (x, _) in enumerate(paulis):
         by_shift.setdefault(x >> n, []).append(i)
-    norms = np.empty(len(paulis))
     block = np.empty((dim_msg, dim_msg), dtype=complex)
     term = np.empty_like(block)
     # frames[j][i] = (x', z', phi) of U_j^dag E_c U_j for Pauli i.
@@ -309,8 +317,53 @@ def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
                 np.take(table, src, axis=0, out=term)
                 term *= (sign * (1 - 2.0 * f2_parity_array(src & pz)))[:, None]
                 block += term
-            norms[i] = np.linalg.svd(block, compute_uv=False)[0]
+            yield i, block
+
+
+def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
+    """|B^dag X^x Z^z B| for each (x, z) exponent pair, one SVD per block
+    of `_frame_blocks`.  The sampled branch of `measure_pmd_epsilon` keeps
+    only the largest of these; this is its oracle."""
+    norms = np.empty(len(paulis))
+    for i, block in _frame_blocks(pmd, paulis):
+        norms[i] = np.linalg.svd(block, compute_uv=False)[0]
     return norms
+
+
+def _certified_below(m: np.ndarray, floor: float) -> bool:
+    """True if a Cholesky factor of floor^2 I - M^dag M exists, which
+    certifies |M| < floor to within a relative error of order n^2 u
+    (n columns, u the unit roundoff): the factorization's backward error
+    plus the Gram's rounding, about 5e-13 at n = 64 and 1e-10 at the
+    widest block that `build_pmd` allows (n = 1024)."""
+    gram = m.conj().T @ m
+    gram *= -1
+    gram.flat[::gram.shape[0] + 1] += floor * floor
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _sampled_argmax(pmd: PmdCode, paulis: list[tuple[int, int]]) -> int:
+    """np.argmax(frame_norms(pmd, paulis)), with an SVD only on the blocks
+    that `_certified_below` cannot put under the running maximum.
+
+    The floor is best * (1 - 1e-9), and the certificate's rounding stays
+    inside that margin, so a certified block's SVD norm could neither
+    exceed nor tie best.  Every other block gets `frame_norms`' SVD on the
+    same bits.  Blocks arrive grouped by key shift, not in draw order, so
+    an exact tie goes to the smaller draw index, as in np.argmax.
+    """
+    best, best_i = -1.0, len(paulis)
+    for i, block in _frame_blocks(pmd, paulis):
+        if best > 0 and _certified_below(block, best * (1.0 - 1e-9)):
+            continue
+        norm = np.linalg.svd(block, compute_uv=False)[0]
+        if norm > best or (norm == best and i < best_i):
+            best, best_i = norm, i
+    return best_i
 
 
 def compressed_error_norm(pmd: PmdCode, e: PauliOperator) -> float:

@@ -558,6 +558,45 @@ def test_harness_matches_branch_oracle_on_fixed_adversaries():
     assert [rep.realized_list for rep in outcomes] == [1, 2]
 
 
+def test_erased_width_guard_fires_only_where_the_cascade_refuses():
+    # The erased state holds n + k + 2|E| qubits.  On [[7,6]]∘PMD(4,2),
+    # n + k = 9, so the guard first fires at |E| = 3 (15 qubits); every
+    # list there has 32 entries, and the cascade already refuses |E| = 2
+    # (8 entries, 7 + 8 = 15 qubits).  Both harnesses raise before erasing.
+    code = main_setup()
+    eps = measure_pmd_epsilon(code.pmd).value
+    with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 15 qubits"):
+        erasure_harness(code, ErasureAdversary.nonadaptive(7, (0, 1)), eps)
+    for erased in itertools.combinations(range(7), 3):
+        for s_bits in ((0,), (1,)):
+            assert len(erasure_list_decode(code.outer, erased, s_bits).entries) == 32
+    for size in (3, 7):
+        adv = ErasureAdversary.nonadaptive(7, tuple(range(size)))
+        message = f"erased state needs {9 + 2 * size} qubits"
+        for harness in (erasure_harness, branch_harness):
+            with pytest.raises(SizeGuardError, match=message):
+                harness(code, adv, eps)
+        assert tuple(range(size)) not in code._erased
+    # On [[4,3]]∘PMD(2,1) the widest erased state has 5 + 8 = 13 qubits.
+    small = small_setup()
+    assert small.n + small.message_qubits + 2 * small.n <= 14
+    state = small.erased_state((0, 1, 2, 3))
+    assert state.grams.shape == (len(state.outcomes), 16, 16)
+
+
+def test_too_wide_branch_of_weight_zero_is_still_skipped():
+    code = main_setup()
+    eps = measure_pmd_epsilon(code.pmd).value
+    u = np.linalg.qr(np.arange(4).reshape(2, 2) + 1j * np.eye(2))[0]
+    alone = ErasureAdversary(7, ((u, (0,)),), 3)
+    with_zero = ErasureAdversary(7, ((u, (0,)), (np.zeros((8, 8)), (0, 1, 2))), 3)
+    want = erasure_harness(code, alone, eps)
+    assert erasure_harness(code, with_zero, eps) == want
+    oracle = branch_harness(code, with_zero, eps)
+    assert abs(oracle.fidelity - want.fidelity) <= 1e-12
+    assert oracle.branch_count == want.branch_count == 2
+
+
 def test_erased_set_memo_keeps_no_state_sized_vector():
     code = main_setup()
     eps = measure_pmd_epsilon(code.pmd).value

@@ -133,6 +133,33 @@ def test_aqec_simulate_reports_do_not_depend_on_earlier_codes(capsys, tmp_path):
     assert fresh.stdout == out2 != out1
 
 
+def test_aqec_simulate_refuses_wide_erasures_before_building_them(tmp_path):
+    # Budget 7 on [[7,6]]∘PMD(4,2) draws erased sets of up to 7 qubits, whose
+    # erased states would need up to 23 qubits (128 MB per vector); they are
+    # refused by the size guard before any is built.
+    outer = tmp_path / "outer.txt"
+    outer.write_text(SEVEN6_TEXT)
+    env = dict(os.environ)
+    src = str(Path(pmdkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # VmHWM is the peak RSS of this process image alone: ru_maxrss would
+    # also count the memory of the test process that spawned it.
+    script = ("import re, sys\n"
+              "from pmdkit.cli import run\n"
+              "rc = run(sys.argv[1:])\n"
+              "status = open('/proc/self/status').read()\n"
+              "print(rc, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), file=sys.stderr)\n")
+    argv = ["aqec", "simulate", "--pmd-n", "4", "--pmd-lambda", "2", "--outer", str(outer),
+            "--count", "20", "--budget", "7", "--seed", "2"]
+    proc = subprocess.run([sys.executable, "-c", script] + argv, env=env,
+                          capture_output=True, text=True)
+    rc, max_rss = proc.stderr.split()[-2:]
+    assert rc == "1"
+    assert int(max_rss) < 100 * 1024  # kB
+    assert "erased state needs 23 qubits" in proc.stdout
+    assert "algorithm2_unitary needs 15 qubits" in proc.stdout
+
+
 def test_aqec_simulate_adversary_file(capsys, tmp_path):
     outer = tmp_path / "outer.txt"
     outer.write_text(SEVEN6_TEXT)

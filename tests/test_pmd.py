@@ -316,17 +316,23 @@ def test_frame_norms_match_dense_on_random_paulis(n, lam):
         assert abs(norm - want) <= 1e-12
 
 
+def sampled_draws(pmd, samples, seed):
+    """The exponent pairs that `measure_pmd_epsilon` draws, in order."""
+    total = pmd.total
+    rng = np.random.default_rng(np.random.Philox(seed))
+    drawn = []
+    for _ in range(samples):
+        code = int(rng.integers(1, (1 << (2 * total))))
+        drawn.append((code & ((1 << total) - 1), code >> total))
+    return drawn
+
+
 def dense_sampled_epsilon(pmd, samples, seed):
     """The sampled loop before the Clifford frame: one dense
     |B^dag E B| per drawn Pauli.  Returns (epsilon, drawn exponent pairs)."""
-    total = pmd.total
-    rng = np.random.default_rng(np.random.Philox(seed))
-    best, drawn = -1.0, []
-    for _ in range(samples):
-        code = int(rng.integers(1, (1 << (2 * total))))
-        x, z = code & ((1 << total) - 1), code >> total
-        drawn.append((x, z))
-        best = max(best, compressed_error_norm(pmd, PauliOperator(total, x, z, 0)))
+    drawn = sampled_draws(pmd, samples, seed)
+    best = max(compressed_error_norm(pmd, PauliOperator(pmd.total, x, z, 0))
+               for x, z in drawn)
     return best, drawn
 
 
@@ -352,6 +358,65 @@ def test_sampled_epsilon_computes_one_dense_norm(monkeypatch):
     pmd = make_pmd(6, 2)
     rep = measure_pmd_epsilon(pmd, samples=100, seed=5)
     assert calls == [rep.argmax]
+
+
+@pytest.mark.parametrize("n,lam,seeds,samples", [
+    (4, 2, range(41), 300), (6, 3, range(41), 300),
+    (6, 6, range(16), 16), (8, 2, range(16), 300)])
+def test_certified_selection_is_the_oracle_argmax(n, lam, seeds, samples):
+    pmd = make_pmd(n, lam)
+    for seed in seeds:
+        drawn = sampled_draws(pmd, samples, seed)
+        want = int(np.argmax(frame_norms(pmd, drawn)))
+        assert pmdkit.pmd._sampled_argmax(pmd, drawn) == want, seed
+
+
+def test_certified_selection_breaks_ties_across_shifts_in_draw_order():
+    # Blocks arrive grouped by key shift x >> n, so an exact tie between
+    # two shifts reaches the selection out of draw order.
+    pmd = make_pmd(4, 2)
+    n, mask = pmd.code_qubits, (1 << pmd.total) - 1
+    paulis = [(c & mask, c >> pmd.total) for c in range(1, 1 << (2 * pmd.total))]
+    norms = frame_norms(pmd, paulis)
+    ties = 0
+    for value in np.unique(norms)[::-1]:
+        same = [paulis[i] for i in np.flatnonzero(norms == value)]
+        by_shift = {x >> n: (x, z) for x, z in reversed(same)}
+        if len(by_shift) < 2:
+            continue
+        ties += 1
+        hi, lo = by_shift[max(by_shift)], by_shift[min(by_shift)]
+        below = [p for p, v in zip(paulis, norms) if v < value][:5]
+        for drawn in ([hi, lo], [lo, hi], [hi] + below + [lo]):
+            assert pmdkit.pmd._sampled_argmax(pmd, drawn) == 0
+        assert pmdkit.pmd._sampled_argmax(pmd, below + [hi, lo]) == len(below)
+        if ties == 8:
+            break
+    assert ties == 8
+
+
+def test_certified_selection_runs_few_svds(monkeypatch):
+    pmd = make_pmd(8, 2)
+    drawn = sampled_draws(pmd, 300, 21)
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    pmdkit.pmd._sampled_argmax(pmd, drawn)
+    assert 1 <= len(calls) <= 30
+
+
+@pytest.mark.parametrize("seed,eps", [(21, 0.5590169943749473), (22, 0.75),
+                                      (23, 0.5292880841487061)])
+def test_keyed_sampled_point_epsilon(seed, eps):
+    # pmd verify --n 8 --lambda 2 --samples 300, as in the benchmark.
+    pmd = make_pmd(8, 2)
+    rep = measure_pmd_epsilon(pmd, samples=300, seed=seed)
+    assert abs(rep.value - eps) <= 1e-12
+    assert rep.value == compressed_error_norm(pmd, rep.argmax)
 
 
 def test_sampling_mode_without_seed_uses_seed_zero():

@@ -3,17 +3,18 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pmdkit import f2
 from pmdkit.auth import NmCode, REJECT, all_tamper_functions, nm_decompose, nm_verify
-from pmdkit.densesim import (apply_circuit, circuit_unitary, dm_conjugate_pauli,
-                             kraus_from_record, kraus_to_record, pauli_gather,
-                             pauli_matrix)
+from pmdkit.densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
+                             circuit_unitary, dm_conjugate_pauli, kraus_from_record,
+                             kraus_to_record, pauli_gather, pauli_matrix)
 from pmdkit.galois import FieldSpec, compute_dual_basis
-from pmdkit.pmd import _norm_bounds
+from pmdkit.pmd import _certified_below, _norm_bounds, build_pmd
 from pmdkit.ptc import _key_syndromes, build_bcgst_family
 from pmdkit.symplectic import CliffordCircuit, PauliOperator, pauli_span, symplectic_product
 
@@ -130,6 +131,51 @@ def test_apply_circuit_matches_kron_gate_product(case, cols, seed):
     got = apply_circuit(circ, array)
     assert got.shape == array.shape
     assert np.allclose(got, want @ array, rtol=0, atol=1e-12)
+
+
+_CNOT = np.eye(4)[[0, 3, 2, 1]]  # index bit 0 is the control, bit 1 the target
+_CZ = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def _matrix_path(circ, array):
+    """Each gate's matrix applied by apply_on_qubits: the oracle of
+    apply_circuit's view operations."""
+    n = array.shape[0].bit_length() - 1
+    for name, qubits in circ.gates:
+        matrix = {"cnot": _CNOT, "cz": _CZ}.get(name, GATE_MATRICES.get(name))
+        array = apply_on_qubits(matrix, qubits, array, n)
+    return np.ascontiguousarray(array)
+
+
+@_SETTINGS
+@given(circuits(max_n=5), st.integers(0, 2), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_apply_circuit_view_gates_match_the_matrix_path_exactly(case, extra, cols, seed):
+    # Exact equality, on registers wider than the circuit and with or
+    # without columns: every nonzero part has the matrix path's bits.  Only
+    # the sign of an exact zero may differ (Z on a +0 amplitude gives -0,
+    # where the 2 x 2 product adds a +0), so the inputs hold zeros of both
+    # signs and compare by value.
+    circ, _ = case
+    n = circ.n + extra
+    rng = np.random.default_rng(seed)
+    shape = (2, 1 << n, cols) if cols else (2, 1 << n)
+    parts = rng.standard_normal(shape) * rng.choice([1.0, 0.0, -0.0], shape)
+    array = parts[0] + 1j * parts[1]
+    assert np.array_equal(apply_circuit(circ, array), _matrix_path(circ, array))
+
+
+@pytest.mark.parametrize("n,lam", [(4, 2), (8, 2)])
+def test_frame_tables_have_the_matrix_path_bits(n, lam):
+    # The tables that the sampled PMD path gathers from, U_j^dag B_k for
+    # every pair of keys, keep every bit, signed zeros included.
+    pmd = build_pmd(build_bcgst_family(n, lam))
+    keys = pmd.family.num_keys
+    rows = pmd.encoder.reshape(keys, 1 << n, -1)
+    for j in range(keys):
+        inverse = pmd.family.codes[j].encoder.inverse()
+        for k in range(keys):
+            got, want = apply_circuit(inverse, rows[k]), _matrix_path(inverse, rows[k])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @st.composite
@@ -259,6 +305,23 @@ def test_norm_bounds_dominate_the_top_singular_value(m):
         assert b >= sigma * (1 - 1e-9)
     if not m.any():
         assert bound == gram_bound == 0.0
+
+
+@_SETTINGS
+@given(complex_matrices(), st.sampled_from((-1e-6, -1e-12, 0.0, 1e-12, 1e-9, 1e-6)),
+       st.booleans())
+def test_cholesky_certificate_never_passes_a_larger_norm(m, rel, flat):
+    # The sampled PMD selection skips a block's SVD when this certificate
+    # holds at the running maximum less a relative 1e-9.
+    if flat:
+        # Every singular value equal: floor^2 I - M^dag M is near 0 * I.
+        m = 3.0 * np.linalg.qr(m + np.eye(len(m)))[0]
+    sigma = np.linalg.svd(m, compute_uv=False)[0]
+    floor = sigma * (1 + rel)
+    if _certified_below(m, floor):
+        assert sigma < floor * (1 + 1e-12)
+    if sigma > 0 and rel >= 1e-9:
+        assert _certified_below(m, floor)
 
 
 def _clmul(a, b):
