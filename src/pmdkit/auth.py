@@ -420,12 +420,14 @@ def nm_search(k: int, n: int, trials: int,
     maximum reaches the best finished trial's epsilon: it can no longer
     win, since only a strictly smaller epsilon replaces the best.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if k + 1 > n:
         raise ValueError("codeword too short for message plus randomness")
     _check_table_size(k, n, 1)
     best_code, best_eps = None, np.inf
     solved: dict = {}  # (k, rand_bits, decode table) -> epsilon
-    for trial in range(max(1, trials)):
+    for trial in range(trials):
         codewords = rng.permutation(1 << n)[:1 << (k + 1)].reshape(1 << k, -1)
         decoded = np.full(1 << n, -1)  # words outside the code reject
         decoded[codewords] = np.arange(1 << k)[:, None]
@@ -506,6 +508,15 @@ def _symbol_index(p: PauliOperator, qubit: int) -> int:
     return {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[(bx, bz)]
 
 
+def _pauli_weight(per_qubit_weights, p: PauliOperator):
+    """Product of per_qubit_weights[q][p's I/X/Y/Z index on q], left to
+    right from 1 over the qubits of p, so Fractions stay exact."""
+    term = 1
+    for q in range(p.n):
+        term = term * per_qubit_weights[q][_symbol_index(p, q)]
+    return term
+
+
 def _normalizer_elements(code: StabilizerCode):
     """All elements of N(Q) mod phase, from the derived basis."""
     if code.n > 8:
@@ -529,10 +540,7 @@ def stabilizer_mass(per_qubit_weights, code: StabilizerCode):
         raise ValueError("need one weight vector per qubit")
     total = 0
     for element in code.stabilizer_group():
-        term = 1
-        for q in range(code.n):
-            term = term * per_qubit_weights[q][_symbol_index(element, q)]
-        total = total + term
+        total = total + _pauli_weight(per_qubit_weights, element)
     return total
 
 
@@ -545,15 +553,12 @@ def normalizer_l1_mass(per_qubit_abs_coeffs, code: StabilizerCode):
     if len(per_qubit_abs_coeffs) != code.n:
         raise ValueError("need one coefficient table per qubit")
     elements = _normalizer_elements(code)
-    symbol_table = [[_symbol_index(e, q) for q in range(code.n)] for e in elements]
     total = 0
     for mu in itertools.product(*(range(len(t)) for t in per_qubit_abs_coeffs)):
+        weights = [table[m] for table, m in zip(per_qubit_abs_coeffs, mu)]
         inner = 0
-        for symbols in symbol_table:
-            term = 1
-            for q in range(code.n):
-                term = term * per_qubit_abs_coeffs[q][mu[q]][symbols[q]]
-            inner = inner + term
+        for element in elements:
+            inner = inner + _pauli_weight(weights, element)
         total = total + inner * inner
     return total
 
@@ -653,7 +658,6 @@ class AttackReport:
     p_accept_wrong: float
     p_reject: float
     fidelity_given_accept: float
-    classical_decomposition: NmDecomposition | None = None
 
 
 @dataclass(frozen=True)
@@ -782,9 +786,7 @@ def auth13_key_recovered_branch(proto: Auth13Protocol, wire_kraus) -> AttackRepo
     p_accept = p_wrong = fid_acc = 0.0
     elements = _normalizer_elements(outer)
     for element in elements:
-        prob = 1.0
-        for q in range(outer.n):
-            prob *= float(weights[q][_symbol_index(element, q)])
+        prob = float(_pauli_weight(weights, element))
         if prob == 0.0:
             continue
         logical = dec_circuit.conjugate_pauli(element.hermitian_form())
@@ -991,9 +993,7 @@ def auth1_block_reject_probability(proto: Auth1Protocol, block_channels,
         x = code_pt & ((1 << b) - 1)
         z = code_pt >> b
         p = PauliOperator(b, x, z, 0)
-        prob = 1.0
-        for q in range(b):
-            prob *= float(weights[q][_symbol_index(p, q)])
+        prob = float(_pauli_weight(weights, p))
         if prob == 0.0:
             continue
         moved = _dm_conjugate_pauli(p, block_rho)

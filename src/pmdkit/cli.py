@@ -25,6 +25,7 @@ from .auth import (Auth1Protocol, Auth13Protocol, NmCode, TamperFunction,
                    auth1_decode, auth1_encode, auth13_attack_harness, nm_search,
                    nm_verify, stabilizer_mass, systematic_parity_nm, twirl_channel)
 from .densesim import kraus_from_record
+from .galois import FieldSpec
 from .limits import SizeGuardError
 from .pmd import build_pmd, measure_pmd_epsilon
 from .ptc import build_bcgst_family, measure_pairwise_detectability, \
@@ -173,11 +174,13 @@ def _frac(f: Fraction) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _field_override(args):
-    if getattr(args, "modulus", None) is None:
-        return None
-    from .galois import FieldSpec
-    return FieldSpec(args.lam, int(args.modulus, 0))
+def _family(args, config: dict):
+    """The family of --n, --lambda and --modulus; a modulus goes into config."""
+    field = None
+    if args.modulus is not None:
+        config["modulus"] = args.modulus
+        field = FieldSpec(args.lam, int(args.modulus, 0))
+    return build_bcgst_family(args.n, args.lam, field=field)
 
 
 def _seed(args) -> int:
@@ -190,9 +193,7 @@ def cmd_ptc_check(args) -> int:
     seed = _seed(args)
     config = {"n": args.n, "lam": args.lam,
               "mode": "exhaustive" if args.samples is None else f"samples={args.samples}"}
-    if args.modulus:
-        config["modulus"] = args.modulus
-    family = build_bcgst_family(args.n, args.lam, field=_field_override(args))
+    family = _family(args, config)
     eps = measure_strong_ptc_error(family, samples=args.samples, seed=seed)
     delta = measure_pairwise_detectability(family)
     report = Report("ptc check", config, seed)
@@ -221,9 +222,7 @@ def _pmd_bound(family):
 def cmd_pmd_verify(args) -> int:
     seed = _seed(args)
     config = {"n": args.n, "lam": args.lam}
-    if args.modulus:
-        config["modulus"] = args.modulus
-    family = build_bcgst_family(args.n, args.lam, field=_field_override(args))
+    family = _family(args, config)
     pmd = build_pmd(family)
     eps_rep = measure_pmd_epsilon(pmd, samples=args.samples, seed=seed)
     eps_ptc, delta, bound = _pmd_bound(family)
@@ -511,6 +510,14 @@ def cmd_sweep(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_family(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", type=int, required=True)
+    p.add_argument("--modulus", default=None,
+                   help="hex override for the GF(2^lambda) modulus")
+    p.add_argument("--samples", type=int, default=None)
+
+
 def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None, help="write the report to a file")
@@ -525,22 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     ptc = sub.add_parser("ptc", help="purity-testing family checks")
     ptc_sub = ptc.add_subparsers(dest="subcommand", required=True)
     ptc_check = ptc_sub.add_parser("check")
-    ptc_check.add_argument("--n", type=int, required=True)
-    ptc_check.add_argument("--lambda", dest="lam", type=int, required=True)
-    ptc_check.add_argument("--modulus", default=None,
-                           help="hex override for the GF(2^lambda) modulus")
-    ptc_check.add_argument("--samples", type=int, default=None)
+    _add_family(ptc_check)
     _add_common(ptc_check)
     ptc_check.set_defaults(func=cmd_ptc_check)
 
     pmd = sub.add_parser("pmd", help="detection-code verification")
     pmd_sub = pmd.add_subparsers(dest="subcommand", required=True)
     pmd_verify = pmd_sub.add_parser("verify")
-    pmd_verify.add_argument("--n", type=int, required=True)
-    pmd_verify.add_argument("--lambda", dest="lam", type=int, required=True)
-    pmd_verify.add_argument("--modulus", default=None,
-                            help="hex override for the GF(2^lambda) modulus")
-    pmd_verify.add_argument("--samples", type=int, default=None)
+    _add_family(pmd_verify)
     _add_common(pmd_verify)
     pmd_verify.set_defaults(func=cmd_pmd_verify)
 

@@ -47,11 +47,14 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
     check_qubits(p.n, "pauli_matrix")
     dim = 1 << p.n
     cols = np.arange(dim)
-    rows = cols ^ p.x
-    signs = 1 - 2.0 * (f2_parity_array(cols & p.z))
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = (1j ** p.phase) * signs
+    mat[cols ^ p.x, cols] = _pauli_signs(p, cols)
     return mat
+
+
+def _pauli_signs(p: PauliOperator, rows: np.ndarray) -> np.ndarray:
+    """i^phase * (-1)^(r . z) per index r: P|r> = that * |r ^ x>."""
+    return (1j ** p.phase) * (1 - 2.0 * f2_parity_array(rows & p.z))
 
 
 def f2_parity_array(values: np.ndarray) -> np.ndarray:
@@ -73,7 +76,7 @@ def pauli_gather(array: np.ndarray, p: PauliOperator,
     active = True if control is None else ((rows >> control[0]) & 1) == control[1]
     rows ^= active * p.x
     # (P v)[r] = i^phase (-1)^{(r ^ x) . z} v[r ^ x]
-    signs = (1j ** p.phase) * (1 - 2.0 * f2_parity_array(rows & p.z))
+    signs = _pauli_signs(p, rows)
     if control is not None:
         signs[~active] = 1
     return array[rows] * (signs if array.ndim == 1 else signs[:, None])
@@ -119,7 +122,7 @@ def apply_on_qubits(u: np.ndarray, qubits: tuple[int, ...], array: np.ndarray,
 def dm_conjugate_pauli(p: PauliOperator, rho: np.ndarray) -> np.ndarray:
     """P rho P^dagger, P acting on the low p.n qubits of rho's register."""
     rows = np.arange(rho.shape[0]) ^ p.x
-    signs = (1j ** p.phase) * (1 - 2.0 * f2_parity_array(rows & p.z))
+    signs = _pauli_signs(p, rows)
     return rho[np.ix_(rows, rows)] * np.outer(signs, signs.conj())
 
 

@@ -8,11 +8,15 @@ exhaustive sweeps elsewhere in the toolkit cheap.
 Column 0 (the lowest bit) is the most significant position for pivoting
 and for the lexicographic order used to canonicalize coset
 representatives.
+
+Four primitives own the subset and subsystem moves of the toolkit:
+`span` and `combine` enumerate or pick combinations of a basis, and
+`restrict` and `embed` gather bits at listed positions and scatter them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 
 def parity(v: int) -> int:
@@ -136,3 +140,40 @@ def bits_to_int(bits: Iterable[int]) -> int:
         if b & 1:
             v |= 1 << i
     return v
+
+
+def combine(vectors: Iterable, bits: int):
+    """XOR of the vectors whose bits are set in `bits` (vector i at bit i)."""
+    out = 0
+    for v in vectors:
+        if bits & 1:
+            out ^= v
+        bits >>= 1
+    return out
+
+
+def span(basis: Iterable, start, add: Callable) -> list:
+    """Every combination of `basis` on top of `start`, doubling the list
+    once per basis vector: element i is `start` combined by `add`, in
+    index order, with the vectors whose bits are set in i; with `add` an
+    XOR it is start ^ combine(basis, i)."""
+    elements = [start]
+    for b in basis:
+        elements += [add(e, b) for e in elements]
+    return elements
+
+
+def restrict(v: int, positions: Iterable[int]) -> int:
+    """The bits of v at `positions`, packed: bit i is bit positions[i] of v."""
+    out = 0
+    for i, q in enumerate(positions):
+        out |= ((v >> q) & 1) << i
+    return out
+
+
+def embed(v: int, positions: Iterable[int]) -> int:
+    """Bit i of v moved to bit positions[i]: `restrict` undone on them."""
+    out = 0
+    for i, q in enumerate(positions):
+        out |= ((v >> i) & 1) << q
+    return out

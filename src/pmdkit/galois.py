@@ -230,19 +230,10 @@ class DualBasisPair:
     def alpha_coords(self, a: FieldElement) -> int:
         """Coordinates of a in the alpha basis: the XOR of the images of
         the polynomial basis elements present in a."""
-        return _xor_columns(self._coord_columns[0], a.coeffs)
+        return f2.combine(self._coord_columns[0], a.coeffs)
 
     def beta_coords(self, a: FieldElement) -> int:
-        return _xor_columns(self._coord_columns[1], a.coeffs)
-
-
-def _xor_columns(columns: tuple[int, ...], bits: int) -> int:
-    out = 0
-    for col in columns:
-        if bits & 1:
-            out ^= col
-        bits >>= 1
-    return out
+        return f2.combine(self._coord_columns[1], a.coeffs)
 
 
 def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:

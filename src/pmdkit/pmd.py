@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .densesim import (apply_circuit, codespace_isometry, circuit_unitary,
-                       f2_parity_array)
+                       f2_parity_array, pauli_gather)
 from .limits import SWEEP_GUARD, SizeGuardError, check_qubits
 from .ptc import PtcFamily
 from .symplectic import PauliOperator
@@ -371,9 +371,7 @@ def compressed_error_norm(pmd: PmdCode, e: PauliOperator) -> float:
     `densesim.apply_pauli` computes it."""
     if e.n != pmd.total:
         raise ValueError(f"error acts on {e.n} qubits, code has {pmd.total}")
-    rows = np.arange(1 << pmd.total) ^ e.x
-    eb = pmd.encoder[rows]
-    eb *= ((1j ** e.phase) * (1 - 2.0 * f2_parity_array(rows & e.z)))[:, None]
+    eb = pauli_gather(pmd.encoder, e)
     return float(np.linalg.svd(pmd.encoder_dagger @ eb, compute_uv=False)[0])
 
 

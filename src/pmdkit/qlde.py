@@ -16,6 +16,7 @@ symplectic vector, so downstream decoding is reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,36 +87,32 @@ def classical_erasure_list_decode(h, erased, s) -> list[np.ndarray]:
     if len(s) != len(rows):
         raise ValueError("syndrome length does not match check count")
     cols = pattern.erased
-    restricted = [f2.bits_to_int([(row >> q) & 1 for q in cols]) for row in rows]
+    restricted = [f2.restrict(row, cols) for row in rows]
     particular = f2.solve(restricted, s, len(cols))
     if particular is None:
         return []
     kernel = f2.kernel_basis(restricted, len(cols))
-    solutions = []
-    for combo in range(1 << len(kernel)):
-        v = particular
-        for i, b in enumerate(kernel):
-            if (combo >> i) & 1:
-                v ^= b
-        full = np.zeros(n, dtype=np.uint8)
-        for i, q in enumerate(cols):
-            full[q] = (v >> i) & 1
-        solutions.append(full)
+    solutions = [np.array(f2.int_to_bits(f2.embed(v, cols), n), dtype=np.uint8)
+                 for v in f2.span(kernel, particular, operator.xor)]
     solutions.sort(key=lambda e: tuple(e))
     return solutions
+
+
+def _erased_sets(n: int, delta: float):
+    """Every erased set of size <= delta * n, the empty set first."""
+    if not 0 <= delta <= 1:
+        raise ValueError(f"erased fraction delta must be in [0, 1], got {delta}")
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(int(delta * n) + 1))
 
 
 def classical_list_profile(h, delta: float) -> int:
     """Worst-case solution count over erased sets of size <= delta * n."""
     rows, n = _as_rows(h)
-    budget = int(delta * n)
     worst = 1
-    for size in range(budget + 1):
-        for cols in itertools.combinations(range(n), size):
-            restricted = [f2.bits_to_int([(row >> q) & 1 for q in cols])
-                          for row in rows]
-            nullity = size - f2.rank(restricted, size)
-            worst = max(worst, 1 << nullity)
+    for cols in _erased_sets(n, delta):
+        restricted = [f2.restrict(row, cols) for row in rows]
+        worst = max(worst, 1 << (len(cols) - f2.rank(restricted, len(cols))))
     return worst
 
 
@@ -125,20 +122,13 @@ def classical_list_profile(h, delta: float) -> int:
 
 def _restricted_commutation_rows(code: StabilizerCode, cols: tuple[int, ...]):
     """Per-generator functionals on (x|z) coordinates over the erased set."""
-    rows = []
-    for g in code.gens:
-        bits = [(g.z >> q) & 1 for q in cols] + [(g.x >> q) & 1 for q in cols]
-        rows.append(f2.bits_to_int(bits))
-    return rows
+    return [f2.restrict(g.z, cols) | (f2.restrict(g.x, cols) << len(cols))
+            for g in code.gens]
 
 
 def _embed_restricted(vec: int, cols: tuple[int, ...], n: int) -> PauliOperator:
-    x = z = 0
-    m = len(cols)
-    for i, q in enumerate(cols):
-        x |= ((vec >> i) & 1) << q
-        z |= ((vec >> (i + m)) & 1) << q
-    return PauliOperator(n, x, z, 0)
+    """The Pauli on n qubits whose (x|z) bits over cols are vec's."""
+    return PauliOperator(n, f2.embed(vec, cols), f2.embed(vec >> len(cols), cols), 0)
 
 
 def _supported_stabilizer_basis(code: StabilizerCode, mask: int) -> list[int]:
@@ -150,15 +140,8 @@ def _supported_stabilizer_basis(code: StabilizerCode, mask: int) -> list[int]:
     for q in outside:
         rows.append(f2.bits_to_int([(g.x >> q) & 1 for g in code.gens]))
         rows.append(f2.bits_to_int([(g.z >> q) & 1 for g in code.gens]))
-    combos = f2.kernel_basis(rows, code.r)
-    basis = []
-    for c in combos:
-        v = 0
-        for i in range(code.r):
-            if (c >> i) & 1:
-                v ^= code.gens[i].symplectic_vector()
-        basis.append(v)
-    return basis
+    vecs = [g.symplectic_vector() for g in code.gens]
+    return [f2.combine(vecs, c) for c in f2.kernel_basis(rows, code.r)]
 
 
 def erasure_list_decode(code: StabilizerCode, erased, s: SyndromeVector) -> CorrectionList:
@@ -192,11 +175,7 @@ def erasure_list_decode(code: StabilizerCode, erased, s: SyndromeVector) -> Corr
     stab_pivots, stab_rref = f2.rref(stab_vecs, 2 * code.n)
     entries = []
     seen = set()
-    for combo in range(1 << len(coset_gens)):
-        v = particular.symplectic_vector()
-        for i, g in enumerate(coset_gens):
-            if (combo >> i) & 1:
-                v ^= g
+    for v in f2.span(coset_gens, particular.symplectic_vector(), operator.xor):
         canonical = f2.reduce_vector(stab_pivots, stab_rref, v)
         if canonical in seen:  # pragma: no cover - cosets are distinct by construction
             continue
@@ -222,12 +201,7 @@ def list_size_profile(code: StabilizerCode, delta: float) -> int:
     """Worst |N_T / S_T| over erased sets of size <= delta * n, for n <= 12."""
     if code.n > 12:
         raise SizeGuardError("profile sweep limited to n <= 12")
-    budget = int(delta * code.n)
-    worst = 1
-    for size in range(budget + 1):
-        for cols in itertools.combinations(range(code.n), size):
-            worst = max(worst, quantum_list_size(code, cols))
-    return worst
+    return max(quantum_list_size(code, cols) for cols in _erased_sets(code.n, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +212,6 @@ def list_size_profile(code: StabilizerCode, delta: float) -> int:
 class CssSampleReport:
     code: StabilizerCode
     first_draw_full_rank: bool
-    redraws: int
 
 
 def sample_random_css(n: int, k: int, rng: np.random.Generator) -> CssSampleReport:
@@ -258,7 +231,7 @@ def sample_random_css(n: int, k: int, rng: np.random.Generator) -> CssSampleRepo
     k1 = (n + k) // 2
     k2 = n - k1
     first_full_rank = None
-    for attempt in range(101):
+    for _ in range(101):
         gs = [int(v) for v in rng.integers(0, 1 << n, size=k1, dtype=np.uint64)]
         full_rank = f2.rank(gs, n) == k1
         if first_full_rank is None:
@@ -269,5 +242,5 @@ def sample_random_css(n: int, k: int, rng: np.random.Generator) -> CssSampleRepo
             code = css_from_classical(h1, h2, name=f"randcss[{n},{k}]")
             if code.k != k:  # pragma: no cover - guaranteed by rank checks
                 raise AssertionError("sampled CSS code has the wrong dimension")
-            return CssSampleReport(code, bool(first_full_rank), attempt)
+            return CssSampleReport(code, bool(first_full_rank))
     raise RuntimeError("no independent draw after 100 redraws")

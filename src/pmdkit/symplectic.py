@@ -122,15 +122,10 @@ class PauliOperator:
 
     def restricted_to(self, qubits: tuple[int, ...]) -> "PauliOperator":
         """Factor on the listed qubits; support must lie within them."""
-        keep = 0
-        for q in qubits:
-            keep |= 1 << q
-        if (self.x | self.z) & ~keep:
+        order = sorted(qubits)
+        x, z = f2.restrict(self.x, order), f2.restrict(self.z, order)
+        if (f2.embed(x, order), f2.embed(z, order)) != (self.x, self.z):
             raise ValueError("operator acts outside the requested qubits")
-        x = z = 0
-        for i, q in enumerate(sorted(qubits)):
-            x |= ((self.x >> q) & 1) << i
-            z |= ((self.z >> q) & 1) << i
         return PauliOperator(len(qubits), x, z, self.phase)
 
     def hermitian_form(self) -> "PauliOperator":
@@ -161,9 +156,7 @@ def pauli_span(n: int, gens, up_to_phase: bool = True) -> list[PauliOperator]:
     The list doubles once per generator, so element i is the product of
     the generators whose bits are set in i, multiplied in index order.
     """
-    elements = [PauliOperator.identity(n)]
-    for g in gens:
-        elements += [e.mul(g) for e in elements]
+    elements = f2.span(gens, PauliOperator.identity(n), PauliOperator.mul)
     if up_to_phase:
         elements = [PauliOperator(n, e.x, e.z, 0) for e in elements]
     return elements
@@ -280,6 +273,8 @@ class SyndromeVector:
     @classmethod
     def from_bits(cls, bits) -> "SyndromeVector":
         bits = list(bits)
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"syndrome entries must be 0 or 1, got {bits}")
         return cls(f2.bits_to_int(bits), len(bits))
 
     def as_tuple(self) -> tuple[int, ...]:

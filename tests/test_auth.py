@@ -1228,3 +1228,59 @@ def test_auth1_block_twirl_matches_pad_average():
         brute_accept += float(np.trace(acc_op @ rho).real) / 256
     alg_reject = auth1_block_reject_probability(proto, channels, block_rho)
     assert abs((1 - alg_reject) - brute_accept) < 1e-10
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_nm_search_refuses_fewer_than_one_trial(trials):
+    rng = np.random.default_rng(np.random.Philox(3))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        nm_search(1, 4, trials, rng)
+
+
+def _product_loop_reject_probability(proto, block_channels, block_rho):
+    """Oracle for auth1_block_reject_probability: each Pauli's twirl
+    weight multiplied out inline, float by float from 1.0."""
+    from pmdkit.densesim import dm_conjugate_pauli
+    b = proto.block_qubits
+    weights = [twirl_channel(k) for k in block_channels]
+    acc_op = auth.auth1_block_accept_operator(proto)
+    accept = 0.0
+    for code_pt in range(1 << (2 * b)):
+        p = PauliOperator(b, code_pt & ((1 << b) - 1), code_pt >> b, 0)
+        prob = 1.0
+        for q in range(b):
+            prob *= float(weights[q][auth._symbol_index(p, q)])
+        if prob == 0.0:
+            continue
+        accept += prob * float(np.trace(acc_op @ dm_conjugate_pauli(p, block_rho)).real)
+    return 1.0 - accept
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_block_reject_probability_is_bit_equal_to_the_product_loop(seed):
+    # Per-wire maps as the Kraus blocks of a random isometry, one random
+    # product attack on all 8 wires; every block's float must match.
+    rng = np.random.default_rng(seed)
+    wires = []
+    for _ in range(8):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        wires.append([q.reshape(2, 2, 2, 2)[:, mu, :, 0] for mu in range(2)])
+    proto = make_auth1()
+    message = np.array([1, 0], dtype=complex)
+    b = proto.block_qubits
+    for block in range(proto.n_blocks):
+        rho = auth1_block_codeword_density(proto, message, block)
+        channels = wires[block * b:(block + 1) * b]
+        assert (auth1_block_reject_probability(proto, channels, rho)
+                == _product_loop_reject_probability(proto, channels, rho))
+
+
+def test_pauli_weight_multiplies_left_to_right_and_keeps_fractions_exact():
+    w = [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
+         [Fraction(2, 3), Fraction(1, 3), 0, 0]]
+    assert auth._pauli_weight(w, PauliOperator.from_label("YX")) == Fraction(1, 24)
+    assert auth._pauli_weight(w, PauliOperator.from_label("ZZ")) == 0
+    floats = [[0.0, x, 0.0, 0.0] for x in (0.1, 0.7, 0.3)]
+    # (0.1 * 0.7) * 0.3 rounds to 0.020999999999999998; 0.1 * (0.7 * 0.3) to 0.021.
+    assert auth._pauli_weight(floats, PauliOperator.from_label("XXX")) == (0.1 * 0.7) * 0.3
+    assert (0.1 * 0.7) * 0.3 != 0.1 * (0.7 * 0.3)

@@ -655,3 +655,50 @@ def test_nonpositive_samples_exit_2(capsys, command, samples):
     assert rc == 2
     assert "samples must be >= 1" in err
     assert "PASS" not in out
+
+
+@pytest.mark.parametrize("syndrome", ["2", "7"])
+def test_qlde_decode_refuses_syndrome_digits_other_than_0_and_1(capsys, tmp_path,
+                                                                 syndrome):
+    # On [[4,3]] XXXX, "2" once decoded as syndrome 0 and "7" as 1.
+    code_file = tmp_path / "code.txt"
+    code_file.write_text("n=4 k=3\nXXXX\n")
+    rc, out, err = invoke(capsys, ["qlde", "decode", "--code", str(code_file),
+                                   "--erased", "0", "--syndrome", syndrome])
+    assert rc == 2 and out == ""
+    assert "syndrome entries must be 0 or 1" in err
+    rc, out, _ = invoke(capsys, ["qlde", "decode", "--code", str(code_file),
+                                 "--erased", "0", "--syndrome", "1"])
+    assert rc == 0 and out.splitlines() == ["ZIII", "YIII"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_nm_search_refuses_fewer_than_one_trial(capsys, trials):
+    rc, out, err = invoke(capsys, ["nm", "search", "--k", "1", "--n", "4",
+                                   "--trials", trials])
+    assert rc == 2 and out == ""
+    assert "trials must be at least 1" in err
+
+
+@pytest.mark.parametrize("delta", ["-0.5", "1.5", "nan"])
+def test_qlde_profile_refuses_delta_outside_unit_interval(capsys, tmp_path, delta):
+    # -0.5 once profiled only the empty set and passed with list size 1.
+    code_file = tmp_path / "code.txt"
+    code_file.write_text(FOUR22_TEXT)
+    rc, out, err = invoke(capsys, ["qlde", "profile", "--code", str(code_file),
+                                   "--delta", delta])
+    assert rc == 2 and out == ""
+    assert "delta must be in [0, 1]" in err
+
+
+@pytest.mark.parametrize("command", [["ptc", "check"], ["pmd", "verify"]])
+def test_family_commands_record_a_given_modulus(capsys, command):
+    # x^2 + x + 1 is GF(4)'s default modulus, so only the config differs.
+    argv = command + ["--n", "2", "--lambda", "2", "--format", "json"]
+    rc, out, _ = invoke(capsys, argv)
+    rc_mod, out_mod, _ = invoke(capsys, argv + ["--modulus", "0x7"])
+    assert rc == rc_mod == 0
+    plain, given = json.loads(out), json.loads(out_mod)
+    assert "modulus" not in plain["config"]
+    assert given["config"].pop("modulus") == "0x7"
+    assert given == plain

@@ -1,6 +1,7 @@
 """Property tests against brute-force oracles at small size."""
 
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -458,3 +459,35 @@ def brute_force_nm_epsilon(code):
 @given(nm_table_codes())
 def test_pruned_nm_verify_matches_brute_force(code):
     assert nm_verify(code) == brute_force_nm_epsilon(code)
+
+
+@_SETTINGS
+@given(st.lists(st.integers(0, 255), max_size=5), st.integers(0, 255))
+def test_span_element_i_is_start_xor_combine_of_i(basis, start):
+    span = f2.span(basis, start, operator.xor)
+    assert len(span) == 1 << len(basis)
+    for i, element in enumerate(span):
+        assert element == start ^ f2.combine(basis, i)
+
+
+@_SETTINGS
+@given(st.integers(1, 4).flatmap(lambda keys: st.tuples(
+    arrays(np.uint64, st.tuples(st.integers(0, 4), st.just(keys))),
+    arrays(np.uint64, keys))))
+def test_span_of_uint64_columns_is_start_xor_combine_of_i(case):
+    basis, start = case
+    span = f2.span(basis, start, operator.xor)
+    assert len(span) == 1 << len(basis)
+    for i, element in enumerate(span):
+        assert element.dtype == np.uint64
+        assert np.array_equal(element, start ^ f2.combine(basis, i))
+
+
+@_SETTINGS
+@given(st.integers(0, (1 << 12) - 1),
+       st.lists(st.integers(0, 11), unique=True, max_size=12))
+def test_restrict_then_embed_restores_the_listed_bits(v, positions):
+    packed = f2.restrict(v, positions)
+    assert packed == sum(((v >> q) & 1) << i for i, q in enumerate(positions))
+    mask = sum(1 << q for q in positions)
+    assert f2.embed(packed, positions) == v & mask

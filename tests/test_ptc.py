@@ -367,3 +367,27 @@ def test_chunks_cover_each_error_once(monkeypatch):
     want = rng.integers(1, 256, size=101, dtype=np.uint64)
     assert np.array_equal(np.concatenate(seen), want)
     assert [len(s) for s in seen] == [16] * 6 + [5]
+
+
+def _doubling_shift_miss_matrix(family):
+    """Oracle for `_shift_miss_matrix`: each key's stabilizer masks
+    doubled column block by column block with np.concatenate, one block
+    per generator, then every key's syndromes in one call."""
+    from pmdkit.ptc import _generator_masks
+    keys = family.num_keys
+    gx, gz = _generator_masks(family)
+    sx = np.zeros((keys, 1), dtype=np.uint64)
+    sz = np.zeros((keys, 1), dtype=np.uint64)
+    for j in range(gx.shape[1]):
+        sx = np.concatenate([sx, sx ^ gx[:, j:j + 1]], axis=1)
+        sz = np.concatenate([sz, sz ^ gz[:, j:j + 1]], axis=1)
+    sx, sz = sx[:, 1:], sz[:, 1:]  # drop the identity
+    syn = _key_syndromes(family, sx.ravel(), sz.ravel())
+    return (syn == 0).reshape(keys, -1, keys).any(axis=1)
+
+
+@pytest.mark.parametrize("n, lam", [(4, 2), (6, 3), (12, 6)])
+def test_shift_miss_matrix_matches_the_doubling_loop(n, lam):
+    from pmdkit.ptc import _shift_miss_matrix
+    family = build_bcgst_family(n, lam)
+    assert np.array_equal(_shift_miss_matrix(family), _doubling_shift_miss_matrix(family))

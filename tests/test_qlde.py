@@ -257,3 +257,13 @@ def test_sampled_codes_profile_reported():
     report = sample_random_css(6, 2, rng)
     profile = list_size_profile(report.code, 1 / 3)
     assert profile >= 1  # recorded, not asserted against asymptotics
+
+
+@pytest.mark.parametrize("delta", [-0.5, 1.5, float("nan")])
+def test_profiles_refuse_delta_outside_unit_interval(delta):
+    with pytest.raises(ValueError, match=r"delta must be in \[0, 1\]"):
+        list_size_profile(FOUR22, delta)
+    with pytest.raises(ValueError, match=r"delta must be in \[0, 1\]"):
+        classical_list_profile(HAMMING_H, delta)
+    assert list_size_profile(FOUR22, 1.0) == 4 ** FOUR22.k  # every logical Pauli
+    assert classical_list_profile(HAMMING_H, 0.0) == 1

@@ -384,3 +384,10 @@ def test_parse_rejects_with_line_numbers():
         parse_code("bogus header\nXX\n")
     with pytest.raises(ValueError, match="k=0"):
         parse_code("n=2 k=0\nXX\n")
+
+
+def test_syndrome_from_bits_refuses_entries_other_than_0_and_1():
+    assert symplectic.SyndromeVector.from_bits([1, 0, True]).bits == 0b101
+    for bits in ([2], [0, 7], [1, -1]):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            symplectic.SyndromeVector.from_bits(bits)
