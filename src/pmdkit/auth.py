@@ -30,10 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import f2
 from .aqec import ComposedCode, entangled_code_state
 from .densesim import (apply_on_qubits, apply_pauli, check_trace_preserving,
                        codespace_isometry, dm_conjugate_pauli as _dm_conjugate_pauli,
-                       qubit_rows)
+                       dm_conjugate_z_stack, pauli_gather_stack, qubit_rows)
 from .galois import FieldSpec
 from .limits import SizeGuardError
 from .lp import exact_lp
@@ -615,13 +616,15 @@ def twise_pad_seed_bits(t: int, length: int, word_bits: int | None = None) -> in
     return t * _pad_word_bits(length, word_bits)
 
 
+def pad_masks(pad, n: int):
+    """(x, z) masks of 2n pad bits, qubit i reading bits (2i, 2i+1); on
+    an int or elementwise on an integer array."""
+    return f2.restrict(pad, range(0, 2 * n, 2)), f2.restrict(pad, range(1, 2 * n, 2))
+
+
 def pad_to_pauli(pad: int, n: int) -> PauliOperator:
-    """2n pad bits -> X^a Z^b with qubit i reading bits (2i, 2i+1)."""
-    x = z = 0
-    for i in range(n):
-        x |= ((pad >> (2 * i)) & 1) << i
-        z |= ((pad >> (2 * i + 1)) & 1) << i
-    return PauliOperator(n, x, z, 0)
+    """2n pad bits -> X^a Z^b in the `pad_masks` layout."""
+    return PauliOperator(n, *pad_masks(pad, n), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +683,9 @@ def auth13_encode(proto: Auth13Protocol, message: np.ndarray) -> list[KeyedEncod
     this enumeration.
     """
     vec = proto.composed.encoder_isometry() @ message
-    return [KeyedEncoding(1.0 / proto.key_count, s,
-                          apply_pauli(pad_to_pauli(s, proto.n_quantum), vec))
-            for s in range(proto.key_count)]
+    keys = np.arange(proto.key_count)
+    padded = pauli_gather_stack(vec, *pad_masks(keys, proto.n_quantum))
+    return [KeyedEncoding(1.0 / proto.key_count, int(s), padded[s]) for s in keys]
 
 
 def _maxent_vector(k: int) -> np.ndarray:
@@ -712,10 +715,14 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
 
     The wire channels are linear, so the padded states of all keys that
     decode to the same classical key s~ are summed, weighted, before the
-    channels act; REJECT outcomes only add their weight.  The vec(rho)
-    of every s~ (Fortran order: row bits, then column bits) is one
-    column of a stack, and each wire acts once on the whole stack as its
-    superoperator sum_K conj(K) (x) K on row bit q and column bit N+q.
+    channels act; REJECT outcomes only add their weight.  The start state
+    |v><v| is pure, so the padded vectors P_s v of the keys of one s~ come
+    from one stacked gather (`pauli_gather_stack`), and their mixture is
+    one weighted product sum_s w_s |P_s v><P_s v| of those rows.  The
+    vec(rho) of every s~ (Fortran order: row bits, then column bits) is
+    one column of a stack, and each wire acts once on the whole stack as
+    its superoperator sum_K conj(K) (x) K on row bit q and column bit N+q;
+    each s~ is then unpadded once.
     """
     n = proto.n_quantum
     k = proto.composed.message_qubits
@@ -723,9 +730,6 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
         raise ValueError(f"need {n} per-wire channels")
     for q, kraus in enumerate(wire_kraus):
         check_trace_preserving((np.conj(k).T @ k for k in kraus), 2, f"wire {q}")
-    # rho0 on code (x) reference for a maximally entangled message.
-    vec = entangled_code_state(proto.composed)
-    rho0 = np.outer(vec, vec.conj())
     total_qubits = n + k
     key_weight = 1.0 / proto.key_count
 
@@ -733,21 +737,24 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     # codeword; the padded state's weight goes to its decoded key s~.
     p_reject = 0.0
     weights: dict = {}
-    mixed: dict = {}
+    keyed: dict = {}  # s~ -> (keys, their weights)
     for s, outcomes in enumerate(proto.nm.tampered_distributions(classical)):
-        padded = None
         for s_tilde, cl_weight in outcomes.items():
             w = key_weight * float(cl_weight)
             if s_tilde is REJECT:
                 p_reject += w
                 continue
-            if padded is None:
-                padded = _dm_conjugate_pauli(pad_to_pauli(s, n), rho0)
             weights[s_tilde] = weights.get(s_tilde, 0.0) + w
-            mixed[s_tilde] = mixed.get(s_tilde, 0.0) + w * padded
+            keys, key_ws = keyed.setdefault(s_tilde, ([], []))
+            keys.append(s)
+            key_ws.append(w)
+    # vec: code (x) reference for a maximally entangled message.
+    vec = entangled_code_state(proto.composed)
     dim = 1 << total_qubits
-    stack = np.empty((dim * dim, len(mixed)), dtype=complex)
-    for j, rho in enumerate(mixed.values()):
+    stack = np.empty((dim * dim, len(keyed)), dtype=complex)
+    for j, (keys, key_ws) in enumerate(keyed.values()):
+        rows = pauli_gather_stack(vec, *pad_masks(np.array(keys), n))
+        rho = (rows.T * key_ws) @ rows.conj()
         stack[:, j] = rho.reshape(-1, order="F")
     for q, kraus in enumerate(wire_kraus):
         superop = sum(np.kron(np.conj(op), op) for op in map(np.asarray, kraus))
@@ -756,7 +763,7 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     # isometry (syndrome-0 and detection projection), reference alongside.
     big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
     p_accept = p_wrong = fid_acc = 0.0
-    for s_tilde, column in zip(mixed, stack.T):
+    for s_tilde, column in zip(keyed, stack.T):
         unpad = pad_to_pauli(s_tilde, n)
         sigma = _dm_conjugate_pauli(unpad, column.reshape(dim, dim, order="F"))
         tr, overlap = _trace_and_overlap(big_iso.conj().T @ sigma @ big_iso, k)
@@ -978,7 +985,10 @@ def auth1_block_reject_probability(proto: Auth1Protocol, block_channels,
 
     The block marginal of the pairwise-independent pad is uniform, so
     the average over seeds is the per-qubit twirl: a Pauli channel with
-    product weights, scored against the block accept projector.
+    product weights, scored against the block accept projector.  The
+    Paulis of one X mask share one gather of the block state
+    (`dm_conjugate_z_stack`) and one stacked product with the projector;
+    the weighted traces are then summed in code-point order, z-major.
     """
     b = proto.block_qubits
     if len(block_channels) != b:
@@ -988,16 +998,16 @@ def auth1_block_reject_probability(proto: Auth1Protocol, block_channels,
                                f"block qubit {q}")
     weights = [twirl_channel(k) for k in block_channels]
     acc_op = auth1_block_accept_operator(proto)
+    masks = np.arange(1 << b)
+    # traces[x][z] = tr(acc_op X^x Z^z rho Z^z X^x)
+    traces = [[float(np.trace(m).real)
+               for m in acc_op @ dm_conjugate_z_stack(block_rho, x, masks, 0)]
+              for x in range(1 << b)]
     accept = 0.0
-    for code_pt in range(1 << (2 * b)):
-        x = code_pt & ((1 << b) - 1)
-        z = code_pt >> b
-        p = PauliOperator(b, x, z, 0)
-        prob = float(_pauli_weight(weights, p))
-        if prob == 0.0:
-            continue
-        moved = _dm_conjugate_pauli(p, block_rho)
-        accept += prob * float(np.trace(acc_op @ moved).real)
+    for z, x in itertools.product(range(1 << b), repeat=2):
+        prob = float(_pauli_weight(weights, PauliOperator(b, x, z, 0)))
+        if prob != 0.0:
+            accept += prob * traces[x][z]
     return 1.0 - accept
 
 

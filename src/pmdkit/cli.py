@@ -9,6 +9,7 @@ checks passed, 1 a measured check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -524,6 +525,7 @@ def _add_common(p):
     p.epilog = "--config FILE (or --config=FILE) splices in flat `key = value` defaults."
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pmdkit",
                                      description=__doc__.splitlines()[0])

@@ -6,8 +6,10 @@ Pauli convention in `symplectic`.
 
 This module has no mixed-state type of its own; mixed states live with
 their users.  The authentication harnesses in `auth` keep small
-density matrices, padded by `dm_conjugate_pauli` and sent through a
-wire as its superoperator by `apply_on_qubits` on vec(rho)
+density matrices: built from the padded vectors of many keys at once
+(`pauli_gather_stack`) or padded by all Paulis of one X mask at once
+(`dm_conjugate_z_stack`), unpadded by `dm_conjugate_pauli`, and sent
+through a wire as its superoperator by `apply_on_qubits` on vec(rho)
 (`dm_apply_single_qubit_kraus` is the per-Kraus form), and the erasure
 harness in `aqec` scores each adversary from 2^|E| x 2^|E| Gram matrices
 over the erased environment (`aqec.ErasedState`).  Every Kraus map is
@@ -48,13 +50,14 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
     dim = 1 << p.n
     cols = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[cols ^ p.x, cols] = _pauli_signs(p, cols)
+    mat[cols ^ p.x, cols] = _pauli_signs(cols, p.z, p.phase)
     return mat
 
 
-def _pauli_signs(p: PauliOperator, rows: np.ndarray) -> np.ndarray:
-    """i^phase * (-1)^(r . z) per index r: P|r> = that * |r ^ x>."""
-    return (1j ** p.phase) * (1 - 2.0 * f2_parity_array(rows & p.z))
+def _pauli_signs(rows, z, phase) -> np.ndarray:
+    """i^phase * (-1)^(r . z) per index r: P|r> = that * |r ^ x> for
+    P = i^phase X^x Z^z.  Rows, Z masks and phases broadcast together."""
+    return (1j ** phase) * (1 - 2.0 * f2_parity_array(rows & z))
 
 
 def f2_parity_array(values: np.ndarray) -> np.ndarray:
@@ -76,7 +79,7 @@ def pauli_gather(array: np.ndarray, p: PauliOperator,
     active = True if control is None else ((rows >> control[0]) & 1) == control[1]
     rows ^= active * p.x
     # (P v)[r] = i^phase (-1)^{(r ^ x) . z} v[r ^ x]
-    signs = _pauli_signs(p, rows)
+    signs = _pauli_signs(rows, p.z, p.phase)
     if control is not None:
         signs[~active] = 1
     return array[rows] * (signs if array.ndim == 1 else signs[:, None])
@@ -88,6 +91,20 @@ def apply_pauli(p: PauliOperator, array: np.ndarray) -> np.ndarray:
     if array.shape[0] != dim:
         raise ValueError(f"array has {array.shape[0]} rows, expected {dim}")
     return pauli_gather(array, p)
+
+
+def pauli_gather_stack(vec: np.ndarray, x, z) -> np.ndarray:
+    """X^x[j] Z^z[j] vec for many Z masks and X masks at once.
+
+    x and z are equal-shape integer arrays; the result has their shape
+    plus vec's, entry j being `pauli_gather` of vec by X^x[j] Z^z[j],
+    from one gather and one multiply.
+    """
+    rows = np.arange(vec.shape[0]) ^ np.expand_dims(x, -1)
+    signs = _pauli_signs(rows, np.expand_dims(z, -1), 0)  # before the gather: lower peak
+    out = vec[rows]
+    out *= signs
+    return out
 
 
 def apply_on_qubits(u: np.ndarray, qubits: tuple[int, ...], array: np.ndarray,
@@ -121,9 +138,18 @@ def apply_on_qubits(u: np.ndarray, qubits: tuple[int, ...], array: np.ndarray,
 
 def dm_conjugate_pauli(p: PauliOperator, rho: np.ndarray) -> np.ndarray:
     """P rho P^dagger, P acting on the low p.n qubits of rho's register."""
-    rows = np.arange(rho.shape[0]) ^ p.x
-    signs = _pauli_signs(p, rows)
-    return rho[np.ix_(rows, rows)] * np.outer(signs, signs.conj())
+    return dm_conjugate_z_stack(rho, p.x, p.z, p.phase)
+
+
+def dm_conjugate_z_stack(rho: np.ndarray, x: int, z, phase) -> np.ndarray:
+    """P rho P^dagger for the Paulis P = i^phase X^x Z^z of one X mask x.
+
+    z and phase may be integer arrays: the result stacks one conjugated
+    rho per entry along their shape, all from one gather of rho.
+    """
+    rows = np.arange(rho.shape[0]) ^ x
+    signs = _pauli_signs(rows, np.expand_dims(z, -1), np.expand_dims(phase, -1))
+    return rho[np.ix_(rows, rows)] * (signs[..., :, None] * signs.conj()[..., None, :])
 
 
 def dm_apply_single_qubit_kraus(kraus, qubit: int, rho: np.ndarray,

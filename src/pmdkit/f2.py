@@ -163,8 +163,9 @@ def span(basis: Iterable, start, add: Callable) -> list:
     return elements
 
 
-def restrict(v: int, positions: Iterable[int]) -> int:
-    """The bits of v at `positions`, packed: bit i is bit positions[i] of v."""
+def restrict(v, positions: Iterable[int]):
+    """The bits of v at `positions`, packed: bit i is bit positions[i] of v.
+    On an int, or elementwise on a nonnegative integer array."""
     out = 0
     for i, q in enumerate(positions):
         out |= ((v >> q) & 1) << i

@@ -228,6 +228,9 @@ def sample_random_css(n: int, k: int, rng: np.random.Generator) -> CssSampleRepo
         raise ValueError("n + k must be even")
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
+    if n > 64:
+        raise SizeGuardError(
+            f"CSS sampling draws each vector as one 64-bit word and needs n <= 64, got n = {n}")
     k1 = (n + k) // 2
     k2 = n - k1
     first_full_rank = None

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -1284,3 +1285,123 @@ def test_pauli_weight_multiplies_left_to_right_and_keeps_fractions_exact():
     # (0.1 * 0.7) * 0.3 rounds to 0.020999999999999998; 0.1 * (0.7 * 0.3) to 0.021.
     assert auth._pauli_weight(floats, PauliOperator.from_label("XXX")) == (0.1 * 0.7) * 0.3
     assert (0.1 * 0.7) * 0.3 != 0.1 * (0.7 * 0.3)
+
+
+def _per_key_attack_harness(proto, wire_kraus, classical):
+    """Oracle for auth13_attack_harness: its former per-key form, which
+    conjugates rho0 by each key's pad and sums the padded density
+    matrices of each decoded key s~ one key at a time."""
+    from pmdkit.aqec import entangled_code_state
+    from pmdkit.densesim import apply_on_qubits, dm_conjugate_pauli
+    n, k = proto.n_quantum, proto.composed.message_qubits
+    vec = entangled_code_state(proto.composed)
+    rho0 = np.outer(vec, vec.conj())
+    total_qubits = n + k
+    key_weight = 1.0 / proto.key_count
+    p_reject = 0.0
+    weights, mixed = {}, {}
+    for s, outcomes in enumerate(proto.nm.tampered_distributions(classical)):
+        padded = None
+        for s_tilde, cl_weight in outcomes.items():
+            w = key_weight * float(cl_weight)
+            if s_tilde is REJECT:
+                p_reject += w
+                continue
+            if padded is None:
+                padded = dm_conjugate_pauli(pad_to_pauli(s, n), rho0)
+            weights[s_tilde] = weights.get(s_tilde, 0.0) + w
+            mixed[s_tilde] = mixed.get(s_tilde, 0.0) + w * padded
+    dim = 1 << total_qubits
+    stack = np.empty((dim * dim, len(mixed)), dtype=complex)
+    for j, rho in enumerate(mixed.values()):
+        stack[:, j] = rho.reshape(-1, order="F")
+    for q, kraus in enumerate(wire_kraus):
+        superop = sum(np.kron(np.conj(op), op) for op in map(np.asarray, kraus))
+        stack = apply_on_qubits(superop, (q, total_qubits + q), stack, 2 * total_qubits)
+    big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
+    p_accept = p_wrong = fid_acc = 0.0
+    for s_tilde, column in zip(mixed, stack.T):
+        sigma = dm_conjugate_pauli(pad_to_pauli(s_tilde, n),
+                                   column.reshape(dim, dim, order="F"))
+        tr, overlap = auth._trace_and_overlap(big_iso.conj().T @ sigma @ big_iso, k)
+        p_accept += tr
+        p_reject += weights[s_tilde] - tr
+        fid_acc += overlap
+        p_wrong += tr - overlap
+    fidelity = fid_acc / p_accept if p_accept > 1e-15 else 1.0
+    return p_accept, p_wrong, p_reject, fidelity
+
+
+def _assert_harness_matches_per_key_form(proto, wires, classical):
+    rep = auth13_attack_harness(proto, wires, classical)
+    got = (rep.p_accept, rep.p_accept_wrong, rep.p_reject, rep.fidelity_given_accept)
+    want = _per_key_attack_harness(proto, wires, classical)
+    assert np.allclose(got, want, rtol=0, atol=1e-12), (got, want)
+
+
+def test_batched_harness_matches_per_key_form_on_substitution_attacks():
+    # Every key decodes to the substituted key: one s~ gathers all 256 keys.
+    proto = make_auth13()
+    rng = np.random.default_rng(3)
+    for key in rng.choice(proto.key_count, size=4, replace=False):
+        wires, classical, _ = substitution_attack(proto, int(key))
+        decoded = {o for dist in proto.nm.tampered_distributions(classical) for o in dist}
+        assert decoded == {int(key)}
+        _assert_harness_matches_per_key_form(proto, wires, classical)
+
+
+def test_batched_harness_matches_per_key_form_on_a_spreading_tampering():
+    proto = make_auth13()
+    rng = np.random.default_rng(8)
+    wires = [random_cptp(rng, n_kraus=int(rng.integers(1, 4))) for _ in range(4)]
+    classical = TamperFunction(("keep", "flip", "set0", "keep", "keep", "set1",
+                                "keep", "flip", "keep", "flip"))
+    decoded = Counter(o for dist in proto.nm.tampered_distributions(classical) for o in dist)
+    assert REJECT in decoded and len(decoded) > 4
+    _assert_harness_matches_per_key_form(proto, wires, classical)
+
+
+def _load_perfbench_workloads():
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_auth_simulate_pads_once_per_decoded_key(monkeypatch, tmp_path, capsys):
+    # The five `auth simulate` runs of the erasure-auth benchmark's variant
+    # 0: padding every key, or conjugating once per block Pauli, would
+    # call these 257 and 512 times per run.
+    from pmdkit.cli import run
+    argvs = [a for a in _load_perfbench_workloads().make_invocations(
+        "erasure-auth", 0, tmp_path) if a[:2] == ["auth", "simulate"]]
+    assert [a[3] for a in argvs] == ["third"] * 4 + ["rate1"]
+    monkeypatch.chdir(tmp_path)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(auth, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(auth, name, wrapper)
+
+    counted("_dm_conjugate_pauli")
+    counted("pad_to_pauli")
+    proto = make_auth13()
+    for argv in argvs:
+        calls.clear()
+        assert run(argv) == 0
+        capsys.readouterr()
+        if argv[3] == "rate1":
+            assert calls["_dm_conjugate_pauli"] == 0
+            continue
+        attack = json.loads((tmp_path / argv[argv.index("--attack") + 1]).read_text())
+        dists = proto.nm.tampered_distributions(TamperFunction(tuple(attack["classical"])))
+        decoded = {o for dist in dists for o in dist if o is not REJECT}
+        assert 1 <= calls["_dm_conjugate_pauli"] <= len(decoded)
+        assert 1 <= calls["pad_to_pauli"] <= len(decoded)

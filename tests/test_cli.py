@@ -95,6 +95,46 @@ def test_qlde_sample_css_roundtrip(capsys, tmp_path):
     assert rc2 == 0
 
 
+def test_qlde_sample_css_refuses_more_than_64_qubits(capsys):
+    rc, out, err = invoke(capsys, ["qlde", "sample-css", "--n", "66", "--k", "2"])
+    assert rc == 2 and out == ""
+    assert ("draws each vector as one 64-bit word and needs n <= 64, got n = 66"
+            in err)
+    rc, out, _ = invoke(capsys, ["qlde", "sample-css", "--n", "64", "--k", "2",
+                                 "--seed", "1", "--format", "json"])
+    assert rc == 0
+    assert json.loads(out)["extras"]["realized_k"] == 2
+
+
+def test_one_parser_serves_a_whole_process_like_fresh_ones(tmp_path):
+    # The parser is built once per process: an error exit, a run and the
+    # help texts in one interpreter print what they print one per fresh one.
+    (tmp_path / "code.txt").write_text(FOUR22_TEXT)
+    argvs = [["qlde", "decode", "--code"],
+             ["qlde", "decode", "--code", "code.txt", "--erased", "0,1", "--syndrome", "00"],
+             ["--help"],
+             ["qlde", "decode", "--help"]]
+    env = dict(os.environ, COLUMNS="80")
+    src = str(Path(pmdkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import contextlib, io, json, sys\n"
+              "from pmdkit.cli import run\n"
+              "results = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        rc = run(argv)\n"
+              "    results.append([rc, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(results))\n")
+    one = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                         cwd=tmp_path, capture_output=True, text=True, check=True)
+    fresh = [subprocess.run([sys.executable, "-m", "pmdkit"] + argv, env=env, cwd=tmp_path,
+                            capture_output=True, text=True) for argv in argvs]
+    assert json.loads(one.stdout) == [[p.returncode, p.stdout, p.stderr] for p in fresh]
+    assert [p.returncode for p in fresh] == [2, 0, 0, 0]
+    assert fresh[1].stdout.splitlines() == ["IIII", "ZZII", "XXII", "YYII"]
+
+
 def test_aqec_simulate_seeded_sweep_deterministic(capsys, tmp_path):
     outer = tmp_path / "outer.txt"
     outer.write_text(SEVEN6_TEXT)

@@ -12,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 from pmdkit import f2
 from pmdkit.auth import NmCode, REJECT, all_tamper_functions, nm_decompose, nm_verify
 from pmdkit.densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
-                             circuit_unitary, dm_conjugate_pauli, kraus_from_record,
-                             kraus_to_record, pauli_gather, pauli_matrix)
+                             circuit_unitary, dm_conjugate_pauli, dm_conjugate_z_stack,
+                             kraus_from_record, kraus_to_record, pauli_gather,
+                             f2_parity_array, pauli_gather_stack, pauli_matrix)
 from pmdkit.galois import FieldSpec, compute_dual_basis
 from pmdkit.pmd import _certified_below, _norm_bounds, build_pmd
 from pmdkit.ptc import _key_syndromes, build_bcgst_family
@@ -216,6 +217,41 @@ def test_pauli_gather_matches_pauli_matrix(case, cols, seed):
         want = mat @ (v * mask) + v * ~mask
         got = pauli_gather(v, p, control=control)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def pauli_stacks(draw):
+    n = draw(st.integers(1, 5))
+    return n, draw(st.lists(paulis(n), min_size=1, max_size=6))
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@_SETTINGS
+@given(pauli_stacks(), st.integers(0, 1), st.integers(0, 2 ** 32 - 1))
+def test_stacked_gathers_are_bit_equal_to_one_pauli_at_a_time(case, wider, seed):
+    # Signed zeros included: the stacked forms do the same float operations.
+    n, ps = case
+    dim = 1 << (n + wider)  # the Paulis act on the low n qubits
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x, z, phase = (np.array([getattr(p, name) for p in ps]) for name in ("x", "z", "phase"))
+    # The stacked vector gather takes X^x Z^z, the pads' phase-0 Paulis.
+    assert (_bits(pauli_gather_stack(v, x, z))
+            == _bits(np.stack([pauli_gather(v, PauliOperator(n, p.x, p.z, 0)) for p in ps])))
+    # The conjugations of one X mask, against one gather and one outer
+    # product of the signs per Pauli, written out as the one-Pauli form.
+    rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rows = np.arange(dim) ^ ps[0].x
+    want = []
+    for p in ps:
+        signs = (1j ** p.phase) * (1 - 2.0 * f2_parity_array(rows & p.z))
+        want.append(rho[np.ix_(rows, rows)] * np.outer(signs, signs.conj()))
+        assert _bits(dm_conjugate_pauli(PauliOperator(n, ps[0].x, p.z, p.phase), rho)) \
+            == _bits(want[-1])
+    assert _bits(dm_conjugate_z_stack(rho, ps[0].x, z, phase)) == _bits(np.stack(want))
 
 
 @st.composite
