@@ -315,10 +315,6 @@ class CorrectionCascade:
         return out.T.reshape(vec.shape)
 
 
-def algorithm2_unitary(corrections: CorrectionList, code: ComposedCode) -> CorrectionCascade:
-    return CorrectionCascade(corrections, code)
-
-
 def syndrome_projection(vec: np.ndarray, outer: StabilizerCode,
                         s_bits: tuple[int, ...]) -> np.ndarray:
     """P_s vec for the outer syndrome bits s, not normalized."""

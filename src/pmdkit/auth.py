@@ -665,27 +665,25 @@ class AttackReport:
 
 @dataclass(frozen=True)
 class KeyedEncoding:
-    """One key's branch of the protocol state (explicit mode); its
-    classical codewords, each of weight 2^-rand_bits, are
-    `proto.nm.codewords[key]`."""
+    """One key's branch of the protocol state (explicit mode).  Branches
+    are listed by key, and the classical codewords of the branch at index
+    s, each of weight 2^-rand_bits, are `proto.nm.codewords[s]`."""
 
     probability: float
-    key: int
     quantum: np.ndarray
 
 
 def auth13_encode(proto: Auth13Protocol, message: np.ndarray) -> list[KeyedEncoding]:
     """Explicit mixture over keys of the padded encoding of a message.
 
-    Each branch carries its key and the padded pure quantum state;
-    product-channel analyses can instead use
-    the algebraic twirl path (`auth13_key_recovered_branch`) and skip
-    this enumeration.
+    Branch s carries key s's padded pure quantum state; product-channel
+    analyses can instead use the algebraic twirl path
+    (`auth13_key_recovered_branch`) and skip this enumeration.
     """
     vec = proto.composed.encoder_isometry() @ message
     keys = np.arange(proto.key_count)
     padded = pauli_gather_stack(vec, *pad_masks(keys, proto.n_quantum))
-    return [KeyedEncoding(1.0 / proto.key_count, int(s), padded[s]) for s in keys]
+    return [KeyedEncoding(1.0 / proto.key_count, padded[s]) for s in keys]
 
 
 def _maxent_vector(k: int) -> np.ndarray:
@@ -694,11 +692,6 @@ def _maxent_vector(k: int) -> np.ndarray:
     for m in range(1 << k):
         phi[m | (m << k)] = 1.0
     return phi / np.linalg.norm(phi)
-
-
-def _maxent_projector(k: int) -> np.ndarray:
-    phi = _maxent_vector(k)
-    return np.outer(phi, phi.conj())
 
 
 def _trace_and_overlap(tau: np.ndarray, k: int) -> tuple[float, float]:

@@ -120,12 +120,8 @@ def _emit(report: Report, args, table=None) -> int:
     return 0 if report.passed else 1
 
 
-def _load_config_file(path: str) -> dict:
-    """Flat key-value text: one `key = value` per line, # comments."""
-    return parse_config(Path(path).read_text(encoding="utf-8"), origin=path)
-
-
 def parse_config(text: str, origin: str = "<config>") -> dict:
+    """Flat key-value text: one `key = value` per line, # comments."""
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -136,10 +132,6 @@ def parse_config(text: str, origin: str = "<config>") -> dict:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
-
-
-def dump_config(entries: dict) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in sorted(entries.items()))
 
 
 def _expand_config(argv: list[str]) -> list[str]:
@@ -162,7 +154,8 @@ def _expand_config(argv: list[str]) -> list[str]:
     while prefix_len < len(rest) and not rest[prefix_len].startswith("-"):
         prefix_len += 1
     injected = []
-    for key, value in _load_config_file(path).items():
+    for key, value in parse_config(Path(path).read_text(encoding="utf-8"),
+                                   origin=path).items():
         injected += [f"--{key}", value]
     return rest[:prefix_len] + injected + rest[prefix_len:]
 
@@ -190,8 +183,18 @@ def _seed(args) -> int:
     return 0 if args.seed is None else args.seed
 
 
+def _sampling_seed(args) -> int | None:
+    """The `_seed` of a `--samples` run; None for an exhaustive run,
+    which draws nothing and so refuses `--seed`."""
+    if args.samples is None:
+        if args.seed is not None:
+            raise ValueError("--seed is not read without --samples")
+        return None
+    return _seed(args)
+
+
 def cmd_ptc_check(args) -> int:
-    seed = _seed(args)
+    seed = _sampling_seed(args)
     config = {"n": args.n, "lam": args.lam,
               "mode": "exhaustive" if args.samples is None else f"samples={args.samples}"}
     family = _family(args, config)
@@ -210,27 +213,27 @@ def cmd_ptc_check(args) -> int:
     return _emit(report, args)
 
 
-def _pmd_bound(family):
-    """(eps_ptc, delta, max(eps_ptc, sqrt(2^-lam + delta))): the PMD
-    error bound from the family's exhaustive detection figures."""
+def _pmd_check(family, samples, seed):
+    """The PMD lemma check of a family: (epsilon report, eps_ptc, delta,
+    bound, ok).  The bound max(eps_ptc, sqrt(2^-lam + delta)) comes from
+    the family's exhaustive detection figures; ok says the measured
+    epsilon (exhaustive, or from `samples` draws) is within it."""
+    eps = measure_pmd_epsilon(build_pmd(family), samples=samples, seed=seed)
     eps_ptc = measure_strong_ptc_error(family)
     delta = measure_pairwise_detectability(family)
     bound = max(float(eps_ptc.value),
                 float(np.sqrt(2.0 ** -family.lam + float(delta.value))))
-    return eps_ptc, delta, bound
+    return eps, eps_ptc, delta, bound, eps.value <= bound + 1e-9
 
 
 def cmd_pmd_verify(args) -> int:
-    seed = _seed(args)
+    seed = _sampling_seed(args)
     config = {"n": args.n, "lam": args.lam}
-    family = _family(args, config)
-    pmd = build_pmd(family)
-    eps_rep = measure_pmd_epsilon(pmd, samples=args.samples, seed=seed)
-    eps_ptc, delta, bound = _pmd_bound(family)
+    eps_rep, eps_ptc, delta, bound, ok = _pmd_check(_family(args, config),
+                                                    args.samples, seed)
     report = Report("pmd verify", config, seed)
     report.add("epsilon", f"{eps_rep.value:.12f}",
-               "max(eps_ptc, sqrt(2^-lam + delta))", f"{bound:.12f}",
-               eps_rep.value <= bound + 1e-9)
+               "max(eps_ptc, sqrt(2^-lam + delta))", f"{bound:.12f}", ok)
     report.extras.update({
         "argmax_pauli": eps_rep.argmax.label(),
         "ptc_epsilon": _frac(eps_ptc.value),
@@ -481,11 +484,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for n, lam in points:
         try:
-            family = build_bcgst_family(n, lam)
-            pmd = build_pmd(family)
-            eps = measure_pmd_epsilon(pmd)
-            eps_ptc, delta, bound = _pmd_bound(family)
-            ok = eps.value <= bound + 1e-9
+            eps, eps_ptc, delta, bound, ok = _pmd_check(build_bcgst_family(n, lam),
+                                                        None, None)
             rows.append({"n": n, "lam": lam, "epsilon": f"{eps.value:.12f}",
                          "eps_ptc": _frac(eps_ptc.value),
                          "delta": _frac(delta.value),

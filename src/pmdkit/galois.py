@@ -130,18 +130,6 @@ class FieldSpec:
     def polynomial_basis(self) -> list["FieldElement"]:
         return [FieldElement(_poly_mod(1 << i, self.modulus), self) for i in range(self.m)]
 
-    def to_config_str(self) -> str:
-        return f"m:{self.m}, modulus:0x{self.modulus:x}"
-
-    @classmethod
-    def from_config_str(cls, text: str) -> "FieldSpec":
-        parts = dict(item.split(":", 1) for item in
-                     (chunk.strip() for chunk in text.split(",")))
-        try:
-            return cls(int(parts["m"]), int(parts["modulus"], 16))
-        except KeyError as exc:
-            raise ValueError(f"field spec needs 'm:<int>, modulus:<hex>', got {text!r}") from exc
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -213,7 +201,7 @@ class DualBasisPair:
             raise ValueError("bases must have m elements each")
         for i, a in enumerate(self.alpha):
             for j, b in enumerate(self.beta):
-                if gf_trace(gf_mul(a, b)) != (1 if i == j else 0):
+                if (a * b).trace() != (1 if i == j else 0):
                     raise ValueError(f"trace Gram matrix is not identity at ({i}, {j})")
 
     @cached_property
@@ -224,7 +212,7 @@ class DualBasisPair:
         both maps; entry i of an image is tr(x^l * dual_i).
         """
         xs = self.alpha[0].field.polynomial_basis()
-        return tuple(tuple(f2.bits_to_int(gf_trace(gf_mul(x, d)) for d in dual) for x in xs)
+        return tuple(tuple(f2.bits_to_int((x * d).trace() for d in dual) for x in xs)
                      for dual in (self.beta, self.alpha))
 
     def alpha_coords(self, a: FieldElement) -> int:
@@ -234,18 +222,6 @@ class DualBasisPair:
 
     def beta_coords(self, a: FieldElement) -> int:
         return f2.combine(self._coord_columns[1], a.coeffs)
-
-
-def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def gf_pow(a: FieldElement, e: int) -> FieldElement:
-    return a ** e
-
-
-def gf_trace(a: FieldElement) -> int:
-    return a.trace()
 
 
 def compute_dual_basis(field: FieldSpec, alpha: list[FieldElement] | None = None) -> DualBasisPair:
@@ -262,7 +238,7 @@ def compute_dual_basis(field: FieldSpec, alpha: list[FieldElement] | None = None
         raise ValueError("alpha is singular (not a basis over F2)")
     xs = field.polynomial_basis()
     # Row i is the functional c -> tr(alpha_i * sum_l c_l x^l).
-    rows = [f2.bits_to_int(gf_trace(gf_mul(a, x)) for x in xs) for a in alpha]
+    rows = [f2.bits_to_int((a * x).trace() for x in xs) for a in alpha]
     beta = []
     for j in range(field.m):
         rhs = [1 if i == j else 0 for i in range(field.m)]

@@ -111,8 +111,6 @@ class EpsilonReport:
     value: float
     argmax: PauliOperator
     exhaustive: bool
-    samples: int | None = None
-    seed: int | None = None
 
 
 def _walsh_matrix(n_qubits: int) -> np.ndarray:
@@ -224,8 +222,7 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
         drawn.append((code & ((1 << total) - 1), code >> total))
     x, z = drawn[_sampled_argmax(pmd, drawn)]
     argmax = PauliOperator(total, x, z, 0)
-    return EpsilonReport(compressed_error_norm(pmd, argmax), argmax,
-                         exhaustive=False, samples=samples, seed=seed)
+    return EpsilonReport(compressed_error_norm(pmd, argmax), argmax, exhaustive=False)
 
 
 def _row_bounds(pmd: PmdCode) -> np.ndarray:

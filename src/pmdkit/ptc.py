@@ -48,9 +48,6 @@ class PtcFamily:
     def num_keys(self) -> int:
         return 1 << self.lam
 
-    def code_for(self, key: FieldElement) -> StabilizerCode:
-        return self.codes[key.coeffs]
-
     def keys(self):
         return (self.field.element(c) for c in range(self.num_keys))
 
@@ -89,8 +86,6 @@ class SweepResult:
 
     value: Fraction
     exhaustive: bool
-    samples: int | None = None
-    seed: int | None = None
     worst_miss_probability: float | None = None
 
 
@@ -163,9 +158,9 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
                              seed: int = 0) -> SweepResult:
     """Worst-case fraction of keys that miss a fixed nonidentity Pauli.
 
-    Exhaustive over all 4^n - 1 errors by default; pass `samples` for a
-    uniform sample drawn from a Philox generator seeded with `seed`
-    when the sweep would exceed the iteration guard.  Per-error key
+    Exhaustive over all 4^n - 1 errors by default (SizeGuardError above
+    the iteration guard); pass `samples` for a uniform sample drawn from
+    a Philox generator seeded with `seed` when the sweep would exceed it.  Per-error key
     fractions are exact in both modes.  Both modes walk the errors in
     chunks of `_ENTRY_BUDGET` syndrome entries.
     """
@@ -173,7 +168,7 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
     total_errors = (1 << (2 * n)) - 1
     if samples is None:
         if (total_errors + 1) * family.num_keys * family.lam > SWEEP_GUARD:
-            raise ValueError(
+            raise SizeGuardError(
                 "exhaustive sweep exceeds the iteration guard; "
                 "re-run with samples=<count> and a seed for sampling mode")
         count = total_errors
@@ -199,8 +194,7 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
     if samples is None:
         return SweepResult(value, exhaustive=True)
     miss = float((1.0 - 1.0 / total_errors) ** samples)
-    return SweepResult(value, exhaustive=False, samples=samples, seed=seed,
-                       worst_miss_probability=miss)
+    return SweepResult(value, exhaustive=False, worst_miss_probability=miss)
 
 
 def _shift_miss_matrix(family: PtcFamily) -> np.ndarray:

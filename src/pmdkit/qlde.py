@@ -152,13 +152,10 @@ def erasure_list_decode(code: StabilizerCode, erased, s: SyndromeVector) -> Corr
     supported Pauli has the requested syndrome.
     """
     pattern = ErasurePattern(code.n, tuple(erased))
-    if isinstance(s, SyndromeVector):
-        if s.r != code.r:
-            raise ValueError("syndrome length does not match generator count")
-    else:
+    if not isinstance(s, SyndromeVector):
         s = SyndromeVector.from_bits(s)
-        if s.r != code.r:
-            raise ValueError("syndrome length does not match generator count")
+    if s.r != code.r:
+        raise ValueError("syndrome length does not match generator count")
     cols = pattern.erased
     rows = _restricted_commutation_rows(code, cols)
     particular_vec = f2.solve(rows, list(s.as_tuple()), 2 * len(cols))
@@ -173,13 +170,11 @@ def erasure_list_decode(code: StabilizerCode, erased, s: SyndromeVector) -> Corr
         raise SizeGuardError(f"correction list would have 2^{len(coset_gens)} entries, "
                               "above 4096")
     stab_pivots, stab_rref = f2.rref(stab_vecs, 2 * code.n)
+    # coset_gens are independent modulo the supported stabilizer, so each
+    # coset, and each canonical entry, comes up once.
     entries = []
-    seen = set()
     for v in f2.span(coset_gens, particular.symplectic_vector(), operator.xor):
         canonical = f2.reduce_vector(stab_pivots, stab_rref, v)
-        if canonical in seen:  # pragma: no cover - cosets are distinct by construction
-            continue
-        seen.add(canonical)
         entries.append(PauliOperator.from_symplectic_vector(code.n, canonical)
                        .hermitian_form())
     entries.sort(key=lambda p: _lex_key(p.symplectic_vector(), 2 * code.n))

@@ -114,20 +114,6 @@ class PauliOperator:
         return PauliOperator(self.n, self.x, self.z,
                              -self.phase + 2 * f2.dot(self.x, self.z))
 
-    def tensor(self, other: "PauliOperator") -> "PauliOperator":
-        return PauliOperator(self.n + other.n,
-                             self.x | (other.x << self.n),
-                             self.z | (other.z << self.n),
-                             self.phase + other.phase)
-
-    def restricted_to(self, qubits: tuple[int, ...]) -> "PauliOperator":
-        """Factor on the listed qubits; support must lie within them."""
-        order = sorted(qubits)
-        x, z = f2.restrict(self.x, order), f2.restrict(self.z, order)
-        if (f2.embed(x, order), f2.embed(z, order)) != (self.x, self.z):
-            raise ValueError("operator acts outside the requested qubits")
-        return PauliOperator(len(qubits), x, z, self.phase)
-
     def hermitian_form(self) -> "PauliOperator":
         """The +1-signed Hermitian operator with these exponents.
 
@@ -144,10 +130,6 @@ def symplectic_product(p: PauliOperator, q: PauliOperator) -> int:
     if p.n != q.n:
         raise ValueError(f"size mismatch: {p.n} vs {q.n} qubits")
     return f2.dot(p.x, q.z) ^ f2.dot(q.x, p.z)
-
-
-def pauli_mul(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    return p.mul(q)
 
 
 def pauli_span(n: int, gens, up_to_phase: bool = True) -> list[PauliOperator]:
@@ -198,13 +180,14 @@ class CliffordCircuit:
         return len(self.gates)
 
     def inverse(self) -> "CliffordCircuit":
+        """C^-1 in the same gate set: the gates in reverse order, each its
+        own inverse except S.  S^-1 = S^3, so a run of m S gates on one
+        qubit becomes (-m mod 4) of them, and inverting twice restores
+        every circuit whose S runs are shorter than four."""
         inv = []
-        for name, qubits in reversed(self.gates):
-            if name == "s":
-                # S^-1 = S^3 keeps the gate set closed.
-                inv.extend([("s", qubits)] * 3)
-            else:
-                inv.append((name, qubits))
+        for gate, run in itertools.groupby(reversed(self.gates)):
+            count = len(list(run))
+            inv.extend([gate] * (-count % 4 if gate[0] == "s" else count))
         return CliffordCircuit(self.n, tuple(inv))
 
     def conjugate_pauli(self, p: PauliOperator) -> PauliOperator:
@@ -288,10 +271,10 @@ class StabilizerCode:
     """An [[n, n-r]] stabilizer code.
 
     Generators must commute pairwise and be independent; all carry
-    phase +1.  Construction only validates them: the normalizer basis,
-    the logical representatives and the deterministic encoder circuit
-    are derived on first use of `normalizer`, `logical_reps` and
-    `encoder`, so families that never read them pay nothing for them.
+    phase +1.  Construction only validates them: the normalizer basis
+    and the deterministic encoder circuit are derived on first use of
+    `normalizer` and `encoder`, so families that never read them pay
+    nothing for them.
     Instances are immutable afterwards, so all queries are safe to share.
     """
 
@@ -332,11 +315,6 @@ class StabilizerCode:
         """`normalizer_basis` of this code, derived on first use."""
         return tuple(normalizer_basis(self))
 
-    @cached_property
-    def logical_reps(self) -> tuple[PauliOperator, ...]:
-        """`logical_representatives` of this code, derived on first use."""
-        return tuple(logical_representatives(self))
-
     def stabilizer_group(self, up_to_phase: bool = True):
         """All 2^r stabilizer elements (mod phase if requested)."""
         return pauli_span(self.n, self.gens, up_to_phase)
@@ -367,14 +345,6 @@ def normalizer_basis(code: StabilizerCode) -> list[PauliOperator]:
     rows = [_twisted(g.symplectic_vector(), code.n) for g in code.gens]
     kernel = f2.kernel_basis(rows, 2 * code.n)
     return [PauliOperator.from_symplectic_vector(code.n, v) for v in kernel]
-
-
-def logical_representatives(code: StabilizerCode) -> list[PauliOperator]:
-    """2k coset representatives extending S(Q) to N(Q)."""
-    gen_vecs = [g.symplectic_vector() for g in code.gens]
-    candidates = [p.symplectic_vector() for p in code.normalizer]
-    picked = f2.extend_basis(gen_vecs, candidates, 2 * code.n)
-    return [PauliOperator.from_symplectic_vector(code.n, v) for v in picked]
 
 
 def is_logically_equivalent(code: StabilizerCode, p: PauliOperator, q: PauliOperator) -> bool:

@@ -6,8 +6,8 @@ import pytest
 
 from pmdkit.aqec import (ComposedCode, CorrectionCascade, ErasureAdversary,
                          HarnessReport, TaggedBranch, algorithm1_decode,
-                         algorithm2_unitary, apply_adversary, compose,
-                         entangled_code_state, erasure_harness, random_adversary)
+                         apply_adversary, compose, entangled_code_state,
+                         erasure_harness, random_adversary)
 from pmdkit.densesim import apply_pauli, maximally_entangled_overlap
 from pmdkit.limits import SizeGuardError
 from pmdkit.pmd import build_pmd, measure_pmd_epsilon
@@ -172,7 +172,7 @@ def test_cascade_dense_is_unitary():
     code = small_setup()
     corr = erasure_list_decode(code.outer, (1,), (0,))
     assert len(corr.entries) == 2
-    cascade = algorithm2_unitary(corr, code)
+    cascade = CorrectionCascade(corr, code)
     u = cascade.dense()
     assert u.shape == (64, 64)
     assert np.allclose(u.conj().T @ u, np.eye(64), atol=1e-10)
@@ -720,7 +720,7 @@ def test_harness_fidelity_against_density_matrix_oracle():
         if prob < 1e-12:
             continue
         corr = erasure_list_decode(code.outer, erased, (outcome,))
-        cascade = algorithm2_unitary(corr, code)
+        cascade = CorrectionCascade(corr, code)
         flags = len(corr.entries)
         u = cascade.dense()  # on code block + flags
         # Embed onto [code | ref | flags]: permute so the cascade sees

@@ -39,6 +39,12 @@ def pauli(label):
     return PauliOperator.from_label(label)
 
 
+def maxent_projector(k):
+    """|Phi><Phi| on k message and k reference qubits."""
+    phi = auth._maxent_vector(k)
+    return np.outer(phi, phi.conj())
+
+
 def depolarizing_kraus(p):
     return (np.sqrt(1 - 3 * p / 4) * I2, np.sqrt(p / 4) * X,
             np.sqrt(p / 4) * Y, np.sqrt(p / 4) * Z)
@@ -1000,7 +1006,7 @@ def _harness_by_key(proto, wire_kraus, classical):
     rho0 = np.outer(vec, vec.conj())
     total_qubits = n + k
     big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
-    phi_proj = auth._maxent_projector(k)
+    phi_proj = maxent_projector(k)
     p_accept = p_wrong = p_reject = fid_acc = 0.0
     key_weight = 1.0 / proto.key_count
     rand_weight = 1.0 / (1 << proto.nm.rand_bits)
@@ -1102,7 +1108,7 @@ def test_maxent_overlap_helper_matches_projector():
         m = rng.standard_normal((4 ** k, 4 ** k)) + 1j * rng.standard_normal((4 ** k, 4 ** k))
         tr, overlap = auth._trace_and_overlap(m, k)
         assert tr == float(np.trace(m).real)
-        assert abs(overlap - np.trace(auth._maxent_projector(k) @ m).real) < 1e-12
+        assert abs(overlap - np.trace(maxent_projector(k) @ m).real) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,18 @@ def test_unseeded_commands_refuse_seed(capsys, argv):
     assert "unrecognized arguments: --seed 1" in err
 
 
+@pytest.mark.parametrize("command", [["ptc", "check"], ["pmd", "verify"]])
+def test_exhaustive_runs_refuse_seed_and_record_none(capsys, command):
+    argv = command + ["--n", "4", "--lambda", "2", "--format", "json"]
+    rc, out, err = invoke(capsys, argv + ["--seed", "0"])
+    assert rc == 2 and out == ""
+    assert "--seed is not read without --samples" in err
+    rc, out, _ = invoke(capsys, argv)
+    assert rc == 0 and json.loads(out)["seed"] is None
+    rc, out, _ = invoke(capsys, argv + ["--samples", "5", "--seed", "3"])
+    assert rc == 0 and json.loads(out)["seed"] == 3
+
+
 def test_nm_verify_and_qlde_decode_report_values_not_checks(capsys, tmp_path):
     nm = _write_json(tmp_path, "nm.json", systematic_parity_nm(1).to_record())
     rc, out, _ = invoke(capsys, ["nm", "verify", "--nm", nm, "--format", "json"])
@@ -609,12 +621,12 @@ def test_sweep_deterministic_repeat(capsys):
 
 def test_config_file_sets_optionals(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# sweep defaults\nformat = json\n")
-    rc, out, _ = invoke(capsys, ["sweep", "--points", "2:1",
-                                 "--config", str(cfg)])
+    cfg.write_text("# sweep defaults\nformat = json\n\npoints =  2:1,4:1 \n")
+    rc, out, _ = invoke(capsys, ["sweep", "--config", str(cfg)])
     assert rc == 0
     payload = json.loads(out)
     assert payload["command"] == "sweep"
+    assert payload["config"] == {"points": "2:1,4:1"}  # the value is kept whole
     assert payload["seed"] is None  # sweep draws nothing and takes no --seed
 
 
@@ -655,16 +667,6 @@ def test_config_loses_to_explicit_flag(capsys, tmp_path):
                                  "--config", str(cfg), "--format", "text"])
     assert rc == 0
     assert out.startswith("# sweep")  # the explicit flag wins
-
-
-def test_config_format_roundtrip():
-    from pmdkit.cli import dump_config, parse_config
-    entries = {"format": "json", "points": "2:1,4:2", "seed": "11",
-               "field": "m:4, modulus:0x13"}
-    assert parse_config(dump_config(entries)) == entries
-    # Bit-exact: dumping what was parsed reproduces the same text.
-    text = dump_config(entries)
-    assert dump_config(parse_config(text)) == text
 
 
 def test_modulus_override(capsys):

@@ -6,8 +6,7 @@ from pmdkit import f2, symplectic
 from pmdkit.ptc import build_bcgst_family, measure_strong_ptc_error
 from pmdkit.symplectic import (CliffordCircuit, PauliOperator, StabilizerCode,
                                css_from_classical, format_code,
-                               is_logically_equivalent, logical_representatives,
-                               normalizer_basis, parse_code, pauli_mul,
+                               is_logically_equivalent, normalizer_basis, parse_code,
                                standard_form_encoder, symplectic_product, syndrome)
 
 
@@ -49,7 +48,7 @@ def test_pauli_mul_inverse_is_identity():
 
 
 def test_pauli_mul_disjoint_supports():
-    prod = pauli_mul(pauli("XI"), pauli("IZ"))
+    prod = pauli("XI").mul(pauli("IZ"))
     assert prod == pauli("XZ")
     assert prod.phase == 0
 
@@ -63,15 +62,6 @@ def test_weight_and_support():
     p = pauli("IXYZI")
     assert p.weight == 3
     assert p.support == (1, 2, 3)
-
-
-def test_tensor_and_restrict():
-    p = pauli("XZ").tensor(pauli("Y"))
-    assert p.label() == "XZY"
-    q = pauli("XIY")
-    assert q.restricted_to((0, 2)).label() == "XY"
-    with pytest.raises(ValueError, match="outside"):
-        p.restricted_to((0, 1))
 
 
 def test_hermitian_form_phase_counts_ys():
@@ -113,23 +103,19 @@ def test_trivial_code_normalizer_and_logicals():
     code = StabilizerCode(2, [], name="trivial")
     assert code.r == 0 and code.k == 2
     assert len(code.normalizer) == 4
-    assert len(code.logical_reps) == 4
 
 
 def test_family_build_defers_normalizer_and_logicals(monkeypatch):
-    real_basis, real_logicals = symplectic.normalizer_basis, symplectic.logical_representatives
+    real_basis = symplectic.normalizer_basis
     calls = []
     monkeypatch.setattr(symplectic, "normalizer_basis",
                         lambda code: calls.append("normalizer") or real_basis(code))
-    monkeypatch.setattr(symplectic, "logical_representatives",
-                        lambda code: calls.append("logicals") or real_logicals(code))
     family = build_bcgst_family(4, 2)
     assert calls == []
     for code in family.codes.values():
         assert code.normalizer == tuple(real_basis(code))
-        assert code.logical_reps == tuple(real_logicals(code))
         assert code.normalizer is code.normalizer  # derived once, then cached
-    assert calls.count("normalizer") == calls.count("logicals") == family.num_keys
+    assert calls.count("normalizer") == family.num_keys
 
 
 def brute_normalizer(code):
@@ -191,23 +177,15 @@ def test_zero_syndrome_paulis_in_normalizer_span_n5():
 
 
 def test_repetition_code_logicals():
-    reps = logical_representatives(REP3)
-    assert len(reps) == 2
-    pivots, reduced = f2.rref(
-        [g.symplectic_vector() for g in REP3.gens]
-        + [p.symplectic_vector() for p in reps], 6)
-    # XXX and ZII generate the logical algebra together with S(Q).
-    for label in ("XXX", "ZII"):
-        assert f2.span_contains(pivots, reduced, pauli(label).symplectic_vector())
-
-
-def test_logical_representatives_dimension():
-    for code in (REP3, FOUR22):
-        reps = code.logical_reps
-        assert len(reps) == 2 * code.k
-        all_vecs = [g.symplectic_vector() for g in code.gens]
-        all_vecs += [p.symplectic_vector() for p in reps]
-        assert f2.rank(all_vecs, 2 * code.n) == code.r + 2 * code.k
+    # XXX and ZII are logical: in N(Q), outside S(Q), and together with
+    # S(Q) they span all of N(Q) (2n - r = r + 2k = 4 dimensions).
+    pivots, reduced = f2.rref([p.symplectic_vector() for p in REP3.normalizer], 6)
+    logicals = [pauli(label) for label in ("XXX", "ZII")]
+    for p in logicals:
+        assert f2.span_contains(pivots, reduced, p.symplectic_vector())
+        assert not REP3.contains_in_stabilizer(p)
+    vecs = [p.symplectic_vector() for p in list(REP3.gens) + logicals]
+    assert f2.rank(vecs, 6) == len(REP3.normalizer) == REP3.r + 2 * REP3.k
 
 
 def test_is_logically_equivalent():
@@ -349,6 +327,46 @@ def test_circuit_inverse_roundtrip_on_paulis():
     for label in ("XIII", "IZYI", "YYXZ"):
         p = pauli(label)
         assert inv.conjugate_pauli(circ.conjugate_pauli(p)) == p
+
+
+def _inverse_with_s_cubed(circ):
+    """The former `CliffordCircuit.inverse`: every S became three S gates."""
+    gates = []
+    for gate in reversed(circ.gates):
+        gates.extend([gate] * (3 if gate[0] == "s" else 1))
+    return CliffordCircuit(circ.n, tuple(gates))
+
+
+@pytest.mark.parametrize("pivot", ["low", "high"])
+def test_circuit_inverse_is_an_involution_on_encoders(pivot):
+    # Each encoder S is an S^3 run of the inverted reduction, so inverting
+    # returns the reduction, and its former inverse rebuilds the encoder.
+    shrunk = {}
+    for n, lam in [(2, 1), (4, 2), (6, 3), (8, 2), (12, 6)]:
+        codes = build_bcgst_family(n, lam, encoder_pivot=pivot).codes.values()
+        for code in codes:
+            circ = code.encoder
+            assert circ.inverse().inverse() == circ
+            assert _inverse_with_s_cubed(circ.inverse()) == circ
+        shrunk[n, lam] = (sum(len(_inverse_with_s_cubed(c.encoder)) for c in codes),
+                          sum(len(c.encoder.inverse()) for c in codes))
+    if pivot == "low":
+        assert shrunk[8, 2] == (229, 93) and shrunk[12, 6] == (11789, 5493)
+    circ = CliffordCircuit(1, (("s", (0,)),) * 5 + (("h", (0,)),) * 2)
+    assert circ.inverse().gates == (("h", (0,)),) * 2 + (("s", (0,)),) * 3
+
+
+def test_inverse_encoders_act_as_the_former_s_cubed_form():
+    # Runs of S shrink mod 4; on every state the result is bit-equal.
+    import numpy as np
+
+    from pmdkit.densesim import apply_circuit
+    rng = np.random.default_rng(19)
+    for n, lam in [(4, 2), (6, 3), (8, 2)]:
+        for code in build_bcgst_family(n, lam).codes.values():
+            vecs = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
+            assert np.array_equal(apply_circuit(code.encoder.inverse(), vecs),
+                                  apply_circuit(_inverse_with_s_cubed(code.encoder), vecs))
 
 
 # ---------------------------------------------------------------------------
