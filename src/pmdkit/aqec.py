@@ -42,8 +42,8 @@ from .densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
                        pauli_gather, phi_amplitudes, qubit_rows)
 from .limits import SizeGuardError, check_qubits
 from .pmd import PmdCode, auth_unitary
-from .qlde import CorrectionList, erasure_list_decode
-from .symplectic import CliffordCircuit, StabilizerCode
+from .qlde import erasure_list_decode
+from .symplectic import CliffordCircuit, PauliOperator, StabilizerCode
 
 WEIGHT_TOL = 1e-12
 
@@ -54,7 +54,7 @@ class ComposedCode:
 
     pmd: PmdCode
     outer: StabilizerCode
-    # (erased set, syndrome bits) -> (candidate list, its cascade or None)
+    # (erased set, syndrome bits) -> the cascade of its candidate list, or None
     _cascades: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # erased set -> its ErasedState
     _erased: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -84,14 +84,13 @@ class ComposedCode:
         return iso
 
     def correction_cascade(self, erased: tuple[int, ...], s_bits: tuple[int, ...]
-                           ) -> tuple[CorrectionList, CorrectionCascade | None]:
-        """The candidate list of an erased set and syndrome, and its cascade
+                           ) -> CorrectionCascade | None:
+        """The cascade of an erased set's and syndrome's candidate list
         (None when the list is empty), built once per code."""
         key = (erased, s_bits)
         if key not in self._cascades:
             corrections = erasure_list_decode(self.outer, erased, s_bits)
-            cascade = CorrectionCascade(corrections, self) if corrections.entries else None
-            self._cascades[key] = corrections, cascade
+            self._cascades[key] = CorrectionCascade(corrections, self) if corrections else None
         return self._cascades[key]
 
     def erased_state(self, erased: tuple[int, ...]) -> ErasedState:
@@ -226,19 +225,18 @@ class CorrectionCascade:
     `dense` is the full unitary built with the dense `auth_unitary`.
     """
 
-    def __init__(self, corrections: CorrectionList, code: ComposedCode):
-        if not corrections.entries:
+    def __init__(self, corrections: tuple[PauliOperator, ...], code: ComposedCode):
+        if not corrections:
             raise ValueError("cascade needs a nonempty correction list")
         self.code = code
-        self.entries = corrections.entries
-        self.length = len(self.entries)
+        self.length = len(corrections)
         check_qubits(code.n + self.length, "algorithm2_unitary")
-        self._revert = self.entries[0].inverse()
+        self._revert = corrections[0].inverse()
         self._outer_dec = code.outer.encoder.inverse()
         # Switch operators in the decoded frame: candidate i -> i+1.
         self._switches = []
         for i in range(self.length - 1):
-            step = self.entries[i + 1].inverse().mul(self.entries[i])
+            step = corrections[i + 1].inverse().mul(corrections[i])
             self._switches.append(self._outer_dec.conjugate_pauli(step))
 
     def decode(self, vec: np.ndarray) -> np.ndarray:
@@ -336,8 +334,8 @@ def _realized_cascade(code: ComposedCode, erased: tuple[int, ...],
                       s_bits: tuple[int, ...], prob: float) -> CorrectionCascade:
     """The cascade of an outcome with nonzero probability; an empty
     correction list there is an invariant violation and raises."""
-    corrections, cascade = code.correction_cascade(erased, s_bits)
-    if not corrections.entries:
+    cascade = code.correction_cascade(erased, s_bits)
+    if cascade is None:
         raise RuntimeError(
             f"syndrome {s_bits} has probability {prob:.3e} but no supported "
             "correction; erasure bookkeeping is inconsistent")
@@ -428,7 +426,6 @@ class ErasedState:
 @dataclass(frozen=True)
 class HarnessReport:
     fidelity: float
-    epsilon: float
     realized_list: int
     bound: float
     passed: bool
@@ -488,7 +485,7 @@ def erasure_harness(code: ComposedCode, adv: ErasureAdversary,
             # whether or not the set could be decoded.
             state.release()
     bound = float(1.0 - 3.0 * np.sqrt(epsilon) * realized ** 0.75)
-    return HarnessReport(fidelity, float(epsilon), realized, bound,
+    return HarnessReport(fidelity, realized, bound,
                          passed=bool(fidelity >= bound - 1e-9),
                          branch_count=branch_count)
 

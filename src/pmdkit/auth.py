@@ -663,27 +663,17 @@ class AttackReport:
     fidelity_given_accept: float
 
 
-@dataclass(frozen=True)
-class KeyedEncoding:
-    """One key's branch of the protocol state (explicit mode).  Branches
-    are listed by key, and the classical codewords of the branch at index
-    s, each of weight 2^-rand_bits, are `proto.nm.codewords[s]`."""
-
-    probability: float
-    quantum: np.ndarray
-
-
-def auth13_encode(proto: Auth13Protocol, message: np.ndarray) -> list[KeyedEncoding]:
+def auth13_encode(proto: Auth13Protocol, message: np.ndarray) -> np.ndarray:
     """Explicit mixture over keys of the padded encoding of a message.
 
-    Branch s carries key s's padded pure quantum state; product-channel
-    analyses can instead use the algebraic twirl path
-    (`auth13_key_recovered_branch`) and skip this enumeration.
+    Row s is key s's padded pure quantum state, of weight 1 / key_count;
+    its classical codewords, each of weight 2^-rand_bits, are
+    `proto.nm.codewords[s]`.  Product-channel analyses can instead use
+    the algebraic twirl path (`auth13_key_recovered_branch`) and skip
+    this enumeration.
     """
     vec = proto.composed.encoder_isometry() @ message
-    keys = np.arange(proto.key_count)
-    padded = pauli_gather_stack(vec, *pad_masks(keys, proto.n_quantum))
-    return [KeyedEncoding(1.0 / proto.key_count, padded[s]) for s in keys]
+    return pauli_gather_stack(vec, *pad_masks(np.arange(proto.key_count), proto.n_quantum))
 
 
 def _maxent_vector(k: int) -> np.ndarray:

@@ -250,13 +250,13 @@ def cmd_qlde_decode(args) -> int:
     code = parse_code(Path(args.code).read_text(encoding="utf-8"))
     erased = tuple(int(tok) for tok in args.erased.split(",") if tok != "")
     bits = [int(ch) for ch in args.syndrome]
-    result = erasure_list_decode(code, erased, bits)
+    corrections = erasure_list_decode(code, erased, bits)
     config = {"code": args.code, "erased": args.erased, "syndrome": args.syndrome}
     report = Report("qlde decode", config, None)
-    report.extras["list_size"] = len(result.entries)
-    report.extras["corrections"] = [p.label() for p in result.entries]
+    report.extras["list_size"] = len(corrections)
+    report.extras["corrections"] = [p.label() for p in corrections]
     if args.format == "text" and not args.out:
-        for p in result.entries:
+        for p in corrections:
             sys.stdout.write(p.label() + "\n")
         return 0
     return _emit(report, args)
@@ -324,10 +324,12 @@ def _kraus(path: str, key: str, record) -> tuple[np.ndarray, ...]:
 
 def _load_adversary(path: str, n: int) -> ErasureAdversary:
     record = _read_record(path)
+    if record.get("n", n) != n:
+        raise ValueError(f"{path}: field 'n' is {record['n']}, the outer code has n = {n}")
     mats = _kraus(path, "matrix", [br["matrix"] for br in record["branches"]])
     branches = tuple((mat, tuple(br["support"]))
                      for mat, br in zip(mats, record["branches"]))
-    return ErasureAdversary(record.get("n", n), branches, record["max_erased"],
+    return ErasureAdversary(n, branches, record["max_erased"],
                             mode=record.get("mode", "adaptive"))
 
 

@@ -53,13 +53,13 @@ def _poly_mod(a: int, modulus: int) -> int:
 
 
 def _poly_mulmod(a: int, b: int, modulus: int) -> int:
+    """a * b mod modulus: the carry-less product, reduced once."""
     result = 0
     while b:
         if b & 1:
             result ^= a
         b >>= 1
         a <<= 1
-        a = _poly_mod(a, modulus)
     return _poly_mod(result, modulus)
 
 

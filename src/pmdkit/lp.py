@@ -3,8 +3,8 @@
 `exact_lp` returns the optimum of a small dense LP as a Fraction.  It
 follows Applegate, Cook, Dash and Espinoza, "Exact solutions to linear
 programming problems" (Oper. Res. Lett. 2007): solve in floats, then
-prove the float basis optimal in exact arithmetic, and pivot exactly
-only when that proof fails.
+prove the float basis optimal in exact arithmetic, and solve again in
+exact arithmetic only when that proof fails.
 """
 
 from __future__ import annotations
@@ -111,23 +111,6 @@ class _Simplex:
         self.price(self.cost)
         self.bland(limit)
 
-    def enter(self, columns) -> bool:
-        """Pivot `columns` into the basis from the initial one.  False if
-        they are not a basis, or their basic point is infeasible."""
-        wanted = set(columns.tolist())
-        for j in columns:
-            if j not in self.basis:
-                rows = [r for r in np.flatnonzero(self.tab[:-1, j])
-                        if self.basis[r] not in wanted]
-                if not rows:
-                    return False
-                self.pivot(rows[0], j)
-        rhs = self.tab[:-1, -1]
-        if (rhs < 0).any() or (rhs[self.basis >= self.n_std] != 0).any():
-            return False
-        self.drive_out_artificials()
-        return True
-
     def solution(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, y): the basic point on the LP's own variables, and the
         duals of its rows."""
@@ -176,31 +159,25 @@ def exact_lp(c, a_ub, b_ub, a_eq, b_eq) -> tuple[Fraction, list[Fraction]]:
     Applegate, Cook, Dash and Espinoza's "float solve, then rational
     check" (Oper. Res. Lett. 2007): a float simplex finds an optimal
     basis, whose primal and dual points, read as small-denominator
-    fractions, get an exact certificate (`_certificate`).  Should that
-    fail, the Fraction simplex starts from the float basis (or, if that
-    is singular or infeasible, from scratch) and pivots to an exactly
-    optimal one.  Every value returned has passed the certificate.
+    fractions, get an exact certificate (`_certificate`).  Should the
+    float solve or that certificate fail, the Fraction simplex solves
+    the LP again from its initial basis.  Every value returned has
+    passed the certificate.
     """
     lp = tuple(np.asarray(v, dtype=float) for v in (c, a_ub, b_ub, a_eq, b_eq))
     fast = _Simplex(*lp)
     try:
         fast.solve(limit=10 * sum(fast.tab.shape))
     except _SimplexError:
-        hint = None
+        pass
     else:
         x, y = fast.solution()
         x = _rationalise(x)
         value = _certificate(lp, x, _rationalise(y))
         if value is not None:
             return value, x
-        hint = fast.basis
     exact = _Simplex(*lp, exact=True)
-    if hint is not None and exact.enter(hint):
-        exact.price(exact.cost)
-        exact.bland()
-    else:
-        exact = _Simplex(*lp, exact=True)
-        exact.solve()
+    exact.solve()
     x, y = (list(map(Fraction, vec)) for vec in exact.solution())
     value = _certificate(lp, x, y)
     if value is None:  # pragma: no cover - an exact optimal basis certifies

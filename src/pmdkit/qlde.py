@@ -23,41 +23,18 @@ import numpy as np
 
 from . import f2
 from .limits import SizeGuardError
-from .symplectic import (PauliOperator, StabilizerCode, SyndromeVector,
-                         css_from_classical)
+from .symplectic import PauliOperator, StabilizerCode, css_from_classical
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
-    """A set of erased qubit positions on a block of length n."""
-
-    n: int
-    erased: tuple[int, ...]
-
-    def __post_init__(self):
-        erased = tuple(sorted(self.erased))
-        object.__setattr__(self, "erased", erased)
-        if len(set(erased)) != len(erased):
-            raise ValueError("duplicate erased positions")
-        if erased and not (0 <= erased[0] and erased[-1] < self.n):
-            raise ValueError(f"erased positions outside [0, {self.n})")
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for q in self.erased:
-            m |= 1 << q
-        return m
-
-
-@dataclass(frozen=True)
-class CorrectionList:
-    """Logically distinct Pauli corrections sharing support and syndrome."""
-
-    entries: tuple[PauliOperator, ...]
-    code: StabilizerCode
-    erased: tuple[int, ...]
-    target: SyndromeVector
+def _erased_positions(n: int, erased) -> tuple[int, ...]:
+    """The erased set as sorted positions, refusing duplicates and
+    positions outside [0, n)."""
+    erased = tuple(sorted(erased))
+    if len(set(erased)) != len(erased):
+        raise ValueError("duplicate erased positions")
+    if erased and not (0 <= erased[0] and erased[-1] < n):
+        raise ValueError(f"erased positions outside [0, {n})")
+    return erased
 
 
 def _lex_key(vec: int, ncols: int):
@@ -82,11 +59,10 @@ def _as_rows(h) -> tuple[list[int], int]:
 def classical_erasure_list_decode(h, erased, s) -> list[np.ndarray]:
     """All e with support inside `erased` and H e = s; [] if inconsistent."""
     rows, n = _as_rows(h)
-    pattern = ErasurePattern(n, tuple(erased))
+    cols = _erased_positions(n, erased)
     s = list(map(int, s))
     if len(s) != len(rows):
         raise ValueError("syndrome length does not match check count")
-    cols = pattern.erased
     restricted = [f2.restrict(row, cols) for row in rows]
     particular = f2.solve(restricted, s, len(cols))
     if particular is None:
@@ -131,9 +107,9 @@ def _embed_restricted(vec: int, cols: tuple[int, ...], n: int) -> PauliOperator:
     return PauliOperator(n, f2.embed(vec, cols), f2.embed(vec >> len(cols), cols), 0)
 
 
-def _supported_stabilizer_basis(code: StabilizerCode, mask: int) -> list[int]:
-    """Symplectic vectors of a basis of the stabilizer subgroup on the mask."""
-    outside = [q for q in range(code.n) if not (mask >> q) & 1]
+def _supported_stabilizer_basis(code: StabilizerCode, cols: tuple[int, ...]) -> list[int]:
+    """Symplectic vectors of a basis of the stabilizer subgroup on cols."""
+    outside = [q for q in range(code.n) if q not in cols]
     # Constraint rows over generator-coefficient space: the combination
     # sum c_i g_i must have zero x and z bits at every outside qubit.
     rows = []
@@ -144,27 +120,28 @@ def _supported_stabilizer_basis(code: StabilizerCode, mask: int) -> list[int]:
     return [f2.combine(vecs, c) for c in f2.kernel_basis(rows, code.r)]
 
 
-def erasure_list_decode(code: StabilizerCode, erased, s: SyndromeVector) -> CorrectionList:
-    """Candidate corrections on the erased set matching syndrome s.
+def erasure_list_decode(code: StabilizerCode, erased, s) -> tuple[PauliOperator, ...]:
+    """Candidate corrections on the erased set matching the syndrome bits
+    s (bit i for generator i).
 
     Entries pairwise logically distinct, each the lexicographic minimum
     of its stabilizer coset, ordered by symplectic vector.  Empty iff no
     supported Pauli has the requested syndrome.
     """
-    pattern = ErasurePattern(code.n, tuple(erased))
-    if not isinstance(s, SyndromeVector):
-        s = SyndromeVector.from_bits(s)
-    if s.r != code.r:
+    cols = _erased_positions(code.n, erased)
+    s = list(s)
+    if any(b not in (0, 1) for b in s):
+        raise ValueError(f"syndrome entries must be 0 or 1, got {s}")
+    if len(s) != code.r:
         raise ValueError("syndrome length does not match generator count")
-    cols = pattern.erased
     rows = _restricted_commutation_rows(code, cols)
-    particular_vec = f2.solve(rows, list(s.as_tuple()), 2 * len(cols))
+    particular_vec = f2.solve(rows, s, 2 * len(cols))
     if particular_vec is None:
-        return CorrectionList((), code, cols, s)
+        return ()
     particular = _embed_restricted(particular_vec, cols, code.n)
     normalizer_vecs = [ _embed_restricted(v, cols, code.n).symplectic_vector()
                         for v in f2.kernel_basis(rows, 2 * len(cols))]
-    stab_vecs = _supported_stabilizer_basis(code, pattern.mask)
+    stab_vecs = _supported_stabilizer_basis(code, cols)
     coset_gens = f2.extend_basis(stab_vecs, normalizer_vecs, 2 * code.n)
     if 1 << len(coset_gens) > 4096:
         raise SizeGuardError(f"correction list would have 2^{len(coset_gens)} entries, "
@@ -178,17 +155,15 @@ def erasure_list_decode(code: StabilizerCode, erased, s: SyndromeVector) -> Corr
         entries.append(PauliOperator.from_symplectic_vector(code.n, canonical)
                        .hermitian_form())
     entries.sort(key=lambda p: _lex_key(p.symplectic_vector(), 2 * code.n))
-    return CorrectionList(tuple(entries), code, cols, s)
+    return tuple(entries)
 
 
 def quantum_list_size(code: StabilizerCode, erased) -> int:
     """|N_T / S_T| by symplectic rank arithmetic (no enumeration)."""
-    pattern = ErasurePattern(code.n, tuple(erased))
-    cols = pattern.erased
+    cols = _erased_positions(code.n, erased)
     rows = _restricted_commutation_rows(code, cols)
     dim_normalizer = 2 * len(cols) - f2.rank(rows, 2 * len(cols))
-    dim_stabilizer = f2.rank(_supported_stabilizer_basis(code, pattern.mask),
-                             2 * code.n)
+    dim_stabilizer = f2.rank(_supported_stabilizer_basis(code, cols), 2 * code.n)
     return 1 << (dim_normalizer - dim_stabilizer)
 
 

@@ -242,31 +242,6 @@ def _swap_gates(a: int, b: int) -> list[tuple[str, tuple[int, ...]]]:
 # Stabilizer codes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyndromeVector:
-    """Commutation phases of an error against the code generators."""
-
-    bits: int
-    r: int
-
-    def __post_init__(self):
-        if self.bits & ~((1 << self.r) - 1):
-            raise ValueError("syndrome bits beyond generator count")
-
-    @classmethod
-    def from_bits(cls, bits) -> "SyndromeVector":
-        bits = list(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"syndrome entries must be 0 or 1, got {bits}")
-        return cls(f2.bits_to_int(bits), len(bits))
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(f2.int_to_bits(self.bits, self.r))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.as_tuple())
-
-
 class StabilizerCode:
     """An [[n, n-r]] stabilizer code.
 
@@ -324,10 +299,11 @@ class StabilizerCode:
         return f2.span_contains(self._gen_pivots, self._gen_rref, p.symplectic_vector())
 
 
-def syndrome(code: StabilizerCode, e: PauliOperator) -> SyndromeVector:
+def syndrome(code: StabilizerCode, e: PauliOperator) -> tuple[int, ...]:
+    """Bit i is 1 iff e anticommutes with generator i."""
     if e.n != code.n:
         raise ValueError(f"size mismatch: error on {e.n} qubits, code on {code.n}")
-    return SyndromeVector.from_bits(symplectic_product(g, e) for g in code.gens)
+    return tuple(symplectic_product(g, e) for g in code.gens)
 
 
 def _twisted(vec: int, n: int) -> int:

@@ -423,6 +423,18 @@ def test_adversary_file_missing_field_exits_2(capsys, tmp_path):
     assert f"{adv}: missing field 'branches'" in err
 
 
+def test_adversary_file_of_another_block_length_exits_2(capsys, tmp_path):
+    outer = tmp_path / "outer.txt"
+    outer.write_text(SEVEN6_TEXT)
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    adv = _write_json(tmp_path, "adv.json", {"n": 5, "max_erased": 1, "branches": [
+        {"support": [2], "matrix": eye}]})
+    rc, out, err = invoke(capsys, ["aqec", "simulate", "--pmd-n", "4", "--pmd-lambda", "2",
+                                   "--outer", str(outer), "--adversary", adv])
+    assert rc == 2 and out == ""
+    assert f"{adv}: field 'n' is 5, the outer code has n = 7" in err
+
+
 def test_nm_file_wrong_type_exits_2(capsys, tmp_path):
     nm = _write_json(tmp_path, "nm.json", {"k": 1, "n": 2, "rand_bits": 0,
                                            "encode": [0, 1], "decode": {"0": 0}})

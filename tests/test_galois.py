@@ -5,7 +5,7 @@ import pytest
 
 from pmdkit import f2
 from pmdkit.galois import (DEFAULT_MODULI, DualBasisPair, FieldElement, FieldSpec,
-                           compute_dual_basis)
+                           _poly_mod, compute_dual_basis)
 
 
 def gf4():
@@ -32,6 +32,25 @@ def test_mul_identities():
     x = field.x()
     assert field.zero() * x == field.zero()
     assert field.one() * x == x
+
+
+def test_mul_reduces_once_like_the_per_step_form():
+    """The product reduced once equals the product reduced after every
+    shift, kept here as the oracle, on every pair at m <= 8."""
+    def per_step_mulmod(a, b, modulus):
+        result = 0
+        while b:
+            if b & 1:
+                result ^= a
+            b >>= 1
+            a = _poly_mod(a << 1, modulus)
+        return _poly_mod(result, modulus)
+
+    for m in range(1, 9):
+        field = FieldSpec.default(m)
+        for a, b in itertools.product(range(field.order), repeat=2):
+            assert (field.element(a) * field.element(b)).coeffs \
+                == per_step_mulmod(a, b, field.modulus), (m, a, b)
 
 
 def test_gf4_omega_squared():

@@ -224,7 +224,7 @@ def oracle_pairwise(family):
     for shift in family.field.elements():
         bad_by_shift[shift.coeffs] = {
             key.coeffs for key in family.keys()
-            if any(syndrome(family.codes[(key + shift).coeffs], sigma).bits == 0
+            if any(not any(syndrome(family.codes[(key + shift).coeffs], sigma))
                    for sigma in groups[key.coeffs])}
     worst = max(Fraction(len(bad), family.num_keys)
                 for s, bad in bad_by_shift.items() if s)

@@ -5,11 +5,11 @@ import pytest
 
 from pmdkit import f2
 from pmdkit.densesim import apply_on_qubits, apply_pauli, codespace_isometry
-from pmdkit.qlde import (CorrectionList, ErasurePattern, classical_erasure_list_decode,
-                         classical_list_profile, erasure_list_decode,
-                         list_size_profile, quantum_list_size, sample_random_css)
-from pmdkit.symplectic import (PauliOperator, StabilizerCode, SyndromeVector,
-                               css_from_classical, is_logically_equivalent, syndrome)
+from pmdkit.qlde import (classical_erasure_list_decode, classical_list_profile,
+                         erasure_list_decode, list_size_profile, quantum_list_size,
+                         sample_random_css)
+from pmdkit.symplectic import (PauliOperator, StabilizerCode, css_from_classical,
+                               is_logically_equivalent, syndrome)
 
 
 def pauli(label):
@@ -18,6 +18,7 @@ def pauli(label):
 
 FOUR22 = StabilizerCode(4, [pauli("XXXX"), pauli("ZZZZ")])
 REP3 = StabilizerCode(3, [pauli("ZZI"), pauli("IZZ")])
+REP4 = StabilizerCode(4, [pauli("ZZII"), pauli("IZZI"), pauli("IIZZ")])
 FIVE1 = StabilizerCode(5, [pauli("XZZXI"), pauli("IXZZX"),
                            pauli("XIXZZ"), pauli("ZXIXZ")])
 HAMMING_H = [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
@@ -67,11 +68,17 @@ def test_classical_profile_hamming():
     assert classical_list_profile(HAMMING_H, 3 / 7) == 2
 
 
-def test_erasure_pattern_validation():
-    with pytest.raises(ValueError):
-        ErasurePattern(3, (0, 0))
-    with pytest.raises(ValueError):
-        ErasurePattern(3, (3,))
+def test_erased_sets_are_validated():
+    for decode in (lambda erased: erasure_list_decode(REP3, erased, (0, 0)),
+                   lambda erased: quantum_list_size(REP3, erased),
+                   lambda erased: classical_erasure_list_decode(
+                       [row[:3] for row in HAMMING_H], erased, [0, 0, 0])):
+        with pytest.raises(ValueError, match="duplicate erased positions"):
+            decode((0, 0))
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            decode((3,))
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            decode((-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ def test_erasure_pattern_validation():
 
 def brute_force_classes(code, erased, s_bits):
     """Logical classes of supported Paulis with the target syndrome."""
-    target = SyndromeVector.from_bits(s_bits)
+    target = tuple(s_bits)
     classes = []
     for combo in range(1 << (2 * len(erased))):
         x = z = 0
@@ -88,7 +95,7 @@ def brute_force_classes(code, erased, s_bits):
             x |= ((combo >> i) & 1) << q
             z |= ((combo >> (i + len(erased))) & 1) << q
         p = PauliOperator(code.n, x, z, 0)
-        if syndrome(code, p).bits != target.bits:
+        if syndrome(code, p) != target:
             continue
         for cls in classes:
             if is_logically_equivalent(code, p, cls[0]):
@@ -102,36 +109,36 @@ def brute_force_classes(code, erased, s_bits):
 def assert_matches_brute_force(code, erased, s_bits):
     got = erasure_list_decode(code, erased, s_bits)
     classes = brute_force_classes(code, erased, s_bits)
-    assert len(got.entries) == len(classes)
+    assert len(got) == len(classes)
     # Each solver entry lands in exactly one brute-force class.
-    for entry in got.entries:
+    for entry in got:
         hits = [cls for cls in classes
                 if is_logically_equivalent(code, entry, cls[0])]
         assert len(hits) == 1
-    for a, b in itertools.combinations(got.entries, 2):
+    for a, b in itertools.combinations(got, 2):
         assert not is_logically_equivalent(code, a, b)
 
 
 def test_empty_erasure_zero_syndrome_gives_identity():
     out = erasure_list_decode(FOUR22, (), (0, 0))
-    assert len(out.entries) == 1
-    assert out.entries[0].is_identity()
+    assert len(out) == 1
+    assert out[0].is_identity()
 
 
 def test_four22_erased_01_zero_syndrome():
     out = erasure_list_decode(FOUR22, (0, 1), (0, 0))
-    labels = [p.label() for p in out.entries]
+    labels = [p.label() for p in out]
     assert labels == ["IIII", "ZZII", "XXII", "YYII"]
     assert_matches_brute_force(FOUR22, (0, 1), (0, 0))
 
 
 def test_postconditions_on_nonempty_lists():
     out = erasure_list_decode(FIVE1, (0, 2, 4), (1, 0, 1, 0))
-    assert out.entries, "expected a nonempty list"
-    for p in out.entries:
+    assert out, "expected a nonempty list"
+    for p in out:
         assert set(p.support) <= {0, 2, 4}
-        assert syndrome(FIVE1, p).bits == out.target.bits
-    for a, b in itertools.combinations(out.entries, 2):
+        assert syndrome(FIVE1, p) == (1, 0, 1, 0)
+    for a, b in itertools.combinations(out, 2):
         assert not is_logically_equivalent(FIVE1, a, b)
 
 
@@ -145,12 +152,21 @@ def test_solver_equals_brute_force_all_small_cases(code):
 
 def test_inconsistent_syndrome_gives_empty_list():
     out = erasure_list_decode(FOUR22, (), (1, 0))
-    assert out.entries == ()
+    assert out == ()
 
 
 def test_syndrome_length_validated():
     with pytest.raises(ValueError, match="syndrome length"):
         erasure_list_decode(FOUR22, (0,), (1, 0, 0))
+
+
+def test_syndrome_entries_must_be_0_or_1():
+    # X0 X3 has syndrome 101 on the 4-qubit repetition code; True reads as 1.
+    want = erasure_list_decode(REP4, (0, 3), (1, 0, 1))
+    assert want and erasure_list_decode(REP4, (0, 3), [1, 0, True]) == want
+    for bits in ([2], [0, 7], [1, -1]):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            erasure_list_decode(REP4, (0, 3), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +229,8 @@ def test_syndrome_collapse_into_list_span():
             continue
         post /= np.linalg.norm(post)
         corr = erasure_list_decode(code, erased, s_bits)
-        assert corr.entries, "nonzero outcome must admit corrections"
-        basis = np.stack([apply_pauli(e, psi) for e in corr.entries], axis=1)
+        assert corr, "nonzero outcome must admit corrections"
+        basis = np.stack([apply_pauli(e, psi) for e in corr], axis=1)
         # Residual after projecting onto span{E_i |psi>} must vanish.
         coeffs, *_ = np.linalg.lstsq(basis, post, rcond=None)
         assert np.linalg.norm(basis @ coeffs - post) < 1e-9

@@ -75,15 +75,15 @@ def test_hermitian_form_phase_counts_ys():
 
 def test_syndrome_identity_and_stabilizers():
     for code in (REP3, FOUR22):
-        assert syndrome(code, PauliOperator.identity(code.n)).bits == 0
+        assert syndrome(code, PauliOperator.identity(code.n)) == (0,) * code.r
         for s in code.stabilizer_group():
-            assert syndrome(code, s).bits == 0
+            assert syndrome(code, s) == (0,) * code.r
 
 
 def test_syndrome_single_x_on_repetition_code():
     # X on qubit 1 anticommutes with both ZZI and IZZ except as below.
-    assert syndrome(REP3, pauli("XII")).as_tuple() == (1, 0)
-    assert syndrome(REP3, pauli("IXI")).as_tuple() == (1, 1)
+    assert syndrome(REP3, pauli("XII")) == (1, 0)
+    assert syndrome(REP3, pauli("IXI")) == (1, 1)
 
 
 def test_syndrome_size_mismatch():
@@ -94,9 +94,9 @@ def test_syndrome_size_mismatch():
 def test_syndrome_linearity():
     ops = [pauli(l) for l in ("XII", "IYZ", "ZZX", "YXY")]
     for p, q in itertools.product(ops, repeat=2):
-        sp = syndrome(REP3, p).bits
-        sq = syndrome(REP3, q).bits
-        assert syndrome(REP3, p.mul(q)).bits == sp ^ sq
+        sp = syndrome(REP3, p)
+        sq = syndrome(REP3, q)
+        assert syndrome(REP3, p.mul(q)) == tuple(a ^ b for a, b in zip(sp, sq))
 
 
 def test_trivial_code_normalizer_and_logicals():
@@ -124,7 +124,7 @@ def brute_normalizer(code):
     for x in range(1 << code.n):
         for z in range(1 << code.n):
             p = PauliOperator(code.n, x, z, 0)
-            if syndrome(code, p).bits == 0:
+            if not any(syndrome(code, p)):
                 found.append(p)
     return found
 
@@ -136,7 +136,7 @@ def test_normalizer_basis_matches_exhaustive_scan():
         vecs = [p.symplectic_vector() for p in basis]
         assert f2.rank(vecs, 2 * code.n) == len(basis)
         for p in basis:
-            assert syndrome(code, p).bits == 0
+            assert not any(syndrome(code, p))
         # Span must be exactly the commutant found by brute force.
         pivots, reduced = f2.rref(vecs, 2 * code.n)
         brute = brute_normalizer(code)
@@ -403,9 +403,3 @@ def test_parse_rejects_with_line_numbers():
     with pytest.raises(ValueError, match="k=0"):
         parse_code("n=2 k=0\nXX\n")
 
-
-def test_syndrome_from_bits_refuses_entries_other_than_0_and_1():
-    assert symplectic.SyndromeVector.from_bits([1, 0, True]).bits == 0b101
-    for bits in ([2], [0, 7], [1, -1]):
-        with pytest.raises(ValueError, match="must be 0 or 1"):
-            symplectic.SyndromeVector.from_bits(bits)
