@@ -482,6 +482,8 @@ def cmd_sweep(args) -> int:
             except ValueError:
                 raise ValueError(f"--points token {token!r} is not of the form "
                                  "n:lambda with two integers, e.g. 6:2") from None
+            if points[-1] in points[:-1]:
+                raise ValueError("--points repeats the point {}:{}".format(*points[-1]))
     report = Report("sweep", {"points": args.points}, None)
     rows = []
     for n, lam in points:

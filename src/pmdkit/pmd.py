@@ -25,8 +25,10 @@ The exhaustive sweep handles all Z parts of one X part with a Walsh
 transform factored over the key and code registers.  It multiplies
 only the code Z rows whose frame bound (the sum over keys of the norms
 of the gathered slabs, rigorous by the triangle inequality) can still
-reach the running maximum, and runs an SVD only on the blocks whose
-cheap norm bounds can too.
+reach the running maximum, skips the X parts that have no such row,
+and runs an SVD only on the blocks whose cheap norm bounds can too.
+At the first X part, before any SVD, the floor is the largest column
+norm of its blocks, a lower bound on the largest block norm.
 """
 
 from __future__ import annotations
@@ -155,15 +157,19 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
 
     Before the transform, `_row_bounds` bounds each code Z part z_c of
     the x mask over all 2^lam key Z parts at once, and only the rows
-    W_code[z_c] whose bound reaches the running maximum less a relative
-    1e-9 are multiplied.  Singular values are then computed only for
-    blocks whose norm bounds (`_norm_bounds` of the block, then the
-    square root of the same bounds on its Gram matrix) reach that floor
-    too.  No rounding error can cross the 1e-9 margin, so a skipped row
-    or block can neither exceed the maximum nor tie it, and the argmax
-    is the first maximiser in (x, z) order.  Without a message qubit
-    the row bound is not built (at the final maximum it keeps nearly
-    every row there) and every row is multiplied.
+    W_code[z_c] whose bound reaches the floor, the running maximum less
+    a relative 1e-9, are multiplied; the sweep steps straight from one
+    x mask to the next whose largest row bound reaches it.  Singular
+    values are then computed only for blocks whose norm bounds
+    (`_norm_bounds` of the block, then the square root of the same
+    bounds on its Gram matrix) reach that floor too.  At x mask 0 there
+    is no maximum yet, so the floor is the largest column norm of its
+    nonidentity blocks (|M e_j| <= |M|), less the same 1e-9.  No
+    rounding error can cross the 1e-9 margin, so a skipped mask, row or
+    block can neither exceed the maximum nor tie it, and the argmax is
+    the first maximiser in (x, z) order.  Without a message qubit the
+    row bound is not built (at the final maximum it keeps nearly every
+    row there), and every x mask and row is visited.
     """
     total = pmd.total
     if samples is None:
@@ -181,15 +187,15 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
         z_c, walsh_rows = np.arange(1 << n), walsh_code
         if k_dim > 1:
             row_bounds = _row_bounds(pmd)
-        best = -1.0
-        best_xz = (0, 0)
-        for x_mask in range(1 << total):
-            floor = best * (1.0 - 1e-9)
+            mask_bounds = row_bounds.max(axis=2).reshape(-1)
+        else:
+            mask_bounds = np.full(1 << total, np.inf)
+        best, best_xz, floor = -1.0, (0, 0), -1.0
+        x_mask = 0
+        while x_mask < 1 << total:
             if k_dim > 1:
                 # x_mask 0 keeps every row: the floor is still negative.
                 z_c = np.flatnonzero(row_bounds[x_mask >> n, x_mask & ((1 << n) - 1)] >= floor)
-                if z_c.size == 0:
-                    continue
                 walsh_rows = walsh_code[z_c]
             t = conj[:, :, None] * pmd.encoder[rows ^ x_mask][:, None, :]
             t = np.matmul(walsh_rows, t.view(float).reshape(1 << lam, 1 << n, -1))
@@ -198,19 +204,26 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
             bound = _norm_bounds(blocks)
             if x_mask == 0:
                 bound[0] = -np.inf  # exclude the identity
+                # |M e_j| <= |M|: the largest column norm is a certified floor.
+                floor = np.linalg.norm(blocks[1:], axis=1).max() * (1.0 - 1e-9)
             cand = np.flatnonzero(bound >= floor)
             m = blocks[cand]
             keep = np.sqrt(_norm_bounds(m.conj().transpose(0, 2, 1) @ m)) >= floor
-            if not keep.any():
-                continue
-            cand = cand[keep]
-            norms = np.linalg.svd(m[keep], compute_uv=False)[:, 0]
-            i = int(np.argmax(norms))
-            if norms[i] > best:
-                best = float(norms[i])
-                # Blocks run over b, then over the kept z_c, so z ascends.
-                b, j = divmod(int(cand[i]), z_c.size)
-                best_xz = (x_mask, b << n | int(z_c[j]))
+            if keep.any():
+                cand = cand[keep]
+                norms = np.linalg.svd(m[keep], compute_uv=False)[:, 0]
+                i = int(np.argmax(norms))
+                if norms[i] > best:
+                    best = float(norms[i])
+                    # Blocks run over b, then over the kept z_c, so z ascends.
+                    b, j = divmod(int(cand[i]), z_c.size)
+                    best_xz = (x_mask, b << n | int(z_c[j]))
+            floor = best * (1.0 - 1e-9)
+            # Step to the next x mask with a row that can reach the floor.
+            x_mask += 1
+            if x_mask < 1 << total and mask_bounds[x_mask] < floor:
+                later = np.flatnonzero(mask_bounds[x_mask:] >= floor)
+                x_mask += int(later[0]) if later.size else 1 << total
         x, z = best_xz
         return EpsilonReport(best, PauliOperator(total, x, z, 0), exhaustive=True)
     if samples < 1:

@@ -103,6 +103,9 @@ def build_bcgst_family(n: int, lam: int,
     """
     if lam < 1:
         raise ValueError(f"key length must be >= 1, got {lam}")
+    if n < lam:
+        raise ValueError("block length n must be a positive multiple of the key "
+                         f"length lambda, got n={n}, lambda={lam}")
     if n % lam != 0:
         raise ValueError(f"key length {lam} must divide block length {n}")
     if field is None:

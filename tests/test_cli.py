@@ -573,6 +573,28 @@ def test_sweep_flags_partial_failure_and_continues(capsys):
     assert any(line.startswith("2,1") for line in lines)
 
 
+@pytest.mark.parametrize("command", [["pmd", "verify"], ["ptc", "check"]])
+def test_block_length_below_key_length_is_refused(capsys, command):
+    rc, out, err = invoke(capsys, command + ["--n", "0", "--lambda", "1"])
+    assert rc == 2 and out == ""
+    assert "block length n must be a positive multiple of the key length" in err
+    assert "identity" not in err
+
+
+def test_sweep_point_with_block_length_below_key_length_fails(capsys):
+    rc, out, _ = invoke(capsys, ["sweep", "--points", "0:1", "--format", "json"])
+    assert rc == 1
+    row, = json.loads(out)["extras"]["rows"]
+    assert row["status"] == ("error: block length n must be a positive multiple "
+                             "of the key length lambda, got n=0, lambda=1")
+
+
+def test_sweep_refuses_repeated_points(capsys):
+    rc, out, err = invoke(capsys, ["sweep", "--points", "2:1,4:2,2:1"])
+    assert rc == 2 and out == ""
+    assert "--points repeats the point 2:1" in err
+
+
 def test_csv_rows_quote_fields_with_commas(capsys):
     # The refusal message and the lemma bound's expression contain commas.
     rc, out, _ = invoke(capsys, ["sweep", "--points", "2:1,8:2", "--format", "csv"])

@@ -154,6 +154,81 @@ def test_exhaustive_sweep_matches_dense_oracle(n, lam, kwargs):
     assert not rep.argmax.is_identity()
 
 
+def unseeded_sweep_epsilon(pmd):
+    """The exhaustive loop before the seeded floor and the mask skip:
+    every x mask in order, starting from floor -1, with the same row,
+    norm and Gram bounds.  Returns (epsilon, (x, z) of the argmax)."""
+    total, n, lam = pmd.total, pmd.code_qubits, pmd.key_qubits
+    dim, k_dim = pmd.encoder.shape
+    walsh_code, walsh_key = pmdkit.pmd._walsh_matrix(n), pmdkit.pmd._walsh_matrix(lam)
+    rows, conj = np.arange(dim), pmd.encoder.conj()
+    z_c, walsh_rows = np.arange(1 << n), walsh_code
+    if k_dim > 1:
+        row_bounds = pmdkit.pmd._row_bounds(pmd)
+    best, best_xz = -1.0, (0, 0)
+    for x_mask in range(1 << total):
+        floor = best * (1.0 - 1e-9)
+        if k_dim > 1:
+            z_c = np.flatnonzero(row_bounds[x_mask >> n, x_mask & ((1 << n) - 1)] >= floor)
+            if z_c.size == 0:
+                continue
+            walsh_rows = walsh_code[z_c]
+        t = conj[:, :, None] * pmd.encoder[rows ^ x_mask][:, None, :]
+        t = np.matmul(walsh_rows, t.view(float).reshape(1 << lam, 1 << n, -1))
+        blocks = (walsh_key @ t.reshape(1 << lam, -1)).view(complex)
+        blocks = blocks.reshape(-1, k_dim, k_dim)
+        bound = pmdkit.pmd._norm_bounds(blocks)
+        if x_mask == 0:
+            bound[0] = -np.inf
+        cand = np.flatnonzero(bound >= floor)
+        m = blocks[cand]
+        keep = np.sqrt(pmdkit.pmd._norm_bounds(m.conj().transpose(0, 2, 1) @ m)) >= floor
+        if not keep.any():
+            continue
+        cand = cand[keep]
+        norms = np.linalg.svd(m[keep], compute_uv=False)[:, 0]
+        i = int(np.argmax(norms))
+        if norms[i] > best:
+            best = float(norms[i])
+            b, j = divmod(int(cand[i]), z_c.size)
+            best_xz = (x_mask, b << n | int(z_c[j]))
+    return best, best_xz
+
+
+@pytest.mark.parametrize("n,lam,kwargs", [
+    (2, 1, {}),
+    (4, 2, {"encoder_pivot": "low"}),
+    (4, 2, {"encoder_pivot": "high"}),
+    (6, 2, {}),
+    (5, 1, {}),
+    (3, 3, {}),
+    (4, 4, {}),
+])
+def test_exhaustive_sweep_matches_unseeded_loop_exactly(n, lam, kwargs):
+    # Same floats, same argmax: the seeded floor and the skipped masks drop
+    # only blocks below the maximum.  At (6,2) SVD rounding picks the argmax
+    # among exact ties, so it is compared on the same host, not pinned.
+    pmd = make_pmd(n, lam, **kwargs)
+    rep = measure_pmd_epsilon(pmd)
+    assert (rep.value, (rep.argmax.x, rep.argmax.z)) == unseeded_sweep_epsilon(pmd)
+
+
+def test_exhaustive_sweep_svd_count(monkeypatch):
+    # Blocks given an SVD at (6,2); 328 without the seeded floor and mask skip.
+    pmd = make_pmd(6, 2)
+    row_bounds = pmdkit.pmd._row_bounds(pmd)
+    monkeypatch.setattr(pmdkit.pmd, "_row_bounds", lambda _: row_bounds)
+    svd, blocks = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        blocks.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    measure_pmd_epsilon(pmd)
+    assert sum(blocks) == 113
+
+
 @pytest.mark.parametrize("n,lam,kwargs", [
     (2, 1, {}),
     (4, 2, {"encoder_pivot": "low"}),
