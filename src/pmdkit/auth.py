@@ -104,8 +104,12 @@ NM_MAX_ENTRIES = 1 << 23
 
 
 def _check_table_size(k: int, n: int, rand_bits: int) -> None:
-    """Refuse tables above NM_MAX_ENTRIES before building them; the
-    exponents are checked first, so no huge 2^n is ever formed."""
+    """Refuse negative sizes, and tables above NM_MAX_ENTRIES before
+    building them; the exponents are checked first, so no huge 2^n is
+    ever formed."""
+    if min(k, n, rand_bits) < 0:
+        raise ValueError(f"k, n and rand_bits must be non-negative, "
+                         f"got k={k}, n={n}, rand_bits={rand_bits}")
     if (max(k + rand_bits, n) >= NM_MAX_ENTRIES.bit_length()
             or (1 << (k + rand_bits)) + (1 << n) > NM_MAX_ENTRIES):
         raise SizeGuardError(f"non-malleable code tables need 2^{k + rand_bits} + 2^{n} "

@@ -180,7 +180,11 @@ def _family(args, config: dict):
 def _seed(args) -> int:
     """The run's RNG seed: `--seed`, or 0 when it is omitted, so that
     reruns without a seed still emit byte-identical reports."""
-    return 0 if args.seed is None else args.seed
+    if args.seed is None:
+        return 0
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _sampling_seed(args) -> int | None:

@@ -4,7 +4,10 @@
 follows Applegate, Cook, Dash and Espinoza, "Exact solutions to linear
 programming problems" (Oper. Res. Lett. 2007): solve in floats, then
 prove the float basis optimal in exact arithmetic, and solve again in
-exact arithmetic only when that proof fails.
+exact arithmetic only when that proof fails.  A pivot updates the whole
+tableau in one outer product.  The certificate reads the data's
+denominators from its distinct values as Python floats, not through
+np.unique, whose first call imports numpy.ma.
 """
 
 from __future__ import annotations
@@ -62,11 +65,13 @@ class _Simplex:
         self.tab = tab
 
     def pivot(self, r: int, j: int) -> None:
+        """Make column j basic in row r, updating every row at once, then
+        writing back row r: a row with a zero in column j subtracts zero
+        (+-0.0 on floats), which leaves its values unchanged."""
         tab = self.tab
-        tab[r] = tab[r] / tab[r, j]
-        rows = np.flatnonzero(tab[:, j])
-        rows = rows[rows != r]
-        tab[rows] -= np.outer(tab[rows, j], tab[r])
+        row = tab[r] / tab[r, j]
+        tab -= np.multiply.outer(tab[:, j], row)
+        tab[r] = row
         self.basis[r] = j
 
     def price(self, cost) -> None:
@@ -78,10 +83,10 @@ class _Simplex:
         and ratio-test ties leave by least basic column."""
         tab, tol = self.tab, self.tol
         for _ in itertools.count() if limit is None else range(limit):
-            entering = np.flatnonzero(tab[-1, :self.n_std] < -tol)
-            if not entering.size:
+            improving = tab[-1, :self.n_std] < -tol
+            j = improving.argmax()
+            if not improving[j]:
                 return
-            j = entering[0]
             rows = np.flatnonzero(tab[:-1, j] > tol)
             if not rows.size:
                 raise _SimplexError("the LP is unbounded")
@@ -131,12 +136,13 @@ def _certificate(lp, x: list[Fraction], y: list[Fraction]) -> Fraction | None:
 
     x must be feasible, y dual feasible (y_ub <= 0 and A^T y <= c) and
     c.x == b.y; weak duality then makes c.x optimal.  The LP data are
-    dyadic floats, so scaled by their largest denominator they are
-    integers; x and y are scaled by their common denominators, and every
-    test is an integer comparison.
+    dyadic floats, so scaled by their largest denominator (read from
+    `float.as_integer_ratio` of each distinct value) they are integers;
+    x and y are scaled by their common denominators, and every test is an
+    integer comparison.
     """
-    scale = max(Fraction(v).denominator
-                for v in np.unique(np.concatenate([v.ravel() for v in lp])))
+    scale = max(v.as_integer_ratio()[1]
+                for v in set(np.concatenate([v.ravel() for v in lp]).tolist()))
     c, a_ub, b_ub, a_eq, b_eq = (np.frompyfunc(int, 1, 1)(v * scale) for v in lp)
     x_den, y_den = (math.lcm(*(v.denominator for v in vec)) for vec in (x, y))
     big_x = np.array([v.numerator * (x_den // v.denominator) for v in x], dtype=object)

@@ -147,6 +147,20 @@ def test_nm_table_guard_refuses_before_allocating():
         auth._check_table_size(22, 22, 1)
 
 
+def test_nm_tables_refuse_negative_sizes():
+    # nm_search(-1, 3, ...) once failed inside rng.permutation with
+    # "negative shift count"; every table build now names the sizes.
+    message = "k, n and rand_bits must be non-negative"
+    with pytest.raises(ValueError, match=message + ", got k=-1, n=3, rand_bits=1"):
+        nm_search(-1, 3, 1, np.random.default_rng(np.random.Philox(3)))
+    with pytest.raises(ValueError, match=message):
+        systematic_parity_nm(-1)
+    with pytest.raises(ValueError, match=message):
+        NmCode(1, 2, -1, [[0], [1]], [0, 1, -1, -1])
+    with pytest.raises(ValueError, match=message):
+        NmCode.from_record(nm_record({}, {}, n=-2))
+
+
 def test_rate1_key_code_admitted_in_compact_tables():
     code = systematic_parity_nm(16)
     assert (code.k, code.n, code.rand_bits) == (16, 18, 1)
@@ -630,6 +644,78 @@ def test_exact_lp_equals_fraction_tableau_oracle(make):
     assert len(tampers) > 10
     for f in tampers:
         assert nm_decompose(code, f).epsilon == fraction_simplex(*simulator_lp(code, f))
+
+
+class SparsePivotSimplex(lp._Simplex):
+    """Oracle: the simplex whose pivot updates only the rows with a
+    nonzero in the pivot column, and whose entering column is the first
+    index `flatnonzero` returns."""
+
+    def pivot(self, r, j):
+        tab = self.tab
+        tab[r] = tab[r] / tab[r, j]
+        rows = np.flatnonzero(tab[:, j])
+        rows = rows[rows != r]
+        tab[rows] -= np.outer(tab[rows, j], tab[r])
+        self.basis[r] = j
+
+    def bland(self, limit=None):
+        tab, tol = self.tab, self.tol
+        for _ in itertools.count() if limit is None else range(limit):
+            entering = np.flatnonzero(tab[-1, :self.n_std] < -tol)
+            if not entering.size:
+                return
+            j = entering[0]
+            rows = np.flatnonzero(tab[:-1, j] > tol)
+            if not rows.size:
+                raise lp._SimplexError("the LP is unbounded")
+            ratios = np.maximum(tab[rows, -1], 0) / tab[rows, j]
+            ties = rows[ratios <= ratios.min() + tol]
+            self.pivot(ties[np.argmin(self.basis[ties])], j)
+        raise lp._SimplexError(f"no optimal basis after {limit} pivots")
+
+
+@pytest.fixture(scope="module")
+def oracle_lps(swept_lps):
+    """The float data of every swept LP and of every distinct decode
+    table of the K1 codes."""
+    cases = list(swept_lps)
+    for make in K1_CODES.values():
+        code = make()
+        cases += [(code, f) for f in distinct_table_lps(code)]
+    return [tuple(np.asarray(v, dtype=float) for v in simulator_lp(code, f))
+            for code, f in cases]
+
+
+def test_float_simplex_matches_sparse_pivot_oracle(oracle_lps):
+    # A row with a zero in the pivot column subtracts +-0.0 in the whole-
+    # tableau update, so only the signs of zeros may differ (== ignores them).
+    for data in oracle_lps:
+        new, old = lp._Simplex(*data), SparsePivotSimplex(*data)
+        limit = 10 * sum(new.tab.shape)
+        new.solve(limit)
+        old.solve(limit)
+        assert np.array_equal(new.basis, old.basis)
+        assert np.array_equal(new.tab, old.tab)
+
+
+@pytest.mark.parametrize("make", K1_CODES.values(), ids=K1_CODES.keys())
+def test_fraction_simplex_matches_sparse_pivot_oracle(make):
+    code = make()
+    for f in distinct_table_lps(code):
+        data = [np.asarray(v, dtype=float) for v in simulator_lp(code, f)]
+        new, old = lp._Simplex(*data, exact=True), SparsePivotSimplex(*data, exact=True)
+        new.solve()
+        old.solve()
+        assert np.array_equal(new.basis, old.basis)
+        assert new.tab.tolist() == old.tab.tolist()
+
+
+def test_exact_lp_matches_sparse_pivot_oracle(monkeypatch, oracle_lps):
+    want = [exact_lp(*data) for data in oracle_lps]
+    assert all(type(value) is Fraction for value, _ in want)
+    monkeypatch.setattr(lp, "_Simplex", SparsePivotSimplex)
+    assert [exact_lp(*data) for data in oracle_lps] == want
 
 
 @pytest.mark.parametrize("make", K1_CODES.values(), ids=K1_CODES.keys())

@@ -627,7 +627,9 @@ def test_ptc_check_sampling_refuses_words_wider_than_64_bits(capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # nm search and nm verify solve their LPs in-repo: scipy is never imported.
+    # nm search and nm verify solve their LPs in-repo: scipy is never
+    # imported.  Nor is numpy.ma, which np.unique imports on its first call
+    # (about 15 ms), once used by the LP certificate to read denominators.
     env = dict(os.environ)
     src = str(Path(pmdkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -637,11 +639,12 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
              "assert cli.run(['nm', 'search', '--k', '2', '--n', '5', '--trials', '2',"
              " '--seed', '21']) == 0\n"
              f"assert cli.run(['nm', 'verify', '--nm', {str(nm)!r}]) == 0\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+             "print(sorted(m for m in sys.modules if (m + '.').startswith('numpy.ma.')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
     assert "epsilon_nm: 0.666666666667" in done.stdout
     assert "epsilon_nm_exact: 3/4" in done.stdout
 
@@ -754,6 +757,33 @@ def test_nm_search_refuses_fewer_than_one_trial(capsys, trials):
                                    "--trials", trials])
     assert rc == 2 and out == ""
     assert "trials must be at least 1" in err
+
+
+def test_nm_search_refuses_a_negative_message_length(capsys):
+    # --k -1 once failed inside rng.permutation with "negative shift count".
+    rc, out, err = invoke(capsys, ["nm", "search", "--k", "-1", "--n", "3"])
+    assert rc == 2 and out == ""
+    assert "k, n and rand_bits must be non-negative, got k=-1, n=3, rand_bits=1" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["ptc", "check", "--n", "4", "--lambda", "2", "--samples", "5"],
+    ["pmd", "verify", "--n", "4", "--lambda", "2", "--samples", "5"],
+    ["qlde", "sample-css", "--n", "6", "--k", "2"],
+    ["aqec", "simulate", "--pmd-n", "4", "--pmd-lambda", "2", "--outer", "OUTER"],
+    ["nm", "search", "--k", "1", "--n", "4", "--trials", "1"],
+], ids=["ptc-check", "pmd-verify", "qlde-sample-css", "aqec-simulate", "nm-search"])
+def test_seeded_commands_refuse_a_negative_seed(capsys, tmp_path, command):
+    # A negative seed once reached np.random.Philox, whose "expected
+    # non-negative integer" named neither the option nor the value.
+    outer = tmp_path / "outer.txt"
+    outer.write_text(SEVEN6_TEXT)
+    argv = [str(outer) if arg == "OUTER" else arg for arg in command]
+    rc, out, err = invoke(capsys, argv + ["--seed", "-1"])
+    assert rc == 2 and out == ""
+    assert "--seed must be a non-negative integer, got -1" in err
+    rc, out, _ = invoke(capsys, argv + ["--seed", "0"])
+    assert rc == 0 and "RESULT: ok" in out
 
 
 @pytest.mark.parametrize("delta", ["-0.5", "1.5", "nan"])
