@@ -15,18 +15,20 @@ code-space-compressed error, max over nonidentity Paulis E of
 |B^dag E B|, measured exhaustively (or by seeded sampling above the
 work guard).  Both paths rest on the frame of the per-key Clifford
 encoders, where each key's part of B^dag E B is a signed row gather
-from a table U_{k^a}^dag B_k.  The sampled path sums these gathers
-and keeps a running maximum: a block whose Cholesky factor of
-floor^2 I - M^dag M exists, at floor = maximum * (1 - 1e-9), is
+from a table U_{k^a}^dag B_k, so the sum over keys of the norms of
+the gathered slabs is a frame bound on the block, rigorous by the
+triangle inequality.  The sampled path keeps a running maximum and
+visits each key shift's draws by descending frame bound, building a
+block only while its bound reaches floor = maximum * (1 - 1e-9).  A
+built block whose Cholesky factor of floor^2 I - M^dag M exists is
 certified below it (the test's rounding is of order n^2 u for n
 columns, at most about 1e-10, inside the margin), and only the other
 blocks get an SVD.
 The exhaustive sweep handles all Z parts of one X part with a Walsh
 transform factored over the key and code registers.  It multiplies
-only the code Z rows whose frame bound (the sum over keys of the norms
-of the gathered slabs, rigorous by the triangle inequality) can still
-reach the running maximum, skips the X parts that have no such row,
-and runs an SVD only on the blocks whose cheap norm bounds can too.
+only the code Z rows whose frame bound can still reach the running
+maximum, skips the X parts that have no such row, and runs an SVD
+only on the blocks whose cheap norm bounds can too.
 At the first X part, before any SVD, the floor is the largest column
 norm of its blocks, a lower bound on the largest block norm.
 """
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -133,6 +136,25 @@ def _norm_bounds(m: np.ndarray) -> np.ndarray:
     return np.minimum(holder, np.sqrt(np.einsum("ijk,ijk->i", a, a)))
 
 
+def _slab_norms(tables: np.ndarray) -> np.ndarray:
+    """|S| for each 2^(n-lam)-row slab S of each table in a
+    (..., 2^n, 2^(n-lam)) stack, shape (..., 2^lam), as the square root
+    of `_norm_bounds` of S^dag S.
+
+    That is an upper bound on every matrix, and on these slabs it is the
+    norm up to rounding.  A slab of U_j^dag B_k is
+    (I (x) <c|) C (I (x) |0>) for a Clifford C = U_j^dag U_k, so its Gram
+    is a multiple of a stabilizer projector, whose entries are 0 or all
+    of one magnitude (Dehaene and De Moor, quant-ph/0304125): each
+    nonzero row of a projector with that property has absolute sum 1,
+    its norm.
+    """
+    k_dim = tables.shape[-1]
+    slabs = tables.reshape(-1, k_dim, k_dim)
+    gram = np.matmul(slabs.conj().transpose(0, 2, 1), slabs)
+    return np.sqrt(_norm_bounds(gram)).reshape(tables.shape[:-2] + (-1,))
+
+
 def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
                         seed: int = 0) -> EpsilonReport:
     """max over E != I (mod phase) of |B^dag E B|, with the argmax.
@@ -141,11 +163,15 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
     4^total * 4^(n-lam) block entries stay within `SWEEP_GUARD`
     (SizeGuardError before any work otherwise); pass `samples` for a
     uniform sample drawn from a Philox generator seeded with `seed`.
+    Sampling refuses, before drawing, more than `SWEEP_GUARD` block
+    entries (samples * 4^(n-lam)) and more samples than the 4^total - 1
+    nonidentity Paulis, where the exhaustive sweep is exact and allowed.
     The argmax is the first drawn Pauli with the largest `frame_norms`
-    norm, found by `_sampled_argmax`, which certifies most blocks below
-    the running maximum by one Cholesky test each and runs the SVD only
-    on the rest.  The reported value is `compressed_error_norm` at the
-    argmax, so it is exactly the dense norm there.
+    norm, found by `_sampled_argmax`: it builds only the blocks whose
+    frame bound reaches the running maximum, certifies most of those
+    below it by one Cholesky test each and runs the SVD only on the
+    rest.  The reported value is `compressed_error_norm` at the argmax,
+    so it is exactly the dense norm there.
 
     Phases of E drop out of singular values, so only the (x, z)
     exponents matter.  For each x mask the rows of B are permuted by
@@ -228,6 +254,16 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
         return EpsilonReport(best, PauliOperator(total, x, z, 0), exhaustive=True)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    k_dim = pmd.encoder.shape[1]
+    work, paulis = samples * k_dim * k_dim, (1 << (2 * total)) - 1
+    if work > SWEEP_GUARD:
+        raise SizeGuardError(
+            f"sampled detection sweep would compute {work:.2e} block entries, "
+            f"above the guard of {SWEEP_GUARD:.0e}; draw fewer samples")
+    if samples > paulis:
+        raise SizeGuardError(
+            f"{samples} samples exceed the {paulis} nonidentity Paulis; "
+            "the exhaustive sweep (without samples) is exact here")
     rng = np.random.default_rng(np.random.Philox(seed))
     drawn = []
     for _ in range(samples):
@@ -248,9 +284,10 @@ def _row_bounds(pmd: PmdCode) -> np.ndarray:
     part of P'_k: one slab of the table.  A signed row permutation keeps
     the spectral norm, so by the triangle inequality the sum over k of
     these slab norms bounds the block, whatever the signs (-1)^(b.k) of
-    the key Z part are.  The slab norms come from K*K*2^lam small SVDs,
-    the slab index from P'_k's X part, which is linear in (x_c, z_c) and
-    so the xor of the X parts of U^dag X^x_c U and of U^dag Z^z_c U.
+    the key Z part are.  The K*K*2^lam slab norms come from
+    `_slab_norms`, the slab index from P'_k's X part, which is linear in
+    (x_c, z_c) and so the xor of the X parts of U^dag X^x_c U and of
+    U^dag Z^z_c U.
     """
     dim_code, num_keys = 1 << pmd.code_qubits, pmd.family.num_keys
     k_dim, shift = 1 << pmd.message_qubits, pmd.message_qubits
@@ -265,8 +302,7 @@ def _row_bounds(pmd: PmdCode) -> np.ndarray:
         inv = pmd.family.codes[j].encoder.inverse()
         # norms[j, k, c]: slab c of 2^-lam G_{j,k}; the other 2^(-lam/2) is below.
         tables = apply_circuit(inv, encoders).reshape(dim_code, num_keys, k_dim)
-        tables = np.moveaxis(tables, 1, 0).reshape(num_keys, -1, k_dim, k_dim)
-        norms.append(np.linalg.svd(tables, compute_uv=False)[..., 0])
+        norms.append(_slab_norms(np.moveaxis(tables, 1, 0)))
         # slab[j, x_c, z_c]: ancilla bits of the X part of U_j^dag X^x_c Z^z_c U_j,
         # from one call on X^x_c and Z^z_c for all 2^n masks.
         ancilla = inv.conjugate_masks(np.concatenate([masks, zero]),
@@ -278,9 +314,10 @@ def _row_bounds(pmd: PmdCode) -> np.ndarray:
     return norms[j[..., None, None], keys[:, None, None], slab[j]].sum(axis=1)
 
 
-def _frame_blocks(pmd: PmdCode, paulis: list[tuple[int, int]]):
-    """Yield (i, B^dag X^x Z^z B) for each (x, z) = paulis[i], in the
-    Clifford frame, grouped by key shift a = x >> n.
+def _frame_blocks(pmd: PmdCode, paulis: list[tuple[int, int]], floor):
+    """Yield (i, B^dag X^x Z^z B) in the Clifford frame for the Paulis
+    (x, z) = paulis[i] whose frame bound reaches floor(), grouped by key
+    shift a = x >> n in ascending order.
 
     With U_k the key-k encoder circuit and B_k = U_k (I (x) |0^lam>) the
     key-k rows of the encoder, write E = E_c (x) X^a Z^b on the code and
@@ -291,9 +328,14 @@ def _frame_blocks(pmd: PmdCode, paulis: list[tuple[int, int]]):
 
     with G_{k^a,k} = U_{k^a}^dag B_k, so each key's term is the signed
     gather i^phi (-1)^(z'.(r^x')) G_{k^a,k}[r ^ x'] over the message rows
-    r.  Shifts come in ascending order, and within one shift the Paulis
-    in draw order, with only that shift's K tables (K = 2^lam tables of
-    2^n x 2^(n-lam)) alive.  U_j^dag E_c U_j for all the Paulis comes
+    r: a signed row permutation of the slab of G_{k^a,k} at the ancilla
+    bits of x'.  By the triangle inequality the frame bound 2^-lam sum_k
+    of those slab norms (`_slab_norms`, one call per shift) is at least
+    |B^dag E B|.  Within a shift the Paulis come by descending frame
+    bound, ties in draw order, and the shift ends at the first bound
+    below floor(), which is read before each block.  Only one shift's K
+    tables (K = 2^lam tables of 2^n x 2^(n-lam)) are alive, in one array
+    reused from shift to shift.  U_j^dag E_c U_j for all the Paulis comes
     from one array call per key j.  Every block is yielded in one reused
     buffer, so a caller must be done with it before the next.
     """
@@ -307,6 +349,7 @@ def _frame_blocks(pmd: PmdCode, paulis: list[tuple[int, int]]):
     by_shift: dict[int, list[int]] = {}
     for i, (x, _) in enumerate(paulis):
         by_shift.setdefault(x >> n, []).append(i)
+    tables = np.empty((num_keys, dim_code, dim_msg), dtype=complex)
     block = np.empty((dim_msg, dim_msg), dtype=complex)
     term = np.empty_like(block)
     # frames[j][i] = (x', z', phi) of U_j^dag E_c U_j for Pauli i.
@@ -316,8 +359,15 @@ def _frame_blocks(pmd: PmdCode, paulis: list[tuple[int, int]]):
         px, pz, phase = np.broadcast_arrays(*inv.conjugate_masks(exps[:, 0], exps[:, 1]))
         frames.append(list(zip(px.tolist(), pz.tolist(), (phase % 4).tolist())))
     for a, members in sorted(by_shift.items()):
-        tables = [apply_circuit(inverses[k ^ a], rows[k]) for k in range(num_keys)]
-        for i in members:
+        for k in range(num_keys):
+            tables[k] = apply_circuit(inverses[k ^ a], rows[k])
+        slab = (_slab_norms(tables) * scale).tolist()
+        bounds = [sum(slab[k][frames[k ^ a][i][0] >> pmd.message_qubits]
+                      for k in range(num_keys)) for i in members]
+        # sorted is stable, also with reverse=True.
+        for bound, i in sorted(zip(bounds, members), key=itemgetter(0), reverse=True):
+            if bound < floor():
+                break
             b = paulis[i][1] >> n
             block.fill(0)
             for k, table in enumerate(tables):
@@ -335,7 +385,7 @@ def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
     of `_frame_blocks`.  The sampled branch of `measure_pmd_epsilon` keeps
     only the largest of these; this is its oracle."""
     norms = np.empty(len(paulis))
-    for i, block in _frame_blocks(pmd, paulis):
+    for i, block in _frame_blocks(pmd, paulis, lambda: -np.inf):
         norms[i] = np.linalg.svd(block, compute_uv=False)[0]
     return norms
 
@@ -357,18 +407,25 @@ def _certified_below(m: np.ndarray, floor: float) -> bool:
 
 
 def _sampled_argmax(pmd: PmdCode, paulis: list[tuple[int, int]]) -> int:
-    """np.argmax(frame_norms(pmd, paulis)), with an SVD only on the blocks
-    that `_certified_below` cannot put under the running maximum.
+    """np.argmax(frame_norms(pmd, paulis)), building only the blocks whose
+    frame bound reaches the running maximum, with an SVD only on the
+    built blocks that `_certified_below` cannot put under it.
 
-    The floor is best * (1 - 1e-9), and the certificate's rounding stays
-    inside that margin, so a certified block's SVD norm could neither
-    exceed nor tie best.  Every other block gets `frame_norms`' SVD on the
-    same bits.  Blocks arrive grouped by key shift, not in draw order, so
-    an exact tie goes to the smaller draw index, as in np.argmax.
+    The floor is best * (1 - 1e-9), carried from shift to shift.  A Pauli
+    that `_frame_blocks` skips has a frame bound, and so a norm, below it.
+    The certificate's rounding stays inside the same margin, so a
+    certified block's SVD norm could neither exceed nor tie best.  Every
+    other block gets `frame_norms`' SVD on the same bits.  Blocks arrive
+    out of draw order, so an exact tie goes to the smaller draw index,
+    as in np.argmax.
     """
     best, best_i = -1.0, len(paulis)
-    for i, block in _frame_blocks(pmd, paulis):
-        if best > 0 and _certified_below(block, best * (1.0 - 1e-9)):
+
+    def floor():
+        return best * (1.0 - 1e-9)
+
+    for i, block in _frame_blocks(pmd, paulis, floor):
+        if best > 0 and _certified_below(block, floor()):
             continue
         norm = np.linalg.svd(block, compute_uv=False)[0]
         if norm > best or (norm == best and i < best_i):

@@ -649,6 +649,32 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert "epsilon_nm_exact: 3/4" in done.stdout
 
 
+def test_pmd_verify_sampling_leaves_numpy_ma_unloaded():
+    # The sampled PMD sweep orders its draws with Python's sorted: the
+    # first np.unique or stable argsort would import numpy.ma or grow RSS.
+    env = dict(os.environ)
+    src = str(Path(pmdkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, pmdkit.cli as cli\n"
+             "assert cli.run(['pmd', 'verify', '--n', '8', '--lambda', '2',"
+             " '--samples', '300', '--seed', '21']) == 0\n"
+             "print(sorted(m for m in sys.modules if (m + '.').startswith('numpy.ma.')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("n,lam,samples,message", [
+    ("2", "1", "64", "exceed the 63 nonidentity Paulis"),
+    ("8", "2", "24415", "draw fewer samples")])
+def test_pmd_verify_sampling_guard_exits_2(capsys, n, lam, samples, message):
+    rc, out, err = invoke(capsys, ["pmd", "verify", "--n", n, "--lambda", lam,
+                                   "--samples", samples, "--seed", "3"])
+    assert rc == 2 and out == ""
+    assert message in err
+
+
 def test_sweep_deterministic_repeat(capsys):
     argv = ["sweep", "--points", "2:1,4:1", "--format", "json"]
     rc1, out1, _ = invoke(capsys, argv)

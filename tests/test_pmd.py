@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from pmdkit.densesim import apply_pauli, f2_parity_array
+from pmdkit.densesim import apply_circuit, apply_pauli, f2_parity_array
 from pmdkit.galois import FieldSpec
 from pmdkit.limits import SizeGuardError
 import pmdkit.pmd
@@ -470,18 +470,65 @@ def test_certified_selection_breaks_ties_across_shifts_in_draw_order():
     assert ties == 8
 
 
+def test_certified_selection_within_a_shift_breaks_ties_in_draw_order():
+    # The frame bound orders one shift's draws, so of two tied draws the
+    # later one can be visited first; the earlier one must still win.
+    pmd = make_pmd(4, 2)
+    n, mask = pmd.code_qubits, (1 << pmd.total) - 1
+    paulis = [(c & mask, c >> pmd.total) for c in range(1, 1 << (2 * pmd.total))]
+    norms = frame_norms(pmd, paulis)
+    tied: dict[tuple[int, float], list[int]] = {}
+    for i, ((x, _), value) in enumerate(zip(paulis, norms)):
+        tied.setdefault((x >> n, value), []).append(i)
+    pairs = 0
+    for same in tied.values():
+        for later in same[1:]:
+            drawn = [paulis[same[0]], paulis[later]]
+            visits = pmdkit.pmd._frame_blocks(pmd, drawn, lambda: -np.inf)
+            if [i for i, _ in visits] == [1, 0]:
+                pairs += 1
+                assert pmdkit.pmd._sampled_argmax(pmd, drawn) == 0
+    assert pairs >= 8
+
+
 def test_certified_selection_runs_few_svds(monkeypatch):
+    # Blocks built and given an SVD at (8,2), seed 21; every one of the
+    # 300 blocks was built before the frame bound order.
     pmd = make_pmd(8, 2)
     drawn = sampled_draws(pmd, 300, 21)
-    svd, calls = np.linalg.svd, []
+    svd, frame_blocks, calls, built = np.linalg.svd, pmdkit.pmd._frame_blocks, [], []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return svd(*args, **kwargs)
 
+    def counted_blocks(*args):
+        for i, block in frame_blocks(*args):
+            built.append(i)
+            yield i, block
+
     monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(pmdkit.pmd, "_frame_blocks", counted_blocks)
     pmdkit.pmd._sampled_argmax(pmd, drawn)
-    assert 1 <= len(calls) <= 30
+    assert (len(built), len(calls)) == (81, 2)
+
+
+@pytest.mark.parametrize("n,lam", [(2, 1), (4, 2), (6, 2), (6, 3)])
+def test_slab_norms_are_the_svd_norms(n, lam):
+    # On the acceptance families the Hoelder bound of each slab's Gram is
+    # its norm: the slabs are scaled partial isometries.
+    pmd = make_pmd(n, lam)
+    k_dim = 1 << pmd.message_qubits
+    rows = pmd.encoder.reshape(pmd.family.num_keys, 1 << n, k_dim)
+    for j in range(pmd.family.num_keys):
+        inv = pmd.family.codes[j].encoder.inverse()
+        tables = np.array([apply_circuit(inv, r) for r in rows])
+        want = np.linalg.svd(tables.reshape(-1, k_dim, k_dim), compute_uv=False)[:, 0]
+        got = pmdkit.pmd._slab_norms(tables).reshape(-1)
+        assert np.all(got >= want * (1 - 1e-12))
+        # Slabs that are zero up to rounding (entries below 1e-16) are
+        # not partial isometries; the 1e-15 covers only those.
+        assert np.all(got <= want * (1 + 1e-12) + 1e-15)
 
 
 @pytest.mark.parametrize("seed,eps", [(21, 0.5590169943749473), (22, 0.75),
@@ -506,6 +553,18 @@ def test_sampling_mode_without_seed_uses_seed_zero():
 def test_sampling_mode_rejects_nonpositive_samples(samples):
     with pytest.raises(ValueError, match="samples must be >= 1"):
         measure_pmd_epsilon(make_pmd(2, 1), samples=samples)
+
+
+def test_sampling_mode_guards_refuse_before_drawing():
+    pmd = make_pmd(2, 1)  # 4^3 - 1 = 63 nonidentity Paulis
+    assert not measure_pmd_epsilon(pmd, samples=63).exhaustive
+    with pytest.raises(SizeGuardError, match="63 nonidentity Paulis"):
+        measure_pmd_epsilon(pmd, samples=64)
+    pmd = make_pmd(8, 2)  # 24415 * 4^6 block entries exceed 10^8
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="draw fewer samples"):
+        measure_pmd_epsilon(pmd, samples=24415)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
