@@ -595,14 +595,13 @@ def twise_pad(seed: int, t: int, length: int, word_bits: int | None = None) -> i
         raise ValueError("pad word size limited to 16 bits")
     field = FieldSpec.default(word_bits)
     mask = (1 << word_bits) - 1
-    coeffs = [field.element((seed >> (i * word_bits)) & mask) for i in range(t)]
+    coeffs = [(seed >> (i * word_bits)) & mask for i in range(t)]
     out = 0
-    for j in range(npoints):
-        point = field.element(j)
-        acc = field.zero()
+    for point in range(npoints):
+        acc = 0
         for c in reversed(coeffs):
-            acc = acc * point + c
-        out |= acc.coeffs << (j * word_bits)
+            acc = field.mul(acc, point) ^ c
+        out |= acc << (point * word_bits)
     return out & ((1 << length) - 1)
 
 

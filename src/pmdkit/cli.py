@@ -202,8 +202,9 @@ def cmd_ptc_check(args) -> int:
     config = {"n": args.n, "lam": args.lam,
               "mode": "exhaustive" if args.samples is None else f"samples={args.samples}"}
     family = _family(args, config)
-    eps = measure_strong_ptc_error(family, samples=args.samples, seed=seed)
+    # The pairwise sweep first: its size guard is the one a large lambda meets.
     delta = measure_pairwise_detectability(family)
+    eps = measure_strong_ptc_error(family, samples=args.samples, seed=seed)
     report = Report("ptc check", config, seed)
     eps_bound = Fraction(args.n, 2 ** args.lam)
     delta_bound = Fraction(2 * args.n, 2 ** args.lam)

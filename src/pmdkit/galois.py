@@ -1,9 +1,12 @@
 """Arithmetic in GF(2^m).
 
-Field elements are m-bit coefficient vectors in the polynomial basis,
-stored as ints (bit i = coefficient of x^i).  Multiplication reduces by
-a fixed irreducible modulus; irreducibility is verified at construction
-by trial division.
+A field element is a plain int in [0, 2^m): its m-bit coefficient
+vector in the polynomial basis (bit i = coefficient of x^i, so x^l is
+`1 << l`).  Addition is XOR, written `^` where it is used; `FieldSpec`
+owns the rest: `mul` reduces the carry-less product by a fixed
+irreducible modulus, whose irreducibility is verified at construction by
+trial division, and `power` and `trace` are built on it.  Elements carry
+no field of their own, so the caller keeps them in range.
 
 The dual-basis machinery is what lets field elements be flattened into
 Pauli exponent vectors: with bases (alpha, beta) satisfying
@@ -111,97 +114,46 @@ class FieldSpec:
     def order(self) -> int:
         return 1 << self.m
 
-    def element(self, coeffs: int) -> "FieldElement":
-        return FieldElement(coeffs, self)
+    def mul(self, a: int, b: int) -> int:
+        return _poly_mulmod(a, b, self.modulus)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def x(self) -> "FieldElement":
-        """The polynomial-basis generator x (== 1 for m = 1)."""
-        return FieldElement(_poly_mod(0b10, self.modulus), self)
-
-    def elements(self):
-        return (FieldElement(c, self) for c in range(self.order))
-
-    def polynomial_basis(self) -> list["FieldElement"]:
-        return [FieldElement(_poly_mod(1 << i, self.modulus), self) for i in range(self.m)]
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(2^m) in polynomial-basis coordinates."""
-
-    coeffs: int
-    field: FieldSpec
-
-    def __post_init__(self):
-        if not 0 <= self.coeffs < self.field.order:
-            raise ValueError(f"coefficients 0x{self.coeffs:x} out of range for m={self.field.m}")
-
-    def _check_same_field(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise ValueError("operands live in different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same_field(other)
-        return FieldElement(self.coeffs ^ other.coeffs, self.field)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same_field(other)
-        return FieldElement(_poly_mulmod(self.coeffs, other.coeffs, self.field.modulus),
-                            self.field)
-
-    def __pow__(self, exponent: int) -> "FieldElement":
+    def power(self, a: int, exponent: int) -> int:
         if exponent < 0:
             raise ValueError("negative exponents are not supported")
-        result = self.field.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        result = 1
+        while exponent:
+            if exponent & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            exponent >>= 1
         return result
 
-    def __bool__(self) -> bool:
-        return self.coeffs != 0
-
-    def trace(self) -> int:
+    def trace(self, a: int) -> int:
         """Trace down to F2: sum of the Frobenius orbit a^(2^i)."""
-        acc = self.field.zero()
-        power = self
-        for _ in range(self.field.m):
-            acc = acc + power
-            power = power * power
-        if acc.coeffs not in (0, 1):  # pragma: no cover
+        acc = 0
+        for _ in range(self.m):
+            acc ^= a
+            a = self.mul(a, a)
+        if acc not in (0, 1):  # pragma: no cover
             raise AssertionError("trace landed outside F2")
-        return acc.coeffs
-
-    def __repr__(self) -> str:
-        return f"gf(2^{self.field.m}):0x{self.coeffs:x}"
+        return acc
 
 
 @dataclass(frozen=True)
 class DualBasisPair:
     """Bases (alpha, beta) of GF(2^m) with tr(alpha_i * beta_j) = delta_ij."""
 
-    alpha: tuple[FieldElement, ...]
-    beta: tuple[FieldElement, ...]
+    field: FieldSpec
+    alpha: tuple[int, ...]
+    beta: tuple[int, ...]
 
     def __post_init__(self):
-        m = self.alpha[0].field.m
-        if len(self.alpha) != m or len(self.beta) != m:
+        field = self.field
+        if len(self.alpha) != field.m or len(self.beta) != field.m:
             raise ValueError("bases must have m elements each")
         for i, a in enumerate(self.alpha):
             for j, b in enumerate(self.beta):
-                if (a * b).trace() != (1 if i == j else 0):
+                if field.trace(field.mul(a, b)) != (1 if i == j else 0):
                     raise ValueError(f"trace Gram matrix is not identity at ({i}, {j})")
 
     @cached_property
@@ -211,39 +163,42 @@ class DualBasisPair:
         Coordinates are GF(2)-linear, so these m images per basis fix
         both maps; entry i of an image is tr(x^l * dual_i).
         """
-        xs = self.alpha[0].field.polynomial_basis()
-        return tuple(tuple(f2.bits_to_int((x * d).trace() for d in dual) for x in xs)
+        field = self.field
+        return tuple(tuple(f2.bits_to_int(field.trace(field.mul(1 << l, d)) for d in dual)
+                           for l in range(field.m))
                      for dual in (self.beta, self.alpha))
 
-    def alpha_coords(self, a: FieldElement) -> int:
+    def alpha_coords(self, a: int) -> int:
         """Coordinates of a in the alpha basis: the XOR of the images of
         the polynomial basis elements present in a."""
-        return f2.combine(self._coord_columns[0], a.coeffs)
+        return f2.combine(self._coord_columns[0], a)
 
-    def beta_coords(self, a: FieldElement) -> int:
-        return f2.combine(self._coord_columns[1], a.coeffs)
+    def beta_coords(self, a: int) -> int:
+        return f2.combine(self._coord_columns[1], a)
 
 
-def compute_dual_basis(field: FieldSpec, alpha: list[FieldElement] | None = None) -> DualBasisPair:
+def compute_dual_basis(field: FieldSpec, alpha: list[int] | None = None) -> DualBasisPair:
     """Dual basis beta for alpha (default: the polynomial basis).
 
     Solves the trace Gram system tr(alpha_i * x^l) c_l = delta_ij for
     each j; raises if alpha is not a basis.
     """
     if alpha is None:
-        alpha = field.polynomial_basis()
+        alpha = [1 << l for l in range(field.m)]
     if len(alpha) != field.m:
         raise ValueError(f"alpha must have {field.m} elements")
-    if f2.rank([a.coeffs for a in alpha], field.m) != field.m:
+    if any(not 0 <= a < field.order for a in alpha):
+        raise ValueError(f"alpha has an element out of range for m={field.m}")
+    if f2.rank(alpha, field.m) != field.m:
         raise ValueError("alpha is singular (not a basis over F2)")
-    xs = field.polynomial_basis()
     # Row i is the functional c -> tr(alpha_i * sum_l c_l x^l).
-    rows = [f2.bits_to_int((a * x).trace() for x in xs) for a in alpha]
+    rows = [f2.bits_to_int(field.trace(field.mul(a, 1 << l)) for l in range(field.m))
+            for a in alpha]
     beta = []
     for j in range(field.m):
         rhs = [1 if i == j else 0 for i in range(field.m)]
         c = f2.solve(rows, rhs, field.m)
         if c is None:  # pragma: no cover - trace form is nondegenerate
             raise ValueError("trace system is singular")
-        beta.append(field.element(c))
-    return DualBasisPair(tuple(alpha), tuple(beta))
+        beta.append(c)
+    return DualBasisPair(field, tuple(alpha), tuple(beta))

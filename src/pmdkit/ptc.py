@@ -5,7 +5,9 @@ stabilizer code whose generators come from the polynomial vector
 v_a = (1, a, a^2, ..., a^(2r-1)) with r = n/lambda: the X half of each
 generator flattens the first r field coordinates through one member of
 a dual-basis pair and the Z half flattens the rest through the other,
-with the scalar gamma ranging over the polynomial basis.
+with the scalar gamma ranging over the polynomial basis.  Keys and
+shifts are field elements as `galois` stores them, ints in
+[0, 2^lambda), so key k shifted by s is `k ^ s`.
 
 Two exhaustively measured figures of merit:
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import f2
-from .galois import DualBasisPair, FieldElement, FieldSpec, compute_dual_basis
+from .galois import DualBasisPair, FieldSpec, compute_dual_basis
 from .limits import SWEEP_GUARD, SizeGuardError
 from .symplectic import PauliOperator, StabilizerCode
 
@@ -38,7 +40,7 @@ class PtcFamily:
     n: int
     lam: int
     field: FieldSpec
-    codes: dict[int, StabilizerCode]  # key: coeffs of the field element
+    codes: dict[int, StabilizerCode]  # key: the field element, an int
 
     @property
     def r(self) -> int:
@@ -47,9 +49,6 @@ class PtcFamily:
     @property
     def num_keys(self) -> int:
         return 1 << self.lam
-
-    def keys(self):
-        return (self.field.element(c) for c in range(self.num_keys))
 
     @functools.cached_property
     def _syndrome_tables(self) -> list[tuple[int, np.uint64, np.ndarray]]:
@@ -115,20 +114,19 @@ def build_bcgst_family(n: int, lam: int,
     pair = basis_pair if basis_pair is not None else compute_dual_basis(field)
     r = n // lam
     codes: dict[int, StabilizerCode] = {}
-    for key_bits in range(1 << lam):
-        alpha = field.element(key_bits)
-        v = [alpha ** j for j in range(2 * r)]
+    for key in range(1 << lam):
+        v = [field.power(key, j) for j in range(2 * r)]
         a_half, b_half = v[:r], v[r:]
         gens = []
-        for gamma in field.polynomial_basis():
+        for gamma in (1 << l for l in range(lam)):
             x = z = 0
             for block, coord in enumerate(a_half):
-                x |= pair.alpha_coords(gamma * coord) << (block * lam)
+                x |= pair.alpha_coords(field.mul(gamma, coord)) << (block * lam)
             for block, coord in enumerate(b_half):
-                z |= pair.beta_coords(gamma * coord) << (block * lam)
+                z |= pair.beta_coords(field.mul(gamma, coord)) << (block * lam)
             gens.append(PauliOperator(n, x, z, 0))
-        codes[key_bits] = StabilizerCode(n, gens, name=f"Q[{key_bits:#x}]",
-                                         encoder_pivot=encoder_pivot)
+        codes[key] = StabilizerCode(n, gens, name=f"Q[{key:#x}]",
+                                    encoder_pivot=encoder_pivot)
     return PtcFamily(n, lam, field, codes)
 
 
@@ -206,13 +204,21 @@ def _shift_miss_matrix(family: PtcFamily) -> np.ndarray:
     Each key's stabilizer group is spanned (mod phase) from its
     generators by `f2.span`, as in `pauli_span`, all keys at once on
     columns of masks, and all of them go through `_key_syndromes`, a
-    whole number of owning keys per chunk.
+    whole number of owning keys per chunk.  SizeGuardError, before
+    spanning, when the keys^2 * (2^gens - 1) syndromes exceed
+    `SWEEP_GUARD` (lambda >= 9 for the BCGST families).
     """
     keys = family.num_keys
+    gx, gz = _generator_masks(family)
+    gens = gx.shape[1]
+    if keys * keys * ((1 << gens) - 1) > SWEEP_GUARD:
+        raise SizeGuardError(
+            f"the pairwise sweep checks keys^2 * (2^gens - 1) syndromes, above the "
+            f"iteration guard at {keys} keys of {gens} generators")
     zero = np.zeros(keys, dtype=np.uint64)
     # Column i - 1 holds each key's stabilizer i; the identity (i = 0) is dropped.
     sx, sz = (np.stack(f2.span(masks.T, zero, operator.xor)[1:], axis=1)
-              for masks in _generator_masks(family))
+              for masks in (gx, gz))
     per_key = sx.shape[1]
     owners = max(1, _ENTRY_BUDGET // (keys * per_key))
     bad = np.zeros((keys, keys), dtype=bool)
@@ -235,26 +241,25 @@ def measure_pairwise_detectability(family: PtcFamily) -> SweepResult:
                        exhaustive=True)
 
 
-def pbeta_roots(beta: FieldElement, r: int) -> set[FieldElement]:
+def pbeta_roots(field: FieldSpec, beta: int, r: int) -> set[int]:
     """Roots of ((a+b)^r - a^r) * (a^(r+1) (a+b)^(r+1) - 1) over the field.
 
     Keys at which the stabilizer groups of a code and its beta-shift
     commute are contained in this root set.
     """
-    if not beta:
-        raise ValueError("shift beta must be nonzero")
-    field = beta.field
-    one = field.one()
+    if not 0 < beta < field.order:
+        raise ValueError(f"shift beta must be a nonzero element of GF(2^{field.m})")
     roots = set()
-    for alpha in field.elements():
-        first = (alpha + beta) ** r + alpha ** r
-        second = (alpha ** (r + 1)) * ((alpha + beta) ** (r + 1)) + one
-        if not (first * second):
+    for alpha in range(field.order):
+        shifted = alpha ^ beta
+        first = field.power(shifted, r) ^ field.power(alpha, r)
+        second = field.mul(field.power(alpha, r + 1), field.power(shifted, r + 1)) ^ 1
+        if not field.mul(first, second):
             roots.add(alpha)
     return roots
 
 
-def commuting_shift_keys(family: PtcFamily, beta: FieldElement) -> set[FieldElement]:
+def commuting_shift_keys(family: PtcFamily, beta: int) -> set[int]:
     """Keys k whose stabilizer group meets N(Q_{k+beta}) nontrivially."""
     bad = _shift_miss_matrix(family)
-    return {key for key in family.keys() if bad[key.coeffs, (key + beta).coeffs]}
+    return {key for key in range(family.num_keys) if bad[key, key ^ beta]}

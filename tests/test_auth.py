@@ -929,6 +929,15 @@ def test_pad_deterministic_and_sized():
     assert 0 <= a < (1 << 8)
 
 
+def test_pad_values_are_pinned():
+    # 36 bits at t = 2 are nine 4-bit words from an 8-bit seed; a swapped
+    # coefficient or evaluation point moves these.
+    assert twise_pad_seed_bits(2, 36) == 8
+    assert {seed: twise_pad(seed, 2, 36) for seed in (0, 1, 0x2A, 0x5C, 0xEF, 0xFF)} == {
+        0: 0x0, 1: 0x111111111, 0x2A: 0x94602CE8A, 0x5C: 0x241EB369C,
+        0xEF: 0x63DC2E01F, 0xFF: 0xE4B96D20F}
+
+
 def test_pad_single_bits_uniform_t1():
     length, t = 6, 1
     seed_bits = twise_pad_seed_bits(t, length)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -673,6 +674,16 @@ def test_pmd_verify_sampling_guard_exits_2(capsys, n, lam, samples, message):
                                    "--samples", samples, "--seed", "3"])
     assert rc == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("n", ["12", "24"])
+def test_ptc_check_pairwise_guard_exits_2_fast(capsys, n):
+    started = time.perf_counter()
+    rc, out, err = invoke(capsys, ["ptc", "check", "--n", n, "--lambda", "12",
+                                   "--samples", "1"])
+    assert rc == 2 and out == ""
+    assert "pairwise sweep" in err and "4096 keys" in err
+    assert time.perf_counter() - started < 2.0
 
 
 def test_sweep_deterministic_repeat(capsys):

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from pmdkit import f2
-from pmdkit.galois import (DEFAULT_MODULI, DualBasisPair, FieldElement, FieldSpec,
-                           _poly_mod, compute_dual_basis)
+from pmdkit.galois import DEFAULT_MODULI, DualBasisPair, FieldSpec, _poly_mod, compute_dual_basis
 
 
 def gf4():
@@ -29,9 +28,9 @@ def test_degree_mismatch_rejected():
 
 def test_mul_identities():
     field = gf4()
-    x = field.x()
-    assert field.zero() * x == field.zero()
-    assert field.one() * x == x
+    x = 0b10
+    assert field.mul(0, x) == 0
+    assert field.mul(1, x) == x
 
 
 def test_mul_reduces_once_like_the_per_step_form():
@@ -49,111 +48,129 @@ def test_mul_reduces_once_like_the_per_step_form():
     for m in range(1, 9):
         field = FieldSpec.default(m)
         for a, b in itertools.product(range(field.order), repeat=2):
-            assert (field.element(a) * field.element(b)).coeffs \
-                == per_step_mulmod(a, b, field.modulus), (m, a, b)
+            assert field.mul(a, b) == per_step_mulmod(a, b, field.modulus), (m, a, b)
 
 
 def test_gf4_omega_squared():
     # In GF(4) with modulus x^2 + x + 1: w * w = w + 1.
     field = gf4()
-    w = field.x()
-    assert w * w == field.element(0b11)
+    w = 0b10
+    assert field.mul(w, w) == 0b11
 
 
 def test_gf4_omega_cubed_is_one():
     field = gf4()
-    w = field.x()
-    assert w ** 3 == field.one()
-    assert w ** 0 == field.one()
-    assert w ** 1 == w
+    w = 0b10
+    assert field.power(w, 3) == 1
+    assert field.power(w, 0) == 1
+    assert field.power(w, 1) == w
 
 
 def test_pow_matches_repeated_mul():
     field = FieldSpec.default(4)
     rng = random.Random(3)
     for _ in range(50):
-        a = field.element(rng.randrange(16))
+        a = rng.randrange(16)
         e = rng.randrange(0, 20)
-        expected = field.one()
+        expected = 1
         for _ in range(e):
-            expected = expected * a
-        assert a ** e == expected
+            expected = field.mul(expected, a)
+        assert field.power(a, e) == expected
+
+
+def test_negative_power_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        gf4().power(0b10, -1)
 
 
 def test_trace_values_gf4():
     field = gf4()
-    assert field.zero().trace() == 0
-    assert field.one().trace() == 0  # 1 + 1 = 0
-    assert field.x().trace() == 1  # w + w^2 = 1 from the modulus relation
+    assert field.trace(0) == 0
+    assert field.trace(1) == 0  # 1 + 1 = 0
+    assert field.trace(0b10) == 1  # w + w^2 = 1 from the modulus relation
 
 
 def test_trace_additive_and_frobenius_invariant():
     for m in range(1, 9):
         field = FieldSpec.default(m)
-        elems = list(field.elements())
+        elems = list(range(field.order))
         sample = elems if m <= 5 else random.Random(m).sample(elems, 32)
         for a in sample:
-            assert (a * a).trace() == a.trace()
+            assert field.trace(field.mul(a, a)) == field.trace(a)
         for a, b in itertools.product(sample[:16], repeat=2):
-            assert (a + b).trace() == (a.trace() ^ b.trace())
+            assert field.trace(a ^ b) == (field.trace(a) ^ field.trace(b))
 
 
 def test_field_axioms_exhaustive_small():
     for m in (1, 2, 3, 4):
         field = FieldSpec.default(m)
-        elems = list(field.elements())
+        mul = field.mul
+        elems = range(field.order)
         for a, b in itertools.product(elems, repeat=2):
-            assert a * b == b * a
+            assert mul(a, b) == mul(b, a)
         for a, b, c in itertools.product(elems[: 1 << min(m, 3)], repeat=3):
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
 
 
 def test_field_axioms_randomized_m16():
     field = FieldSpec.default(16)
     rng = random.Random(99)
+    mul = field.mul
     for _ in range(100):
-        a, b, c = (field.element(rng.randrange(field.order)) for _ in range(3))
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-
-def test_mismatched_fields_error():
-    a = FieldSpec.default(2).one()
-    b = FieldSpec.default(3).one()
-    with pytest.raises(ValueError, match="different fields"):
-        a * b
+        a, b, c = (rng.randrange(field.order) for _ in range(3))
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
 
 
 def test_dual_basis_gf2_trivial():
     field = FieldSpec.default(1)
     pair = compute_dual_basis(field)
-    assert pair.alpha == (field.one(),)
-    assert pair.beta == (field.one(),)
+    assert pair.alpha == (1,)
+    assert pair.beta == (1,)
 
 
 def test_dual_basis_gf4():
     # alpha = {1, w}; beta must solve the 2x2 trace Gram system.
     field = gf4()
-    pair = compute_dual_basis(field, [field.one(), field.x()])
+    pair = compute_dual_basis(field, [1, 0b10])
     for i, a in enumerate(pair.alpha):
         for j, b in enumerate(pair.beta):
-            assert (a * b).trace() == (1 if i == j else 0)
+            assert field.trace(field.mul(a, b)) == (1 if i == j else 0)
 
 
 def test_dual_basis_defining_property_all_m():
     for m in range(1, 9):
-        pair = compute_dual_basis(FieldSpec.default(m))
+        field = FieldSpec.default(m)
+        pair = compute_dual_basis(field)
+        assert pair.alpha == tuple(1 << l for l in range(m))
         for i, a in enumerate(pair.alpha):
             for j, b in enumerate(pair.beta):
-                assert (a * b).trace() == (1 if i == j else 0)
+                assert field.trace(field.mul(a, b)) == (1 if i == j else 0)
 
 
 def test_dual_basis_singular_alpha_rejected():
     field = gf4()
     with pytest.raises(ValueError, match="singular"):
-        compute_dual_basis(field, [field.one(), field.one()])
+        compute_dual_basis(field, [1, 1])
+
+
+@pytest.mark.parametrize("alpha", [[1, 4], [1, 6], [-1, 2]])
+def test_dual_basis_out_of_range_alpha_rejected(alpha):
+    # The rank check reads only each row's lowest set bit, so 6 = x^2 + x
+    # would pass it (and act as 1 in products), and -1 would never end a multiply.
+    with pytest.raises(ValueError, match="out of range"):
+        compute_dual_basis(gf4(), alpha)
+
+
+def test_dual_basis_pair_checks_the_trace_gram():
+    field = gf4()
+    DualBasisPair(field, (1, 0b10), compute_dual_basis(field).beta)
+    with pytest.raises(ValueError, match="not identity"):
+        DualBasisPair(field, (1, 0b10), (1, 0b10))
+    with pytest.raises(ValueError, match="m elements"):
+        DualBasisPair(field, (1,), (1,))
 
 
 def test_coordinate_dot_product_equals_trace_of_product():
@@ -162,19 +179,19 @@ def test_coordinate_dot_product_equals_trace_of_product():
     for m in (1, 2, 3, 4):
         field = FieldSpec.default(m)
         pair = compute_dual_basis(field)
-        for a in field.elements():
-            for b in field.elements():
+        for a in range(field.order):
+            for b in range(field.order):
                 dot = f2.dot(pair.alpha_coords(a), pair.beta_coords(b))
-                assert dot == (a * b).trace()
+                assert dot == field.trace(field.mul(a, b))
 
 
 def test_coords_invert_basis_expansion():
     field = FieldSpec.default(3)
     pair = compute_dual_basis(field)
-    for a in field.elements():
+    for a in range(field.order):
         coords = pair.alpha_coords(a)
-        rebuilt = field.zero()
+        rebuilt = 0
         for i in range(field.m):
             if (coords >> i) & 1:
-                rebuilt = rebuilt + pair.alpha[i]
+                rebuilt ^= pair.alpha[i]
         assert rebuilt == a

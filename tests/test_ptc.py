@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -116,34 +117,42 @@ def test_key_group_structure():
     # k -> k + s is a bijection on keys for every shift, and the code
     # table is total over the additive group.
     fam = build_bcgst_family(4, 2)
-    keys = list(fam.keys())
-    assert sorted(k.coeffs for k in keys) == list(range(4))
-    for s in fam.field.elements():
-        shifted = {(k + s).coeffs for k in keys}
-        assert shifted == set(range(4))
-        for k in keys:
-            assert (k + s).coeffs in fam.codes
+    keys = range(fam.num_keys)
+    assert sorted(fam.codes) == list(keys)
+    for s in range(fam.field.order):
+        assert {k ^ s for k in keys} == set(keys)
 
 
 def test_pbeta_rejects_zero_shift():
-    field = FieldSpec.default(2)
     with pytest.raises(ValueError, match="nonzero"):
-        pbeta_roots(field.zero(), 2)
+        pbeta_roots(FieldSpec.default(2), 0, 2)
+
+
+@pytest.mark.parametrize("beta", [4, -1])
+def test_pbeta_rejects_a_shift_outside_the_field(beta):
+    with pytest.raises(ValueError, match="nonzero element of GF"):
+        pbeta_roots(FieldSpec.default(2), beta, 2)
 
 
 def test_pbeta_roots_by_direct_evaluation():
     # (lambda=2, r=2, beta=1): evaluate the two factors at all four
-    # field points with explicit arithmetic.
+    # field points by repeated multiplication.
     field = FieldSpec.default(2)
-    beta = field.one()
-    r = 2
+    beta, r = 1, 2
+
+    def pow_(a, e):
+        out = 1
+        for _ in range(e):
+            out = field.mul(out, a)
+        return out
+
     expected = set()
-    for alpha in field.elements():
-        f1 = (alpha + beta) ** r + alpha ** r
-        f2_ = (alpha ** (r + 1)) * ((alpha + beta) ** (r + 1)) + field.one()
-        if f1.coeffs == 0 or f2_.coeffs == 0:
+    for alpha in range(field.order):
+        f1 = pow_(alpha ^ beta, r) ^ pow_(alpha, r)
+        f2_ = field.mul(pow_(alpha, r + 1), pow_(alpha ^ beta, r + 1)) ^ 1
+        if f1 == 0 or f2_ == 0:
             expected.add(alpha)
-    assert pbeta_roots(beta, r) == expected
+    assert pbeta_roots(field, beta, r) == expected
 
 
 def test_pbeta_zero_point_evaluation():
@@ -151,18 +160,17 @@ def test_pbeta_zero_point_evaluation():
     # beta^r, second is -1, so it happens exactly when beta^r = 0, i.e.
     # never for beta != 0.
     field = FieldSpec.default(3)
-    for coeffs in range(1, 8):
-        beta = field.element(coeffs)
-        roots = pbeta_roots(beta, 2)
-        assert (field.zero() in roots) == (beta ** 2 == field.zero())
+    for beta in range(1, 8):
+        roots = pbeta_roots(field, beta, 2)
+        assert (0 in roots) == (field.power(beta, 2) == 0)
 
 
 @pytest.mark.parametrize("n,lam", [(2, 1), (4, 2), (6, 2), (6, 3), (3, 3)])
 def test_pbeta_root_count_bound(n, lam):
     field = FieldSpec.default(lam)
     r = n // lam
-    for coeffs in range(1, 1 << lam):
-        assert len(pbeta_roots(field.element(coeffs), r)) <= 3 * r + 2
+    for beta in range(1, 1 << lam):
+        assert len(pbeta_roots(field, beta, r)) <= 3 * r + 2
 
 
 @pytest.mark.parametrize("n,lam", [(2, 1), (4, 2), (6, 2), (6, 3), (3, 3)])
@@ -170,10 +178,9 @@ def test_commuting_keys_contained_in_pbeta_roots(n, lam):
     # The checkable containment: keys whose stabilizers are undetected
     # under a beta-shift are roots of the shift polynomial.
     fam = build_bcgst_family(n, lam)
-    for coeffs in range(1, 1 << lam):
-        beta = fam.field.element(coeffs)
+    for beta in range(1, 1 << lam):
         bad = commuting_shift_keys(fam, beta)
-        roots = pbeta_roots(beta, fam.r)
+        roots = pbeta_roots(fam.field, beta, fam.r)
         assert bad <= roots
 
 
@@ -184,11 +191,11 @@ def test_measurements_basis_independent():
         field = FieldSpec.default(lam)
         default_pair = compute_dual_basis(field)
         if lam == 1:
-            alt_alpha = [field.one()]
+            alt_alpha = [1]
         else:
             # A non-polynomial basis: {1, x+1, x^2, ...}.
-            alt_alpha = field.polynomial_basis()
-            alt_alpha[1] = alt_alpha[1] + field.one()
+            alt_alpha = [1 << l for l in range(lam)]
+            alt_alpha[1] ^= 1
         alt_pair = compute_dual_basis(field, alt_alpha)
         fam_default = build_bcgst_family(n, lam, basis_pair=default_pair)
         fam_alt = build_bcgst_family(n, lam, basis_pair=alt_pair)
@@ -221,11 +228,11 @@ def oracle_pairwise(family):
     groups = {k: [s for s in code.stabilizer_group() if not s.is_identity()]
               for k, code in family.codes.items()}
     bad_by_shift = {}
-    for shift in family.field.elements():
-        bad_by_shift[shift.coeffs] = {
-            key.coeffs for key in family.keys()
-            if any(not any(syndrome(family.codes[(key + shift).coeffs], sigma))
-                   for sigma in groups[key.coeffs])}
+    for shift in range(family.num_keys):
+        bad_by_shift[shift] = {
+            key for key in range(family.num_keys)
+            if any(not any(syndrome(family.codes[key ^ shift], sigma))
+                   for sigma in groups[key])}
     worst = max(Fraction(len(bad), family.num_keys)
                 for s, bad in bad_by_shift.items() if s)
     return worst, bad_by_shift
@@ -235,9 +242,9 @@ def oracle_undetected_counts(family, ex, ez):
     """For each error, the number of keys that miss it: one parity pass
     per (key, generator)."""
     counts = np.zeros(ex.shape[0], dtype=np.int64)
-    for key in family.keys():
+    for key in range(family.num_keys):
         missed = np.ones(ex.shape[0], dtype=bool)
-        for g in family.codes[key.coeffs].gens:
+        for g in family.codes[key].gens:
             bit = f2_parity_array(ex & np.uint64(g.z)) ^ f2_parity_array(ez & np.uint64(g.x))
             missed &= bit == 0
         counts += missed
@@ -258,8 +265,8 @@ def oracle_strong(family, samples=None, seed=0):
 
 
 def _alt_pair(field):
-    alpha = field.polynomial_basis()
-    alpha[1] = alpha[1] + field.one()  # {1, x+1, x^2, ...}
+    alpha = [1 << l for l in range(field.m)]
+    alpha[1] ^= 1  # {1, x+1, x^2, ...}
     return compute_dual_basis(field, alpha)
 
 
@@ -282,9 +289,8 @@ def test_pairwise_detectability_matches_syndrome_oracle(name):
     fam = ORACLE_FAMILIES[name]()
     want, bad_by_shift = oracle_pairwise(fam)
     assert measure_pairwise_detectability(fam).value == want
-    for shift in fam.field.elements():
-        got = commuting_shift_keys(fam, shift)
-        assert {k.coeffs for k in got} == bad_by_shift[shift.coeffs]
+    for shift in range(fam.num_keys):
+        assert commuting_shift_keys(fam, shift) == bad_by_shift[shift]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
@@ -337,8 +343,8 @@ def test_wide_blocks_match_oracles():
     fam = PtcFamily(40, 2, FieldSpec.default(2), codes)
     want, bad_by_shift = oracle_pairwise(fam)
     assert measure_pairwise_detectability(fam).value == want
-    for shift in fam.field.elements():
-        assert {k.coeffs for k in commuting_shift_keys(fam, shift)} == bad_by_shift[shift.coeffs]
+    for shift in range(fam.num_keys):
+        assert commuting_shift_keys(fam, shift) == bad_by_shift[shift]
     fam32 = PtcFamily(32, 2, FieldSpec.default(2),
                       {k: StabilizerCode(32, [PauliOperator(32, 0, 1 << 31, 0),
                                               PauliOperator(32, 1 << k, 0, 0)])
@@ -391,3 +397,56 @@ def test_shift_miss_matrix_matches_the_doubling_loop(n, lam):
     from pmdkit.ptc import _shift_miss_matrix
     family = build_bcgst_family(n, lam)
     assert np.array_equal(_shift_miss_matrix(family), _doubling_shift_miss_matrix(family))
+
+
+# Generator (x, z) masks of each key, in key order: SHA-256 of their
+# repr and of the encoders' gate lists, and the masks written out where
+# they are short.  A swapped coordinate or basis vector moves these, where
+# a per-lambda Fraction need not.
+PINNED_FAMILIES = {
+    "12-6": ("b75ea1fdada3298344a73a1114a1079906ba833b6cb4b6071923fd7336deb77b",
+             "39985dca06f19c4a8fa32d8e41e769622f2528b555257a7d0433ba6bdac2cfe7"),
+    "6-3-alt-basis": ("65fcf0c8d67c1f35fe14bfe2bf44d0ba3f40dfa74ebef7b4053a66d7c04ac585",
+                      "7b640bdc9e6a79c32c19e216988f72d45557aba0fced66229f4f6a9c5e85af66"),
+    "4-2-high-pivot": ("650d9acd8b592df28aca94cb131701096c489dc7329df35b68978409b25b424e",
+                       "1d2c23f8e8599455a7a2f1135681f83c9fd91c48d94fb57275d16fb245497e64"),
+    "4-4-x4+x3+1": ("cb1bf64f4718e8ff9ddb85875348985bf76357aeaaa2c433179708aa51990a18",
+                    "0775c631b9b70605f6ad8b52d9d5cc6e3a7db7a4d23dcaab753c2fe5b7be0976"),
+}
+PINNED_MASKS = {
+    "6-3-alt-basis": (((1, 0), (3, 0), (4, 0)), ((9, 27), (27, 36), (36, 18)),
+                      ((25, 58), (35, 55), (20, 46)), ((17, 17), (59, 59), (52, 52)),
+                      ((33, 14), (19, 29), (60, 33)), ((41, 53), (11, 41), (28, 11)),
+                      ((57, 44), (51, 10), (44, 31)), ((49, 39), (43, 22), (12, 61))),
+    "4-2-high-pivot": (((1, 0), (2, 0)), ((5, 10), (10, 15)), ((9, 9), (14, 14)),
+                       ((13, 11), (6, 13))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FAMILIES))
+def test_generator_masks_and_encoders_are_pinned(name):
+    fam = build_bcgst_family(12, 6) if name == "12-6" else ORACLE_FAMILIES[name]()
+    masks = tuple(tuple((g.x, g.z) for g in fam.codes[k].gens) for k in range(fam.num_keys))
+    gates = [fam.codes[k].encoder.gates for k in range(fam.num_keys)]
+    digests = tuple(hashlib.sha256(repr(v).encode()).hexdigest() for v in (masks, gates))
+    assert digests == PINNED_FAMILIES[name]
+    if name in PINNED_MASKS:
+        assert masks == PINNED_MASKS[name]
+
+
+def test_pairwise_sweep_guard_refuses_before_spanning(monkeypatch):
+    # keys^2 * (2^gens - 1) syndromes: 256^2 * 255 = 1.7e7 at lambda = 8
+    # runs, 512^2 * 511 = 1.3e8 at lambda = 9 is above SWEEP_GUARD.
+    import pmdkit.ptc as ptc_module
+    fam = build_bcgst_family(9, 9)
+
+    def no_span(*args):
+        raise AssertionError("spanned before the guard")
+
+    monkeypatch.setattr(ptc_module.f2, "span", no_span)
+    with pytest.raises(SizeGuardError, match="pairwise"):
+        measure_pairwise_detectability(fam)
+    with pytest.raises(SizeGuardError, match="pairwise"):
+        commuting_shift_keys(fam, 1)
+    monkeypatch.undo()
+    assert measure_pairwise_detectability(build_bcgst_family(8, 8)).exhaustive
