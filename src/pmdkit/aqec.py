@@ -24,10 +24,12 @@ Erasing E swaps qubit E[i] into environment qubit n + k + 2i, which
 neither the syndrome projection P_s nor the cascade D_s touches, so a
 Kraus operator K on E moves past both onto the environment:
 D_s P_s erase_E((K (x) I) psi0) = (K on env_E) D_s P_s erase_E(psi0).
-`erasure_harness` therefore decodes psi0 once per (erased set, syndrome)
-and scores every branch from 2^|E| x 2^|E| Gram matrices over that
-environment (`ErasedState`); `apply_adversary` and `algorithm1_decode`
-are the per-branch path, kept as its test oracle.
+The refill also makes the outer syndrome uniform over the outcomes E
+allows, whatever K is (`ErasedState`).  `erasure_harness` therefore
+decodes psi0 once per erased set, at every outcome of that set, and
+scores every branch from 2^|E| x 2^|E| Gram matrices over that
+environment; `apply_adversary` and `algorithm1_decode` are the
+per-branch path, kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from .densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
                        check_trace_preserving, codespace_isometry,
                        pauli_gather, phi_amplitudes, qubit_rows)
-from .limits import SizeGuardError, check_qubits
+from .limits import check_qubits
 from .pmd import PmdCode, auth_unitary
 from .qlde import erasure_list_decode
 from .symplectic import CliffordCircuit, PauliOperator, StabilizerCode
@@ -54,8 +56,6 @@ class ComposedCode:
 
     pmd: PmdCode
     outer: StabilizerCode
-    # (erased set, syndrome bits) -> the cascade of its candidate list, or None
-    _cascades: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # erased set -> its ErasedState
     _erased: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -83,19 +83,10 @@ class ComposedCode:
         iso.flags.writeable = False
         return iso
 
-    def correction_cascade(self, erased: tuple[int, ...], s_bits: tuple[int, ...]
-                           ) -> CorrectionCascade | None:
-        """The cascade of an erased set's and syndrome's candidate list
-        (None when the list is empty), built once per code."""
-        key = (erased, s_bits)
-        if key not in self._cascades:
-            corrections = erasure_list_decode(self.outer, erased, s_bits)
-            self._cascades[key] = CorrectionCascade(corrections, self) if corrections else None
-        return self._cascades[key]
-
     def erased_state(self, erased: tuple[int, ...]) -> ErasedState:
         """`entangled_code_state` with `erased` moved into the environment,
-        split by syndrome, built once per code."""
+        decoded at each syndrome, built once per code; a set that raises
+        is not kept."""
         if erased not in self._erased:
             self._erased[erased] = ErasedState(self, erased)
         return self._erased[erased]
@@ -313,33 +304,27 @@ class CorrectionCascade:
         return out.T.reshape(vec.shape)
 
 
-def syndrome_projection(vec: np.ndarray, outer: StabilizerCode,
-                        s_bits: tuple[int, ...]) -> np.ndarray:
-    """P_s vec for the outer syndrome bits s, not normalized."""
-    post = vec
-    for want, g in zip(s_bits, outer.gens):
-        post = 0.5 * (post + (1 - 2 * want) * pauli_gather(post, g))
-    return post
-
-
 def syndrome_projections(vec: np.ndarray, outer: StabilizerCode):
-    """(syndrome bits, P_s vec) for every outcome s of the outer syndrome
-    measurement, in outcome order."""
+    """(syndrome bits, P_s vec, not normalized) for every outcome s of the
+    outer syndrome measurement, in outcome order."""
     for outcome in range(1 << outer.r):
         s_bits = tuple((outcome >> i) & 1 for i in range(outer.r))
-        yield s_bits, syndrome_projection(vec, outer, s_bits)
+        post = vec
+        for want, g in zip(s_bits, outer.gens):
+            post = 0.5 * (post + (1 - 2 * want) * pauli_gather(post, g))
+        yield s_bits, post
 
 
 def _realized_cascade(code: ComposedCode, erased: tuple[int, ...],
                       s_bits: tuple[int, ...], prob: float) -> CorrectionCascade:
     """The cascade of an outcome with nonzero probability; an empty
     correction list there is an invariant violation and raises."""
-    cascade = code.correction_cascade(erased, s_bits)
-    if cascade is None:
+    corrections = erasure_list_decode(code.outer, erased, s_bits)
+    if not corrections:
         raise RuntimeError(
             f"syndrome {s_bits} has probability {prob:.3e} but no supported "
             "correction; erasure bookkeeping is inconsistent")
-    return cascade
+    return CorrectionCascade(corrections, code)
 
 
 def algorithm1_decode(branch: TaggedBranch,
@@ -363,60 +348,50 @@ def algorithm1_decode(branch: TaggedBranch,
     return decoded, max_list
 
 
-def _sandwich(kraus: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """tr(K X K^dag) for a matrix X, or for each matrix of a stack."""
-    return ((kraus @ grams) * kraus.conj()).sum(axis=(-2, -1)).real
+def _sandwich(kraus: np.ndarray, gram: np.ndarray) -> float:
+    """tr(K X K^dag) for a matrix X."""
+    return float(((kraus @ gram) * kraus.conj()).sum().real)
 
 
 class ErasedState:
     """psi0 = `entangled_code_state` with one erased set E moved into its
-    environment, split by outer syndrome (see `erasure_harness`).
+    environment, decoded once at each outer syndrome (see `erasure_harness`).
 
-    With E's environment qubits as the row index (`qubit_rows`), let
-    M_s = P_s erase_E(psi0) and A_s the Phi amplitudes of D_s M_s
-    (`phi_amplitudes`), D_s being outcome s's cascade.  The branch of
-    Kraus operator K at outcome s has weight x prob_s = tr(K Q_s K^dag)
-    with Q_s = M_s M_s^dag, and fidelity term tr(K G_s K^dag) with
-    G_s = A_s A_s^dag.  `grams` stacks every Q_s up front, in the order
-    of `outcomes`; G_s decodes M_s once, on first use.  Outcomes with
-    M_s = 0 can never be realized and are left out.  The state-sized
-    erase_E(psi0) lives only until `release`; a later first use of an
-    outcome erases psi0 again.
+    The syndrome law does not depend on the adversary.  Write
+    P_s = 2^-r sum_c (-1)^(s.c) g^c over the generator combinations c.
+    Each refilled qubit of E is half of a fresh maximally entangled pair,
+    maximally mixed and independent of everything else, so a g^c that
+    acts on E traces to 0 on E's environment; a g^c that acts off E fixes
+    psi0 and commutes with the erasure.  With C_E the combinations
+    supported off E, the environment Gram of outcome s is therefore
+    Q_s = (|C_E| / 2^r) rho_E when s is orthogonal to C_E and 0 otherwise,
+    rho_E being psi0's reduced state on E: the m = 2^r / |C_E| outcomes
+    that E allows each have Q_s = rho_E / m, for every Kraus operator K
+    on E alike.
+
+    With E's environment qubits as the row index (`qubit_rows`), let A_s
+    be the Phi amplitudes (`phi_amplitudes`) of D_s P_s erase_E(psi0),
+    D_s being outcome s's cascade.  The branch of K at outcome s has
+    fidelity term tr(K G_s K^dag) with G_s = A_s A_s^dag.  `cascades`
+    and `grams` hold D_s and G_s for each outcome of nonzero probability,
+    in outcome order; the erased vector lives only in `__init__`.
     """
 
     def __init__(self, code: ComposedCode, erased: tuple[int, ...]):
         k, n = code.message_qubits, code.n
-        self.erased = erased
-        self.msg, self.ref = tuple(range(k)), tuple(range(n, n + k))
-        self.env = tuple(n + k + 2 * i for i in range(len(erased)))
-        self._vec = self._erase(code)
-        self.outcomes, grams = [], []
-        for s_bits, post in syndrome_projections(self._vec, code.outer):
-            if post.any():
-                m = qubit_rows(post, self.env)
-                self.outcomes.append(s_bits)
-                grams.append(m @ m.conj().T)
+        msg, ref = tuple(range(k)), tuple(range(n, n + k))
+        env = tuple(n + k + 2 * i for i in range(len(erased)))
+        vec = _erase_qubits(entangled_code_state(code), erased, n + k)
+        self.cascades, grams = [], []
+        for s_bits, post in syndrome_projections(vec, code.outer):
+            prob = float(np.vdot(post, post).real)
+            if prob <= WEIGHT_TOL:
+                continue
+            cascade = _realized_cascade(code, erased, s_bits, prob)
+            amp = phi_amplitudes(cascade.decode(post), msg, ref, env)
+            self.cascades.append(cascade)
+            grams.append(amp @ amp.conj().T)
         self.grams = np.array(grams)
-        self._fidelity_grams = {}
-
-    def _erase(self, code: ComposedCode) -> np.ndarray:
-        return _erase_qubits(entangled_code_state(code), self.erased,
-                             code.n + code.message_qubits)
-
-    def fidelity_term(self, code: ComposedCode, kraus: np.ndarray,
-                      s_bits: tuple[int, ...], cascade: CorrectionCascade) -> float:
-        """tr(K G_s K^dag), with `cascade` the outcome's D_s."""
-        if s_bits not in self._fidelity_grams:
-            if self._vec is None:
-                self._vec = self._erase(code)
-            post = syndrome_projection(self._vec, code.outer, s_bits)
-            amp = phi_amplitudes(cascade.decode(post), self.msg, self.ref, self.env)
-            self._fidelity_grams[s_bits] = amp @ amp.conj().T
-        return float(_sandwich(kraus, self._fidelity_grams[s_bits]))
-
-    def release(self) -> None:
-        """Drop erase_E(psi0), keeping only the 2^|E| x 2^|E| matrices."""
-        self._vec = None
 
 
 # ---------------------------------------------------------------------------
@@ -449,41 +424,26 @@ def erasure_harness(code: ComposedCode, adv: ErasureAdversary,
     Erasing E moves a Kraus operator K on E onto E's environment, which
     the syndrome projection P_s and the cascade D_s leave alone:
     D_s P_s erase_E((K (x) I) psi0) = (K on env_E) D_s P_s erase_E(psi0).
-    So each branch and outcome is scored from E's `ErasedState`, decoded
-    once per (erased set, syndrome), with the sum, the drops and the
-    errors of `algorithm1_decode` over `apply_adversary`'s branches.
+    A branch's weight is tr(K rho_E K^dag), read from psi0's reduced
+    state on E before anything is erased; a branch of weight 0 is
+    skipped, as in `apply_adversary`.  Every other branch is realized at
+    each outcome of E's `ErasedState` (the syndrome is uniform over them)
+    and scores tr(K G_s K^dag) there, so E is decoded once per code, with
+    the sum, the list lengths and the errors of `algorithm1_decode` over
+    `apply_adversary`'s branches.
     """
     if adv.n != code.n:
         raise ValueError("adversary block length does not match the code")
     fidelity, realized, branch_count = 0.0, 1, 0
     for kraus, erased in adv.branches:
-        try:
-            state = code.erased_state(erased)
-        except SizeGuardError:
-            # Too wide to erase.  A branch of weight 0, which scores
-            # nothing, is still skipped: its weight is tr(K rho_E K^dag)
-            # with rho_E psi0's reduced state on E, as in `apply_adversary`.
-            m = qubit_rows(entangled_code_state(code), erased)
-            if _sandwich(kraus, m @ m.conj().T) <= WEIGHT_TOL:
-                continue
-            raise
-        try:
-            masses = _sandwich(kraus, state.grams)
-            weight = float(masses.sum())
-            if weight <= WEIGHT_TOL:
-                continue
-            for s_bits, mass in zip(state.outcomes, masses):
-                prob = float(mass) / weight
-                if prob <= WEIGHT_TOL:
-                    continue
-                cascade = _realized_cascade(code, erased, s_bits, prob)
-                realized = max(realized, cascade.length)
-                fidelity += state.fidelity_term(code, kraus, s_bits, cascade)
-                branch_count += 1
-        finally:
-            # The memo keeps no state-sized vector between branches,
-            # whether or not the set could be decoded.
-            state.release()
+        m = qubit_rows(entangled_code_state(code), erased)
+        if _sandwich(kraus, m @ m.conj().T) <= WEIGHT_TOL:
+            continue
+        state = code.erased_state(erased)
+        for cascade, gram in zip(state.cascades, state.grams):
+            realized = max(realized, cascade.length)
+            fidelity += _sandwich(kraus, gram)
+            branch_count += 1
     bound = float(1.0 - 3.0 * np.sqrt(epsilon) * realized ** 0.75)
     return HarnessReport(fidelity, realized, bound,
                          passed=bool(fidelity >= bound - 1e-9),

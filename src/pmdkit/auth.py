@@ -157,11 +157,13 @@ class NmCode:
 
     def tampered_distributions(self, f: TamperFunction) -> list[dict]:
         """Exact decode distribution per message under the tampering,
-        outcomes in order of first occurrence over r."""
+        outcomes in order of first occurrence over r.  Each probability
+        is count / 2^rand_bits, a dyadic float and exact, since
+        `_check_table_size` keeps rand_bits at most 23."""
         if f.n != self.n:
             raise ValueError("tampering arity does not match the codeword length")
-        weight = Fraction(1, 1 << self.rand_bits)
-        return [{(REJECT if o < 0 else o): count * weight
+        scale = 1 << self.rand_bits
+        return [{(REJECT if o < 0 else o): count / scale
                  for o, count in Counter(row).items()}
                 for row in self.decoded[f.apply(self.codewords)].tolist()]
 
@@ -245,7 +247,7 @@ def simulator_lp(code: NmCode, f: TamperFunction) -> tuple[np.ndarray, ...]:
              + [REJECT]]
     msg = np.array([s for s, _ in pairs])
     atom = np.array([rej_atom if o is REJECT else o for _, o in pairs])
-    d = np.array([float(dists[s].get(o, 0)) for s, o in pairs])
+    d = np.array([dists[s].get(o, 0.0) for s, o in pairs])
     slack = t_col + 1 + np.arange(len(pairs))
     n_vars = t_col + 1 + len(pairs)
     # Rows per message s: p - d <= e and d - p <= e for each tracked
@@ -726,7 +728,7 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
     keyed: dict = {}  # s~ -> (keys, their weights)
     for s, outcomes in enumerate(proto.nm.tampered_distributions(classical)):
         for s_tilde, cl_weight in outcomes.items():
-            w = key_weight * float(cl_weight)
+            w = key_weight * cl_weight
             if s_tilde is REJECT:
                 p_reject += w
                 continue

@@ -26,11 +26,11 @@ from .auth import (Auth1Protocol, Auth13Protocol, NmCode, TamperFunction,
                    auth1_decode, auth1_encode, auth13_attack_harness, nm_search,
                    nm_verify, stabilizer_mass, systematic_parity_nm, twirl_channel)
 from .densesim import kraus_from_record
-from .galois import FieldSpec
+from .galois import DEFAULT_MODULI, FieldSpec
 from .limits import SizeGuardError
-from .pmd import build_pmd, measure_pmd_epsilon
-from .ptc import build_bcgst_family, measure_pairwise_detectability, \
-    measure_strong_ptc_error
+from .pmd import build_pmd, check_pmd_size, measure_pmd_epsilon
+from .ptc import build_bcgst_family, check_pairwise_sweep, \
+    measure_pairwise_detectability, measure_strong_ptc_error
 from .qlde import erasure_list_decode, list_size_profile, sample_random_css
 from .symplectic import PauliOperator, StabilizerCode, format_code, parse_code
 
@@ -169,11 +169,20 @@ def _frac(f: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def _family(args, config: dict):
-    """The family of --n, --lambda and --modulus; a modulus goes into config."""
+    """The family of --n, --lambda and --modulus; a modulus goes into config.
+
+    Both commands that build it run its pairwise sweep, whose guard a
+    large lambda meets.  It is checked from the field, before the
+    family's 2^lambda codes are built; a lambda with no field here is
+    refused by `build_bcgst_family` before it builds any."""
     field = None
     if args.modulus is not None:
         config["modulus"] = args.modulus
         field = FieldSpec(args.lam, int(args.modulus, 0))
+    elif args.lam in DEFAULT_MODULI:
+        field = FieldSpec.default(args.lam)
+    if field is not None:
+        check_pairwise_sweep(field.order, field.m)
     return build_bcgst_family(args.n, args.lam, field=field)
 
 
@@ -202,7 +211,6 @@ def cmd_ptc_check(args) -> int:
     config = {"n": args.n, "lam": args.lam,
               "mode": "exhaustive" if args.samples is None else f"samples={args.samples}"}
     family = _family(args, config)
-    # The pairwise sweep first: its size guard is the one a large lambda meets.
     delta = measure_pairwise_detectability(family)
     eps = measure_strong_ptc_error(family, samples=args.samples, seed=seed)
     report = Report("ptc check", config, seed)
@@ -234,6 +242,7 @@ def _pmd_check(family, samples, seed):
 def cmd_pmd_verify(args) -> int:
     seed = _sampling_seed(args)
     config = {"n": args.n, "lam": args.lam}
+    check_pmd_size(args.n, args.lam)
     eps_rep, eps_ptc, delta, bound, ok = _pmd_check(_family(args, config),
                                                     args.samples, seed)
     report = Report("pmd verify", config, seed)
@@ -361,8 +370,8 @@ def cmd_aqec_simulate(args) -> int:
         rng = np.random.default_rng(np.random.Philox(seed))
         adversaries = [(f"seeded[{i}]", random_adversary(outer.n, budget, rng))
                        for i in range(count)]
-    family = build_bcgst_family(args.pmd_n, args.pmd_lambda)
-    pmd = build_pmd(family)
+    check_pmd_size(args.pmd_n, args.pmd_lambda)
+    pmd = build_pmd(build_bcgst_family(args.pmd_n, args.pmd_lambda))
     code = compose(pmd, outer)
     eps = measure_pmd_epsilon(pmd).value
     report = Report("aqec simulate", config, seed)
@@ -399,8 +408,8 @@ def cmd_auth_simulate(args) -> int:
     unread = _UNREAD_AUTH_OPTION[args.protocol]
     if getattr(args, unread) is not None:
         raise ValueError(f"--{unread} is not read by --protocol {args.protocol}")
-    family = build_bcgst_family(args.pmd_n, args.pmd_lambda)
-    pmd = build_pmd(family)
+    check_pmd_size(args.pmd_n, args.pmd_lambda)
+    pmd = build_pmd(build_bcgst_family(args.pmd_n, args.pmd_lambda))
     outer = parse_code(Path(args.outer).read_text(encoding="utf-8"))
     config = {"protocol": args.protocol, "pmd_n": args.pmd_n,
               "pmd_lambda": args.pmd_lambda, "outer": args.outer,
@@ -493,6 +502,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for n, lam in points:
         try:
+            check_pmd_size(n, lam)
             eps, eps_ptc, delta, bound, ok = _pmd_check(build_bcgst_family(n, lam),
                                                         None, None)
             rows.append({"n": n, "lam": lam, "epsilon": f"{eps.value:.12f}",

@@ -31,7 +31,10 @@ def max_qubits() -> int:
 
 
 def check_qubits(n: int, what: str, limit: int | None = None) -> None:
-    cap = max_qubits() if limit is None else min(limit, max_qubits())
+    """Refuse n qubits above `max_qubits()` or the hard `limit`; the
+    variable can only lower a hard limit, so only its cap names it."""
+    cap, hint = max_qubits(), " (set PMDKIT_MAX_QUBITS to override)"
+    if limit is not None and limit <= cap:
+        cap, hint = limit, ""
     if n > cap:
-        raise SizeGuardError(f"{what} needs {n} qubits, above the limit of {cap} "
-                             f"(set PMDKIT_MAX_QUBITS to override)")
+        raise SizeGuardError(f"{what} needs {n} qubits, above the limit of {cap}{hint}")

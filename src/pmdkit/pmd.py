@@ -48,11 +48,17 @@ from .ptc import PtcFamily
 from .symplectic import PauliOperator
 
 
+def check_pmd_size(n: int, lam: int) -> None:
+    """SizeGuardError when the (n, lam) code exceeds its qubit guard;
+    callers can check this before they build the family."""
+    check_qubits(n + lam, "build_pmd", limit=12)
+
+
 class PmdCode:
     """A key-superposed detection code derived from a keyed family."""
 
     def __init__(self, family: PtcFamily):
-        check_qubits(family.n + family.lam, "build_pmd", limit=12)
+        check_pmd_size(family.n, family.lam)
         self.family = family
         self.key_qubits = family.lam
         self.code_qubits = family.n

@@ -198,23 +198,30 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
     return SweepResult(value, exhaustive=False, worst_miss_probability=miss)
 
 
+def check_pairwise_sweep(keys: int, gens: int) -> None:
+    """SizeGuardError when the pairwise sweep of `keys` codes of `gens`
+    generators each checks keys^2 * (2^gens - 1) syndromes, above
+    `SWEEP_GUARD`; a BCGST family at lambda has 2^lambda keys of lambda
+    generators, so callers can check this before they build it."""
+    if keys * keys * ((1 << gens) - 1) > SWEEP_GUARD:
+        raise SizeGuardError(
+            f"the pairwise sweep checks keys^2 * (2^gens - 1) syndromes, above the "
+            f"iteration guard at {keys} keys of {gens} generators")
+
+
 def _shift_miss_matrix(family: PtcFamily) -> np.ndarray:
     """bad[k, j]: some nonidentity stabilizer of code k is missed by code j.
 
     Each key's stabilizer group is spanned (mod phase) from its
     generators by `f2.span`, as in `pauli_span`, all keys at once on
     columns of masks, and all of them go through `_key_syndromes`, a
-    whole number of owning keys per chunk.  SizeGuardError, before
-    spanning, when the keys^2 * (2^gens - 1) syndromes exceed
-    `SWEEP_GUARD` (lambda >= 9 for the BCGST families).
+    whole number of owning keys per chunk.  `check_pairwise_sweep`
+    refuses it before spanning (lambda >= 9 for the BCGST families).
     """
     keys = family.num_keys
     gx, gz = _generator_masks(family)
     gens = gx.shape[1]
-    if keys * keys * ((1 << gens) - 1) > SWEEP_GUARD:
-        raise SizeGuardError(
-            f"the pairwise sweep checks keys^2 * (2^gens - 1) syndromes, above the "
-            f"iteration guard at {keys} keys of {gens} generators")
+    check_pairwise_sweep(keys, gens)
     zero = np.zeros(keys, dtype=np.uint64)
     # Column i - 1 holds each key's stabilizer i; the identity (i = 0) is dropped.
     sx, sz = (np.stack(f2.span(masks.T, zero, operator.xor)[1:], axis=1)

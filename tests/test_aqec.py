@@ -576,11 +576,14 @@ def test_erased_width_guard_fires_only_where_the_cascade_refuses():
             with pytest.raises(SizeGuardError, match=message):
                 harness(code, adv, eps)
         assert tuple(range(size)) not in code._erased
-    # On [[4,3]]∘PMD(2,1) the widest erased state has 5 + 8 = 13 qubits.
+    # On [[4,3]]∘PMD(2,1) the widest erased state has 5 + 8 = 13 qubits:
+    # it passes the erased-state guard, and its 64-entry list is then
+    # refused by the cascade's.
     small = small_setup()
     assert small.n + small.message_qubits + 2 * small.n <= 14
-    state = small.erased_state((0, 1, 2, 3))
-    assert state.grams.shape == (len(state.outcomes), 16, 16)
+    with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 68 qubits"):
+        small.erased_state((0, 1, 2, 3))
+    assert (0, 1, 2, 3) not in small._erased
 
 
 def test_too_wide_branch_of_weight_zero_is_still_skipped():
@@ -606,12 +609,63 @@ def test_erased_set_memo_keeps_no_state_sized_vector():
             erasure_harness(code, adv, eps)
         except SizeGuardError:
             raised.update(erased for _, erased in adv.branches if len(erased) >= 2)
-    assert raised <= set(code._erased)
-    # Only 2^|E| x 2^|E| Gram matrices stay, for the sets that raised too.
+    # The cascade refuses every pair, and a refused set is not kept.
+    assert raised and not raised & set(code._erased)
+    assert code._erased
+    # Only the cascades and 2^|E| x 2^|E| Gram matrices stay.
     for erased, state in code._erased.items():
         side = 1 << len(erased)
-        assert state._vec is None and state.grams.shape[1:] == (side, side)
-        assert all(g.shape == (side, side) for g in state._fidelity_grams.values())
+        assert set(vars(state)) == {"cascades", "grams"}
+        assert state.grams.shape == (len(state.cascades), side, side)
+
+
+def test_outer_syndrome_is_uniform_over_the_outcomes_an_erased_set_allows():
+    # The fact `erasure_harness` rests on: after the refill, outcome s has
+    # environment Gram rho_E / m at each of the m outcomes whose list is
+    # nonempty, and probability 0 at every other.
+    import pmdkit.aqec as aqec
+    from pmdkit.densesim import qubit_rows
+    from pmdkit.limits import max_qubits
+    pmd = build_pmd(build_bcgst_family(2, 1))
+    codes = [compose(pmd, StabilizerCode(4, [pauli(label)])) for label in ("ZZZZ", "XXXX")]
+    codes.append(main_setup())
+    for code in codes:
+        psi0 = aqec.entangled_code_state(code)
+        n_now = code.n + code.message_qubits
+        env_size = (max_qubits() - n_now) // 2
+        for size in range(env_size + 1):
+            for erased in itertools.combinations(range(code.n), size):
+                m = qubit_rows(psi0, erased)
+                rho = m @ m.conj().T
+                env = tuple(n_now + 2 * i for i in range(size))
+                vec = aqec._erase_qubits(psi0, erased, n_now)
+                allowed = []
+                for s_bits, post in aqec.syndrome_projections(vec, code.outer):
+                    if erasure_list_decode(code.outer, erased, s_bits):
+                        rows = qubit_rows(post, env)
+                        allowed.append(rows @ rows.conj().T)
+                    else:
+                        assert np.vdot(post, post).real <= aqec.WEIGHT_TOL
+                for gram in allowed:
+                    assert np.abs(gram - rho / len(allowed)).max() <= 1e-12
+
+
+def test_a_zero_weight_branch_erases_nothing_and_a_set_is_erased_once(monkeypatch):
+    import pmdkit.aqec as aqec
+    code = main_setup()
+    eps = measure_pmd_epsilon(code.pmd).value
+    erased, real = [], aqec._erase_qubits
+
+    def counted(vec, support, n_now):
+        erased.append(support)
+        return real(vec, support, n_now)
+
+    monkeypatch.setattr(aqec, "_erase_qubits", counted)
+    zero_then_unit = ErasureAdversary(7, ((np.zeros((2, 2)), (3,)), (np.eye(2), (0,))), 1)
+    fidelities = [erasure_harness(code, adv, eps).fidelity
+                  for adv in (zero_then_unit, ErasureAdversary.nonadaptive(7, (3,)))]
+    assert erased == [(0,), (3,)]
+    assert fidelities == [0.9409637451171838, 0.9407653808593713]
 
 
 def test_seed606_erases_each_set_once_and_runs_no_branch(monkeypatch):

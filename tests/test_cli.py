@@ -686,6 +686,46 @@ def test_ptc_check_pairwise_guard_exits_2_fast(capsys, n):
     assert time.perf_counter() - started < 2.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ptc", "check", "--n", "14", "--lambda", "14", "--samples", "1"],
+     "pairwise sweep checks keys^2 * (2^gens - 1) syndromes, above the "
+     "iteration guard at 16384 keys of 14 generators"),
+    (["pmd", "verify", "--n", "14", "--lambda", "14"],
+     "build_pmd needs 28 qubits, above the limit of 12"),
+    (["pmd", "verify", "--n", "12", "--lambda", "12"],
+     "build_pmd needs 24 qubits, above the limit of 12"),
+    (["sweep", "--points", "14:14", "--format", "json"],
+     "build_pmd needs 28 qubits, above the limit of 12"),
+])
+def test_large_lambda_is_refused_before_the_family_is_built(capsys, argv, message):
+    started = time.perf_counter()
+    rc, out, err = invoke(capsys, argv)
+    assert time.perf_counter() - started < 0.5
+    if argv[0] == "sweep":
+        assert rc == 1
+        row, = json.loads(out)["extras"]["rows"]
+        assert row["status"].startswith("error: " + message)
+    else:
+        assert rc == 2 and out == ""
+        assert message in err
+
+
+@pytest.mark.parametrize("command", ["aqec", "auth"])
+def test_simulate_refuses_a_large_lambda_before_the_family_is_built(
+        capsys, tmp_path, command):
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=13 k=12\nZZZZZZZZZZZZZ\n")
+    argv = [command, "simulate", "--pmd-n", "12", "--pmd-lambda", "12",
+            "--outer", str(outer)]
+    if command == "auth":
+        argv += ["--protocol", "third", "--attack", str(outer)]
+    started = time.perf_counter()
+    rc, out, err = invoke(capsys, argv)
+    assert time.perf_counter() - started < 0.5
+    assert rc == 2 and out == ""
+    assert "build_pmd needs 24 qubits, above the limit of 12" in err
+
+
 def test_sweep_deterministic_repeat(capsys):
     argv = ["sweep", "--points", "2:1,4:1", "--format", "json"]
     rc1, out1, _ = invoke(capsys, argv)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pmdkit
 from pmdkit import cli
 
-SETTABLE_PIN = 159
+SETTABLE_PIN = 158
 
 
 def _leaf_parsers(parser):
