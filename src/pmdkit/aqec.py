@@ -4,32 +4,17 @@ Encoding composes the key-superposed detection code with an outer
 stabilizer code: the detection encoder's output register becomes the
 outer code's message register.
 
-Decoding is exact branch enumeration, never sampling:
-
-1. the adversary acts (one branch per Kraus operator, each tagged with
-   its erased set; erased qubits are refilled with halves of fresh
-   maximally entangled pairs so every branch stays pure);
-2. the outer syndrome measurement is expanded over all outcomes with
-   nonzero probability;
-3. for each outcome, the candidate-correction list drives a coherent
-   flag cascade: revert the first candidate, run the detection unitary,
-   and, controlled on failure flags, step through the remaining
-   candidates.
-
-Register layout per branch vector (little-endian qubit indices):
-[outer code block | reference | environment pairs | flags].  The
-message occupies the lowest qubits of the code block after decoding.
-
-Erasing E swaps qubit E[i] into environment qubit n + k + 2i, which
-neither the syndrome projection P_s nor the cascade D_s touches, so a
-Kraus operator K on E moves past both onto the environment:
-D_s P_s erase_E((K (x) I) psi0) = (K on env_E) D_s P_s erase_E(psi0).
-The refill also makes the outer syndrome uniform over the outcomes E
-allows, whatever K is (`ErasedState`).  `erasure_harness` therefore
-decodes psi0 once per erased set, at every outcome of that set, and
-scores every branch from 2^|E| x 2^|E| Gram matrices over that
-environment; `apply_adversary` and `algorithm1_decode` are the
-per-branch path, kept as its test oracle.
+Decoding is exact branch enumeration, never sampling: the adversary
+acts (one branch per Kraus operator, tagged with its erased set, each
+erased qubit refilled with half of a fresh maximally entangled pair),
+the outer syndrome is expanded over every outcome of nonzero
+probability, and each outcome's candidate list drives the correction
+cascade.  Qubits (little-endian): [outer code block | reference |
+environment pairs], the message on the block's lowest qubits once
+decoded.  `erasure_harness` decodes psi0 once per erased set, without
+the cascade's flags, and scores every branch from 2^|E| x 2^|E| Gram
+matrices over E's environment; `apply_adversary`, `algorithm1_decode`
+and the flagged cascade are the per-branch path, kept as its oracle.
 """
 
 from __future__ import annotations
@@ -91,6 +76,17 @@ class ComposedCode:
             self._erased[erased] = ErasedState(self, erased)
         return self._erased[erased]
 
+    @cached_property
+    def _rho(self) -> dict:
+        return {}  # erased set -> psi0's reduced state on it
+
+    def erased_density(self, erased: tuple[int, ...]) -> np.ndarray:
+        """rho_E, psi0's reduced state on `erased`, built once per code."""
+        if erased not in self._rho:
+            m = qubit_rows(entangled_code_state(self), erased)
+            self._rho[erased] = m @ m.conj().T
+        return self._rho[erased]
+
 
 def compose(pmd: PmdCode, outer: StabilizerCode) -> ComposedCode:
     return ComposedCode(pmd, outer)
@@ -130,12 +126,12 @@ class ErasureAdversary:
         # (K (x) I)^dag (K (x) I) = K^dag K (x) I, so the sum is the
         # identity iff its block on the union of the supports is.
         union = sorted({q for _, support in norm_branches for q in support})
-        pos = {q: i for i, q in enumerate(union)}
-        eye = np.eye(1 << len(union), dtype=complex)
+        pos, dim = {q: i for i, q in enumerate(union)}, 1 << len(union)
         check_trace_preserving(
-            (apply_on_qubits(mat.conj().T @ mat, tuple(pos[q] for q in support),
-                             eye, len(union))
-             for mat, support in norm_branches), 1 << len(union), "adversary branches")
+            (mat.conj().T @ mat if len(support) == len(union) else
+             apply_on_qubits(mat.conj().T @ mat, tuple(pos[q] for q in support),
+                             np.eye(dim), len(union))
+             for mat, support in norm_branches), dim, "adversary branches")
         object.__setattr__(self, "branches", tuple(norm_branches))
 
     @classmethod
@@ -202,18 +198,17 @@ def apply_adversary(state: np.ndarray, adv: ErasureAdversary,
 # ---------------------------------------------------------------------------
 
 class CorrectionCascade:
-    """The coherent correction unitary for a fixed candidate list.
+    """The coherent correction cascade for a fixed candidate list.
 
-    Acts on the outer code block plus one flag qubit per candidate:
-    revert candidate 1, un-encode the outer code, run the detection
-    unitary onto flag 1; then for each further candidate, controlled on
-    the previous flag being 0, switch corrections and authenticate onto
-    the next flag (a previous success just cascades 1s down the flags).
-
-    `decode` runs the revert and the un-encoding, which touch no flag,
-    before appending the flags; `apply` (its oracle) takes them appended.
-    Both run the detection step structurally and need every flag in |0>;
-    `dense` is the full unitary built with the dense `auth_unitary`.
+    Revert candidate 1, un-encode the outer code, detect; on failure,
+    switch to the next candidate and detect again.  The paper's
+    Algorithm 2 records step i (0-based) on flag qubit i: success there
+    leaves flags 0^i 1^(L-i), failure everywhere 0^L.  The patterns are
+    orthogonal, so `branches` (what is scored) runs it without flags.
+    The flagged forms are its oracle and alone guard n + L qubits:
+    `decode` appends the flags after the revert and the un-encoding,
+    `apply` takes them appended (both structural, flags in |0>), and
+    `dense` is the full unitary built from `auth_unitary`.
     """
 
     def __init__(self, corrections: tuple[PauliOperator, ...], code: ComposedCode):
@@ -221,7 +216,6 @@ class CorrectionCascade:
             raise ValueError("cascade needs a nonempty correction list")
         self.code = code
         self.length = len(corrections)
-        check_qubits(code.n + self.length, "algorithm2_unitary")
         self._revert = corrections[0].inverse()
         self._outer_dec = code.outer.encoder.inverse()
         # Switch operators in the decoded frame: candidate i -> i+1.
@@ -233,6 +227,7 @@ class CorrectionCascade:
     def decode(self, vec: np.ndarray) -> np.ndarray:
         """`apply` to vec (x) |0...0>, the flags appended above vec's qubits."""
         n_qubits = vec.shape[0].bit_length() - 1
+        check_qubits(self.code.n + self.length, "algorithm2_unitary")
         head = self._head(vec)
         wide = np.zeros((head.shape[0] << self.length,) + head.shape[1:], dtype=complex)
         wide[: head.shape[0]] = head
@@ -240,6 +235,7 @@ class CorrectionCascade:
 
     def apply(self, vec: np.ndarray, n_qubits: int, flag_base: int) -> np.ndarray:
         """Run the cascade; flags occupy [flag_base, flag_base+L), all |0>."""
+        check_qubits(self.code.n + self.length, "algorithm2_unitary")
         if not self.code.n <= flag_base <= n_qubits - self.length:
             raise ValueError(f"flags [{flag_base}, {flag_base + self.length}) must "
                              f"lie above the code block and within {n_qubits} qubits")
@@ -263,6 +259,20 @@ class CorrectionCascade:
 
         eye = np.eye(1 << total, dtype=complex)
         return self._flag_steps(self._head(eye), total, self.code.n, detect)
+
+    def branches(self, vec: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """(flag pattern, vector) per branch of `decode`(vec), in pattern
+        order, on vec's qubits: step i puts B^dag v on the message qubits
+        and passes v - B(B^dag v), switched, to step i + 1 (`_detect`)."""
+        dim_p, dim_m = self.code.pmd.encoder.shape
+        rest, out = self._head(vec), []
+        for i in range(self.length):
+            v = (pauli_gather(rest, self._switches[i - 1]) if i else rest).reshape(-1, dim_p)
+            coeffs, hit = v @ self.code.pmd.encoder_dagger.T, np.zeros_like(v)
+            hit[:, :dim_m] = coeffs
+            out.append((((1 << self.length) - 1) ^ ((1 << i) - 1), hit.reshape(vec.shape)))
+            rest = (v - coeffs @ self.code.pmd.encoder.T).reshape(vec.shape)
+        return [(0, rest)] + out[::-1]
 
     def _head(self, vec: np.ndarray) -> np.ndarray:
         """Revert candidate 1 and un-encode the outer code on the low qubits."""
@@ -315,16 +325,20 @@ def syndrome_projections(vec: np.ndarray, outer: StabilizerCode):
         yield s_bits, post
 
 
-def _realized_cascade(code: ComposedCode, erased: tuple[int, ...],
-                      s_bits: tuple[int, ...], prob: float) -> CorrectionCascade:
-    """The cascade of an outcome with nonzero probability; an empty
-    correction list there is an invariant violation and raises."""
-    corrections = erasure_list_decode(code.outer, erased, s_bits)
-    if not corrections:
-        raise RuntimeError(
-            f"syndrome {s_bits} has probability {prob:.3e} but no supported "
-            "correction; erasure bookkeeping is inconsistent")
-    return CorrectionCascade(corrections, code)
+def _realized_outcomes(vec: np.ndarray, code: ComposedCode, erased: tuple[int, ...]):
+    """(cascade, P_s vec, probability) for each outer syndrome s of nonzero
+    probability, in outcome order; an empty correction list there is an
+    invariant violation and raises."""
+    for s_bits, post in syndrome_projections(vec, code.outer):
+        prob = float(np.vdot(post, post).real)
+        if prob <= WEIGHT_TOL:
+            continue
+        corrections = erasure_list_decode(code.outer, erased, s_bits)
+        if not corrections:
+            raise RuntimeError(
+                f"syndrome {s_bits} has probability {prob:.3e} but no supported "
+                "correction; erasure bookkeeping is inconsistent")
+        yield CorrectionCascade(corrections, code), post, prob
 
 
 def algorithm1_decode(branch: TaggedBranch,
@@ -332,16 +346,9 @@ def algorithm1_decode(branch: TaggedBranch,
     """Measure the outer syndrome exactly, list-decode, run the cascade.
 
     Returns (decoded branches, max list length over realized outcomes).
-    A zero-probability-free outcome with an empty correction list is an
-    invariant violation and raises.
     """
-    max_list = 0
-    decoded = []
-    for s_bits, post in syndrome_projections(branch.vector, code.outer):
-        prob = float(np.vdot(post, post).real)
-        if prob <= WEIGHT_TOL:
-            continue
-        cascade = _realized_cascade(code, branch.erased, s_bits, prob)
+    max_list, decoded = 0, []
+    for cascade, post, prob in _realized_outcomes(branch.vector, code, branch.erased):
         max_list = max(max_list, cascade.length)
         decoded.append(TaggedBranch(branch.weight * prob,
                                     cascade.decode(post / np.sqrt(prob)), branch.erased))
@@ -372,9 +379,11 @@ class ErasedState:
     With E's environment qubits as the row index (`qubit_rows`), let A_s
     be the Phi amplitudes (`phi_amplitudes`) of D_s P_s erase_E(psi0),
     D_s being outcome s's cascade.  The branch of K at outcome s has
-    fidelity term tr(K G_s K^dag) with G_s = A_s A_s^dag.  `cascades`
-    and `grams` hold D_s and G_s for each outcome of nonzero probability,
-    in outcome order; the erased vector lives only in `__init__`.
+    fidelity term tr(K G_s K^dag) with G_s = A_s A_s^dag, A_s being,
+    up to zero columns, the amplitudes of D_s's `branches` side by side.
+    `cascades` and `grams` hold D_s and G_s for each outcome of nonzero
+    probability, in outcome order; the erased vector lives only in
+    `__init__`.
     """
 
     def __init__(self, code: ComposedCode, erased: tuple[int, ...]):
@@ -383,12 +392,9 @@ class ErasedState:
         env = tuple(n + k + 2 * i for i in range(len(erased)))
         vec = _erase_qubits(entangled_code_state(code), erased, n + k)
         self.cascades, grams = [], []
-        for s_bits, post in syndrome_projections(vec, code.outer):
-            prob = float(np.vdot(post, post).real)
-            if prob <= WEIGHT_TOL:
-                continue
-            cascade = _realized_cascade(code, erased, s_bits, prob)
-            amp = phi_amplitudes(cascade.decode(post), msg, ref, env)
+        for cascade, post, _ in _realized_outcomes(vec, code, erased):
+            amp = np.concatenate([phi_amplitudes(branch, msg, ref, env)
+                                  for _, branch in cascade.branches(post)], axis=1)
             self.cascades.append(cascade)
             grams.append(amp @ amp.conj().T)
         self.grams = np.array(grams)
@@ -421,23 +427,22 @@ def erasure_harness(code: ComposedCode, adv: ErasureAdversary,
     """Entanglement fidelity of decode(adversary(encode)) vs the bound
     1 - 3 * epsilon^(1/2) * L^(3/4) with the realized list length.
 
-    Erasing E moves a Kraus operator K on E onto E's environment, which
-    the syndrome projection P_s and the cascade D_s leave alone:
+    Erasing E swaps qubit E[i] into environment qubit n + k + 2i, which
+    the syndrome projection P_s and the cascade D_s leave alone, so
     D_s P_s erase_E((K (x) I) psi0) = (K on env_E) D_s P_s erase_E(psi0).
-    A branch's weight is tr(K rho_E K^dag), read from psi0's reduced
-    state on E before anything is erased; a branch of weight 0 is
-    skipped, as in `apply_adversary`.  Every other branch is realized at
-    each outcome of E's `ErasedState` (the syndrome is uniform over them)
-    and scores tr(K G_s K^dag) there, so E is decoded once per code, with
-    the sum, the list lengths and the errors of `algorithm1_decode` over
+    A branch's weight is tr(K rho_E K^dag) (`erased_density`), before
+    anything is erased; a branch of weight 0 is skipped, as in
+    `apply_adversary`.  Every other branch is realized at each outcome
+    of E's `ErasedState` (the syndrome is uniform over them) and scores
+    tr(K G_s K^dag) there, so E is decoded once per code, with the sum,
+    the list lengths and the errors of `algorithm1_decode` over
     `apply_adversary`'s branches.
     """
     if adv.n != code.n:
         raise ValueError("adversary block length does not match the code")
     fidelity, realized, branch_count = 0.0, 1, 0
     for kraus, erased in adv.branches:
-        m = qubit_rows(entangled_code_state(code), erased)
-        if _sandwich(kraus, m @ m.conj().T) <= WEIGHT_TOL:
+        if _sandwich(kraus, code.erased_density(erased)) <= WEIGHT_TOL:
             continue
         state = code.erased_state(erased)
         for cascade, gram in zip(state.cascades, state.grams):

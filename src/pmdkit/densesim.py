@@ -264,11 +264,13 @@ def operator_norm(m: np.ndarray) -> float:
 
 def check_trace_preserving(grams, dim: int, what: str) -> None:
     """Raise unless the terms K^dagger K of a Kraus map sum to the
-    identity on `dim` dimensions, every entry to within ATOL."""
-    total = sum(grams, np.zeros((dim, dim), dtype=complex))
-    if not np.allclose(total, np.eye(dim), rtol=0.0, atol=ATOL):
-        raise ValueError(f"{what}: Kraus operators are not trace preserving "
-                         "(the CPTP condition fails)")
+    identity on `dim` dimensions, every entry to within ATOL; a NaN or an
+    infinity, also one that a lazily made term overflows to, fails quietly."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = sum(grams, np.zeros((dim, dim), dtype=complex))
+        if not np.abs(total - np.eye(dim)).max() <= ATOL:
+            raise ValueError(f"{what}: Kraus operators are not trace preserving "
+                             "(the CPTP condition fails)")
 
 
 def kraus_to_record(kraus) -> list:

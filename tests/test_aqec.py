@@ -8,7 +8,7 @@ from pmdkit.aqec import (ComposedCode, CorrectionCascade, ErasureAdversary,
                          HarnessReport, TaggedBranch, algorithm1_decode,
                          apply_adversary, compose, entangled_code_state,
                          erasure_harness, random_adversary)
-from pmdkit.densesim import apply_pauli, maximally_entangled_overlap
+from pmdkit.densesim import apply_pauli, maximally_entangled_overlap, phi_amplitudes
 from pmdkit.limits import SizeGuardError
 from pmdkit.pmd import build_pmd, measure_pmd_epsilon
 from pmdkit.ptc import build_bcgst_family
@@ -82,6 +82,35 @@ def test_adversary_cptp_check_on_two_supports():
     ket0, ket1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
     rot = np.array([[0, 1j], [1, 0]], dtype=complex)
     ErasureAdversary(4, ((ket0, (2,)), (np.kron(ket1, rot), (0, 2))), 2)
+
+
+def test_adversary_cptp_check_on_supports_of_every_shape():
+    # A branch on the whole union adds K^dag K as it is; one on a smaller
+    # support is embedded.  Branches on two different supports pass only
+    # with K^dag K proportional to I.
+    rng = np.random.default_rng(3)
+    u, v, w = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+               for d in (2, 4, 8))
+    ErasureAdversary(3, ((np.sqrt(0.4) * u, (2,)), (np.sqrt(0.6) * v, (0, 1))), 2)
+    ErasureAdversary(3, ((np.sqrt(0.2) * u, (1,)), (np.sqrt(0.5) * v, (0, 2)),
+                         (np.sqrt(0.3) * w, (0, 1, 2))), 3)
+    ket0, ket1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    ErasureAdversary(3, ((ket0, (1,)), (ket1, (1,))), 1)
+    for bad in (((ket0, (1,)), (ket1, (2,))),
+                ((ket0, (0,)), (np.kron(ket1, np.eye(2)), (1, 2))),
+                ((np.sqrt(0.5) * ket0, (1,)), (np.sqrt(0.5) * v, (0, 2)))):
+        with pytest.raises(ValueError, match="adversary branches: .*trace preserving"):
+            ErasureAdversary(3, bad, 2)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("other", [(0,), (1,)], ids=["same-support", "two-supports"])
+def test_adversary_cptp_check_refuses_non_finite_kraus(entry, other):
+    half = np.sqrt(0.5) * np.eye(2, dtype=complex)
+    bad = half.copy()
+    bad[1, 0] = entry
+    with pytest.raises(ValueError, match="trace preserving"):
+        ErasureAdversary(3, ((half, (0,)), (bad, other)), 1)
 
 
 def test_identity_adversary_passes_cptp_check():
@@ -220,6 +249,46 @@ def test_cascade_apply_matches_dense_on_flag_zero_inputs(index):
     assert np.allclose(cascade.decode(vec[:2 * block]), want, rtol=0, atol=1e-12)
 
 
+def test_flagless_branches_are_the_flagged_amplitudes_bit_for_bit():
+    # Each flagless branch's Phi amplitudes, placed at the columns of its
+    # flag pattern (failure at 0, success at 0-based step i at
+    # (2^L - 1) ^ (2^i - 1)), are the flagged cascade's, on every (E, s)
+    # whose flagged cascade fits the size guard: |E| <= 1 on
+    # [[7,6]]∘PMD(4,2) and |E| <= 2 on both [[4,3]]∘PMD(2,1).
+    import pmdkit.aqec as aqec
+    pmd = build_pmd(build_bcgst_family(2, 1))
+    cases = [(main_setup(), 1)] + [(compose(pmd, StabilizerCode(4, [pauli(label)])), 2)
+                                   for label in ("ZZZZ", "XXXX")]
+    compared = 0
+    for code, top in cases:
+        k, n = code.message_qubits, code.n
+        msg, ref = tuple(range(k)), tuple(range(n, n + k))
+        for size in range(top + 1):
+            env = tuple(n + k + 2 * i for i in range(size))
+            for erased in itertools.combinations(range(n), size):
+                vec = aqec._erase_qubits(entangled_code_state(code), erased, n + k)
+                posts = [(s_bits, post) for s_bits, post
+                         in aqec.syndrome_projections(vec, code.outer)
+                         if np.vdot(post, post).real > aqec.WEIGHT_TOL]
+                state = code.erased_state(erased)
+                for (s_bits, post), cascade, gram in zip(posts, state.cascades,
+                                                         state.grams, strict=True):
+                    flagged = phi_amplitudes(cascade.decode(post), msg, ref, env)
+                    cols = flagged.shape[1] >> cascade.length
+                    placed = np.zeros_like(flagged)
+                    for pattern, branch in cascade.branches(post):
+                        placed[:, pattern * cols:(pattern + 1) * cols] = \
+                            phi_amplitudes(branch, msg, ref, env)
+                    assert np.array_equal(placed, flagged)
+                    assert np.abs(gram - flagged @ flagged.conj().T).max() <= 1e-15
+                    compared += 1
+        # One more erased qubit and the flagged cascade no longer fits.
+        (cascade, *_) = code.erased_state(tuple(range(top + 1))).cascades
+        with pytest.raises(SizeGuardError, match="algorithm2_unitary"):
+            cascade.decode(np.zeros(1 << (n + k + 2 * top + 2), dtype=complex))
+    assert compared == (1 + 7 * 2) + 2 * (1 + 4 * 2 + 6 * 2)
+
+
 def seed606_adversaries(code, count=100):
     """The adversaries of `aqec simulate --count 100 --seed 606`."""
     rng = np.random.default_rng(np.random.Philox(606))
@@ -228,21 +297,28 @@ def seed606_adversaries(code, count=100):
 
 def test_decode_equals_apply_on_every_seed606_input(monkeypatch):
     # Every cascade input of the seed-606 sweep: the narrow head gives the
-    # same bits as `apply` on the branch with its flags already appended.
+    # same bits as `apply` on the branch with its flags already appended,
+    # and each flagless branch is, bit for bit, the block of its flag
+    # pattern in that vector.
     code = main_setup()
-    real = CorrectionCascade.decode
+    real = CorrectionCascade.branches
     cascades = {}
 
     def checked(self, vec):
         got = real(self, vec)
-        n = vec.shape[0].bit_length() - 1
-        widened = np.zeros(vec.shape[0] << self.length, dtype=complex)
-        widened[:vec.shape[0]] = vec
-        assert np.array_equal(got, self.apply(widened, n + self.length, n))
+        n, dim = vec.shape[0].bit_length() - 1, vec.shape[0]
+        flagged = self.decode(vec)
+        widened = np.zeros(dim << self.length, dtype=complex)
+        widened[:dim] = vec
+        assert np.array_equal(flagged, self.apply(widened, n + self.length, n))
+        assert [pattern for pattern, _ in got] == sorted({0} | {
+            (1 << self.length) - (1 << i) for i in range(self.length)})
+        for pattern, branch in got:
+            assert np.array_equal(branch, flagged[pattern * dim:(pattern + 1) * dim])
         cascades[id(self)] = self
         return got
 
-    monkeypatch.setattr(CorrectionCascade, "decode", checked)
+    monkeypatch.setattr(CorrectionCascade, "branches", checked)
     eps = measure_pmd_epsilon(code.pmd).value
     for adv in seed606_adversaries(code):
         erasure_harness(code, adv, eps)
@@ -499,22 +575,28 @@ def _report_or_error(harness, code, adv, eps):
     try:
         return harness(code, adv, eps)
     except (SizeGuardError, RuntimeError, ValueError) as exc:
-        return type(exc)
+        return exc
 
 
 def assert_harnesses_agree(code, adversaries):
     """erasure_harness against branch_harness, each on its own code
-    object as the CLI shares one; returns the oracle's outcomes."""
+    object as the CLI shares one; returns the oracle's outcomes, an error
+    as its type.  Where only the oracle's flagged cascade is too wide,
+    the harness scores the adversary."""
     eps = measure_pmd_epsilon(code.pmd).value
     oracle_code = ComposedCode(code.pmd, code.outer)
     outcomes = []
     for adv in adversaries:
         want = _report_or_error(branch_harness, oracle_code, adv, eps)
         got = _report_or_error(erasure_harness, code, adv, eps)
-        outcomes.append(want)
-        if isinstance(want, type):
-            assert got is want
+        if isinstance(want, Exception):
+            outcomes.append(type(want))
+            if "algorithm2_unitary" in str(want):
+                assert isinstance(got, HarnessReport)
+            else:
+                assert type(got) is type(want) and str(got) == str(want)
             continue
+        outcomes.append(want)
         assert abs(got.fidelity - want.fidelity) <= 1e-12
         assert (got.realized_list, got.branch_count, got.passed, got.bound) \
             == (want.realized_list, want.branch_count, want.passed, want.bound)
@@ -531,15 +613,23 @@ def test_harness_matches_branch_oracle_at_budgets_2_and_3():
     rng = np.random.default_rng(np.random.Philox(5))
     adversaries = ([random_adversary(4, 2, rng) for _ in range(30)]
                    + [random_adversary(4, 3, rng) for _ in range(20)])
-    outcomes = assert_harnesses_agree(small_setup(), adversaries)
+    small = small_setup()
+    outcomes = assert_harnesses_agree(small, adversaries)
     assert SizeGuardError in outcomes
     assert any(isinstance(rep, HarnessReport) and rep.realized_list == 8
                for rep in outcomes)
+    # The oracle refuses the 32-entry lists of the 3-sets; the harness
+    # scores every adversary.
+    eps = measure_pmd_epsilon(small.pmd).value
+    assert 32 in [erasure_harness(small, adv, eps).realized_list for adv in adversaries]
     rng = np.random.default_rng(np.random.Philox(5))
-    outcomes = assert_harnesses_agree(main_setup(),
-                                      [random_adversary(7, 2, rng) for _ in range(30)])
+    code = main_setup()
+    adversaries = [random_adversary(7, 2, rng) for _ in range(30)]
+    outcomes = assert_harnesses_agree(code, adversaries)
     assert SizeGuardError in outcomes
     assert any(isinstance(rep, HarnessReport) for rep in outcomes)
+    eps = measure_pmd_epsilon(code.pmd).value
+    assert 8 in [erasure_harness(code, adv, eps).realized_list for adv in adversaries]
 
 
 def test_harness_matches_branch_oracle_on_fixed_adversaries():
@@ -557,15 +647,24 @@ def test_harness_matches_branch_oracle_on_fixed_adversaries():
     assert [rep.realized_list for rep in outcomes] == [1, 2]
 
 
-def test_erased_width_guard_fires_only_where_the_cascade_refuses():
+def test_erased_width_guard_is_the_only_width_limit_of_scoring():
     # The erased state holds n + k + 2|E| qubits.  On [[7,6]]∘PMD(4,2),
-    # n + k = 9, so the guard first fires at |E| = 3 (15 qubits); every
-    # list there has 32 entries, and the cascade already refuses |E| = 2
-    # (8 entries, 7 + 8 = 15 qubits).  Both harnesses raise before erasing.
+    # n + k = 9, so the guard first fires at |E| = 3 (15 qubits), where
+    # every list has 32 entries.  A 2-set (13 qubits, 8 entries) is
+    # scored, although its flagged cascade (7 + 8 = 15 qubits) is refused.
+    # Both harnesses raise before erasing a 3-set.
     code = main_setup()
     eps = measure_pmd_epsilon(code.pmd).value
+    rep = erasure_harness(code, ErasureAdversary.nonadaptive(7, (0, 1)), eps)
+    assert (rep.realized_list, rep.branch_count) == (8, 2)
+    assert 0 < rep.fidelity < 1
+    (cascade, *_) = code.erased_state((0, 1)).cascades
     with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 15 qubits"):
-        erasure_harness(code, ErasureAdversary.nonadaptive(7, (0, 1)), eps)
+        cascade.decode(np.zeros(1 << 13, dtype=complex))
+    with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 15 qubits"):
+        cascade.apply(np.zeros(1 << 15, dtype=complex), 15, 7)
+    with pytest.raises(SizeGuardError, match="cascade dense matrix needs 15 qubits"):
+        cascade.dense()
     for erased in itertools.combinations(range(7), 3):
         for s_bits in ((0,), (1,)):
             assert len(erasure_list_decode(code.outer, erased, s_bits)) == 32
@@ -577,13 +676,15 @@ def test_erased_width_guard_fires_only_where_the_cascade_refuses():
                 harness(code, adv, eps)
         assert tuple(range(size)) not in code._erased
     # On [[4,3]]∘PMD(2,1) the widest erased state has 5 + 8 = 13 qubits:
-    # it passes the erased-state guard, and its 64-entry list is then
-    # refused by the cascade's.
+    # it passes the erased-state guard and is scored with its 64-entry
+    # list, which the flagged cascade refuses.
     small = small_setup()
     assert small.n + small.message_qubits + 2 * small.n <= 14
+    cascades = small.erased_state((0, 1, 2, 3)).cascades
+    assert [cascade.length for cascade in cascades] == [64, 64]
+    (cascade, _) = cascades
     with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 68 qubits"):
-        small.erased_state((0, 1, 2, 3))
-    assert (0, 1, 2, 3) not in small._erased
+        cascade.decode(np.zeros(1 << 13, dtype=complex))
 
 
 def test_too_wide_branch_of_weight_zero_is_still_skipped():
@@ -604,13 +705,15 @@ def test_erased_set_memo_keeps_no_state_sized_vector():
     eps = measure_pmd_epsilon(code.pmd).value
     rng = np.random.default_rng(np.random.Philox(5))
     raised = set()
-    for adv in [random_adversary(7, 2, rng) for _ in range(30)]:
+    for adv in [random_adversary(7, 3, rng) for _ in range(30)]:
         try:
             erasure_harness(code, adv, eps)
         except SizeGuardError:
-            raised.update(erased for _, erased in adv.branches if len(erased) >= 2)
-    # The cascade refuses every pair, and a refused set is not kept.
+            raised.update(erased for _, erased in adv.branches if len(erased) >= 3)
+    # The erased-state guard refuses every triple, and a refused set is
+    # not kept; pairs are scored and kept.
     assert raised and not raised & set(code._erased)
+    assert {len(erased) for erased in code._erased} == {1, 2}
     assert code._erased
     # Only the cascades and 2^|E| x 2^|E| Gram matrices stay.
     for erased, state in code._erased.items():
@@ -665,15 +768,15 @@ def test_a_zero_weight_branch_erases_nothing_and_a_set_is_erased_once(monkeypatc
     fidelities = [erasure_harness(code, adv, eps).fidelity
                   for adv in (zero_then_unit, ErasureAdversary.nonadaptive(7, (3,)))]
     assert erased == [(0,), (3,)]
-    assert fidelities == [0.9409637451171838, 0.9407653808593713]
+    assert fidelities == [0.9409637451171837, 0.9407653808593712]
 
 
 def test_seed606_erases_each_set_once_and_runs_no_branch(monkeypatch):
     import pmdkit.aqec as aqec
     code = main_setup()
     eps = measure_pmd_epsilon(code.pmd).value
-    calls = {"erase": 0, "adversary": 0, "decode": 0}
-    real_erase, real_decode = aqec._erase_qubits, CorrectionCascade.decode
+    calls = {"erase": 0, "adversary": 0, "decode": 0, "branches": 0}
+    real_erase, real_branches = aqec._erase_qubits, CorrectionCascade.branches
 
     def counted(name, real):
         def wrapper(*args):
@@ -683,10 +786,12 @@ def test_seed606_erases_each_set_once_and_runs_no_branch(monkeypatch):
 
     monkeypatch.setattr(aqec, "_erase_qubits", counted("erase", real_erase))
     monkeypatch.setattr(aqec, "apply_adversary", counted("adversary", apply_adversary))
-    monkeypatch.setattr(CorrectionCascade, "decode", counted("decode", real_decode))
+    monkeypatch.setattr(CorrectionCascade, "decode", counted("decode", CorrectionCascade.decode))
+    monkeypatch.setattr(CorrectionCascade, "branches", counted("branches", real_branches))
     for adv in seed606_adversaries(code):
         erasure_harness(code, adv, eps)
-    assert calls == {"erase": 7, "adversary": 0, "decode": 14}
+    # Erased qubit 0..6 x syndrome 0/1, scored once each without the flags.
+    assert calls == {"erase": 7, "adversary": 0, "decode": 0, "branches": 14}
 
 
 def test_identity_adversary_builds_only_the_clean_list(monkeypatch):

@@ -176,8 +176,9 @@ def test_aqec_simulate_reports_do_not_depend_on_earlier_codes(capsys, tmp_path):
 
 def test_aqec_simulate_refuses_wide_erasures_before_building_them(tmp_path):
     # Budget 7 on [[7,6]]∘PMD(4,2) draws erased sets of up to 7 qubits, whose
-    # erased states would need up to 23 qubits (128 MB per vector); they are
-    # refused by the size guard before any is built.
+    # erased states would need up to 23 qubits (128 MB per vector); from 3
+    # qubits on they are refused by the size guard before any is built.
+    # Pairs (13 qubits) are scored, with their 8-entry lists.
     outer = tmp_path / "outer.txt"
     outer.write_text(SEVEN6_TEXT)
     env = dict(os.environ)
@@ -198,7 +199,9 @@ def test_aqec_simulate_refuses_wide_erasures_before_building_them(tmp_path):
     assert rc == "1"
     assert int(max_rss) < 100 * 1024  # kB
     assert "erased state needs 23 qubits" in proc.stdout
-    assert "algorithm2_unitary needs 15 qubits" in proc.stdout
+    assert "algorithm2_unitary" not in proc.stdout
+    assert "fidelity[seeded[3]]: 0.684238711095" in proc.stdout
+    assert "'list': 8" in proc.stdout
 
 
 def test_aqec_simulate_adversary_file(capsys, tmp_path):
@@ -276,6 +279,27 @@ def test_auth_simulate_attack_file(capsys, tmp_path):
                                  "--attack", str(attack_file)])
     assert rc == 0
     assert "p_accept: 1.000000000000" in out
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("protocol, outer_text, wires, tags", [
+    ("third", "n=4 k=3\nXXXX\n", 4, 10), ("rate1", "n=2 k=1\nXX\n", 8, 18)],
+    ids=["third", "rate1"])
+def test_auth_simulate_refuses_a_non_finite_wire(capsys, tmp_path, entry, protocol,
+                                                 outer_text, wires, tags):
+    # json writes NaN and Infinity, and the reader takes them; the wire's
+    # CPTP check refuses them (exit 2) before any state is built.
+    outer = tmp_path / "outer.txt"
+    outer.write_text(outer_text)
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    bad = [[[1, 0], [0, 0]], [[entry, 0], [1, 0]]]
+    attack = _write_json(tmp_path, "attack.json", {
+        "wires": [[eye], [bad]] + [[eye]] * (wires - 2), "classical": ["keep"] * tags})
+    rc, out, err = invoke(capsys, ["auth", "simulate", "--protocol", protocol,
+                                   "--pmd-n", "2", "--pmd-lambda", "1",
+                                   "--outer", str(outer), "--attack", attack])
+    assert rc == 2 and out == ""
+    assert "1: Kraus operators are not trace preserving" in err
 
 
 def test_auth_simulate_third_fails_above_eps_squared(capsys, tmp_path, monkeypatch):

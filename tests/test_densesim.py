@@ -273,6 +273,20 @@ def test_trace_preserving_tolerance_is_absolute_atol():
         ds.check_trace_preserving([np.eye(2) + 5 * ds.ATOL], 2, "adversary")
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1j * np.inf],
+                         ids=["nan", "inf", "-inf", "imaginary-inf"])
+def test_trace_preserving_refuses_non_finite_terms(entry):
+    term = np.eye(2, dtype=complex)
+    term[0, 1] = entry
+    with pytest.raises(ValueError, match="CPTP"):
+        ds.check_trace_preserving([term], 2, "channel")
+    # A lazily made K^dag K that overflows or meets inf * 0 is refused the
+    # same way, with no warning.
+    kraus = np.array([[1e200, 0], [entry, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="CPTP"):
+        ds.check_trace_preserving((k.conj().T @ k for k in [kraus]), 2, "channel")
+
+
 def test_density_matrix_helpers_match_dense_products():
     rng = np.random.default_rng(4)
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
