@@ -22,6 +22,7 @@ is sampled.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -304,6 +305,14 @@ def tamper_from_masks(a: int, b: int, n: int) -> TamperFunction:
 _ENTRY_BUDGET = 1 << 22
 
 
+def _check_sweep_size(k: int, n: int, rand_bits: int) -> None:
+    """Refuse codes too large for the NM sweep (`_nm_sweep`)."""
+    if k > 3 or n > 8 or k + rand_bits > 8:
+        raise SizeGuardError(f"the NM sweep covers 4^n tamperings of 2^(k + rand_bits) "
+                             f"codewords; needs k <= 3, n <= 8, k + rand_bits <= 8, "
+                             f"got k={k}, n={n}, rand_bits={rand_bits}")
+
+
 def nm_decode_tables(code: NmCode) -> tuple[np.ndarray, np.ndarray]:
     """Distinct decode tables over all 4^n tamperings, and one tampering each.
 
@@ -316,9 +325,7 @@ def nm_decode_tables(code: NmCode) -> tuple[np.ndarray, np.ndarray]:
     deduplicated with two outcomes (-1..7, stored +1) to a byte, the first
     in the high nibble; the packed rows sort like the outcome rows.
     """
-    if code.k > 3 or code.n > 8 or code.k + code.rand_bits > 8:
-        raise SizeGuardError("nm_verify sweeps 4^n tamperings of 2^(k + rand_bits) "
-                             "codewords; needs k <= 3, n <= 8, k + rand_bits <= 8")
+    _check_sweep_size(code.k, code.n, code.rand_bits)
     size, n_words = 1 << code.n, code.codewords.size
     codewords, decode = code.codewords.astype(np.uint8), (code.decoded + 1).astype(np.uint8)
     b = np.arange(size, dtype=np.uint8)[:, None, None]
@@ -379,28 +386,58 @@ def nm_upper_bounds(tables: np.ndarray, k: int) -> np.ndarray:
     return best / (4 * n_msg * n_rand)
 
 
+@functools.cache
+def _uniform_simulators(k: int) -> np.ndarray:
+    """Every simulator uniform over 1 to 3 atoms (messages, reject, same),
+    as outcome masses times 12 in the `nm_upper_bounds` layout: [candidate,
+    message s, outcome o + 1], with o = -1 for reject."""
+    n_msg = 1 << k
+    per_atom = np.concatenate([  # reject, the messages, then same
+        np.repeat(np.eye(n_msg + 1, dtype=np.int64)[:, None], n_msg, axis=1),
+        np.eye(n_msg, n_msg + 1, 1, dtype=np.int64)[None]])
+    sims = np.stack([per_atom[list(atoms)].sum(axis=0) * (12 // size)
+                     for size in (1, 2, 3)
+                     for atoms in itertools.combinations(range(n_msg + 2), size)])
+    sims.flags.writeable = False  # the cache hands the same array to every caller
+    return sims
+
+
+def _uniform_bound(table: np.ndarray, k: int) -> Fraction:
+    """An exact upper bound on the simulator-LP epsilon of one decode table:
+    the least worst-message distance of a simulator uniform over 1 to 3
+    atoms (`_uniform_simulators`), in integers over 12 * 2^rand_bits."""
+    n_rand = table.shape[1]
+    counts = (table[:, :, None] == np.arange(-1, 1 << k)).sum(axis=1)
+    gaps = np.abs(12 * counts - n_rand * _uniform_simulators(k)).sum(axis=2).max(axis=1)
+    return Fraction(int(gaps.min()), 24 * n_rand)
+
+
 def _nm_sweep(code: NmCode, solved: dict, stop_at: float = np.inf) -> Fraction:
     """Worst simulator gap over all 4^n tamperings, as a bound-pruned maximum.
 
     The LP of `nm_decompose` reads only k and the per-message decode
     distributions, so the sweep solves at most one LP per distinct decode
     table (`nm_decode_tables`).  Tables are visited in descending order of
-    their exact upper bound (`nm_upper_bounds`); once a bound falls more
-    than 1e-9 below the running maximum, no later table can reach it and
-    the sweep ends.  `solved` maps (k, rand_bits, table bytes) to the exact
-    epsilon, a key that fixes the whole LP, so one dict may serve several
-    codes.  The sweep also ends once the running maximum reaches `stop_at`;
-    its return value is then only known to be >= `stop_at`.
+    their exact upper bound (`nm_upper_bounds`); once a bound is at most
+    the running maximum, no later table can exceed it and the sweep ends.
+    A visited table's LP is skipped too when its `_uniform_bound` is at
+    most the running maximum, so the maximum is the same exact Fraction.
+    `solved` maps (k, rand_bits, table bytes) to the exact epsilon, a key
+    that fixes the whole LP, so one dict may serve several codes.  The
+    sweep also ends once the running maximum reaches `stop_at`; its return
+    value is then only known to be >= `stop_at`.
     """
     tables, masks = nm_decode_tables(code)
     bounds = nm_upper_bounds(tables, code.k)
     worst = Fraction(0)
-    for t in np.argsort(-bounds, kind="stable"):
-        if bounds[t] < worst - 1e-9 or worst >= stop_at:
+    for t in np.argsort(-bounds, kind="stable").tolist():
+        if bounds[t] <= worst or worst >= stop_at:
             break
         key = (code.k, code.rand_bits, tables[t].tobytes())
         eps = solved.get(key)
         if eps is None:
+            if _uniform_bound(tables[t], code.k) <= worst:
+                continue
             f = tamper_from_masks(int(masks[t, 0]), int(masks[t, 1]), code.n)
             eps = solved[key] = nm_decompose(code, f).epsilon
         worst = max(worst, eps)
@@ -432,6 +469,7 @@ def nm_search(k: int, n: int, trials: int,
     if k + 1 > n:
         raise ValueError("codeword too short for message plus randomness")
     _check_table_size(k, n, 1)
+    _check_sweep_size(k, n, 1)
     best_code, best_eps = None, np.inf
     solved: dict = {}  # (k, rand_bits, decode table) -> epsilon
     for trial in range(trials):

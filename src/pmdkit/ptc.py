@@ -134,8 +134,16 @@ def build_bcgst_family(n: int, lam: int,
 _ENTRY_BUDGET = 1 << 18
 
 
+def _check_mask_width(n: int) -> None:
+    """Refuse n > 64: the sweeps hold each half of a Pauli as one uint64."""
+    if n > 64:
+        raise SizeGuardError(f"the ptc sweeps hold each half of a Pauli as one 64-bit "
+                             f"word and need n <= 64, got n = {n}")
+
+
 def _generator_masks(family: PtcFamily) -> tuple[np.ndarray, np.ndarray]:
     """x and z masks of every key's generators, each of shape (keys, lam)."""
+    _check_mask_width(family.n)
     gens = [family.codes[k].gens for k in range(family.num_keys)]
     return (np.array([[g.x for g in row] for row in gens], dtype=np.uint64),
             np.array([[g.z for g in row] for row in gens], dtype=np.uint64))
@@ -153,6 +161,23 @@ def _key_syndromes(family: PtcFamily, ex: np.ndarray, ez: np.ndarray) -> np.ndar
     return functools.reduce(np.bitwise_xor, (
         np.take(table, ((halves[half] >> shift) & np.uint64(0xFF)).astype(np.intp), axis=0)
         for half, shift, table in family._syndrome_tables))
+
+
+def _draw_errors(rng: np.random.Generator, n: int, size: int) -> tuple[np.ndarray, ...]:
+    """`size` uniform nonidentity n-qubit errors as (ex, ez) uint64 masks.
+
+    Up to n = 32 each error is one draw of its 2n-bit code, ez above ex;
+    above that ex and ez are drawn as two words and any identity is drawn
+    again.
+    """
+    if 2 * n <= 64:
+        codes = rng.integers(1, 1 << (2 * n), size=size, dtype=np.uint64)
+        return codes & np.uint64((1 << n) - 1), codes >> np.uint64(n)
+    ex, ez = rng.integers(0, 1 << n, size=(2, size), dtype=np.uint64)
+    while (identity := np.flatnonzero((ex | ez) == 0)).size:
+        ex[identity], ez[identity] = rng.integers(0, 1 << n, size=(2, identity.size),
+                                                  dtype=np.uint64)
+    return ex, ez
 
 
 def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
@@ -175,10 +200,8 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
         count = total_errors
     elif samples < 1:
         raise ValueError("samples must be >= 1")
-    elif n > 32:
-        raise SizeGuardError(
-            f"sampling mode draws each error as one 64-bit word and needs n <= 32, got n = {n}")
     else:
+        _check_mask_width(n)
         count = samples
         rng = np.random.default_rng(np.random.Philox(seed))
     rows = max(1, _ENTRY_BUDGET // family.num_keys)
@@ -187,9 +210,10 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
         stop = min(start + rows, count)
         if samples is None:
             codes = np.arange(start + 1, stop + 1, dtype=np.uint64)
+            ex, ez = codes & np.uint64((1 << n) - 1), codes >> np.uint64(n)
         else:
-            codes = rng.integers(1, total_errors + 1, size=stop - start, dtype=np.uint64)
-        syn = _key_syndromes(family, codes & np.uint64((1 << n) - 1), codes >> np.uint64(n))
+            ex, ez = _draw_errors(rng, n, stop - start)
+        syn = _key_syndromes(family, ex, ez)
         best = max(best, int(np.count_nonzero(syn == 0, axis=1).max()))
     value = Fraction(best, family.num_keys)
     if samples is None:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 from collections import Counter
@@ -415,11 +416,8 @@ def test_nm_search_matches_brute_force_best_of_trials(seed21_trials):
     assert abs(eps - PINNED_SEARCH_EPS) < 1e-9
 
 
-def test_nm_search_solves_one_lp_per_decode_table(monkeypatch, seed21_trials):
-    # The bound-pruned sweep solves an LP only for tables whose upper bound
-    # reaches the running maximum: 15 of the 539 distinct tables at seed 21.
-    codes, _ = seed21_trials
-    tables = {decode_table(c, f) for c in codes for f in all_tamper_functions(c.n)}
+def count_solved_tables(monkeypatch):
+    """Record the decode table of every LP that nm_decompose solves."""
     solved = []
     real = auth.nm_decompose
 
@@ -428,10 +426,27 @@ def test_nm_search_solves_one_lp_per_decode_table(monkeypatch, seed21_trials):
         return real(code, f)
 
     monkeypatch.setattr(auth, "nm_decompose", counting)
+    return solved
+
+
+def test_nm_search_solves_one_lp_per_decode_table(monkeypatch, seed21_trials):
+    # The sweep solves an LP only for tables whose two upper bounds both
+    # exceed the running maximum: 2 of the 539 distinct tables at seed 21
+    # (15 with the three-family bound alone).
+    codes, _ = seed21_trials
+    tables = {decode_table(c, f) for c in codes for f in all_tamper_functions(c.n)}
+    solved = count_solved_tables(monkeypatch)
     nm_search(2, 5, 2, np.random.default_rng(np.random.Philox(21)))
     assert len(solved) == len(set(solved))
     assert set(solved) <= tables and len(tables) == 539
-    assert len(solved) == 15
+    assert len(solved) == 2
+
+
+def test_nm_verify_parity_k3_solves_33_lps(monkeypatch):
+    # 33 of its 305 distinct tables (71 with the three-family bound alone).
+    solved = count_solved_tables(monkeypatch)
+    assert nm_verify(systematic_parity_nm(3)) == Fraction(7, 8)
+    assert len(solved) == len(set(solved)) == 33
 
 
 def test_tamper_masks_match_tag_application():
@@ -508,20 +523,74 @@ def test_nm_upper_bounds_chunked_equal_one_shot(monkeypatch, budget, seed21_tria
                               one_shot_upper_bounds(table, code.k))
 
 
+BOUND_CODES = {
+    "parity_k1": lambda: systematic_parity_nm(1),
+    "parity_k2": lambda: systematic_parity_nm(2),
+    "parity_k3": lambda: systematic_parity_nm(3),
+    "seed21_trial0": lambda: random_table_codes(2, 5, 2, 21)[0],
+    "seed21_trial1": lambda: random_table_codes(2, 5, 2, 21)[1],
+    "random_k3_n4": lambda: random_table_codes(3, 4, 1, 21)[0],
+}
+
+
+@functools.cache
+def table_optima(which):
+    """A BOUND_CODES code, its distinct decode tables and each one's exact
+    LP epsilon."""
+    code = BOUND_CODES[which]()
+    tables, masks = nm_decode_tables(code)
+    eps = [nm_decompose(code, tamper_from_masks(int(a), int(b), code.n)).epsilon
+           for a, b in masks]
+    return code, tables, eps
+
+
 @pytest.mark.parametrize("which", ["parity_k1", "parity_k2", "parity_k3",
                                    "seed21_trial0", "seed21_trial1"])
-def test_nm_upper_bounds_dominate_lp_epsilon(which, seed21_trials):
-    if which.startswith("parity"):
-        code = systematic_parity_nm(int(which[-1]))
-    else:
-        code = seed21_trials[0][int(which[-1])]
-    tables, masks = nm_decode_tables(code)
+def test_nm_upper_bounds_dominate_lp_epsilon(which):
+    code, tables, eps = table_optima(which)
     bounds = nm_upper_bounds(tables, code.k)
-    eps = np.array([nm_decompose(code, tamper_from_masks(int(a), int(b), code.n)).epsilon
-                    for a, b in masks])
     # The bounds are exact dyadics and the LP optima exact Fractions.
     assert all(e <= bound for e, bound in zip(eps, bounds.tolist()))
     assert np.all(bounds * (1 << (code.k + code.rand_bits + 2)) % 1 == 0)
+
+
+def uniform_bound_oracle(table, k):
+    """The least worst-message distance over simulators uniform over 1 to
+    3 atoms, one candidate and one message at a time, in units of
+    1 / (6 * 2^rand_bits) of probability."""
+    outcomes = range(-1, 1 << k)  # reject is -1
+    rows = [Counter(row) for row in table.tolist()]
+    n_rand = table.shape[1]
+    best = None
+    for size in (1, 2, 3):
+        for subset in itertools.combinations([*outcomes, "same"], size):
+            worst = 0
+            for s, row in enumerate(rows):
+                got = Counter(s if a == "same" else a for a in subset)
+                worst = max(worst, sum(abs(6 * row[o] - 6 // size * got[o] * n_rand)
+                                       for o in outcomes))
+            best = worst if best is None else min(best, worst)
+    return Fraction(best, 12 * n_rand)
+
+
+@pytest.mark.parametrize("which", BOUND_CODES)
+def test_uniform_simulator_bound_dominates_lp_epsilon(which):
+    code, tables, eps = table_optima(which)
+    uniform = [auth._uniform_bound(table, code.k) for table in tables]
+    assert all(type(u) is Fraction and e <= u for e, u in zip(eps, uniform))
+    if code.k <= 2:
+        assert uniform == [uniform_bound_oracle(table, code.k) for table in tables]
+    # The three-family candidates "same" and D_t are uniform over at most
+    # two atoms at rand_bits = 1, so the new bound is at most theirs; the
+    # mixtures of several D_t are not, and may beat it.
+    n_msg, n_rand = tables.shape[1:]
+    counts = (tables[..., None] == np.arange(-1, n_msg)).sum(axis=2)
+    msg = np.arange(n_msg)
+    same = (n_rand - counts[:, msg, msg + 1]).max(axis=1)
+    own = [np.abs(counts - counts[:, t:t + 1]).sum(axis=2).max(axis=1) for t in msg]
+    assert code.rand_bits == 1
+    for u, s, o in zip(uniform, same.tolist(), np.min(own, axis=0).tolist()):
+        assert u <= Fraction(s, n_rand) and u <= Fraction(o, 2 * n_rand)
 
 
 def test_nm_search_stops_a_losing_trial_early(monkeypatch):
@@ -540,24 +609,45 @@ def test_nm_search_stops_a_losing_trial_early(monkeypatch):
 # The exact simplex behind nm_decompose
 # ---------------------------------------------------------------------------
 
+def three_family_sweep(code, solved, stop_at, seen):
+    """`_nm_sweep` as it was with `nm_upper_bounds` as its only bound:
+    tables in descending bound order until a bound falls more than 1e-9
+    below the running maximum, one LP per table not in `solved`.  Appends
+    (code, tampering) of each LP to `seen`."""
+    tables, masks = nm_decode_tables(code)
+    bounds = nm_upper_bounds(tables, code.k)
+    worst = Fraction(0)
+    for t in np.argsort(-bounds, kind="stable"):
+        if bounds[t] < worst - 1e-9 or worst >= stop_at:
+            break
+        key = (code.k, code.rand_bits, tables[t].tobytes())
+        if key not in solved:
+            f = tamper_from_masks(int(masks[t, 0]), int(masks[t, 1]), code.n)
+            seen.append((code, f))
+            solved[key] = nm_decompose(code, f).epsilon
+        worst = max(worst, solved[key])
+    return worst
+
+
 @pytest.fixture(scope="module")
 def swept_lps():
-    """(code, tampering) of every LP that nm_verify solves on parity k = 1..3
-    and that nm_search(2, 5, 2) solves at seeds 21..36."""
-    seen, real = [], auth.nm_decompose
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(auth, "nm_decompose",
-                      lambda code, f: seen.append((code, f)) or real(code, f))
-        for k in (1, 2, 3):
-            nm_verify(systematic_parity_nm(k))
-        for seed in range(21, 37):
-            nm_search(2, 5, 2, np.random.default_rng(np.random.Philox(seed)))
+    """(code, tampering) of every LP that the three-family sweep solved in
+    nm_verify on parity k = 1..3 and in nm_search(2, 5, 2) at seeds 21..36:
+    a fixed corpus of 341 LPs for the LP oracles, which the pruned sweep
+    no longer solves."""
+    seen = []
+    for k in (1, 2, 3):
+        three_family_sweep(systematic_parity_nm(k), {}, np.inf, seen)
+    for seed in range(21, 37):
+        solved, best = {}, np.inf
+        for code in random_table_codes(2, 5, 2, seed):
+            best = min(best, three_family_sweep(code, solved, best, seen))
     return seen
 
 
 def test_exact_lp_matches_highs(swept_lps):
     linprog = pytest.importorskip("scipy.optimize").linprog
-    assert len(swept_lps) > 300
+    assert len(swept_lps) == 341
     optima = set()
     for code, f in swept_lps:
         c, a_ub, b_ub, a_eq, b_eq = simulator_lp(code, f)

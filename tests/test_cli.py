@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pmdkit
+from pmdkit import auth
 from pmdkit.auth import systematic_parity_nm
 from pmdkit.cli import run
 
@@ -645,10 +646,16 @@ def test_sweep_refused_point_fails_the_run(capsys):
 
 
 def test_ptc_check_sampling_refuses_words_wider_than_64_bits(capsys):
-    rc, _, err = invoke(capsys, ["ptc", "check", "--n", "34", "--lambda", "2",
+    rc, _, err = invoke(capsys, ["ptc", "check", "--n", "66", "--lambda", "6",
                                  "--samples", "10"])
     assert rc == 2
-    assert "needs n <= 32" in err
+    assert "need n <= 64, got n = 66" in err
+
+
+def test_ptc_check_samples_two_words_per_error_above_n32(capsys):
+    rc, out, _ = invoke(capsys, ["ptc", "check", "--n", "40", "--lambda", "5",
+                                 "--samples", "200", "--seed", "3"])
+    assert rc == 0 and "RESULT: ok" in out
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
@@ -865,6 +872,18 @@ def test_nm_search_refuses_a_negative_message_length(capsys):
     rc, out, err = invoke(capsys, ["nm", "search", "--k", "-1", "--n", "3"])
     assert rc == 2 and out == ""
     assert "k, n and rand_bits must be non-negative, got k=-1, n=3, rand_bits=1" in err
+
+
+@pytest.mark.parametrize("k, n", [(2, 9), (4, 6)])
+def test_nm_search_refuses_a_sweep_too_large_before_drawing(capsys, monkeypatch, k, n):
+    # (2, 9) once drew a trial code and failed only in nm_decode_tables,
+    # with a message that named nm_verify.
+    drawn = []
+    monkeypatch.setattr(auth, "NmCode", lambda *args, **kw: drawn.append(args))
+    rc, out, err = invoke(capsys, ["nm", "search", "--k", str(k), "--n", str(n)])
+    assert rc == 2 and out == "" and drawn == []
+    assert (f"the NM sweep covers 4^n tamperings of 2^(k + rand_bits) codewords; needs "
+            f"k <= 3, n <= 8, k + rand_bits <= 8, got k={k}, n={n}, rand_bits=1") in err
 
 
 @pytest.mark.parametrize("command", [

@@ -8,7 +8,8 @@ import pytest
 from pmdkit.densesim import f2_parity_array
 from pmdkit.galois import FieldSpec, compute_dual_basis
 from pmdkit.limits import SWEEP_GUARD, SizeGuardError
-from pmdkit.ptc import (_ENTRY_BUDGET, PtcFamily, _key_syndromes, build_bcgst_family,
+from pmdkit.ptc import (_ENTRY_BUDGET, PtcFamily, _draw_errors, _key_syndromes,
+                        build_bcgst_family,
                         commuting_shift_keys, measure_pairwise_detectability,
                         measure_strong_ptc_error, pbeta_roots)
 from pmdkit.symplectic import PauliOperator, StabilizerCode, symplectic_product, syndrome
@@ -351,6 +352,68 @@ def test_wide_blocks_match_oracles():
                        for k in range(4)})
     got = measure_strong_ptc_error(fam32, samples=3000, seed=2)
     assert got.value == oracle_strong(fam32, 3000, 2)
+
+
+def record_draws(monkeypatch):
+    """Record the (ex, ez) of every chunk that reaches `_key_syndromes`."""
+    import pmdkit.ptc as ptc_module
+    seen = []
+
+    def recording(family, ex, ez):
+        seen.append((ex.copy(), ez.copy()))
+        return _key_syndromes(family, ex, ez)
+
+    monkeypatch.setattr(ptc_module, "_key_syndromes", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n, lam", [(2, 1), (12, 6), (32, 2)])
+def test_sampled_draws_up_to_n32_are_one_word_each(monkeypatch, n, lam):
+    # The draws of keyed-sampled's references: one 2n-bit code per error.
+    fam = build_bcgst_family(n, lam)
+    seen = record_draws(monkeypatch)
+    measure_strong_ptc_error(fam, samples=300, seed=8)
+    rng = np.random.default_rng(np.random.Philox(8))
+    codes = rng.integers(1, 1 << (2 * n), size=300, dtype=np.uint64)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0][0], codes & np.uint64((1 << n) - 1))
+    assert np.array_equal(seen[0][1], codes >> np.uint64(n))
+
+
+def test_sampling_at_n40_draws_two_words_per_error(monkeypatch):
+    fam = build_bcgst_family(40, 5)
+    seen = record_draws(monkeypatch)
+    got = measure_strong_ptc_error(fam, samples=3000, seed=4)
+    rng = np.random.default_rng(np.random.Philox(4))
+    ex, ez = rng.integers(0, 1 << 40, size=(2, 3000), dtype=np.uint64)
+    assert np.all(ex | ez)  # no identity drawn, so nothing was drawn again
+    assert len(seen) == 1 and np.array_equal(seen[0][0], ex) and np.array_equal(seen[0][1], ez)
+    counts = oracle_undetected_counts(fam, ex, ez)
+    assert got.value == Fraction(int(counts.max()), fam.num_keys) and not got.exhaustive
+
+
+def test_two_word_draws_redraw_only_the_identity():
+    class Scripted:
+        """Hands out the listed draws in turn."""
+
+        def __init__(self, *draws):
+            self.draws = [np.array(d, dtype=np.uint64) for d in draws]
+
+        def integers(self, low, high, size, dtype):
+            assert (low, high, dtype) == (0, 1 << 33, np.uint64)
+            draw = self.draws.pop(0)
+            assert draw.shape == size
+            return draw
+
+    rng = Scripted([[0, 5, 0], [0, 0, 0]], [[0, 0], [0, 0]], [[7, 0], [0, 9]])
+    ex, ez = _draw_errors(rng, 33, 3)
+    assert ex.tolist() == [7, 5, 0] and ez.tolist() == [0, 0, 9] and not rng.draws
+
+
+def test_sampling_refuses_n_above_64():
+    fam = PtcFamily(65, 1, FieldSpec.default(1), {})
+    with pytest.raises(SizeGuardError, match="need n <= 64, got n = 65"):
+        measure_strong_ptc_error(fam, samples=3)
 
 
 def test_chunks_cover_each_error_once(monkeypatch):
