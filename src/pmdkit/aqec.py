@@ -7,19 +7,20 @@ outer code's message register.
 Decoding is exact branch enumeration, never sampling: the adversary
 acts (one branch per Kraus operator, tagged with its erased set, each
 erased qubit refilled with half of a fresh maximally entangled pair),
-the outer syndrome is expanded over every outcome of nonzero
-probability, and each outcome's candidate list drives the correction
-cascade.  Qubits (little-endian): [outer code block | reference |
-environment pairs], the message on the block's lowest qubits once
-decoded.  `erasure_harness` decodes psi0 once per erased set, without
-the cascade's flags, and scores every branch from 2^|E| x 2^|E| Gram
-matrices over E's environment; `apply_adversary`, `algorithm1_decode`
-and the flagged cascade are the per-branch path, kept as its oracle.
+the outer code is un-encoded once, its syndrome is read off the
+ancillas at every outcome of nonzero probability, and each outcome's
+candidate list drives the correction cascade in that decoded frame.
+Qubits (little-endian): [outer code block | reference | environment
+pairs], the message on the block's lowest qubits once decoded.
+`erasure_harness` decodes psi0 once per erased set, without the
+cascade's flags, and scores every branch from 2^|E| x 2^|E| Gram matrices
+over E's environment; `apply_adversary`, `algorithm1_decode` and the
+flagged cascade are the per-branch path, kept as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,9 +31,10 @@ from .densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
 from .limits import check_qubits
 from .pmd import PmdCode, auth_unitary
 from .qlde import erasure_list_decode
-from .symplectic import CliffordCircuit, PauliOperator, StabilizerCode
+from .symplectic import PauliOperator, StabilizerCode
 
 WEIGHT_TOL = 1e-12
+_PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,6 @@ class ComposedCode:
 
     pmd: PmdCode
     outer: StabilizerCode
-    # erased set -> its ErasedState
-    _erased: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.outer.k != self.pmd.total:
@@ -75,6 +75,10 @@ class ComposedCode:
         if erased not in self._erased:
             self._erased[erased] = ErasedState(self, erased)
         return self._erased[erased]
+
+    @cached_property
+    def _erased(self) -> dict:
+        return {}  # erased set -> its ErasedState
 
     @cached_property
     def _rho(self) -> dict:
@@ -113,6 +117,8 @@ class ErasureAdversary:
             raise ValueError("a nonadaptive adversary has exactly one erased set")
         norm_branches = []
         for mat, support in self.branches:
+            if len(set(support)) != len(support):
+                raise ValueError(f"support {tuple(support)} repeats a qubit")
             support = tuple(sorted(support))
             if len(support) > self.max_erased:
                 raise ValueError(
@@ -160,17 +166,15 @@ class TaggedBranch:
 
 def _erase_qubits(vec: np.ndarray, erased: tuple[int, ...], n_now: int) -> np.ndarray:
     """Move erased contents to fresh environment qubits and refill each
-    position with half of a maximally entangled pair (purified mixing).
+    position with half of a maximally entangled pair (purified mixing):
+    per q in E, append |Phi> on two fresh qubits, swap q with the first.
     The n_now + 2|E| qubits are checked against the size guard first."""
     check_qubits(n_now + 2 * len(erased), "erased state")
     out = vec
-    for idx, q in enumerate(erased):
-        base = n_now + 2 * idx
-        bigger = np.zeros(out.shape[0] * 4, dtype=complex)
-        bigger[: out.shape[0]] = out
-        gates = [("cnot", (q, base)), ("cnot", (base, q)), ("cnot", (q, base)),
-                 ("h", (q,)), ("cnot", (q, base + 1))]
-        out = apply_circuit(CliffordCircuit(n_now + 2 * (idx + 1), tuple(gates)), bigger)
+    for q in erased:
+        # Axes: the fresh pair's two qubits, the qubits between, q, those below q.
+        out = np.kron(_PHI, out).reshape(2, 2, -1, 2, 1 << q)
+        out = out.transpose(0, 3, 2, 1, 4).ravel()
     return out
 
 
@@ -200,13 +204,14 @@ def apply_adversary(state: np.ndarray, adv: ErasureAdversary,
 class CorrectionCascade:
     """The coherent correction cascade for a fixed candidate list.
 
-    Revert candidate 1, un-encode the outer code, detect; on failure,
-    switch to the next candidate and detect again.  The paper's
-    Algorithm 2 records step i (0-based) on flag qubit i: success there
-    leaves flags 0^i 1^(L-i), failure everywhere 0^L.  The patterns are
-    orthogonal, so `branches` (what is scored) runs it without flags.
-    The flagged forms are its oracle and alone guard n + L qubits:
-    `decode` appends the flags after the revert and the un-encoding,
+    It reads the outer code's decoded frame (`_realized_outcomes`), with
+    each candidate c conjugated to R c R^dag by the outer decoder R.
+    Revert candidate 1, detect; on failure, switch to the next candidate
+    and detect again.  The paper's Algorithm 2 records step i (0-based)
+    on flag qubit i: success there leaves flags 0^i 1^(L-i), failure
+    everywhere 0^L.  The patterns are orthogonal, so `branches` (what is
+    scored) runs it without flags.  The flagged forms are its oracle and
+    alone guard n + L qubits: `decode` appends the flags after the revert,
     `apply` takes them appended (both structural, flags in |0>), and
     `dense` is the full unitary built from `auth_unitary`.
     """
@@ -216,32 +221,33 @@ class CorrectionCascade:
             raise ValueError("cascade needs a nonempty correction list")
         self.code = code
         self.length = len(corrections)
-        self._revert = corrections[0].inverse()
-        self._outer_dec = code.outer.encoder.inverse()
-        # Switch operators in the decoded frame: candidate i -> i+1.
-        self._switches = []
-        for i in range(self.length - 1):
-            step = corrections[i + 1].inverse().mul(corrections[i])
-            self._switches.append(self._outer_dec.conjugate_pauli(step))
+        outer_dec = code.outer.encoder.inverse()
+        # The revert and the switches (candidate i -> i+1), decoded frame.
+        self._revert = outer_dec.conjugate_pauli(corrections[0].inverse())
+        self._switches = [
+            outer_dec.conjugate_pauli(corrections[i + 1].inverse().mul(corrections[i]))
+            for i in range(self.length - 1)]
 
     def decode(self, vec: np.ndarray) -> np.ndarray:
-        """`apply` to vec (x) |0...0>, the flags appended above vec's qubits."""
+        """`apply` to decoded-frame vec (x) |0...0>, flags above vec's qubits."""
         n_qubits = vec.shape[0].bit_length() - 1
         check_qubits(self.code.n + self.length, "algorithm2_unitary")
-        head = self._head(vec)
+        head = pauli_gather(vec, self._revert)
         wide = np.zeros((head.shape[0] << self.length,) + head.shape[1:], dtype=complex)
         wide[: head.shape[0]] = head
         return self._flag_steps(wide, n_qubits + self.length, n_qubits, self._detect)
 
     def apply(self, vec: np.ndarray, n_qubits: int, flag_base: int) -> np.ndarray:
-        """Run the cascade; flags occupy [flag_base, flag_base+L), all |0>."""
+        """Run on decoded-frame vec; flags at [flag_base, flag_base+L), all |0>."""
         check_qubits(self.code.n + self.length, "algorithm2_unitary")
         if not self.code.n <= flag_base <= n_qubits - self.length:
             raise ValueError(f"flags [{flag_base}, {flag_base + self.length}) must "
                              f"lie above the code block and within {n_qubits} qubits")
-        return self._flag_steps(self._head(vec), n_qubits, flag_base, self._detect)
+        return self._flag_steps(pauli_gather(vec, self._revert), n_qubits, flag_base,
+                                self._detect)
 
     def dense(self) -> np.ndarray:
+        """The unitary on (decoded-frame code block, flags)."""
         total = self.code.n + self.length
         check_qubits(total, "cascade dense matrix", limit=11)
         auth = auth_unitary(self.code.pmd)
@@ -258,14 +264,15 @@ class CorrectionCascade:
             return apply_on_qubits(auth, pmd_qubits + (flag,), vec, n_qubits)
 
         eye = np.eye(1 << total, dtype=complex)
-        return self._flag_steps(self._head(eye), total, self.code.n, detect)
+        return self._flag_steps(pauli_gather(eye, self._revert), total, self.code.n, detect)
 
     def branches(self, vec: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """(flag pattern, vector) per branch of `decode`(vec), in pattern
-        order, on vec's qubits: step i puts B^dag v on the message qubits
-        and passes v - B(B^dag v), switched, to step i + 1 (`_detect`)."""
+        order, on decoded-frame vec's qubits: step i puts B^dag v on the
+        message qubits and passes v - B(B^dag v), switched, to step i + 1
+        (`_detect`)."""
         dim_p, dim_m = self.code.pmd.encoder.shape
-        rest, out = self._head(vec), []
+        rest, out = pauli_gather(vec, self._revert), []
         for i in range(self.length):
             v = (pauli_gather(rest, self._switches[i - 1]) if i else rest).reshape(-1, dim_p)
             coeffs, hit = v @ self.code.pmd.encoder_dagger.T, np.zeros_like(v)
@@ -274,15 +281,14 @@ class CorrectionCascade:
             rest = (v - coeffs @ self.code.pmd.encoder.T).reshape(vec.shape)
         return [(0, rest)] + out[::-1]
 
-    def _head(self, vec: np.ndarray) -> np.ndarray:
-        """Revert candidate 1 and un-encode the outer code on the low qubits."""
-        return apply_circuit(self._outer_dec, pauli_gather(vec, self._revert))
-
     def _flag_steps(self, vec, n_qubits, flag_base, detect):
         out = detect(vec, n_qubits, flag_base, False)
         for i, switch in enumerate(self._switches):
             flag = flag_base + i
-            out = pauli_gather(out, switch, control=(flag, 0))
+            # The switch acts where the flag is 0, on the qubits below it.
+            out = np.ascontiguousarray(out)
+            below = out.reshape(-1, 2, 1 << flag, *out.shape[1:])[:, 0].swapaxes(0, 1)
+            below[...] = pauli_gather(below, switch)
             out = detect(out, n_qubits, flag + 1, True)
         return out
 
@@ -314,22 +320,18 @@ class CorrectionCascade:
         return out.T.reshape(vec.shape)
 
 
-def syndrome_projections(vec: np.ndarray, outer: StabilizerCode):
-    """(syndrome bits, P_s vec, not normalized) for every outcome s of the
-    outer syndrome measurement, in outcome order."""
+def _realized_outcomes(vec: np.ndarray, code: ComposedCode, erased: tuple[int, ...]):
+    """(cascade, R P_s vec, probability) for each outer syndrome s of
+    nonzero probability, in outcome order; an empty correction list there
+    is an invariant violation and raises.  The outer decoder R maps g_i
+    to +Z_{k+i} (`standard_form_encoder`), so R P_s vec is the slice of
+    R vec whose ancillas (block qubits k..n-1) read s: R runs once."""
+    outer = code.outer
+    decoded = apply_circuit(outer.encoder.inverse(), vec).reshape(-1, 1 << outer.r, 1 << outer.k)
     for outcome in range(1 << outer.r):
         s_bits = tuple((outcome >> i) & 1 for i in range(outer.r))
-        post = vec
-        for want, g in zip(s_bits, outer.gens):
-            post = 0.5 * (post + (1 - 2 * want) * pauli_gather(post, g))
-        yield s_bits, post
-
-
-def _realized_outcomes(vec: np.ndarray, code: ComposedCode, erased: tuple[int, ...]):
-    """(cascade, P_s vec, probability) for each outer syndrome s of nonzero
-    probability, in outcome order; an empty correction list there is an
-    invariant violation and raises."""
-    for s_bits, post in syndrome_projections(vec, code.outer):
+        post = np.zeros_like(decoded)
+        post[:, outcome] = decoded[:, outcome]
         prob = float(np.vdot(post, post).real)
         if prob <= WEIGHT_TOL:
             continue
@@ -338,12 +340,12 @@ def _realized_outcomes(vec: np.ndarray, code: ComposedCode, erased: tuple[int, .
             raise RuntimeError(
                 f"syndrome {s_bits} has probability {prob:.3e} but no supported "
                 "correction; erasure bookkeeping is inconsistent")
-        yield CorrectionCascade(corrections, code), post, prob
+        yield CorrectionCascade(corrections, code), post.reshape(vec.shape), prob
 
 
 def algorithm1_decode(branch: TaggedBranch,
                       code: ComposedCode) -> tuple[list[TaggedBranch], int]:
-    """Measure the outer syndrome exactly, list-decode, run the cascade.
+    """Un-encode, read the outer syndrome exactly, list-decode, run the cascade.
 
     Returns (decoded branches, max list length over realized outcomes).
     """
@@ -362,7 +364,7 @@ def _sandwich(kraus: np.ndarray, gram: np.ndarray) -> float:
 
 class ErasedState:
     """psi0 = `entangled_code_state` with one erased set E moved into its
-    environment, decoded once at each outer syndrome (see `erasure_harness`).
+    environment, un-encoded once, decoded at each outer syndrome.
 
     The syndrome law does not depend on the adversary.  Write
     P_s = 2^-r sum_c (-1)^(s.c) g^c over the generator combinations c.
@@ -377,10 +379,11 @@ class ErasedState:
     on E alike.
 
     With E's environment qubits as the row index (`qubit_rows`), let A_s
-    be the Phi amplitudes (`phi_amplitudes`) of D_s P_s erase_E(psi0),
-    D_s being outcome s's cascade.  The branch of K at outcome s has
-    fidelity term tr(K G_s K^dag) with G_s = A_s A_s^dag, A_s being,
-    up to zero columns, the amplitudes of D_s's `branches` side by side.
+    be the Phi amplitudes (`phi_amplitudes`) of D_s R P_s erase_E(psi0),
+    R being the outer decoder and D_s outcome s's cascade.  The branch of
+    K at outcome s has fidelity term tr(K G_s K^dag) with G_s = A_s A_s^dag,
+    A_s being, up to zero columns, the amplitudes of D_s's `branches` side
+    by side.
     `cascades` and `grams` hold D_s and G_s for each outcome of nonzero
     probability, in outcome order; the erased vector lives only in
     `__init__`.
@@ -428,8 +431,9 @@ def erasure_harness(code: ComposedCode, adv: ErasureAdversary,
     1 - 3 * epsilon^(1/2) * L^(3/4) with the realized list length.
 
     Erasing E swaps qubit E[i] into environment qubit n + k + 2i, which
-    the syndrome projection P_s and the cascade D_s leave alone, so
-    D_s P_s erase_E((K (x) I) psi0) = (K on env_E) D_s P_s erase_E(psi0).
+    the syndrome projection P_s, the outer decoder R and the cascade D_s
+    leave alone, so D_s R P_s erase_E((K (x) I) psi0) =
+    (K on env_E) D_s R P_s erase_E(psi0).
     A branch's weight is tr(K rho_E K^dag) (`erased_density`), before
     anything is erased; a branch of weight 0 is skipped, as in
     `apply_adversary`.  Every other branch is realized at each outcome

@@ -65,7 +65,6 @@ class Report:
     seed: int | None
     checks: list[Check] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-    version: str = __version__
 
     @property
     def passed(self) -> bool:
@@ -79,7 +78,7 @@ class Report:
             "command": self.command,
             "config": self.config,
             "seed": self.seed,
-            "version": self.version,
+            "version": __version__,
             "checks": [vars(c) for c in self.checks],
             "extras": self.extras,
             "passed": self.passed,
@@ -93,7 +92,7 @@ class Report:
             return _csv_text(("check", "value", "bound_expr", "bound_value", "passed"),
                              ([c.name, c.value, c.bound_expr, c.bound_value, c.passed]
                               for c in self.checks))
-        lines = [f"# {self.command} (pmdkit {self.version})"]
+        lines = [f"# {self.command} (pmdkit {__version__})"]
         for key, val in sorted(self.config.items()):
             lines.append(f"  {key} = {val}")
         if self.seed is not None:

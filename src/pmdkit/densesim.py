@@ -66,23 +66,17 @@ def f2_parity_array(values: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(v) & 1).astype(np.int64)
 
 
-def pauli_gather(array: np.ndarray, p: PauliOperator,
-                 control: tuple[int, int] | None = None) -> np.ndarray:
+def pauli_gather(array: np.ndarray, p: PauliOperator) -> np.ndarray:
     """P on the rows of `array` as one gather and one multiply.
 
     Row index bit j is qubit j and the row count fixes the width, so P
-    acts on the low p.n qubits of a register that may be wider; columns
-    (if any) are untouched.  With control = (qubit, value), P acts only
-    on rows whose control bit equals value, and must not touch that qubit.
+    acts on the low p.n qubits of a register that may be wider; the other
+    axes (if any) are untouched.
     """
-    rows = np.arange(array.shape[0])
-    active = True if control is None else ((rows >> control[0]) & 1) == control[1]
-    rows ^= active * p.x
+    rows = np.arange(array.shape[0]) ^ p.x
     # (P v)[r] = i^phase (-1)^{(r ^ x) . z} v[r ^ x]
     signs = _pauli_signs(rows, p.z, p.phase)
-    if control is not None:
-        signs[~active] = 1
-    return array[rows] * (signs if array.ndim == 1 else signs[:, None])
+    return array[rows] * signs.reshape((-1,) + (1,) * (array.ndim - 1))
 
 
 def apply_pauli(p: PauliOperator, array: np.ndarray) -> np.ndarray:

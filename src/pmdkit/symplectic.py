@@ -88,9 +88,8 @@ class PauliOperator:
         mask = self.x | self.z
         return tuple(j for j in range(self.n) if (mask >> j) & 1)
 
-    def is_identity(self, up_to_phase: bool = True) -> bool:
-        trivial = self.x == 0 and self.z == 0
-        return trivial if up_to_phase else trivial and self.phase == 0
+    def is_identity(self) -> bool:
+        return self.x == 0 and self.z == 0
 
     def symplectic_vector(self) -> int:
         """(x | z) packed into 2n bits, x half first."""

@@ -229,8 +229,13 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
     # Per-case bounds: a single injected error equivalent to the i-th
     # list element recovers to the message with the matching flag
     # pattern (Claim-style 2*L*eps deviation), and superpositions stay
-    # within the 3*sqrt(eps)*L^(3/4) trace-distance bound.
+    # within the 3*sqrt(eps)*L^(3/4) trace-distance bound.  At (4,2)
+    # these bounds are 3 and 4.37, above the 2 that either quantity can
+    # reach, so each case is also held to its exact value.  The cascade
+    # reads its input with the outer code un-encoded.
     from pmdkit.aqec import CorrectionCascade
+    from pmdkit.densesim import apply_circuit
+    outer_dec = outer.encoder.inverse()
     rng2 = np.random.default_rng(9)
     psi = rng2.standard_normal(4) + 1j * rng2.standard_normal(4)
     psi /= np.linalg.norm(psi)
@@ -239,9 +244,9 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
     big_l = len(corr)
     assert big_l == 2
     cascade = CorrectionCascade(corr, code)
-    ideals = []
+    ideals, deviations = [], []
     for idx, err in enumerate(corr):
-        corrupted = apply_pauli(err, encoded)
+        corrupted = apply_circuit(outer_dec, apply_pauli(err, encoded))
         widened = np.zeros(corrupted.shape[0] << big_l, dtype=complex)
         widened[: corrupted.shape[0]] = corrupted
         got = cascade.apply(widened, code.n + big_l, code.n)
@@ -249,10 +254,13 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
         want = np.zeros_like(got)
         want[(flags << code.n):(flags << code.n) + 4] = psi
         ideals.append(want)
-        assert np.linalg.norm(got - want) <= 2 * big_l * eps + 1e-9
+        deviations.append(np.linalg.norm(got - want))
+        assert deviations[-1] <= 2 * big_l * eps + 1e-9
+    assert deviations[0] <= 1e-12  # the true error first: recovered exactly
+    assert abs(deviations[1] - 0.353553390593) <= 1e-9
     assert abs(np.vdot(ideals[0], ideals[1])) < 1e-12  # aux orthogonality
     phi = encoded + apply_pauli(corr[1], encoded)
-    phi /= np.linalg.norm(phi)
+    phi = apply_circuit(outer_dec, phi / np.linalg.norm(phi))
     widened = np.zeros(phi.shape[0] << big_l, dtype=complex)
     widened[: phi.shape[0]] = phi
     got = cascade.apply(widened, code.n + big_l, code.n)
@@ -261,6 +269,7 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
     overlap = np.linalg.norm(stacked[:, 0, :] @ psi.conj())
     trace_distance = 2 * math.sqrt(max(0.0, 1 - overlap ** 2))
     assert trace_distance <= 3 * math.sqrt(eps) * big_l ** 0.75 + 1e-9
+    assert abs(trace_distance - 0.399622255115) <= 1e-9
 
     elapsed = time.monotonic() - start
     assert elapsed <= 600.0, f"{elapsed:.1f}s"

@@ -8,7 +8,8 @@ from pmdkit.aqec import (ComposedCode, CorrectionCascade, ErasureAdversary,
                          HarnessReport, TaggedBranch, algorithm1_decode,
                          apply_adversary, compose, entangled_code_state,
                          erasure_harness, random_adversary)
-from pmdkit.densesim import apply_pauli, maximally_entangled_overlap, phi_amplitudes
+from pmdkit.densesim import (apply_circuit, apply_pauli, maximally_entangled_overlap,
+                              pauli_gather, phi_amplitudes)
 from pmdkit.limits import SizeGuardError
 from pmdkit.pmd import build_pmd, measure_pmd_epsilon
 from pmdkit.ptc import build_bcgst_family
@@ -101,6 +102,18 @@ def test_adversary_cptp_check_on_supports_of_every_shape():
                 ((np.sqrt(0.5) * ket0, (1,)), (np.sqrt(0.5) * v, (0, 2)))):
         with pytest.raises(ValueError, match="adversary branches: .*trace preserving"):
             ErasureAdversary(3, bad, 2)
+
+
+def test_adversary_refuses_a_support_that_repeats_a_qubit():
+    # K = I/sqrt(2) on (0, 0) and (1, 1) would embed as a 4 x 4 identity
+    # on a one-qubit union; the support is refused before the CPTP check.
+    half = np.sqrt(0.5) * np.eye(4, dtype=complex)
+    for branches in (((half, (0, 0)), (half, (1, 1))),
+                     ((half, (0, 0)), (half, (0, 1))),
+                     ((np.eye(4, dtype=complex), (3, 3)),)):
+        bad = branches[0][1]
+        with pytest.raises(ValueError, match=rf"support \({bad[0]}, {bad[1]}\) repeats a qubit"):
+            ErasureAdversary(4, branches, 2)
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
@@ -267,12 +280,10 @@ def test_flagless_branches_are_the_flagged_amplitudes_bit_for_bit():
             env = tuple(n + k + 2 * i for i in range(size))
             for erased in itertools.combinations(range(n), size):
                 vec = aqec._erase_qubits(entangled_code_state(code), erased, n + k)
-                posts = [(s_bits, post) for s_bits, post
-                         in aqec.syndrome_projections(vec, code.outer)
-                         if np.vdot(post, post).real > aqec.WEIGHT_TOL]
+                posts = [post for _, post, _ in aqec._realized_outcomes(vec, code, erased)]
                 state = code.erased_state(erased)
-                for (s_bits, post), cascade, gram in zip(posts, state.cascades,
-                                                         state.grams, strict=True):
+                for post, cascade, gram in zip(posts, state.cascades, state.grams,
+                                               strict=True):
                     flagged = phi_amplitudes(cascade.decode(post), msg, ref, env)
                     cols = flagged.shape[1] >> cascade.length
                     placed = np.zeros_like(flagged)
@@ -382,9 +393,14 @@ def ideal_output(code, psi, flags_value, n_flags):
     return out
 
 
+def decoded_frame(code, vec):
+    """vec with the outer code un-encoded, the cascade's input frame."""
+    return apply_circuit(code.outer.encoder.inverse(), vec)
+
+
 def run_cascade_on_error(code, error, erased, rng):
     psi, encoded = encoded_message(code, rng)
-    corrupted = apply_pauli(error, encoded)
+    corrupted = decoded_frame(code, apply_pauli(error, encoded))
     s = syndrome(code.outer, error)
     corr = erasure_list_decode(code.outer, erased, s)
     cascade = CorrectionCascade(corr, code)
@@ -402,7 +418,7 @@ def test_cascade_recovers_true_error_first_in_list():
     psi, corr, out = run_cascade_on_error(code, PauliOperator.identity(4), (1,), rng)
     assert [e.label() for e in corr] == ["IIII", "IZII"]
     want = ideal_output(code, psi, flags_value=0b11, n_flags=2)
-    assert np.linalg.norm(out - want) < 1e-9  # identity is detected exactly
+    assert np.linalg.norm(out - want) < 1e-12  # identity is detected exactly
 
 
 def test_cascade_recovers_second_element_within_bound():
@@ -414,6 +430,9 @@ def test_cascade_recovers_second_element_within_bound():
     want = ideal_output(code, psi, flags_value=0b10, n_flags=2)
     deviation = np.linalg.norm(out - want)
     assert deviation <= 2 * len(corr) * eps + 1e-9
+    # The bound, 2 L eps = 2.83 here, is above the 2 that two unit vectors
+    # can differ by; the exact value can fail.
+    assert abs(deviation - 0.707106781187) <= 1e-9
 
 
 def test_cascade_aux_states_orthogonal():
@@ -437,7 +456,7 @@ def test_cascade_superposition_trace_distance_bound():
     rng = np.random.default_rng(8)
     psi, encoded = encoded_message(code, rng)
     phi = (encoded + apply_pauli(pauli("IZII"), encoded))
-    phi /= np.linalg.norm(phi)
+    phi = decoded_frame(code, phi / np.linalg.norm(phi))
     corr = erasure_list_decode(code.outer, (1,), (0,))
     cascade = CorrectionCascade(corr, code)
     flags = len(corr)
@@ -452,6 +471,7 @@ def test_cascade_superposition_trace_distance_bound():
     overlap = np.linalg.norm(amps)
     trace_distance = 2 * math.sqrt(max(0.0, 1 - overlap ** 2))
     assert trace_distance <= 3 * math.sqrt(eps) * len(corr) ** 0.75 + 1e-9
+    assert abs(trace_distance - 0.590589156229) <= 1e-9
 
 
 def test_cascade_apply_rejects_flags_inside_the_block():
@@ -742,15 +762,81 @@ def test_outer_syndrome_is_uniform_over_the_outcomes_an_erased_set_allows():
                 rho = m @ m.conj().T
                 env = tuple(n_now + 2 * i for i in range(size))
                 vec = aqec._erase_qubits(psi0, erased, n_now)
-                allowed = []
-                for s_bits, post in aqec.syndrome_projections(vec, code.outer):
-                    if erasure_list_decode(code.outer, erased, s_bits):
-                        rows = qubit_rows(post, env)
-                        allowed.append(rows @ rows.conj().T)
-                    else:
-                        assert np.vdot(post, post).real <= aqec.WEIGHT_TOL
-                for gram in allowed:
+                allowed = [s for s in itertools.product((0, 1), repeat=code.outer.r)
+                           if erasure_list_decode(code.outer, erased, s)]
+                # Realized outcomes raise on an empty list, so the others
+                # have probability 0.
+                posts = [post for _, post, _ in aqec._realized_outcomes(vec, code, erased)]
+                assert len(posts) == len(allowed)
+                for post in posts:
+                    rows = qubit_rows(post, env)
+                    gram = rows @ rows.conj().T
                     assert np.abs(gram - rho / len(allowed)).max() <= 1e-12
+
+
+def _within_the_erased_state_guard():
+    """(code, erased set) for every set that fits the erased-state guard
+    on [[4,3]] ZZZZ and XXXX ∘ PMD(2,1) and on [[7,6]] ∘ PMD(4,2)."""
+    from pmdkit.limits import max_qubits
+    pmd = build_pmd(build_bcgst_family(2, 1))
+    codes = [compose(pmd, StabilizerCode(4, [pauli(label)])) for label in ("ZZZZ", "XXXX")]
+    for code in codes + [main_setup()]:
+        top = (max_qubits() - code.n - code.message_qubits) // 2
+        for size in range(min(top, code.n) + 1):
+            for erased in itertools.combinations(range(code.n), size):
+                yield code, erased
+
+
+def test_ancilla_slices_are_the_encoded_frame_projections():
+    # The oracle: R prod_i (I + (-1)^{s_i} g_i) / 2 erase_E(psi0), with
+    # the generators applied in the encoded frame and R the outer decoder,
+    # and its squared norm.  (Before R, the squared norm of psi0's
+    # projection on [[7,6]] differs by 1.6e-15: R's own rounding.)
+    import pmdkit.aqec as aqec
+    compared = sets = 0
+    for code, erased in _within_the_erased_state_guard():
+        sets += 1
+        n_now = code.n + code.message_qubits
+        vec = aqec._erase_qubits(entangled_code_state(code), erased, n_now)
+        want = []
+        for outcome in range(1 << code.outer.r):
+            s_bits = tuple((outcome >> i) & 1 for i in range(code.outer.r))
+            post = vec
+            for bit, g in zip(s_bits, code.outer.gens):
+                post = 0.5 * (post + (1 - 2 * bit) * pauli_gather(post, g))
+            if np.vdot(post, post).real > aqec.WEIGHT_TOL:
+                post = decoded_frame(code, post)
+                want.append((s_bits, post, float(np.vdot(post, post).real)))
+        got = list(aqec._realized_outcomes(vec, code, erased))
+        assert len(got) == len(want)
+        for (cascade, post, prob), (s_bits, want_post, want_prob) in zip(got, want):
+            assert cascade.length == len(erasure_list_decode(code.outer, erased, s_bits))
+            assert abs(prob - want_prob) <= 1e-15
+            assert np.abs(post - want_post).max() <= 1e-15
+            compared += 1
+    assert sets == 16 + 16 + (1 + 7 + 21)
+    assert compared == 2 * (1 + 2 * 15) + (1 + 2 * 28)
+
+
+def test_each_erased_state_un_encodes_once(monkeypatch):
+    import pmdkit.aqec as aqec
+    assert not hasattr(aqec, "syndrome_projections") and not hasattr(aqec, "CliffordCircuit")
+    calls = []
+
+    def counted(circ, array):
+        calls.append(circ)
+        return apply_circuit(circ, array)
+
+    monkeypatch.setattr(aqec, "apply_circuit", counted)
+    code = main_setup()
+    psi0 = entangled_code_state(code)
+    for erased in ((), (3,), (0, 5)):
+        aqec._erase_qubits(psi0, erased, code.n + code.message_qubits)
+    assert calls == []
+    sets = [erased for size in (1, 2) for erased in itertools.combinations(range(code.n), size)]
+    for erased in sets:
+        code.erased_state(erased)
+    assert len(calls) == len(sets) == 28
 
 
 def test_a_zero_weight_branch_erases_nothing_and_a_set_is_erased_once(monkeypatch):
@@ -873,6 +959,8 @@ def test_harness_fidelity_against_density_matrix_oracle():
         half = 0.5 * (proj + (1 - 2 * outcome) * apply_pauli(wide_g, proj))
         proj = 0.5 * (half + (1 - 2 * outcome)
                       * apply_pauli(wide_g, half.conj().T).conj().T)
+        # Un-encode the outer code: the cascade's input frame.
+        proj = decoded_frame(code, decoded_frame(code, proj).conj().T).conj().T
         prob = float(np.trace(proj).real)
         if prob < 1e-12:
             continue

@@ -461,6 +461,23 @@ def test_adversary_file_of_another_block_length_exits_2(capsys, tmp_path):
     assert f"{adv}: field 'n' is 5, the outer code has n = 7" in err
 
 
+@pytest.mark.parametrize("supports", [[[0, 0], [1, 1]], [[0, 0], [0, 1]], [[3, 3]]],
+                         ids=["two-repeats", "repeat-and-pair", "lone-repeat"])
+def test_adversary_file_support_that_repeats_a_qubit_exits_2(capsys, tmp_path, supports):
+    # With K = I/sqrt(2) as a 4 x 4 matrix on each repeated support, the
+    # branches would pass the CPTP check as one 4 x 4 identity.
+    outer = tmp_path / "outer.txt"
+    outer.write_text(SEVEN6_TEXT)
+    scale = np.sqrt(1 / len(supports))
+    matrix = [[[scale * (i == j), 0] for j in range(4)] for i in range(4)]
+    adv = _write_json(tmp_path, "adv.json", {"n": 7, "max_erased": 2, "branches": [
+        {"support": support, "matrix": matrix} for support in supports]})
+    rc, out, err = invoke(capsys, ["aqec", "simulate", "--pmd-n", "4", "--pmd-lambda", "2",
+                                   "--outer", str(outer), "--adversary", adv])
+    assert rc == 2 and out == ""
+    assert "support ({0}, {1}) repeats a qubit".format(*supports[0]) in err
+
+
 def test_nm_file_wrong_type_exits_2(capsys, tmp_path):
     nm = _write_json(tmp_path, "nm.json", {"k": 1, "n": 2, "rand_bits": 0,
                                            "encode": [0, 1], "decode": {"0": 0}})

@@ -15,7 +15,7 @@ from pathlib import Path
 import pmdkit
 from pmdkit import cli
 
-SETTABLE_PIN = 158
+SETTABLE_PIN = 154
 
 
 def _leaf_parsers(parser):

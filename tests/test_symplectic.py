@@ -44,7 +44,7 @@ def test_pauli_mul_inverse_is_identity():
     for label in ("X", "Y", "Z", "XYZI", "YZXY"):
         p = pauli(label)
         prod = p.mul(p.inverse())
-        assert prod.is_identity(up_to_phase=False)
+        assert prod.is_identity() and prod.phase == 0
 
 
 def test_pauli_mul_disjoint_supports():
