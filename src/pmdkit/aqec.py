@@ -142,9 +142,8 @@ class ErasureAdversary:
 
     @classmethod
     def nonadaptive(cls, n: int, erased: tuple[int, ...]) -> "ErasureAdversary":
-        dim = 1 << len(erased)
-        return cls(n, ((np.eye(dim, dtype=complex), tuple(erased)),),
-                   max_erased=max(len(erased), 0), mode="nonadaptive")
+        return cls(n, ((np.eye(1 << len(erased), dtype=complex), tuple(erased)),),
+                   max_erased=len(erased), mode="nonadaptive")
 
     @classmethod
     def identity(cls, n: int) -> "ErasureAdversary":
@@ -164,12 +163,12 @@ class TaggedBranch:
         return self.vector.shape[0].bit_length() - 1
 
 
-def _erase_qubits(vec: np.ndarray, erased: tuple[int, ...], n_now: int) -> np.ndarray:
+def _erase_qubits(vec: np.ndarray, erased: tuple[int, ...]) -> np.ndarray:
     """Move erased contents to fresh environment qubits and refill each
     position with half of a maximally entangled pair (purified mixing):
     per q in E, append |Phi> on two fresh qubits, swap q with the first.
-    The n_now + 2|E| qubits are checked against the size guard first."""
-    check_qubits(n_now + 2 * len(erased), "erased state")
+    vec's qubits plus 2|E| are checked against the size guard first."""
+    check_qubits(vec.shape[0].bit_length() - 1 + 2 * len(erased), "erased state")
     out = vec
     for q in erased:
         # Axes: the fresh pair's two qubits, the qubits between, q, those below q.
@@ -191,8 +190,7 @@ def apply_adversary(state: np.ndarray, adv: ErasureAdversary,
         weight = float(np.vdot(hit, hit).real)
         if weight <= WEIGHT_TOL:
             continue
-        hit = hit / np.sqrt(weight)
-        hit = _erase_qubits(hit, support, n_qubits)
+        hit = _erase_qubits(hit / np.sqrt(weight), support)
         branches.append(TaggedBranch(weight, hit, support))
     return branches
 
@@ -323,15 +321,19 @@ class CorrectionCascade:
 def _realized_outcomes(vec: np.ndarray, code: ComposedCode, erased: tuple[int, ...]):
     """(cascade, R P_s vec, probability) for each outer syndrome s of
     nonzero probability, in outcome order; an empty correction list there
-    is an invariant violation and raises.  The outer decoder R maps g_i
-    to +Z_{k+i} (`standard_form_encoder`), so R P_s vec is the slice of
-    R vec whose ancillas (block qubits k..n-1) read s: R runs once."""
-    outer = code.outer
-    decoded = apply_circuit(outer.encoder.inverse(), vec).reshape(-1, 1 << outer.r, 1 << outer.k)
+    is an invariant violation and raises.  The outer decoder R maps g_i to
+    a Z on ancilla slots mask_i (`standard_form_encoder`), so R P_s vec is
+    the slice of R vec whose ancillas (block qubits k..n-1) read the
+    pattern a with parity(a & mask_i) = s_i for each i: R runs once."""
+    outer, dec = code.outer, code.outer.encoder.inverse()
+    decoded = apply_circuit(dec, vec).reshape(-1, 1 << outer.r, 1 << outer.k)
+    masks = [dec.conjugate_pauli(g).z >> outer.k for g in outer.gens]
+    slice_of = {sum((bin(a & m).count("1") & 1) << i for i, m in enumerate(masks)): a
+                for a in range(1 << outer.r)}
     for outcome in range(1 << outer.r):
         s_bits = tuple((outcome >> i) & 1 for i in range(outer.r))
         post = np.zeros_like(decoded)
-        post[:, outcome] = decoded[:, outcome]
+        post[:, slice_of[outcome]] = decoded[:, slice_of[outcome]]
         prob = float(np.vdot(post, post).real)
         if prob <= WEIGHT_TOL:
             continue
@@ -393,7 +395,7 @@ class ErasedState:
         k, n = code.message_qubits, code.n
         msg, ref = tuple(range(k)), tuple(range(n, n + k))
         env = tuple(n + k + 2 * i for i in range(len(erased)))
-        vec = _erase_qubits(entangled_code_state(code), erased, n + k)
+        vec = _erase_qubits(entangled_code_state(code), erased)
         self.cascades, grams = [], []
         for cascade, post, _ in _realized_outcomes(vec, code, erased):
             amp = np.concatenate([phi_amplitudes(branch, msg, ref, env)

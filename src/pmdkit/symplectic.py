@@ -369,7 +369,8 @@ def standard_form_encoder(code: StabilizerCode, pivot: str = "low") -> CliffordC
     """Deterministic encoder circuit for the code.
 
     Builds a reduction R (by symplectic Gaussian elimination) with
-    R g_i R^dagger = +Z_{k+i} and returns U = R^-1, so that
+    R g_i R^dagger = +Z_{k+i} times Z on the earlier slots k + j whose Z
+    the row operations cleared from g_i, and returns U = R^-1, so that
     U (|m> tensor |0^r>) spans the code space.  `pivot` selects the
     lowest- or highest-index support qubit at each step; both are
     deterministic, and byte-identical circuits result from identical

@@ -279,7 +279,7 @@ def test_flagless_branches_are_the_flagged_amplitudes_bit_for_bit():
         for size in range(top + 1):
             env = tuple(n + k + 2 * i for i in range(size))
             for erased in itertools.combinations(range(n), size):
-                vec = aqec._erase_qubits(entangled_code_state(code), erased, n + k)
+                vec = aqec._erase_qubits(entangled_code_state(code), erased)
                 posts = [post for _, post, _ in aqec._realized_outcomes(vec, code, erased)]
                 state = code.erased_state(erased)
                 for post, cascade, gram in zip(posts, state.cascades, state.grams,
@@ -761,7 +761,7 @@ def test_outer_syndrome_is_uniform_over_the_outcomes_an_erased_set_allows():
                 m = qubit_rows(psi0, erased)
                 rho = m @ m.conj().T
                 env = tuple(n_now + 2 * i for i in range(size))
-                vec = aqec._erase_qubits(psi0, erased, n_now)
+                vec = aqec._erase_qubits(psi0, erased)
                 allowed = [s for s in itertools.product((0, 1), repeat=code.outer.r)
                            if erasure_list_decode(code.outer, erased, s)]
                 # Realized outcomes raise on an empty list, so the others
@@ -774,13 +774,23 @@ def test_outer_syndrome_is_uniform_over_the_outcomes_an_erased_set_allows():
                     assert np.abs(gram - rho / len(allowed)).max() <= 1e-12
 
 
+def two_generator_setups():
+    """(2,1) detection code inside two [[5,3]] outer codes whose second
+    generator the encoder's reduction multiplies by the first, so that
+    R g_1 R^dag is Z3 Z4, not Z4."""
+    pmd = build_pmd(build_bcgst_family(2, 1))
+    return [compose(pmd, StabilizerCode(5, [pauli(a), pauli(b)]))
+            for a, b in (("IIIZI", "IIIZZ"), ("ZZZZI", "ZZIIZ"))]
+
+
 def _within_the_erased_state_guard():
     """(code, erased set) for every set that fits the erased-state guard
-    on [[4,3]] ZZZZ and XXXX ∘ PMD(2,1) and on [[7,6]] ∘ PMD(4,2)."""
+    on [[4,3]] ZZZZ and XXXX ∘ PMD(2,1), on [[7,6]] ∘ PMD(4,2) and on
+    both `two_generator_setups`."""
     from pmdkit.limits import max_qubits
     pmd = build_pmd(build_bcgst_family(2, 1))
     codes = [compose(pmd, StabilizerCode(4, [pauli(label)])) for label in ("ZZZZ", "XXXX")]
-    for code in codes + [main_setup()]:
+    for code in codes + [main_setup()] + two_generator_setups():
         top = (max_qubits() - code.n - code.message_qubits) // 2
         for size in range(min(top, code.n) + 1):
             for erased in itertools.combinations(range(code.n), size):
@@ -793,11 +803,13 @@ def test_ancilla_slices_are_the_encoded_frame_projections():
     # and its squared norm.  (Before R, the squared norm of psi0's
     # projection on [[7,6]] differs by 1.6e-15: R's own rounding.)
     import pmdkit.aqec as aqec
+    for code in two_generator_setups():
+        dec = code.outer.encoder.inverse()
+        assert [dec.conjugate_pauli(g).label() for g in code.outer.gens] == ["IIIZI", "IIIZZ"]
     compared = sets = 0
     for code, erased in _within_the_erased_state_guard():
         sets += 1
-        n_now = code.n + code.message_qubits
-        vec = aqec._erase_qubits(entangled_code_state(code), erased, n_now)
+        vec = aqec._erase_qubits(entangled_code_state(code), erased)
         want = []
         for outcome in range(1 << code.outer.r):
             s_bits = tuple((outcome >> i) & 1 for i in range(code.outer.r))
@@ -814,8 +826,9 @@ def test_ancilla_slices_are_the_encoded_frame_projections():
             assert abs(prob - want_prob) <= 1e-15
             assert np.abs(post - want_post).max() <= 1e-15
             compared += 1
-    assert sets == 16 + 16 + (1 + 7 + 21)
-    assert compared == 2 * (1 + 2 * 15) + (1 + 2 * 28)
+    assert sets == 16 + 16 + (1 + 7 + 21) + 2 * 31
+    # 2^r / |C_E| outcomes per set, C_E the generator products off E.
+    assert compared == 2 * (1 + 2 * 15) + (1 + 2 * 28) + 68 + 107
 
 
 def test_each_erased_state_un_encodes_once(monkeypatch):
@@ -831,7 +844,7 @@ def test_each_erased_state_un_encodes_once(monkeypatch):
     code = main_setup()
     psi0 = entangled_code_state(code)
     for erased in ((), (3,), (0, 5)):
-        aqec._erase_qubits(psi0, erased, code.n + code.message_qubits)
+        aqec._erase_qubits(psi0, erased)
     assert calls == []
     sets = [erased for size in (1, 2) for erased in itertools.combinations(range(code.n), size)]
     for erased in sets:
@@ -845,9 +858,9 @@ def test_a_zero_weight_branch_erases_nothing_and_a_set_is_erased_once(monkeypatc
     eps = measure_pmd_epsilon(code.pmd).value
     erased, real = [], aqec._erase_qubits
 
-    def counted(vec, support, n_now):
+    def counted(vec, support):
         erased.append(support)
-        return real(vec, support, n_now)
+        return real(vec, support)
 
     monkeypatch.setattr(aqec, "_erase_qubits", counted)
     zero_then_unit = ErasureAdversary(7, ((np.zeros((2, 2)), (3,)), (np.eye(2), (0,))), 1)
@@ -931,14 +944,11 @@ def dm_pauli_conj(p, rho):
     return apply_pauli(p, left.conj().T).conj().T
 
 
-def test_harness_fidelity_against_density_matrix_oracle():
-    # Independent re-computation of the single-erasure fidelity with a
-    # completely different representation: dense density matrices, the
-    # depolarizing form of erasure (instead of purified refill), and the
-    # cascade materialized as a dense unitary.
-    code = main_setup()
-    eps = measure_pmd_epsilon(code.pmd).value
-    erased = (3,)
+def _density_matrix_fidelity(code, erased):
+    """The single-erasure fidelity with a completely different
+    representation: dense density matrices, the depolarizing form of
+    erasure (instead of purified refill), the outer generators applied
+    in the encoded frame and the cascade materialized as a dense unitary."""
     n, k = code.n, code.message_qubits
     total_q = n + k
 
@@ -952,19 +962,20 @@ def test_harness_fidelity_against_density_matrix_oracle():
     rho = acc
 
     fidelity = 0.0
-    for outcome in range(2):
+    for outcome in range(1 << code.outer.r):
+        s_bits = tuple((outcome >> i) & 1 for i in range(code.outer.r))
         proj = rho.copy()
-        g = code.outer.gens[0]
-        wide_g = PauliOperator(total_q, g.x, g.z, g.phase)
-        half = 0.5 * (proj + (1 - 2 * outcome) * apply_pauli(wide_g, proj))
-        proj = 0.5 * (half + (1 - 2 * outcome)
-                      * apply_pauli(wide_g, half.conj().T).conj().T)
+        for bit, g in zip(s_bits, code.outer.gens):
+            wide_g = PauliOperator(total_q, g.x, g.z, g.phase)
+            half = 0.5 * (proj + (1 - 2 * bit) * apply_pauli(wide_g, proj))
+            proj = 0.5 * (half + (1 - 2 * bit)
+                          * apply_pauli(wide_g, half.conj().T).conj().T)
         # Un-encode the outer code: the cascade's input frame.
         proj = decoded_frame(code, decoded_frame(code, proj).conj().T).conj().T
         prob = float(np.trace(proj).real)
         if prob < 1e-12:
             continue
-        corr = erasure_list_decode(code.outer, erased, (outcome,))
+        corr = erasure_list_decode(code.outer, erased, s_bits)
         cascade = CorrectionCascade(corr, code)
         flags = len(corr)
         u = cascade.dense()  # on code block + flags
@@ -980,8 +991,26 @@ def test_harness_fidelity_against_density_matrix_oracle():
         conj = apply_on_qubits(u, qubits, left.conj().T,
                                total_q + flags).conj().T
         fidelity += _maxent_fidelity_from_density(conj, n, k, total_q + flags)
-    rep = erasure_harness(code, ErasureAdversary.nonadaptive(7, erased), eps)
+    return fidelity
+
+
+def test_harness_fidelity_against_density_matrix_oracle():
+    code = main_setup()
+    eps = measure_pmd_epsilon(code.pmd).value
+    fidelity = _density_matrix_fidelity(code, (3,))
+    rep = erasure_harness(code, ErasureAdversary.nonadaptive(7, (3,)), eps)
     assert abs(fidelity - rep.fidelity) < 1e-9
+
+
+def test_harness_fidelity_against_density_matrix_oracle_at_two_generators():
+    # Syndrome outcomes whose ancilla pattern is not s itself: on both
+    # codes, erasing qubit 3 (first code) or 0 (second) realizes s = (1, 1).
+    for code in two_generator_setups():
+        eps = measure_pmd_epsilon(code.pmd).value
+        for q in range(code.n):
+            fidelity = _density_matrix_fidelity(code, (q,))
+            rep = erasure_harness(code, ErasureAdversary.nonadaptive(5, (q,)), eps)
+            assert abs(fidelity - rep.fidelity) < 1e-9
 
 
 def _maxent_fidelity_from_density(rho, n, k, total):
