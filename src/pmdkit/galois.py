@@ -3,10 +3,13 @@
 A field element is a plain int in [0, 2^m): its m-bit coefficient
 vector in the polynomial basis (bit i = coefficient of x^i, so x^l is
 `1 << l`).  Addition is XOR, written `^` where it is used; `FieldSpec`
-owns the rest: `mul` reduces the carry-less product by a fixed
-irreducible modulus, whose irreducibility is verified at construction by
-trial division, and `power` and `trace` are built on it.  Elements carry
-no field of their own, so the caller keeps them in range.
+owns the rest over a fixed irreducible modulus, whose irreducibility is
+verified at construction by trial division.  `mul` and `power` read
+discrete log and antilog tables of the field's multiplicative group
+(a*b = g^(log a + log b) for a generator g), which `_log_antilog` builds
+once per modulus on first use with the carry-less `_poly_mulmod`; `trace`
+is built on `mul`.  Elements carry no field of their own, so the caller
+keeps them in range.
 
 The dual-basis machinery is what lets field elements be flattened into
 Pauli exponent vectors: with bases (alpha, beta) satisfying
@@ -18,7 +21,7 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import f2
 
@@ -64,6 +67,30 @@ def _poly_mulmod(a: int, b: int, modulus: int) -> int:
         b >>= 1
         a <<= 1
     return _poly_mod(result, modulus)
+
+
+@cache
+def _log_antilog(modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Discrete log and antilog tables of GF(2)[x] / modulus.
+
+    The generator g is the least element whose powers, taken with
+    `_poly_mulmod`, reach every nonzero element before they return to 1:
+    x when the modulus is primitive (every default modulus), a search
+    otherwise (x has order 5 under 0x1F, 51 under 0x11B).  antilog[i] is
+    g^i over two periods, so a sum of two logs indexes it unreduced;
+    log[a] is i with g^i = a, and log[0] is unused.
+    """
+    order = 1 << _poly_degree(modulus)
+    for g in range(1, order):
+        powers = [1]
+        while (nxt := _poly_mulmod(powers[-1], g, modulus)) != 1:
+            powers.append(nxt)
+        if len(powers) == order - 1:
+            break
+    log = [0] * order
+    for i, p in enumerate(powers):
+        log[p] = i
+    return tuple(log), tuple(powers * 2)
 
 
 def _is_irreducible(p: int) -> bool:
@@ -115,18 +142,20 @@ class FieldSpec:
         return 1 << self.m
 
     def mul(self, a: int, b: int) -> int:
-        return _poly_mulmod(a, b, self.modulus)
+        """a * b: the antilog of log a + log b (`_log_antilog`)."""
+        if not (a and b):
+            return 0
+        log, antilog = _log_antilog(self.modulus)
+        return antilog[log[a] + log[b]]
 
     def power(self, a: int, exponent: int) -> int:
+        """a^exponent: the antilog of exponent * log a, with 0^0 = 1."""
         if exponent < 0:
             raise ValueError("negative exponents are not supported")
-        result = 1
-        while exponent:
-            if exponent & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            exponent >>= 1
-        return result
+        if not a:
+            return 0 if exponent else 1
+        log, antilog = _log_antilog(self.modulus)
+        return antilog[log[a] * exponent % (self.order - 1)]
 
     def trace(self, a: int) -> int:
         """Trace down to F2: sum of the Frobenius orbit a^(2^i)."""

@@ -265,13 +265,13 @@ class StabilizerCode:
         for i, j in itertools.combinations(range(len(gens)), 2):
             if symplectic_product(gens[i], gens[j]):
                 raise ValueError(f"generators {i + 1} and {j + 1} anticommute")
-        vecs = [g.symplectic_vector() for g in gens]
-        if f2.rank(vecs, 2 * n) != len(gens):
+        self._gen_pivots, self._gen_rref = f2.rref((g.symplectic_vector() for g in gens),
+                                                   2 * n)
+        if len(self._gen_pivots) != len(gens):
             raise ValueError("generators are dependent")
         self.gens = tuple(gens)
         self.r = len(gens)
         self.k = n - self.r
-        self._gen_pivots, self._gen_rref = f2.rref(vecs, 2 * n)
         _check_pivot(encoder_pivot)
         self._encoder_pivot = encoder_pivot
 

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from pmdkit import f2
-from pmdkit.galois import DEFAULT_MODULI, DualBasisPair, FieldSpec, _poly_mod, compute_dual_basis
+from pmdkit.galois import (DEFAULT_MODULI, DualBasisPair, FieldSpec, _log_antilog, _poly_mod,
+                           _poly_mulmod, compute_dual_basis)
 
 
 def gf4():
@@ -34,8 +35,9 @@ def test_mul_identities():
 
 
 def test_mul_reduces_once_like_the_per_step_form():
-    """The product reduced once equals the product reduced after every
-    shift, kept here as the oracle, on every pair at m <= 8."""
+    """`_poly_mulmod`, which reduces the product once, equals the product
+    reduced after every shift, kept here as its oracle, on every pair at
+    m <= 8."""
     def per_step_mulmod(a, b, modulus):
         result = 0
         while b:
@@ -48,7 +50,62 @@ def test_mul_reduces_once_like_the_per_step_form():
     for m in range(1, 9):
         field = FieldSpec.default(m)
         for a, b in itertools.product(range(field.order), repeat=2):
-            assert field.mul(a, b) == per_step_mulmod(a, b, field.modulus), (m, a, b)
+            assert _poly_mulmod(a, b, field.modulus) == per_step_mulmod(a, b, field.modulus), \
+                (m, a, b)
+
+
+# Irreducible moduli under which x does not generate the multiplicative
+# group, so `_log_antilog` must search for a generator: x has order 5
+# under x^4+x^3+x^2+x+1, 9 under x^6+x^3+1 and 51 under the AES modulus.
+NON_PRIMITIVE = {0x1F: 5, 0x49: 9, 0x11B: 51}
+
+TABLE_MODULI = sorted({DEFAULT_MODULI[m] for m in range(1, 9)} | set(NON_PRIMITIVE))
+
+
+def _x_order(modulus):
+    order, p = 1, 0b10
+    while p != 1:
+        p, order = _poly_mulmod(p, 0b10, modulus), order + 1
+    return order
+
+
+@pytest.mark.parametrize("modulus", TABLE_MODULI, ids=hex)
+def test_table_mul_matches_the_carry_less_product(modulus):
+    """`mul` reads log/antilog tables; `_poly_mulmod`, which builds them,
+    is the oracle on every pair."""
+    field = FieldSpec(modulus.bit_length() - 1, modulus)
+    for a, b in itertools.product(range(field.order), repeat=2):
+        assert field.mul(a, b) == _poly_mulmod(a, b, modulus), (a, b)
+
+
+@pytest.mark.parametrize("modulus", TABLE_MODULI, ids=hex)
+def test_log_antilog_tables_cover_the_multiplicative_group(modulus):
+    log, antilog = _log_antilog(modulus)
+    q = 1 << (modulus.bit_length() - 1)
+    assert len(antilog) == 2 * (q - 1)
+    assert sorted(antilog[:q - 1]) == list(range(1, q))
+    assert antilog[q - 1:] == antilog[:q - 1]
+    assert all(antilog[log[a]] == a for a in range(1, q))
+    if modulus in NON_PRIMITIVE:
+        assert _x_order(modulus) == NON_PRIMITIVE[modulus]
+        assert antilog[1] != 0b10  # the generator came from the search
+    elif q > 2:
+        assert antilog[1] == 0b10  # every default modulus is primitive
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULI[m] for m in (1, 2, 3, 4)]
+                         + sorted(NON_PRIMITIVE)[:2], ids=hex)
+def test_table_power_matches_repeated_carry_less_products(modulus):
+    field = FieldSpec(modulus.bit_length() - 1, modulus)
+    for a in range(field.order):
+        expected = 1
+        for e in range(3 * field.order):
+            assert field.power(a, e) == expected, (a, e)
+            expected = _poly_mulmod(expected, a, modulus)
+    assert field.power(0, 0) == 1
+    assert field.power(0, 10**6) == 0
+    top = field.order - 1  # an element, and the order of the multiplicative group
+    assert field.power(top, 10**6) == field.power(top, 10**6 % top)
 
 
 def test_gf4_omega_squared():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from pmdkit.densesim import f2_parity_array
-from pmdkit.galois import FieldSpec, compute_dual_basis
+from pmdkit.cli import run
+from pmdkit.galois import FieldSpec, _poly_mulmod, compute_dual_basis
 from pmdkit.limits import SWEEP_GUARD, SizeGuardError
-from pmdkit.ptc import (_ENTRY_BUDGET, PtcFamily, _draw_errors, _key_syndromes,
+from pmdkit.ptc import (_ENTRY_BUDGET, PtcFamily, _draw_errors, _key_syndromes, _miss_counts,
                         build_bcgst_family,
                         commuting_shift_keys, measure_pairwise_detectability,
                         measure_strong_ptc_error, pbeta_roots)
@@ -70,6 +71,7 @@ EXPECTED = {
     (4, 2): (Fraction(3, 4), Fraction(1, 2)),
     (6, 2): (Fraction(1), Fraction(1, 2)),
     (6, 3): (Fraction(3, 8), Fraction(1, 4)),
+    (8, 2): (Fraction(1), Fraction(1, 2)),
 }
 
 
@@ -310,9 +312,10 @@ def test_strong_error_matches_parity_oracle(name):
 def test_n12_lambda6_pinned_values():
     fam = build_bcgst_family(12, 6)
     assert measure_pairwise_detectability(fam).value == Fraction(1, 32)
-    eps = measure_strong_ptc_error(fam, samples=100000, seed=21)
-    assert eps.value == Fraction(3, 64)
-    assert eps.value == oracle_strong(fam, 100000, 21)
+    for seed in (21, 22, 23):
+        eps = measure_strong_ptc_error(fam, samples=100000, seed=seed)
+        assert eps.value == Fraction(3, 64)
+        assert eps.value == oracle_strong(fam, 100000, seed)
 
 
 def test_key_syndromes_widen_past_eight_generators():
@@ -513,3 +516,65 @@ def test_pairwise_sweep_guard_refuses_before_spanning(monkeypatch):
         commuting_shift_keys(fam, 1)
     monkeypatch.undo()
     assert measure_pairwise_detectability(build_bcgst_family(8, 8)).exhaustive
+
+
+# Oracles of the two fast paths: `_miss_counts` against numpy's per-row
+# count of zero syndromes, and field products from log/antilog tables
+# against the carry-less `_poly_mulmod` that builds them.
+
+@pytest.mark.parametrize("keys", [2, 4, 8, 16, 64, 256])
+def test_miss_counts_match_count_nonzero(keys):
+    rng = np.random.default_rng(keys)
+    dtype = np.min_scalar_type(keys - 1)  # as `_key_syndromes` stores lambda bits
+    syn = rng.integers(0, 4, size=(300, keys)).astype(dtype)
+    syn[0] = 0  # every key misses this error
+    syn[1] = rng.integers(1, 4, size=keys)  # no key misses it
+    got = _miss_counts(syn)
+    assert got.tolist() == np.count_nonzero(syn == 0, axis=1).tolist()
+    assert got[0] == keys and got[1] == 0
+
+
+@pytest.mark.parametrize("n, lam", [(8, 2), (12, 6)])
+def test_miss_counts_of_a_family_match_the_parity_oracle(n, lam):
+    fam = build_bcgst_family(n, lam)
+    codes = (np.arange(1, 1 << (2 * n), dtype=np.uint64) if n == 8 else
+             np.random.default_rng(np.random.Philox(21)).integers(
+                 1, 1 << (2 * n), size=4096, dtype=np.uint64))
+    ex, ez = codes & np.uint64((1 << n) - 1), codes >> np.uint64(n)
+    got = _miss_counts(_key_syndromes(fam, ex, ez))
+    assert np.array_equal(got, oracle_undetected_counts(fam, ex, ez))
+
+
+def _carry_less_arithmetic(monkeypatch):
+    """FieldSpec.mul and power as carry-less products, and the default
+    dual basis rebuilt under them rather than read from its cache."""
+    import pmdkit.ptc as ptc_module
+
+    def power(self, a, exponent):
+        out = 1
+        for _ in range(exponent):
+            out = _poly_mulmod(out, a, self.modulus)
+        return out
+
+    monkeypatch.setattr(FieldSpec, "mul", lambda self, a, b: _poly_mulmod(a, b, self.modulus))
+    monkeypatch.setattr(FieldSpec, "power", power)
+    monkeypatch.setattr(ptc_module, "_default_pair", compute_dual_basis)
+
+
+@pytest.mark.parametrize("n, lam", [(8, 2), (12, 6)])
+def test_table_arithmetic_builds_the_carry_less_family(monkeypatch, n, lam):
+    tables = build_bcgst_family(n, lam)
+    _carry_less_arithmetic(monkeypatch)
+    oracle = build_bcgst_family(n, lam)
+    assert [tables.codes[k].gens for k in range(1 << lam)] == \
+        [oracle.codes[k].gens for k in range(1 << lam)]
+
+
+def test_ptc_check_at_a_non_primitive_modulus_reads_the_same(monkeypatch, capsys):
+    # x has order 9 under x^6 + x^3 + 1, so the tables use a searched generator.
+    argv = ["ptc", "check", "--n", "6", "--lambda", "6", "--modulus", "0x49"]
+    tables = run(argv), capsys.readouterr()
+    _carry_less_arithmetic(monkeypatch)
+    oracle = run(argv), capsys.readouterr()
+    assert tables == oracle
+    assert tables[0] == 0 and "epsilon_measured: 1/64" in tables[1].out

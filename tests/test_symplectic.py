@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from pmdkit import f2, symplectic
+from pmdkit.galois import FieldSpec, compute_dual_basis
 from pmdkit.ptc import build_bcgst_family, measure_strong_ptc_error
 from pmdkit.symplectic import (CliffordCircuit, PauliOperator, StabilizerCode,
                                css_from_classical, format_code,
@@ -381,6 +382,22 @@ def test_anticommuting_generators_rejected():
 def test_dependent_generators_rejected():
     with pytest.raises(ValueError, match="dependent"):
         StabilizerCode(2, [pauli("XX"), pauli("XX")])
+    with pytest.raises(ValueError, match="dependent"):
+        StabilizerCode(3, [pauli("XXI"), pauli("IXX"), pauli("XIX")])
+
+
+def test_construction_row_reduces_the_generators_once(monkeypatch):
+    calls = []
+
+    def counting_rref(rows, ncols):
+        calls.append(ncols)
+        return rref(rows, ncols)
+
+    rref = f2.rref
+    pair = compute_dual_basis(FieldSpec.default(6))  # its rank check row-reduces too
+    monkeypatch.setattr(f2, "rref", counting_rref)
+    build_bcgst_family(12, 6, basis_pair=pair)
+    assert calls == [24] * 64
 
 
 def test_format_parse_roundtrip():
