@@ -88,12 +88,6 @@ class SweepResult:
     worst_miss_probability: float | None = None
 
 
-@functools.cache
-def _default_pair(field: FieldSpec) -> DualBasisPair:
-    """The dual of the polynomial basis of `field`, built once per field."""
-    return compute_dual_basis(field)
-
-
 def build_bcgst_family(n: int, lam: int,
                        basis_pair: DualBasisPair | None = None,
                        encoder_pivot: str = "low",
@@ -117,7 +111,7 @@ def build_bcgst_family(n: int, lam: int,
         field = FieldSpec.default(lam)
     elif field.m != lam:
         raise ValueError(f"field has degree {field.m}, key length is {lam}")
-    pair = basis_pair if basis_pair is not None else _default_pair(field)
+    pair = basis_pair if basis_pair is not None else compute_dual_basis(field)
     r = n // lam
     codes: dict[int, StabilizerCode] = {}
     for key in range(1 << lam):

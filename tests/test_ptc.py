@@ -546,10 +546,7 @@ def test_miss_counts_of_a_family_match_the_parity_oracle(n, lam):
 
 
 def _carry_less_arithmetic(monkeypatch):
-    """FieldSpec.mul and power as carry-less products, and the default
-    dual basis rebuilt under them rather than read from its cache."""
-    import pmdkit.ptc as ptc_module
-
+    """FieldSpec.mul and power as carry-less products."""
     def power(self, a, exponent):
         out = 1
         for _ in range(exponent):
@@ -558,7 +555,6 @@ def _carry_less_arithmetic(monkeypatch):
 
     monkeypatch.setattr(FieldSpec, "mul", lambda self, a, b: _poly_mulmod(a, b, self.modulus))
     monkeypatch.setattr(FieldSpec, "power", power)
-    monkeypatch.setattr(ptc_module, "_default_pair", compute_dual_basis)
 
 
 @pytest.mark.parametrize("n, lam", [(8, 2), (12, 6)])
