@@ -9,9 +9,9 @@ acts (one branch per Kraus operator, tagged with its erased set, each
 erased qubit refilled with half of a fresh maximally entangled pair),
 the outer code is un-encoded once, its syndrome is read off the
 ancillas at every outcome of nonzero probability, and each outcome's
-candidate list drives the correction cascade in that decoded frame.
+candidate list drives the correction cascade on its ancilla slice.
 Qubits (little-endian): [outer code block | reference | environment
-pairs], the message on the block's lowest qubits once decoded.
+pairs], and each slice [PMD register | reference | environment pairs].
 `erasure_harness` decodes psi0 once per erased set, without the
 cascade's flags, and scores every branch from 2^|E| x 2^|E| Gram matrices
 over E's environment; `apply_adversary`, `algorithm1_decode` and the
@@ -28,6 +28,7 @@ import numpy as np
 from .densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
                        check_trace_preserving, codespace_isometry,
                        pauli_gather, phi_amplitudes, qubit_rows)
+from .f2 import dot
 from .limits import check_qubits
 from .pmd import PmdCode, auth_unitary
 from .qlde import erasure_list_decode
@@ -202,16 +203,16 @@ def apply_adversary(state: np.ndarray, adv: ErasureAdversary,
 class CorrectionCascade:
     """The coherent correction cascade for a fixed candidate list.
 
-    It reads the outer code's decoded frame (`_realized_outcomes`), with
-    each candidate c conjugated to R c R^dag by the outer decoder R.
-    Revert candidate 1, detect; on failure, switch to the next candidate
-    and detect again.  The paper's Algorithm 2 records step i (0-based)
-    on flag qubit i: success there leaves flags 0^i 1^(L-i), failure
-    everywhere 0^L.  The patterns are orthogonal, so `branches` (what is
-    scored) runs it without flags.  The flagged forms are its oracle and
-    alone guard n + L qubits: `decode` appends the flags after the revert,
-    `apply` takes them appended (both structural, flags in |0>), and
-    `dense` is the full unitary built from `auth_unitary`.
+    It runs on the PMD register (K = pmd.total qubits) of an outer
+    syndrome's ancilla slice (`_realized_outcomes`), each candidate c
+    conjugated to R c R^dag by the outer decoder R: revert candidate 1,
+    detect; on failure, switch to the next candidate and detect again.
+    The paper's Algorithm 2 records step i (0-based) on flag qubit i:
+    success there leaves flags 0^i 1^(L-i), failure everywhere 0^L.  The
+    patterns are orthogonal, so `branches` (what is scored) runs it
+    without flags.  The flagged forms are its oracle and alone guard K + L
+    qubits: `apply` takes the flags appended, `decode` appends them (both
+    structural, flags in |0>), and `dense` is the unitary from `auth_unitary`.
     """
 
     def __init__(self, corrections: tuple[PauliOperator, ...], code: ComposedCode):
@@ -219,34 +220,37 @@ class CorrectionCascade:
             raise ValueError("cascade needs a nonempty correction list")
         self.code = code
         self.length = len(corrections)
-        outer_dec = code.outer.encoder.inverse()
-        # The revert and the switches (candidate i -> i+1), decoded frame.
-        self._revert = outer_dec.conjugate_pauli(corrections[0].inverse())
-        self._switches = [
-            outer_dec.conjugate_pauli(corrections[i + 1].inverse().mul(corrections[i]))
-            for i in range(self.length - 1)]
+        k, dec = code.pmd.total, code.outer.encoder.inverse()
+        # Step i's Pauli in the decoded frame, the revert and then the switches,
+        # acts where the ancillas read its X part there (`pattern`, then 0) and
+        # takes them to 0: on the PMD register, its low part signed by its Z there.
+        paulis = [dec.conjugate_pauli(c.inverse().mul(prev)) for c, prev
+                  in zip(corrections, [PauliOperator.identity(code.n), *corrections])]
+        self.pattern, low = paulis[0].x >> k, (1 << k) - 1
+        if any(p.x >> k for p in paulis[1:]):
+            raise ValueError("candidates differ in syndrome: a switch flips an outer ancilla")
+        self._steps = [PauliOperator(k, p.x & low, p.z & low,
+                                     p.phase + 2 * dot(p.z >> k, p.x >> k)) for p in paulis]
 
     def decode(self, vec: np.ndarray) -> np.ndarray:
-        """`apply` to decoded-frame vec (x) |0...0>, flags above vec's qubits."""
+        """`apply` to vec (x) |0...0>, flags above vec's qubits."""
         n_qubits = vec.shape[0].bit_length() - 1
-        check_qubits(self.code.n + self.length, "algorithm2_unitary")
-        head = pauli_gather(vec, self._revert)
-        wide = np.zeros((head.shape[0] << self.length,) + head.shape[1:], dtype=complex)
-        wide[: head.shape[0]] = head
-        return self._flag_steps(wide, n_qubits + self.length, n_qubits, self._detect)
+        check_qubits(self.code.pmd.total + self.length, "algorithm2_unitary")  # before widening
+        wide = np.zeros((vec.shape[0] << self.length,) + vec.shape[1:], dtype=complex)
+        wide[: vec.shape[0]] = vec
+        return self.apply(wide, n_qubits + self.length, n_qubits)
 
     def apply(self, vec: np.ndarray, n_qubits: int, flag_base: int) -> np.ndarray:
-        """Run on decoded-frame vec; flags at [flag_base, flag_base+L), all |0>."""
-        check_qubits(self.code.n + self.length, "algorithm2_unitary")
-        if not self.code.n <= flag_base <= n_qubits - self.length:
+        """Run on vec, PMD register lowest; flags at [flag_base, flag_base+L), all |0>."""
+        check_qubits(self.code.pmd.total + self.length, "algorithm2_unitary")
+        if not self.code.pmd.total <= flag_base <= n_qubits - self.length:
             raise ValueError(f"flags [{flag_base}, {flag_base + self.length}) must "
-                             f"lie above the code block and within {n_qubits} qubits")
-        return self._flag_steps(pauli_gather(vec, self._revert), n_qubits, flag_base,
-                                self._detect)
+                             f"lie above the PMD register and within {n_qubits} qubits")
+        return self._flag_steps(vec, n_qubits, flag_base, self._detect)
 
     def dense(self) -> np.ndarray:
-        """The unitary on (decoded-frame code block, flags)."""
-        total = self.code.n + self.length
+        """The unitary on (PMD register, flags)."""
+        total = self.code.pmd.total + self.length
         check_qubits(total, "cascade dense matrix", limit=11)
         auth = auth_unitary(self.code.pmd)
         pmd_qubits = tuple(range(self.code.pmd.total))
@@ -256,23 +260,19 @@ class CorrectionCascade:
         controlled_auth = np.kron(np.diag([1, 0]), auth) + np.kron(np.diag([0, 1]), flip)
 
         def detect(vec, n_qubits, flag, controlled):
-            if controlled:
-                return apply_on_qubits(controlled_auth, pmd_qubits + (flag, flag - 1),
-                                       vec, n_qubits)
-            return apply_on_qubits(auth, pmd_qubits + (flag,), vec, n_qubits)
+            op, wires = (controlled_auth, (flag, flag - 1)) if controlled else (auth, (flag,))
+            return apply_on_qubits(op, pmd_qubits + wires, vec, n_qubits)
 
-        eye = np.eye(1 << total, dtype=complex)
-        return self._flag_steps(pauli_gather(eye, self._revert), total, self.code.n, detect)
+        return self._flag_steps(np.eye(1 << total, dtype=complex), total, len(pmd_qubits), detect)
 
     def branches(self, vec: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """(flag pattern, vector) per branch of `decode`(vec), in pattern
-        order, on decoded-frame vec's qubits: step i puts B^dag v on the
-        message qubits and passes v - B(B^dag v), switched, to step i + 1
-        (`_detect`)."""
+        order, on vec's qubits: step i puts B^dag v on the message qubits
+        and passes v - B(B^dag v), switched, to step i + 1 (`_detect`)."""
         dim_p, dim_m = self.code.pmd.encoder.shape
-        rest, out = pauli_gather(vec, self._revert), []
-        for i in range(self.length):
-            v = (pauli_gather(rest, self._switches[i - 1]) if i else rest).reshape(-1, dim_p)
+        rest, out = vec, []
+        for i, step in enumerate(self._steps):
+            v = pauli_gather(rest, step).reshape(-1, dim_p)
             coeffs, hit = v @ self.code.pmd.encoder_dagger.T, np.zeros_like(v)
             hit[:, :dim_m] = coeffs
             out.append((((1 << self.length) - 1) ^ ((1 << i) - 1), hit.reshape(vec.shape)))
@@ -280,9 +280,8 @@ class CorrectionCascade:
         return [(0, rest)] + out[::-1]
 
     def _flag_steps(self, vec, n_qubits, flag_base, detect):
-        out = detect(vec, n_qubits, flag_base, False)
-        for i, switch in enumerate(self._switches):
-            flag = flag_base + i
+        out = detect(pauli_gather(vec, self._steps[0]), n_qubits, flag_base, False)
+        for flag, switch in enumerate(self._steps[1:], flag_base):
             # The switch acts where the flag is 0, on the qubits below it.
             out = np.ascontiguousarray(out)
             below = out.reshape(-1, 2, 1 << flag, *out.shape[1:])[:, 0].swapaxes(0, 1)
@@ -319,37 +318,36 @@ class CorrectionCascade:
 
 
 def _realized_outcomes(vec: np.ndarray, code: ComposedCode, erased: tuple[int, ...]):
-    """(cascade, R P_s vec, probability) for each outer syndrome s of
-    nonzero probability, in outcome order; an empty correction list there
-    is an invariant violation and raises.  The outer decoder R maps g_i to
-    a Z on ancilla slots mask_i (`standard_form_encoder`), so R P_s vec is
-    the slice of R vec whose ancillas (block qubits k..n-1) read the
-    pattern a with parity(a & mask_i) = s_i for each i: R runs once."""
+    """(cascade, slice, probability) for each outer syndrome s of nonzero
+    probability, in outcome order.  The outer decoder R maps g_i to a Z on
+    ancilla slots mask_i (`standard_form_encoder`), so R P_s vec is the part
+    of R vec whose ancillas (block qubits K..n-1) read the a with parity(a &
+    mask_i) = s_i: R runs once, and outcome s is that part, ancillas dropped.
+    An empty list, or a revert that does not take a to 0, raises."""
     outer, dec = code.outer, code.outer.encoder.inverse()
     decoded = apply_circuit(dec, vec).reshape(-1, 1 << outer.r, 1 << outer.k)
     masks = [dec.conjugate_pauli(g).z >> outer.k for g in outer.gens]
-    slice_of = {sum((bin(a & m).count("1") & 1) << i for i, m in enumerate(masks)): a
-                for a in range(1 << outer.r)}
+    slice_of = {sum(dot(a, m) << i for i, m in enumerate(masks)): a for a in range(1 << outer.r)}
     for outcome in range(1 << outer.r):
         s_bits = tuple((outcome >> i) & 1 for i in range(outer.r))
-        post = np.zeros_like(decoded)
-        post[:, slice_of[outcome]] = decoded[:, slice_of[outcome]]
+        post = decoded[:, slice_of[outcome]].ravel()
         prob = float(np.vdot(post, post).real)
         if prob <= WEIGHT_TOL:
             continue
         corrections = erasure_list_decode(code.outer, erased, s_bits)
-        if not corrections:
+        cascade = corrections and CorrectionCascade(corrections, code)
+        if not cascade or cascade.pattern != slice_of[outcome]:
             raise RuntimeError(
                 f"syndrome {s_bits} has probability {prob:.3e} but no supported "
-                "correction; erasure bookkeeping is inconsistent")
-        yield CorrectionCascade(corrections, code), post.reshape(vec.shape), prob
+                "correction reverts its ancillas; erasure bookkeeping is inconsistent")
+        yield cascade, post, prob
 
 
 def algorithm1_decode(branch: TaggedBranch,
                       code: ComposedCode) -> tuple[list[TaggedBranch], int]:
     """Un-encode, read the outer syndrome exactly, list-decode, run the cascade.
 
-    Returns (decoded branches, max list length over realized outcomes).
+    Returns (decoded branches on K + k + 2|E| + L qubits, max list length).
     """
     max_list, decoded = 0, []
     for cascade, post, prob in _realized_outcomes(branch.vector, code, branch.erased):
@@ -382,19 +380,19 @@ class ErasedState:
 
     With E's environment qubits as the row index (`qubit_rows`), let A_s
     be the Phi amplitudes (`phi_amplitudes`) of D_s R P_s erase_E(psi0),
-    R being the outer decoder and D_s outcome s's cascade.  The branch of
-    K at outcome s has fidelity term tr(K G_s K^dag) with G_s = A_s A_s^dag,
-    A_s being, up to zero columns, the amplitudes of D_s's `branches` side
-    by side.
+    R being the outer decoder and D_s outcome s's cascade, on the slice's
+    message 0..k-1, reference K..K+k-1 and environment K+k+2i.  The branch
+    of K at outcome s has fidelity term tr(K G_s K^dag), G_s = A_s A_s^dag,
+    A_s being, up to zero columns, D_s's `branches` amplitudes side by side.
     `cascades` and `grams` hold D_s and G_s for each outcome of nonzero
     probability, in outcome order; the erased vector lives only in
     `__init__`.
     """
 
     def __init__(self, code: ComposedCode, erased: tuple[int, ...]):
-        k, n = code.message_qubits, code.n
-        msg, ref = tuple(range(k)), tuple(range(n, n + k))
-        env = tuple(n + k + 2 * i for i in range(len(erased)))
+        k, big_k = code.message_qubits, code.pmd.total
+        msg, ref = tuple(range(k)), tuple(range(big_k, big_k + k))
+        env = tuple(big_k + k + 2 * i for i in range(len(erased)))
         vec = _erase_qubits(entangled_code_state(code), erased)
         self.cascades, grams = [], []
         for cascade, post, _ in _realized_outcomes(vec, code, erased):
@@ -432,8 +430,8 @@ def erasure_harness(code: ComposedCode, adv: ErasureAdversary,
     """Entanglement fidelity of decode(adversary(encode)) vs the bound
     1 - 3 * epsilon^(1/2) * L^(3/4) with the realized list length.
 
-    Erasing E swaps qubit E[i] into environment qubit n + k + 2i, which
-    the syndrome projection P_s, the outer decoder R and the cascade D_s
+    Erasing E swaps qubit E[i] into an environment qubit, which the
+    syndrome projection P_s, the outer decoder R and the cascade D_s
     leave alone, so D_s R P_s erase_E((K (x) I) psi0) =
     (K on env_E) D_s R P_s erase_E(psi0).
     A branch's weight is tr(K rho_E K^dag) (`erased_density`), before

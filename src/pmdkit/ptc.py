@@ -199,11 +199,11 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
                              seed: int = 0) -> SweepResult:
     """Worst-case fraction of keys that miss a fixed nonidentity Pauli.
 
-    Exhaustive over all 4^n - 1 errors by default (SizeGuardError above
-    the iteration guard); pass `samples` for a uniform sample drawn from
-    a Philox generator seeded with `seed` when the sweep would exceed it.  Per-error key
-    fractions are exact in both modes.  Both modes walk the errors in
-    chunks of `_ENTRY_BUDGET` syndrome entries.
+    Exhaustive over all 4^n - 1 errors by default, or over `samples`
+    uniform draws from a Philox generator seeded with `seed`; either mode
+    raises SizeGuardError, before any work, when errors * keys * lambda
+    exceeds the iteration guard.  Per-error key fractions are exact in
+    both modes, which walk the errors in chunks of `_ENTRY_BUDGET` entries.
     """
     n = family.n
     total_errors = (1 << (2 * n)) - 1
@@ -217,6 +217,8 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
         raise ValueError("samples must be >= 1")
     else:
         _check_mask_width(n)
+        if samples * family.num_keys * family.lam > SWEEP_GUARD:
+            raise SizeGuardError("sampled sweep exceeds the iteration guard; draw fewer samples")
         count = samples
         rng = np.random.default_rng(np.random.Philox(seed))
     rows = max(1, _ENTRY_BUDGET // family.num_keys)

@@ -232,7 +232,8 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
     # within the 3*sqrt(eps)*L^(3/4) trace-distance bound.  At (4,2)
     # these bounds are 3 and 4.37, above the 2 that either quantity can
     # reach, so each case is also held to its exact value.  The cascade
-    # reads its input with the outer code un-encoded.
+    # reads the PMD register: the outer code un-encoded, its ancillas (at
+    # the revert's pattern) dropped.
     from pmdkit.aqec import CorrectionCascade
     from pmdkit.densesim import apply_circuit
     outer_dec = outer.encoder.inverse()
@@ -244,15 +245,20 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
     big_l = len(corr)
     assert big_l == 2
     cascade = CorrectionCascade(corr, code)
+    width, r = code.pmd.total, outer.r
+
+    def pmd_register(vec):
+        return vec.reshape(1 << r, 1 << width)[cascade.pattern]
+
     ideals, deviations = [], []
     for idx, err in enumerate(corr):
-        corrupted = apply_circuit(outer_dec, apply_pauli(err, encoded))
+        corrupted = pmd_register(apply_circuit(outer_dec, apply_pauli(err, encoded)))
         widened = np.zeros(corrupted.shape[0] << big_l, dtype=complex)
         widened[: corrupted.shape[0]] = corrupted
-        got = cascade.apply(widened, code.n + big_l, code.n)
+        got = cascade.apply(widened, width + big_l, width)
         flags = ((1 << (big_l - idx)) - 1) << idx  # 0^(i-1) 1 1..1 pattern
         want = np.zeros_like(got)
-        want[(flags << code.n):(flags << code.n) + 4] = psi
+        want[(flags << width):(flags << width) + 4] = psi
         ideals.append(want)
         deviations.append(np.linalg.norm(got - want))
         assert deviations[-1] <= 2 * big_l * eps + 1e-9
@@ -260,11 +266,11 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
     assert abs(deviations[1] - 0.353553390593) <= 1e-9
     assert abs(np.vdot(ideals[0], ideals[1])) < 1e-12  # aux orthogonality
     phi = encoded + apply_pauli(corr[1], encoded)
-    phi = apply_circuit(outer_dec, phi / np.linalg.norm(phi))
+    phi = pmd_register(apply_circuit(outer_dec, phi / np.linalg.norm(phi)))
     widened = np.zeros(phi.shape[0] << big_l, dtype=complex)
     widened[: phi.shape[0]] = phi
-    got = cascade.apply(widened, code.n + big_l, code.n)
-    anc_dim = 1 << (code.n - code.message_qubits)
+    got = cascade.apply(widened, width + big_l, width)
+    anc_dim = 1 << (width - code.message_qubits)
     stacked = got.reshape(1 << big_l, anc_dim, 4)
     overlap = np.linalg.norm(stacked[:, 0, :] @ psi.conj())
     trace_distance = 2 * math.sqrt(max(0.0, 1 - overlap ** 2))

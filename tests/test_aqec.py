@@ -215,9 +215,9 @@ def test_cascade_dense_is_unitary():
     corr = erasure_list_decode(code.outer, (1,), (0,))
     assert len(corr) == 2
     cascade = CorrectionCascade(corr, code)
-    u = cascade.dense()
-    assert u.shape == (64, 64)
-    assert np.allclose(u.conj().T @ u, np.eye(64), atol=1e-10)
+    u = cascade.dense()  # 3 PMD qubits and 2 flags
+    assert u.shape == (32, 32)
+    assert np.allclose(u.conj().T @ u, np.eye(32), atol=1e-10)
 
 
 def _cascades():
@@ -235,7 +235,7 @@ def _cascades():
 @pytest.mark.parametrize("index", range(4))
 def test_cascade_apply_matches_dense_on_flag_zero_inputs(index):
     cascade = _cascades()[index]
-    n, flags = cascade.code.n, cascade.length
+    n, flags = cascade.code.pmd.total, cascade.length
     assert flags == [1, 2, 3, 2][index]
     u = cascade.dense()
     rng = np.random.default_rng(20 + index)
@@ -243,7 +243,7 @@ def test_cascade_apply_matches_dense_on_flag_zero_inputs(index):
     # Every flag-|0> column at once, then random vectors.
     cols = cascade.apply(np.eye(block << flags, dtype=complex)[:, :block], n + flags, n)
     assert np.allclose(cols, u[:, :block], rtol=0, atol=1e-12)
-    # decode appends the flags itself, after the revert and the outer decoder.
+    # decode appends the flags itself.
     cols = cascade.decode(np.eye(block, dtype=complex))
     assert np.allclose(cols, u[:, :block], rtol=0, atol=1e-12)
     for _ in range(3):
@@ -266,38 +266,38 @@ def test_flagless_branches_are_the_flagged_amplitudes_bit_for_bit():
     # Each flagless branch's Phi amplitudes, placed at the columns of its
     # flag pattern (failure at 0, success at 0-based step i at
     # (2^L - 1) ^ (2^i - 1)), are the flagged cascade's, on every (E, s)
-    # whose flagged cascade fits the size guard: |E| <= 1 on
-    # [[7,6]]∘PMD(4,2) and |E| <= 2 on both [[4,3]]∘PMD(2,1).
+    # with |E| <= 1 on [[7,6]]∘PMD(4,2), on its 2-set {1, 3} (6 + 8 = 14
+    # qubits, the widest flagged cascade that fits the size guard) and on
+    # every |E| <= 2 of both [[4,3]]∘PMD(2,1).
     import pmdkit.aqec as aqec
     pmd = build_pmd(build_bcgst_family(2, 1))
-    cases = [(main_setup(), 1)] + [(compose(pmd, StabilizerCode(4, [pauli(label)])), 2)
-                                   for label in ("ZZZZ", "XXXX")]
+    cases = [(main_setup(), 1, [(1, 3)])] + [
+        (compose(pmd, StabilizerCode(4, [pauli(label)])), 2, []) for label in ("ZZZZ", "XXXX")]
     compared = 0
-    for code, top in cases:
-        k, n = code.message_qubits, code.n
-        msg, ref = tuple(range(k)), tuple(range(n, n + k))
-        for size in range(top + 1):
-            env = tuple(n + k + 2 * i for i in range(size))
-            for erased in itertools.combinations(range(n), size):
-                vec = aqec._erase_qubits(entangled_code_state(code), erased)
-                posts = [post for _, post, _ in aqec._realized_outcomes(vec, code, erased)]
-                state = code.erased_state(erased)
-                for post, cascade, gram in zip(posts, state.cascades, state.grams,
-                                               strict=True):
-                    flagged = phi_amplitudes(cascade.decode(post), msg, ref, env)
-                    cols = flagged.shape[1] >> cascade.length
-                    placed = np.zeros_like(flagged)
-                    for pattern, branch in cascade.branches(post):
-                        placed[:, pattern * cols:(pattern + 1) * cols] = \
-                            phi_amplitudes(branch, msg, ref, env)
-                    assert np.array_equal(placed, flagged)
-                    assert np.abs(gram - flagged @ flagged.conj().T).max() <= 1e-15
-                    compared += 1
-        # One more erased qubit and the flagged cascade no longer fits.
-        (cascade, *_) = code.erased_state(tuple(range(top + 1))).cascades
-        with pytest.raises(SizeGuardError, match="algorithm2_unitary"):
-            cascade.decode(np.zeros(1 << (n + k + 2 * top + 2), dtype=complex))
-    assert compared == (1 + 7 * 2) + 2 * (1 + 4 * 2 + 6 * 2)
+    for code, top, extra in cases:
+        k, big_k = code.message_qubits, code.pmd.total
+        msg, ref = tuple(range(k)), tuple(range(big_k, big_k + k))
+        for erased in [e for size in range(top + 1)
+                       for e in itertools.combinations(range(code.n), size)] + extra:
+            env = tuple(big_k + k + 2 * i for i in range(len(erased)))
+            vec = aqec._erase_qubits(entangled_code_state(code), erased)
+            posts = [post for _, post, _ in aqec._realized_outcomes(vec, code, erased)]
+            state = code.erased_state(erased)
+            for post, cascade, gram in zip(posts, state.cascades, state.grams, strict=True):
+                flagged = phi_amplitudes(cascade.decode(post), msg, ref, env)
+                cols = flagged.shape[1] >> cascade.length
+                placed = np.zeros_like(flagged)
+                for pattern, branch in cascade.branches(post):
+                    placed[:, pattern * cols:(pattern + 1) * cols] = \
+                        phi_amplitudes(branch, msg, ref, env)
+                assert np.array_equal(placed, flagged)
+                assert np.abs(gram - flagged @ flagged.conj().T).max() <= 1e-15
+                compared += 1
+        # A 3-set's lists hold 32 entries, and the flagged cascade refuses them.
+        cascade = CorrectionCascade(erasure_list_decode(code.outer, (0, 1, 2), (0,)), code)
+        with pytest.raises(SizeGuardError, match=f"algorithm2_unitary needs {big_k + 32} "):
+            cascade.decode(np.zeros(1 << (big_k + k + 6), dtype=complex))
+    assert compared == (1 + 7 * 2 + 2) + 2 * (1 + 4 * 2 + 6 * 2)
 
 
 def seed606_adversaries(code, count=100):
@@ -385,17 +385,27 @@ def encoded_message(code, rng):
 
 
 def ideal_output(code, psi, flags_value, n_flags):
-    """psi on the message qubits, everything else |0>, given flag bits."""
-    dim = 1 << (code.n + n_flags)
-    out = np.zeros(dim, dtype=complex)
-    base = flags_value << code.n
+    """psi on the message qubits of the PMD register, the rest of it |0>,
+    given flag bits above it."""
+    width = code.pmd.total
+    out = np.zeros(1 << (width + n_flags), dtype=complex)
+    base = flags_value << width
     out[base:base + (1 << code.message_qubits)] = psi
     return out
 
 
 def decoded_frame(code, vec):
-    """vec with the outer code un-encoded, the cascade's input frame."""
+    """vec with the outer code un-encoded."""
     return apply_circuit(code.outer.encoder.inverse(), vec)
+
+
+def ancilla_slice(code, vec, pattern):
+    """The cascade's input: decoded-frame vec with its outer ancillas,
+    which must read `pattern`, dropped; the PMD register lowest."""
+    block = vec.reshape(-1, 1 << code.outer.r, 1 << code.pmd.total)
+    out = block[:, pattern].ravel()
+    assert abs(np.linalg.norm(out) - np.linalg.norm(vec)) <= 1e-12
+    return out
 
 
 def run_cascade_on_error(code, error, erased, rng):
@@ -404,10 +414,10 @@ def run_cascade_on_error(code, error, erased, rng):
     s = syndrome(code.outer, error)
     corr = erasure_list_decode(code.outer, erased, s)
     cascade = CorrectionCascade(corr, code)
-    flags = len(corr)
+    corrupted, flags = ancilla_slice(code, corrupted, cascade.pattern), len(corr)
     widened = np.zeros(corrupted.shape[0] << flags, dtype=complex)
     widened[: corrupted.shape[0]] = corrupted
-    return psi, corr, cascade.apply(widened, code.n + flags, code.n)
+    return psi, corr, cascade.apply(widened, code.pmd.total + flags, code.pmd.total)
 
 
 def test_cascade_recovers_true_error_first_in_list():
@@ -459,13 +469,13 @@ def test_cascade_superposition_trace_distance_bound():
     phi = decoded_frame(code, phi / np.linalg.norm(phi))
     corr = erasure_list_decode(code.outer, (1,), (0,))
     cascade = CorrectionCascade(corr, code)
-    flags = len(corr)
+    phi, flags = ancilla_slice(code, phi, cascade.pattern), len(corr)
     widened = np.zeros(phi.shape[0] << flags, dtype=complex)
     widened[: phi.shape[0]] = phi
-    out = cascade.apply(widened, code.n + flags, code.n)
+    out = cascade.apply(widened, code.pmd.total + flags, code.pmd.total)
     # Best aux: project onto psi (x) |0 anc> (x) arbitrary flags.
     msg_dim = 1 << code.message_qubits
-    anc_dim = 1 << (code.n - code.message_qubits)
+    anc_dim = 1 << (code.pmd.total - code.message_qubits)
     stacked = out.reshape(1 << flags, anc_dim, msg_dim)
     amps = stacked[:, 0, :] @ psi.conj()
     overlap = np.linalg.norm(amps)
@@ -475,13 +485,15 @@ def test_cascade_superposition_trace_distance_bound():
 
 
 def test_cascade_apply_rejects_flags_inside_the_block():
+    # The cascade's block is the PMD register, qubits 0..2 here.
     code = small_setup()
     cascade = CorrectionCascade(erasure_list_decode(code.outer, (1,), (0,)), code)
     vec = np.zeros(1 << 6, dtype=complex)
-    with pytest.raises(ValueError, match="above the code block"):
-        cascade.apply(vec, 6, 3)
-    with pytest.raises(ValueError, match="above the code block"):
+    with pytest.raises(ValueError, match="above the PMD register"):
+        cascade.apply(vec, 6, 2)
+    with pytest.raises(ValueError, match="above the PMD register"):
         cascade.apply(vec, 6, 5)
+    assert cascade.apply(vec, 6, 3).shape == vec.shape
 
 
 def test_cascade_rejects_empty_list():
@@ -489,6 +501,29 @@ def test_cascade_rejects_empty_list():
     empty = erasure_list_decode(code.outer, (), (1,))
     with pytest.raises(ValueError, match="nonempty"):
         CorrectionCascade(empty, code)
+
+
+def test_cascade_refuses_candidates_that_differ_in_syndrome():
+    # Candidates of one syndrome share the ancilla pattern that the
+    # revert takes to 0, so no switch between them flips an ancilla.
+    code = main_setup()
+    lists = [erasure_list_decode(code.outer, (3,), (s,)) for s in (0, 1)]
+    assert [CorrectionCascade(corr, code).pattern for corr in lists] == [0, 1]
+    with pytest.raises(ValueError, match="differ in syndrome"):
+        CorrectionCascade((lists[0][0], lists[1][0]), code)
+
+
+def test_a_revert_that_misses_the_ancilla_slice_is_inconsistent(monkeypatch):
+    # Each outcome gets the other outcome's list: its revert would take
+    # the ancillas from the wrong pattern, so the set is refused.
+    import pmdkit.aqec as aqec
+    real = aqec.erasure_list_decode
+    monkeypatch.setattr(aqec, "erasure_list_decode",
+                        lambda outer, erased, s_bits: real(outer, erased, (1 - s_bits[0],)))
+    code = main_setup()
+    with pytest.raises(RuntimeError, match="erasure bookkeeping is inconsistent"):
+        erasure_harness(code, ErasureAdversary.nonadaptive(7, (3,)), 0.5)
+    assert (3,) not in code._erased
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +617,7 @@ def branch_harness(code, adv, epsilon):
         realized = max(realized, max_list)
         final.extend(decoded)
     msg = tuple(range(k))
-    ref = tuple(range(code.n, code.n + k))
+    ref = tuple(range(code.pmd.total, code.pmd.total + k))  # on the ancilla slice
     fidelity = sum(b.weight * maximally_entangled_overlap([(1.0, b.vector)], msg, ref)
                    for b in final)
     bound = float(1.0 - 3.0 * np.sqrt(epsilon) * realized ** 0.75)
@@ -642,12 +677,13 @@ def test_harness_matches_branch_oracle_at_budgets_2_and_3():
     # scores every adversary.
     eps = measure_pmd_epsilon(small.pmd).value
     assert 32 in [erasure_harness(small, adv, eps).realized_list for adv in adversaries]
+    # On [[7,6]] the flagged oracle holds every 2-set (6 + 8 qubits) and
+    # agrees with the harness on each adversary.
     rng = np.random.default_rng(np.random.Philox(5))
     code = main_setup()
     adversaries = [random_adversary(7, 2, rng) for _ in range(30)]
     outcomes = assert_harnesses_agree(code, adversaries)
-    assert SizeGuardError in outcomes
-    assert any(isinstance(rep, HarnessReport) for rep in outcomes)
+    assert all(isinstance(rep, HarnessReport) for rep in outcomes)
     eps = measure_pmd_epsilon(code.pmd).value
     assert 8 in [erasure_harness(code, adv, eps).realized_list for adv in adversaries]
 
@@ -671,20 +707,23 @@ def test_erased_width_guard_is_the_only_width_limit_of_scoring():
     # The erased state holds n + k + 2|E| qubits.  On [[7,6]]∘PMD(4,2),
     # n + k = 9, so the guard first fires at |E| = 3 (15 qubits), where
     # every list has 32 entries.  A 2-set (13 qubits, 8 entries) is
-    # scored, although its flagged cascade (7 + 8 = 15 qubits) is refused.
-    # Both harnesses raise before erasing a 3-set.
+    # scored, and its flagged cascade (6 PMD qubits + 8 flags = 14) fits
+    # too; only its dense matrix is refused.  A 32-entry list needs
+    # 6 + 32 qubits.  Both harnesses raise before erasing a 3-set.
     code = main_setup()
     eps = measure_pmd_epsilon(code.pmd).value
     rep = erasure_harness(code, ErasureAdversary.nonadaptive(7, (0, 1)), eps)
     assert (rep.realized_list, rep.branch_count) == (8, 2)
     assert 0 < rep.fidelity < 1
     (cascade, *_) = code.erased_state((0, 1)).cascades
-    with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 15 qubits"):
-        cascade.decode(np.zeros(1 << 13, dtype=complex))
-    with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 15 qubits"):
-        cascade.apply(np.zeros(1 << 15, dtype=complex), 15, 7)
-    with pytest.raises(SizeGuardError, match="cascade dense matrix needs 15 qubits"):
+    assert cascade.apply(np.zeros(1 << 14, dtype=complex), 14, 6).shape == (1 << 14,)
+    with pytest.raises(SizeGuardError, match="cascade dense matrix needs 14 qubits"):
         cascade.dense()
+    wide = CorrectionCascade(erasure_list_decode(code.outer, (0, 1, 2), (0,)), code)
+    with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 38 qubits"):
+        wide.decode(np.zeros(1 << 14, dtype=complex))
+    with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 38 qubits"):
+        wide.apply(np.zeros(1 << 14, dtype=complex), 14, 6)
     for erased in itertools.combinations(range(7), 3):
         for s_bits in ((0,), (1,)):
             assert len(erasure_list_decode(code.outer, erased, s_bits)) == 32
@@ -703,7 +742,7 @@ def test_erased_width_guard_is_the_only_width_limit_of_scoring():
     cascades = small.erased_state((0, 1, 2, 3)).cascades
     assert [cascade.length for cascade in cascades] == [64, 64]
     (cascade, _) = cascades
-    with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 68 qubits"):
+    with pytest.raises(SizeGuardError, match="algorithm2_unitary needs 67 qubits"):
         cascade.decode(np.zeros(1 << 13, dtype=complex))
 
 
@@ -760,7 +799,8 @@ def test_outer_syndrome_is_uniform_over_the_outcomes_an_erased_set_allows():
             for erased in itertools.combinations(range(code.n), size):
                 m = qubit_rows(psi0, erased)
                 rho = m @ m.conj().T
-                env = tuple(n_now + 2 * i for i in range(size))
+                # On the ancilla slice: PMD register, reference, environment.
+                env = tuple(code.pmd.total + code.message_qubits + 2 * i for i in range(size))
                 vec = aqec._erase_qubits(psi0, erased)
                 allowed = [s for s in itertools.product((0, 1), repeat=code.outer.r)
                            if erasure_list_decode(code.outer, erased, s)]
@@ -824,7 +864,11 @@ def test_ancilla_slices_are_the_encoded_frame_projections():
         for (cascade, post, prob), (s_bits, want_post, want_prob) in zip(got, want):
             assert cascade.length == len(erasure_list_decode(code.outer, erased, s_bits))
             assert abs(prob - want_prob) <= 1e-15
-            assert np.abs(post - want_post).max() <= 1e-15
+            # The slice at the revert's ancilla pattern, and nothing outside it.
+            block = want_post.reshape(-1, 1 << code.outer.r, 1 << code.pmd.total)
+            assert np.abs(post - block[:, cascade.pattern].ravel()).max() <= 1e-15
+            block[:, cascade.pattern] = 0
+            assert np.abs(block).max() <= 1e-15
             compared += 1
     assert sets == 16 + 16 + (1 + 7 + 21) + 2 * 31
     # 2^r / |C_E| outcomes per set, C_E the generator products off E.
@@ -867,7 +911,7 @@ def test_a_zero_weight_branch_erases_nothing_and_a_set_is_erased_once(monkeypatc
     fidelities = [erasure_harness(code, adv, eps).fidelity
                   for adv in (zero_then_unit, ErasureAdversary.nonadaptive(7, (3,)))]
     assert erased == [(0,), (3,)]
-    assert fidelities == [0.9409637451171837, 0.9407653808593712]
+    assert fidelities == [0.9409637451171838, 0.9407653808593713]
 
 
 def test_seed606_erases_each_set_once_and_runs_no_branch(monkeypatch):
@@ -978,19 +1022,23 @@ def _density_matrix_fidelity(code, erased):
         corr = erasure_list_decode(code.outer, erased, s_bits)
         cascade = CorrectionCascade(corr, code)
         flags = len(corr)
-        u = cascade.dense()  # on code block + flags
-        # Embed onto [code | ref | flags]: permute so the cascade sees
-        # its qubits contiguously.
-        dim_before = 1 << total_q
-        big = np.zeros((dim_before << flags,) * 2, dtype=complex)
-        big[:dim_before, :dim_before] = proj
+        u = cascade.dense()  # on PMD register + flags
+        # Drop the outer ancillas, which hold the revert's pattern on both
+        # sides: rho on [PMD register | ref].
+        big_k, a = code.pmd.total, cascade.pattern
+        narrow = big_k + k
+        proj = proj.reshape((1 << k, 1 << code.outer.r, 1 << big_k) * 2)[:, a, :, :, a, :]
+        proj = proj.reshape((1 << narrow,) * 2)
+        assert abs(np.trace(proj).real - prob) <= 1e-12  # all of the outcome's weight
+        # Embed onto [PMD register | ref | flags].
+        big = np.zeros((1 << (narrow + flags),) * 2, dtype=complex)
+        big[:1 << narrow, :1 << narrow] = proj
         from pmdkit.densesim import apply_on_qubits
-        qubits = tuple(range(n)) + tuple(range(total_q, total_q + flags))
-        left = apply_on_qubits(u, qubits, big, total_q + flags)
+        qubits = tuple(range(big_k)) + tuple(range(narrow, narrow + flags))
+        left = apply_on_qubits(u, qubits, big, narrow + flags)
         # U rho U^dag == (U (U rho)^dag)^dag with both row applications.
-        conj = apply_on_qubits(u, qubits, left.conj().T,
-                               total_q + flags).conj().T
-        fidelity += _maxent_fidelity_from_density(conj, n, k, total_q + flags)
+        conj = apply_on_qubits(u, qubits, left.conj().T, narrow + flags).conj().T
+        fidelity += _maxent_fidelity_from_density(conj, big_k, k, narrow + flags)
     return fidelity
 
 

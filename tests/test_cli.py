@@ -734,6 +734,18 @@ def test_ptc_check_pairwise_guard_exits_2_fast(capsys, n):
     assert time.perf_counter() - started < 2.0
 
 
+@pytest.mark.parametrize("samples", ["260417", "100000000000"])
+def test_ptc_check_sampling_guard_exits_2_fast(capsys, samples):
+    # samples * 64 keys * 6 generators above 10^8 is refused before any
+    # draw, as the exhaustive sweep is above 4^n * keys * lambda.
+    started = time.perf_counter()
+    rc, out, err = invoke(capsys, ["ptc", "check", "--n", "12", "--lambda", "6",
+                                   "--samples", samples])
+    assert rc == 2 and out == ""
+    assert err.rstrip().endswith("draw fewer samples")
+    assert time.perf_counter() - started < 2.0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["ptc", "check", "--n", "14", "--lambda", "14", "--samples", "1"],
      "pairwise sweep checks keys^2 * (2^gens - 1) syndromes, above the "
