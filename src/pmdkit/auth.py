@@ -35,7 +35,7 @@ from . import f2
 from .aqec import ComposedCode, entangled_code_state
 from .densesim import (apply_on_qubits, apply_pauli, check_trace_preserving,
                        codespace_isometry, dm_conjugate_pauli as _dm_conjugate_pauli,
-                       dm_conjugate_z_stack, pauli_gather_stack, qubit_rows)
+                       pauli_gather_stack, qubit_rows)
 from .galois import FieldSpec
 from .limits import SizeGuardError
 from .lp import exact_lp
@@ -1010,11 +1010,11 @@ def auth1_block_reject_probability(proto: Auth1Protocol, block_channels,
     channel, averaged over the (blockwise-uniform) pad.
 
     The block marginal of the pairwise-independent pad is uniform, so
-    the average over seeds is the per-qubit twirl: a Pauli channel with
-    product weights, scored against the block accept projector.  The
-    Paulis of one X mask share one gather of the block state
-    (`dm_conjugate_z_stack`) and one stacked product with the projector;
-    the weighted traces are then summed in code-point order, z-major.
+    the average over seeds is the per-qubit twirl: a product of one-qubit
+    Pauli channels T_q (Barnum, Crepeau, Gottesman, Smith and Tapp,
+    quant-ph/0205128).  Each wire's T_q acts on vec(rho), row bits then
+    column bits, as its 4 x 4 superoperator sum_P w_P conj(P) (x) P, and
+    the accept probability is tr(projector . T(rho)).
     """
     b = proto.block_qubits
     if len(block_channels) != b:
@@ -1022,19 +1022,13 @@ def auth1_block_reject_probability(proto: Auth1Protocol, block_channels,
     for q, kraus in enumerate(block_channels):
         check_trace_preserving((np.conj(k).T @ k for k in kraus), 2,
                                f"block qubit {q}")
-    weights = [twirl_channel(k) for k in block_channels]
     acc_op = auth1_block_accept_operator(proto)
-    masks = np.arange(1 << b)
-    # traces[x][z] = tr(acc_op X^x Z^z rho Z^z X^x)
-    traces = [[float(np.trace(m).real)
-               for m in acc_op @ dm_conjugate_z_stack(block_rho, x, masks, 0)]
-              for x in range(1 << b)]
-    accept = 0.0
-    for z, x in itertools.product(range(1 << b), repeat=2):
-        prob = float(_pauli_weight(weights, PauliOperator(b, x, z, 0)))
-        if prob != 0.0:
-            accept += prob * traces[x][z]
-    return 1.0 - accept
+    vec = np.asarray(block_rho, dtype=complex).reshape(-1, order="F")
+    for q, kraus in enumerate(block_channels):
+        superop = sum(w * np.kron(np.conj(_P1[label]), _P1[label])
+                      for label, w in zip(PAULI_LABELS, twirl_channel(kraus)))
+        vec = apply_on_qubits(superop, (q, b + q), vec, 2 * b)
+    return 1.0 - float(np.vdot(acc_op.reshape(-1, order="F"), vec).real)
 
 
 def auth1_block_codeword_density(proto: Auth1Protocol, message: np.ndarray,

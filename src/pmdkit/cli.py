@@ -396,7 +396,13 @@ def _load_attack(path: str):
     """(per-wire Kraus maps, record) of an attack file; only the rate-1/3
     protocol reads the record's `classical` tampering."""
     record = _read_record(path)
-    return [_kraus(path, "wires", wire) for wire in record["wires"]], record
+    wires = [_kraus(path, "wires", wire) for wire in record["wires"]]
+    for q, kraus in enumerate(wires):
+        for k in kraus:
+            if k.shape != (2, 2):
+                raise ValueError(f"{path}: wire {q} has a Kraus operator of shape "
+                                 f"{k.shape}, not (2, 2)")
+    return wires, record
 
 
 # The auth simulate option that each protocol never reads.

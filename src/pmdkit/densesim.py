@@ -7,8 +7,7 @@ Pauli convention in `symplectic`.
 This module has no mixed-state type of its own; mixed states live with
 their users.  The authentication harnesses in `auth` keep small
 density matrices: built from the padded vectors of many keys at once
-(`pauli_gather_stack`) or padded by all Paulis of one X mask at once
-(`dm_conjugate_z_stack`), unpadded by `dm_conjugate_pauli`, and sent
+(`pauli_gather_stack`), unpadded by `dm_conjugate_pauli`, and sent
 through a wire as its superoperator by `apply_on_qubits` on vec(rho)
 (`dm_apply_single_qubit_kraus` is the per-Kraus form), and the erasure
 harness in `aqec` scores each adversary from 2^|E| x 2^|E| Gram matrices
@@ -131,19 +130,11 @@ def apply_on_qubits(u: np.ndarray, qubits: tuple[int, ...], array: np.ndarray,
 
 
 def dm_conjugate_pauli(p: PauliOperator, rho: np.ndarray) -> np.ndarray:
-    """P rho P^dagger, P acting on the low p.n qubits of rho's register."""
-    return dm_conjugate_z_stack(rho, p.x, p.z, p.phase)
-
-
-def dm_conjugate_z_stack(rho: np.ndarray, x: int, z, phase) -> np.ndarray:
-    """P rho P^dagger for the Paulis P = i^phase X^x Z^z of one X mask x.
-
-    z and phase may be integer arrays: the result stacks one conjugated
-    rho per entry along their shape, all from one gather of rho.
-    """
-    rows = np.arange(rho.shape[0]) ^ x
-    signs = _pauli_signs(rows, np.expand_dims(z, -1), np.expand_dims(phase, -1))
-    return rho[np.ix_(rows, rows)] * (signs[..., :, None] * signs.conj()[..., None, :])
+    """P rho P^dagger, P acting on the low p.n qubits of rho's register,
+    from one gather of rho and one outer product of the signs."""
+    rows = np.arange(rho.shape[0]) ^ p.x
+    signs = _pauli_signs(rows, p.z, p.phase)
+    return rho[np.ix_(rows, rows)] * (signs[:, None] * signs.conj()[None, :])
 
 
 def dm_apply_single_qubit_kraus(kraus, qubit: int, rho: np.ndarray,

@@ -1454,9 +1454,11 @@ def _product_loop_reject_probability(proto, block_channels, block_rho):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_block_reject_probability_is_bit_equal_to_the_product_loop(seed):
+def test_block_reject_probability_agrees_with_the_product_loop(seed):
     # Per-wire maps as the Kraus blocks of a random isometry, one random
-    # product attack on all 8 wires; every block's float must match.
+    # product attack on all 8 wires.  The wire-by-wire twirl sums in a
+    # different order from the per-Pauli loop, so the two agree to
+    # rounding (1.1e-16 measured), not to the bit.
     rng = np.random.default_rng(seed)
     wires = []
     for _ in range(8):
@@ -1468,8 +1470,8 @@ def test_block_reject_probability_is_bit_equal_to_the_product_loop(seed):
     for block in range(proto.n_blocks):
         rho = auth1_block_codeword_density(proto, message, block)
         channels = wires[block * b:(block + 1) * b]
-        assert (auth1_block_reject_probability(proto, channels, rho)
-                == _product_loop_reject_probability(proto, channels, rho))
+        assert abs(auth1_block_reject_probability(proto, channels, rho)
+                   - _product_loop_reject_probability(proto, channels, rho)) < 1e-14
 
 
 def test_pauli_weight_multiplies_left_to_right_and_keeps_fractions_exact():

@@ -303,6 +303,66 @@ def test_auth_simulate_refuses_a_non_finite_wire(capsys, tmp_path, entry, protoc
     assert "1: Kraus operators are not trace preserving" in err
 
 
+@pytest.mark.parametrize("bad", [
+    [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
+     [[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]],
+    [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]]],
+    ids=["4x4", "4x2-isometry"])
+@pytest.mark.parametrize("protocol, outer_text, wires, tags", [
+    ("third", "n=4 k=3\nXXXX\n", 4, 10), ("rate1", "n=2 k=1\nXX\n", 8, 18)],
+    ids=["third", "rate1"])
+def test_auth_simulate_refuses_a_wire_kraus_operator_that_is_not_2x2(
+        capsys, tmp_path, bad, protocol, outer_text, wires, tags):
+    # A 4 x 2 isometry has K^dag K = I_2, so only the shape check can
+    # refuse it; a 4 x 4 operator would otherwise fail inside numpy.
+    outer = tmp_path / "outer.txt"
+    outer.write_text(outer_text)
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    attack = _write_json(tmp_path, "attack.json", {
+        "wires": [[eye], [bad]] + [[eye]] * (wires - 2), "classical": ["keep"] * tags})
+    rc, out, err = invoke(capsys, ["auth", "simulate", "--protocol", protocol,
+                                   "--pmd-n", "2", "--pmd-lambda", "1",
+                                   "--outer", str(outer), "--attack", attack])
+    assert rc == 2 and out == ""
+    shape = (len(bad), len(bad[0]))
+    assert f"{attack}: wire 1 has a Kraus operator of shape {shape}, not (2, 2)" in err
+
+
+def test_auth_simulate_rate1_scores_an_8_qubit_block_wire_by_wire(capsys, tmp_path,
+                                                                  monkeypatch):
+    # One [[8,3]] inner block, b = 8: the block twirl is one superoperator
+    # per wire on vec(rho), with 4^8 entries, never a table over the 4^8
+    # Paulis of the block.
+    from pmdkit import cli
+    inner = tmp_path / "inner.txt"
+    inner.write_text("n=8 k=3\nZZIIIIII\nIZZIIIII\nIIZZIIII\nIIIZZIII\nIIIIZZII\n")
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=1 k=1\n")
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    attack = _write_json(tmp_path, "attack.json", {"wires": [[eye]] * 8})
+    real_apply, real_reject = auth.apply_on_qubits, cli.auth1_block_reject_probability
+    wire_calls = []
+
+    def counted_apply(u, qubits, array, n):
+        wire_calls.append(qubits)
+        return real_apply(u, qubits, array, n)
+
+    def counted_reject(*args):
+        monkeypatch.setattr(auth, "apply_on_qubits", counted_apply)
+        try:
+            return real_reject(*args)
+        finally:
+            monkeypatch.setattr(auth, "apply_on_qubits", real_apply)
+
+    monkeypatch.setattr(cli, "auth1_block_reject_probability", counted_reject)
+    rc, out, _ = invoke(capsys, ["auth", "simulate", "--protocol", "rate1",
+                                 "--pmd-n", "2", "--pmd-lambda", "1", "--outer", str(outer),
+                                 "--inner", str(inner), "--attack", attack])
+    assert rc == 0
+    assert "[PASS] block_0_reject: 0.000000000000" in out
+    assert wire_calls == [(q, 8 + q) for q in range(8)]
+
+
 def test_auth_simulate_third_fails_above_eps_squared(capsys, tmp_path, monkeypatch):
     from pmdkit import cli
     from pmdkit.auth import AttackReport
