@@ -15,7 +15,10 @@ pairs], and each slice [PMD register | reference | environment pairs].
 `erasure_harness` decodes psi0 once per erased set, without the
 cascade's flags, and scores every branch from 2^|E| x 2^|E| Gram matrices
 over E's environment; `apply_adversary`, `algorithm1_decode` and the
-flagged cascade are the per-branch path, kept as its oracle.
+flagged cascade are the per-branch path, kept as its oracle.  As in
+`densesim`, every register width is read off its array's rows: the
+adversary acts on the low qubits of whatever state it gets, and the
+flagged cascade's flags are the top L qubits of its input.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
                        check_trace_preserving, codespace_isometry,
                        pauli_gather, phi_amplitudes, qubit_rows)
 from .f2 import dot
-from .limits import check_qubits
+from .limits import check_qubits, index_bits
 from .pmd import PmdCode, auth_unitary
 from .qlde import erasure_list_decode
 from .symplectic import PauliOperator, StabilizerCode
@@ -137,7 +140,7 @@ class ErasureAdversary:
         check_trace_preserving(
             (mat.conj().T @ mat if len(support) == len(union) else
              apply_on_qubits(mat.conj().T @ mat, tuple(pos[q] for q in support),
-                             np.eye(dim), len(union))
+                             np.eye(dim))
              for mat, support in norm_branches), dim, "adversary branches")
         object.__setattr__(self, "branches", tuple(norm_branches))
 
@@ -145,10 +148,6 @@ class ErasureAdversary:
     def nonadaptive(cls, n: int, erased: tuple[int, ...]) -> "ErasureAdversary":
         return cls(n, ((np.eye(1 << len(erased), dtype=complex), tuple(erased)),),
                    max_erased=len(erased), mode="nonadaptive")
-
-    @classmethod
-    def identity(cls, n: int) -> "ErasureAdversary":
-        return cls.nonadaptive(n, ())
 
 
 @dataclass(frozen=True)
@@ -158,10 +157,6 @@ class TaggedBranch:
     weight: float
     vector: np.ndarray
     erased: tuple[int, ...]
-
-    @property
-    def n_qubits(self) -> int:
-        return self.vector.shape[0].bit_length() - 1
 
 
 def _erase_qubits(vec: np.ndarray, erased: tuple[int, ...]) -> np.ndarray:
@@ -178,16 +173,15 @@ def _erase_qubits(vec: np.ndarray, erased: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def apply_adversary(state: np.ndarray, adv: ErasureAdversary,
-                    n_qubits: int) -> list[TaggedBranch]:
+def apply_adversary(state: np.ndarray, adv: ErasureAdversary) -> list[TaggedBranch]:
     """One tagged branch per Kraus operator; erased qubits purified away.
 
-    `state` lives on n_qubits >= adv.n; the adversary acts on the low
-    adv.n qubits (the code block), extra registers ride along.
+    `state`'s rows span at least adv.n qubits; the adversary acts on the
+    low adv.n qubits (the code block), extra registers ride along.
     """
     branches = []
     for mat, support in adv.branches:
-        hit = apply_on_qubits(mat, support, state, n_qubits)
+        hit = apply_on_qubits(mat, support, state)
         weight = float(np.vdot(hit, hit).real)
         if weight <= WEIGHT_TOL:
             continue
@@ -211,8 +205,9 @@ class CorrectionCascade:
     success there leaves flags 0^i 1^(L-i), failure everywhere 0^L.  The
     patterns are orthogonal, so `branches` (what is scored) runs it
     without flags.  The flagged forms are its oracle and alone guard K + L
-    qubits: `apply` takes the flags appended, `decode` appends them (both
-    structural, flags in |0>), and `dense` is the unitary from `auth_unitary`.
+    qubits.  Their flags are the top L qubits of the register: `apply` takes
+    them appended and `decode` appends them (both structural, flags in |0>),
+    and `dense` is the unitary from `auth_unitary` on exactly K + L qubits.
     """
 
     def __init__(self, corrections: tuple[PauliOperator, ...], code: ComposedCode):
@@ -234,19 +229,20 @@ class CorrectionCascade:
 
     def decode(self, vec: np.ndarray) -> np.ndarray:
         """`apply` to vec (x) |0...0>, flags above vec's qubits."""
-        n_qubits = vec.shape[0].bit_length() - 1
         check_qubits(self.code.pmd.total + self.length, "algorithm2_unitary")  # before widening
         wide = np.zeros((vec.shape[0] << self.length,) + vec.shape[1:], dtype=complex)
         wide[: vec.shape[0]] = vec
-        return self.apply(wide, n_qubits + self.length, n_qubits)
+        return self.apply(wide)
 
-    def apply(self, vec: np.ndarray, n_qubits: int, flag_base: int) -> np.ndarray:
-        """Run on vec, PMD register lowest; flags at [flag_base, flag_base+L), all |0>."""
-        check_qubits(self.code.pmd.total + self.length, "algorithm2_unitary")
-        if not self.code.pmd.total <= flag_base <= n_qubits - self.length:
-            raise ValueError(f"flags [{flag_base}, {flag_base + self.length}) must "
-                             f"lie above the PMD register and within {n_qubits} qubits")
-        return self._flag_steps(vec, n_qubits, flag_base, self._detect)
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """Run on vec, PMD register lowest, flags the top L qubits, all |0>;
+        a register of fewer than K + L qubits raises a ValueError."""
+        total = self.code.pmd.total + self.length
+        check_qubits(total, "algorithm2_unitary")
+        if (n_qubits := index_bits(vec.shape[0], "row")) < total:
+            raise ValueError(f"the flagged cascade needs K + L = {total} qubits, "
+                             f"vec has {n_qubits}")
+        return self._flag_steps(vec, self._detect)
 
     def dense(self) -> np.ndarray:
         """The unitary on (PMD register, flags)."""
@@ -259,11 +255,11 @@ class CorrectionCascade:
         flip = np.kron(GATE_MATRICES["x"], np.eye(len(auth) // 2))
         controlled_auth = np.kron(np.diag([1, 0]), auth) + np.kron(np.diag([0, 1]), flip)
 
-        def detect(vec, n_qubits, flag, controlled):
+        def detect(vec, flag, controlled):
             op, wires = (controlled_auth, (flag, flag - 1)) if controlled else (auth, (flag,))
-            return apply_on_qubits(op, pmd_qubits + wires, vec, n_qubits)
+            return apply_on_qubits(op, pmd_qubits + wires, vec)
 
-        return self._flag_steps(np.eye(1 << total, dtype=complex), total, len(pmd_qubits), detect)
+        return self._flag_steps(np.eye(1 << total, dtype=complex), detect)
 
     def branches(self, vec: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """(flag pattern, vector) per branch of `decode`(vec), in pattern
@@ -279,18 +275,19 @@ class CorrectionCascade:
             rest = (v - coeffs @ self.code.pmd.encoder.T).reshape(vec.shape)
         return [(0, rest)] + out[::-1]
 
-    def _flag_steps(self, vec, n_qubits, flag_base, detect):
-        out = detect(pauli_gather(vec, self._steps[0]), n_qubits, flag_base, False)
+    def _flag_steps(self, vec, detect):
+        """The steps on vec, step i's flag at qubit i of the top L."""
+        flag_base = vec.shape[0].bit_length() - 1 - self.length
+        out = detect(pauli_gather(vec, self._steps[0]), flag_base, False)
         for flag, switch in enumerate(self._steps[1:], flag_base):
             # The switch acts where the flag is 0, on the qubits below it.
             out = np.ascontiguousarray(out)
             below = out.reshape(-1, 2, 1 << flag, *out.shape[1:])[:, 0].swapaxes(0, 1)
             below[...] = pauli_gather(below, switch)
-            out = detect(out, n_qubits, flag + 1, True)
+            out = detect(out, flag + 1, True)
         return out
 
-    def _detect(self, vec: np.ndarray, n_qubits: int, flag: int,
-                controlled: bool) -> np.ndarray:
+    def _detect(self, vec: np.ndarray, flag: int, controlled: bool) -> np.ndarray:
         """`auth_unitary` on (PMD qubits, flag) for a flag in |0>.
 
         On that input it leaves v - B(B^dag v) under flag 0 and puts
@@ -300,7 +297,7 @@ class CorrectionCascade:
         """
         pmd = self.code.pmd
         dim_p, dim_m = pmd.encoder.shape
-        states = vec.reshape(1 << n_qubits, -1).T  # one state per row
+        states = vec.reshape(vec.shape[0], -1).T  # one state per row
         out = np.zeros(states.shape, dtype=complex)
         below = 2 if controlled else 1
         # Axes: state, qubits above the flag, the flag, the flag below
@@ -412,7 +409,6 @@ class HarnessReport:
     fidelity: float
     realized_list: int
     bound: float
-    passed: bool
     branch_count: int
 
 
@@ -454,9 +450,7 @@ def erasure_harness(code: ComposedCode, adv: ErasureAdversary,
             fidelity += _sandwich(kraus, gram)
             branch_count += 1
     bound = float(1.0 - 3.0 * np.sqrt(epsilon) * realized ** 0.75)
-    return HarnessReport(fidelity, realized, bound,
-                         passed=bool(fidelity >= bound - 1e-9),
-                         branch_count=branch_count)
+    return HarnessReport(fidelity, realized, bound, branch_count)
 
 
 def random_adversary(n: int, budget: int, rng: np.random.Generator) -> ErasureAdversary:

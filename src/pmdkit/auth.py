@@ -37,7 +37,7 @@ from .densesim import (apply_on_qubits, apply_pauli, check_trace_preserving,
                        codespace_isometry, dm_conjugate_pauli as _dm_conjugate_pauli,
                        pauli_gather_stack, qubit_rows)
 from .galois import FieldSpec
-from .limits import SizeGuardError
+from .limits import SizeGuardError, index_bits
 from .lp import exact_lp
 from .symplectic import PauliOperator, StabilizerCode, pauli_span
 
@@ -88,10 +88,6 @@ class TamperFunction:
         return len(self.tags)
 
     @classmethod
-    def keep_all(cls, n: int) -> "TamperFunction":
-        return cls(("keep",) * n)
-
-    @classmethod
     def set_to(cls, word: int, n: int) -> "TamperFunction":
         return cls(tuple("set1" if (word >> i) & 1 else "set0" for i in range(n)))
 
@@ -122,16 +118,19 @@ class NmCode:
 
     `codewords[s, r]` is the n-bit codeword of the k-bit message s under
     randomness r < 2^rand_bits; `decoded[w]` is the message that the
-    n-bit word w decodes to, or -1 for REJECT.  Shapes, ranges and
-    correct decoding of untampered codewords are checked on construction.
+    n-bit word w decodes to, or -1 for REJECT.  The shapes (2^k,
+    2^rand_bits) and (2^n,) fix k, rand_bits and n, so any other shape
+    raises; the size guard, ranges and correct decoding of untampered
+    codewords are checked on construction.
     """
 
-    def __init__(self, k: int, n: int, rand_bits: int, codewords, decoded,
-                 name: str = ""):
-        _check_table_size(k, n, rand_bits)
+    def __init__(self, codewords, decoded, name: str = ""):
         codewords, decoded = np.asarray(codewords), np.asarray(decoded)
-        if codewords.shape != (1 << k, 1 << rand_bits) or decoded.shape != (1 << n,):
-            raise ValueError(f"tables need shapes (2^{k}, 2^{rand_bits}) and (2^{n},)")
+        if codewords.ndim != 2 or decoded.ndim != 1:
+            raise ValueError("tables need a 2-D encode table and a 1-D decode table")
+        k, rand_bits = (index_bits(size, "encode table") for size in codewords.shape)
+        n = index_bits(decoded.shape[0], "decode table")
+        _check_table_size(k, n, rand_bits)
         if (codewords.min() < 0 or codewords.max() >= 1 << n
                 or decoded.min() < -1 or decoded.max() >= 1 << k):
             raise ValueError(f"codewords must lie in [0, 2^{n}) and decode values "
@@ -194,7 +193,7 @@ class NmCode:
         decoded = np.full(1 << n, -1, dtype=np.int64)
         decoded[list(decode)] = list(decode.values())
         codewords = np.reshape([encode[p] for p in pairs], (1 << k, 1 << rand_bits))
-        return cls(k, n, rand_bits, codewords, decoded, name=record.get("name", ""))
+        return cls(codewords, decoded, name=record.get("name", ""))
 
     def dumps(self) -> str:
         return json.dumps(self.to_record(), sort_keys=True)
@@ -214,7 +213,7 @@ def systematic_parity_nm(k: int) -> NmCode:
     codewords |= s | (r << (k + 1))
     decoded = np.full(1 << (k + 2), -1, dtype=np.int32)  # other words reject
     decoded[codewords] = s
-    return NmCode(k, k + 2, 1, codewords, decoded, name=f"parity[{k}]")
+    return NmCode(codewords, decoded, name=f"parity[{k}]")
 
 
 @dataclass(frozen=True)
@@ -283,11 +282,6 @@ def nm_decompose(code: NmCode, f: TamperFunction) -> NmDecomposition:
     labels = [*range(1 << code.k), REJECT, "same"]
     return NmDecomposition(epsilon, {label: float(q) for label, q in zip(labels, x)
                                      if q > 0})
-
-
-def all_tamper_functions(n: int):
-    for tags in itertools.product(BIT_TAGS, repeat=n):
-        yield TamperFunction(tags)
 
 
 def tamper_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -476,7 +470,7 @@ def nm_search(k: int, n: int, trials: int,
         codewords = rng.permutation(1 << n)[:1 << (k + 1)].reshape(1 << k, -1)
         decoded = np.full(1 << n, -1)  # words outside the code reject
         decoded[codewords] = np.arange(1 << k)[:, None]
-        code = NmCode(k, n, 1, codewords, decoded, name=f"random[{k}->{n}]#{trial}")
+        code = NmCode(codewords, decoded, name=f"random[{k}->{n}]#{trial}")
         eps = _nm_sweep(code, solved, stop_at=best_eps)
         if eps < best_eps:
             best_code, best_eps = code, eps
@@ -537,11 +531,6 @@ def twirled_choi_by_pad_average(kraus) -> np.ndarray:
         padded = [p.conj().T @ np.asarray(k, dtype=complex) @ p for k in kraus]
         acc += channel_choi(padded)
     return acc / 4
-
-
-def pauli_channel_choi(weights) -> np.ndarray:
-    kraus = [np.sqrt(float(w)) * _P1[label] for label, w in zip(PAULI_LABELS, weights)]
-    return channel_choi(kraus)
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +595,6 @@ def normalizer_l1_mass(per_qubit_abs_coeffs, code: StabilizerCode):
             inner = inner + _pauli_weight(weights, element)
         total = total + inner * inner
     return total
-
-
-def abs_coeffs_from_kraus(kraus):
-    """Float |c| table for one qubit, for the L1 packing mass."""
-    return [list(np.abs(row)) for row in pauli_decompose_channel(kraus)]
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +768,7 @@ def auth13_attack_harness(proto: Auth13Protocol, wire_kraus,
         stack[:, j] = rho.reshape(-1, order="F")
     for q, kraus in enumerate(wire_kraus):
         superop = sum(np.kron(np.conj(op), op) for op in map(np.asarray, kraus))
-        stack = apply_on_qubits(superop, (q, total_qubits + q), stack, 2 * total_qubits)
+        stack = apply_on_qubits(superop, (q, total_qubits + q), stack)
     # Accept POVM and decode collapse to contraction with the composed
     # isometry (syndrome-0 and detection projection), reference alongside.
     big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
@@ -958,7 +942,8 @@ def auth1_encode(proto: Auth1Protocol, message: np.ndarray, seed: int) -> np.nda
 
 @dataclass(frozen=True)
 class Auth1DecodeResult:
-    accepted: bool
+    """The decode of one branch; `rejected_at` is None when it was accepted."""
+
     accept_probability: float
     rejected_at: str | None
     message: np.ndarray | None
@@ -973,18 +958,17 @@ def auth1_decode(proto: Auth1Protocol, state: np.ndarray, seed: int) -> Auth1Dec
     forces a global reject).  Survivors are un-encoded blockwise and the
     outer code's syndrome is checked the same way.
     """
-    n = proto.total_quantum
     vec = apply_pauli(proto.pad_for_seed(seed), state)  # pads self-inverse
     acc_op = auth1_block_accept_operator(proto)
     prob = 1.0
     for j in range(proto.n_blocks):
         block_qubits = tuple(range(j * proto.block_qubits,
                                    (j + 1) * proto.block_qubits))
-        projected = apply_on_qubits(acc_op, block_qubits, vec, n)
+        projected = apply_on_qubits(acc_op, block_qubits, vec)
         p_block = float(np.vdot(projected, projected).real)
         prob *= p_block
         if p_block <= 1e-12:
-            return Auth1DecodeResult(False, 0.0, f"inner block {j}", None)
+            return Auth1DecodeResult(0.0, f"inner block {j}", None)
         vec = projected / np.sqrt(p_block)
     # Un-encode the accepted blocks, then check the outer code.
     block_messages = proto.block_isometry().conj().T @ vec
@@ -993,8 +977,8 @@ def auth1_decode(proto: Auth1Protocol, state: np.ndarray, seed: int) -> Auth1Dec
     p_outer = float(np.vdot(message, message).real)
     prob *= p_outer
     if p_outer <= 1e-12:
-        return Auth1DecodeResult(False, 0.0, "outer", None)
-    return Auth1DecodeResult(True, prob, None, message / np.sqrt(p_outer))
+        return Auth1DecodeResult(0.0, "outer", None)
+    return Auth1DecodeResult(prob, None, message / np.sqrt(p_outer))
 
 
 def auth1_block_accept_operator(proto: Auth1Protocol) -> np.ndarray:
@@ -1027,7 +1011,7 @@ def auth1_block_reject_probability(proto: Auth1Protocol, block_channels,
     for q, kraus in enumerate(block_channels):
         superop = sum(w * np.kron(np.conj(_P1[label]), _P1[label])
                       for label, w in zip(PAULI_LABELS, twirl_channel(kraus)))
-        vec = apply_on_qubits(superop, (q, b + q), vec, 2 * b)
+        vec = apply_on_qubits(superop, (q, b + q), vec)
     return 1.0 - float(np.vdot(acc_op.reshape(-1, order="F"), vec).real)
 
 

@@ -170,14 +170,18 @@ def _frac(f: Fraction) -> str:
 def _family(args, config: dict):
     """The family of --n, --lambda and --modulus; a modulus goes into config.
 
-    Both commands that build it run its pairwise sweep, whose guard a
+    A modulus whose degree is not --lambda is refused first.  Both
+    commands that build the family run its pairwise sweep, whose guard a
     large lambda meets.  It is checked from the field, before the
     family's 2^lambda codes are built; a lambda with no field here is
     refused by `build_bcgst_family` before it builds any."""
     field = None
     if args.modulus is not None:
         config["modulus"] = args.modulus
-        field = FieldSpec(args.lam, int(args.modulus, 0))
+        field = FieldSpec(int(args.modulus, 0))
+        if field.m != args.lam:
+            raise ValueError(f"--modulus {args.modulus} has degree {field.m}, "
+                             f"--lambda is {args.lam}")
     elif args.lam in DEFAULT_MODULI:
         field = FieldSpec.default(args.lam)
     if field is not None:
@@ -383,7 +387,8 @@ def cmd_aqec_simulate(args) -> int:
             rows.append((name, "error", "", ""))
             continue
         report.add(f"fidelity[{name}]", f"{rep.fidelity:.12f}",
-                   "1 - 3*sqrt(eps)*L^(3/4)", f"{rep.bound:.6f}", rep.passed)
+                   "1 - 3*sqrt(eps)*L^(3/4)", f"{rep.bound:.6f}",
+                   rep.fidelity >= rep.bound - 1e-9)
         rows.append((name, f"{rep.fidelity:.12f}", rep.realized_list, rep.bound))
     report.extras["epsilon"] = f"{eps:.12f}"
     report.extras["rows"] = [
@@ -419,6 +424,9 @@ def cmd_auth_simulate(args) -> int:
     config = {"protocol": args.protocol, "pmd_n": args.pmd_n,
               "pmd_lambda": args.pmd_lambda, "outer": args.outer,
               "attack": args.attack}
+    for option in ("inner", "nm"):  # only the protocol's own can be given
+        if getattr(args, option):
+            config[option] = getattr(args, option)
     eps = measure_pmd_epsilon(pmd).value
     report = Report("auth simulate", config, None)
     if args.protocol == "third":
@@ -454,7 +462,7 @@ def cmd_auth_simulate(args) -> int:
     state = auth1_encode(proto, message, seed=0)
     clean = auth1_decode(proto, state, seed=0)
     report.add("completeness", f"{clean.accept_probability:.12f}",
-               "exact round trip", "1", clean.accepted
+               "exact round trip", "1", clean.rejected_at is None
                and clean.accept_probability > 1 - 1e-9)
     b = proto.block_qubits
     for block in range(proto.n_blocks):

@@ -2,7 +2,9 @@
 
 Statevectors and operators are complex128 numpy arrays.  Basis-state
 index bit j holds qubit j (little-endian), matching the bit-packed
-Pauli convention in `symplectic`.
+Pauli convention in `symplectic`.  A routine's register is its array's
+rows: their count, a power of two, fixes the width, and no routine takes
+the width beside the array.
 
 This module has no mixed-state type of its own; mixed states live with
 their users.  The authentication harnesses in `auth` keep small
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .limits import SizeGuardError, check_qubits
+from .limits import SizeGuardError, check_qubits, index_bits
 from .symplectic import CliffordCircuit, PauliOperator, StabilizerCode
 
 ATOL = 1e-10
@@ -30,13 +32,6 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.diag([1, -1]).astype(complex)
 
 GATE_MATRICES = {"h": _H, "s": _S, "x": _X, "z": _Z}
-
-
-def _qubit_count(dim: int, what: str = "vector") -> int:
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
-        raise ValueError(f"{what} dimension {dim} is not a power of two")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +95,14 @@ def pauli_gather_stack(vec: np.ndarray, x, z) -> np.ndarray:
     return out
 
 
-def apply_on_qubits(u: np.ndarray, qubits: tuple[int, ...], array: np.ndarray,
-                    n: int) -> np.ndarray:
-    """Apply a small unitary/matrix on the listed qubits of an n-qubit array.
+def apply_on_qubits(u: np.ndarray, qubits: tuple[int, ...], array: np.ndarray) -> np.ndarray:
+    """Apply a small unitary/matrix on the listed qubits of `array`.
 
     The small matrix's index bit i corresponds to qubits[i].  `array`
-    may be a vector or a matrix whose rows form the qubit register.
+    may be a vector or a matrix whose rows form the qubit register, n
+    qubits for 2^n rows; another row count raises a ValueError.
     """
-    m = len(qubits)
+    n, m = index_bits(array.shape[0], "row"), len(qubits)
     u = np.asarray(u, dtype=complex)
     if u.shape != (1 << m, 1 << m):
         raise ValueError(f"operator shape {u.shape} does not match {m} qubits")
@@ -137,15 +132,14 @@ def dm_conjugate_pauli(p: PauliOperator, rho: np.ndarray) -> np.ndarray:
     return rho[np.ix_(rows, rows)] * (signs[:, None] * signs.conj()[None, :])
 
 
-def dm_apply_single_qubit_kraus(kraus, qubit: int, rho: np.ndarray,
-                                n: int) -> np.ndarray:
-    """sum_K K rho K^dagger with each K acting on one qubit of n."""
+def dm_apply_single_qubit_kraus(kraus, qubit: int, rho: np.ndarray) -> np.ndarray:
+    """sum_K K rho K^dagger with each K acting on one qubit of rho's register."""
     out = np.zeros_like(rho)
     for k in kraus:
         k = np.asarray(k, dtype=complex)
-        left = apply_on_qubits(k, (qubit,), rho, n)
+        left = apply_on_qubits(k, (qubit,), rho)
         # K rho K^dag == (K (K rho)^dag)^dag, row-applying K both times.
-        out += apply_on_qubits(k, (qubit,), left.conj().T, n).conj().T
+        out += apply_on_qubits(k, (qubit,), left.conj().T).conj().T
     return out
 
 
@@ -165,7 +159,7 @@ def apply_circuit(circ: CliffordCircuit, array: np.ndarray) -> np.ndarray:
     two qubits: CZ negates the |11> slice, CNOT swaps the target's halves
     where the control is 1.
     """
-    if _qubit_count(array.shape[0], "row") < circ.n:
+    if index_bits(array.shape[0], "row") < circ.n:
         raise ValueError(f"array has {array.shape[0]} rows, fewer than 2^{circ.n}")
     out = np.array(array, dtype=complex, order="C")
     cols = out.size // out.shape[0]
@@ -277,7 +271,7 @@ def kraus_from_record(record) -> tuple[np.ndarray, ...]:
 def qubit_rows(vec: np.ndarray, rows) -> np.ndarray:
     """vec as a matrix whose row index bit i is qubit rows[i]; the columns
     index the other qubits, the lowest one as bit 0."""
-    n = _qubit_count(vec.shape[0])
+    n = index_bits(vec.shape[0], "vector")
     rest = [q for q in range(n) if q not in rows]
     return vec.reshape([2] * n, order="F").transpose(list(rows) + rest).reshape(
         1 << len(rows), -1, order="F")

@@ -4,7 +4,8 @@ A field element is a plain int in [0, 2^m): its m-bit coefficient
 vector in the polynomial basis (bit i = coefficient of x^i, so x^l is
 `1 << l`).  Addition is XOR, written `^` where it is used; `FieldSpec`
 owns the rest over a fixed irreducible modulus, whose irreducibility is
-verified at construction by trial division.  `mul` and `power` read
+verified at construction by trial division.  A field is given by its
+modulus alone: m is the modulus's degree.  `mul` and `power` read
 discrete log and antilog tables of the field's multiplicative group
 (a*b = g^(log a + log b) for a generator g), which `_log_antilog` builds
 once per modulus on first use with the carry-less `_poly_mulmod`; `trace`
@@ -116,18 +117,13 @@ def _is_irreducible(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(2^m) with a fixed degree-m irreducible modulus."""
+    """GF(2^m) over a fixed irreducible modulus of degree m."""
 
-    m: int
     modulus: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {self.m}")
-        if _poly_degree(self.modulus) != self.m:
-            raise ValueError(
-                f"modulus 0x{self.modulus:x} has degree {_poly_degree(self.modulus)}, "
-                f"expected {self.m}")
+        if self.modulus < 2:  # reducing by a negative int never ends
+            raise ValueError(f"modulus {self.modulus:#x} is not a polynomial of degree >= 1")
         if not _is_irreducible(self.modulus):
             raise ValueError(f"modulus 0x{self.modulus:x} is reducible")
 
@@ -135,7 +131,12 @@ class FieldSpec:
     def default(cls, m: int) -> "FieldSpec":
         if m not in DEFAULT_MODULI:
             raise ValueError(f"no default modulus for m={m}; supply one explicitly")
-        return cls(m, DEFAULT_MODULI[m])
+        return cls(DEFAULT_MODULI[m])
+
+    @property
+    def m(self) -> int:
+        """The extension degree: the modulus's degree."""
+        return _poly_degree(self.modulus)
 
     @property
     def order(self) -> int:

@@ -2,6 +2,8 @@
 
 The toolkit refuses to materialize statevectors or sweeps beyond a desk
 scale qubit budget.  `PMDKIT_MAX_QUBITS` overrides the default of 14.
+A width is read off the size it indexes (`index_bits`), never passed
+beside it.
 """
 
 import os
@@ -38,3 +40,13 @@ def check_qubits(n: int, what: str, limit: int | None = None) -> None:
         cap, hint = limit, ""
     if n > cap:
         raise SizeGuardError(f"{what} needs {n} qubits, above the limit of {cap}{hint}")
+
+
+def index_bits(size: int, what: str) -> int:
+    """The m with size == 2^m: the qubits of a dense array's rows, or the
+    bits of a table's index; a ValueError naming `what` and the size
+    otherwise."""
+    m = size.bit_length() - 1
+    if size < 1 or 1 << m != size:
+        raise ValueError(f"{what} dimension {size} is not a power of two")
+    return m

@@ -448,13 +448,6 @@ def compressed_error_norm(pmd: PmdCode, e: PauliOperator) -> float:
     return float(np.linalg.svd(pmd.encoder_dagger @ eb, compute_uv=False)[0])
 
 
-def key_phase_error(pmd: PmdCode, b_mask: int) -> PauliOperator:
-    """Z^b on the key register, identity on the code register."""
-    if not 0 <= b_mask < (1 << pmd.key_qubits):
-        raise ValueError("phase mask outside the key register")
-    return PauliOperator(pmd.total, 0, b_mask << pmd.code_qubits, 0)
-
-
 def auth_unitary(pmd: PmdCode) -> np.ndarray:
     """Detection unitary on total+1 qubits (flag qubit on top).
 

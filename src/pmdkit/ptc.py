@@ -35,12 +35,16 @@ from .symplectic import PauliOperator, StabilizerCode
 
 @dataclass(frozen=True)
 class PtcFamily:
-    """A keyed set of [[n, n-lambda]] stabilizer codes."""
+    """A keyed set of [[n, n-lambda]] stabilizer codes, keyed by the
+    elements of `field`, whose degree is lambda."""
 
     n: int
-    lam: int
     field: FieldSpec
     codes: dict[int, StabilizerCode]  # key: the field element, an int
+
+    @property
+    def lam(self) -> int:
+        return self.field.m
 
     @property
     def r(self) -> int:
@@ -80,12 +84,16 @@ class SweepResult:
 
     In sampling mode each sampled error's key fraction is still exact;
     `worst_miss_probability` is the chance that any one fixed error
-    (in particular the true argmax) was never drawn.
+    (in particular the true argmax) was never drawn, and None marks an
+    exhaustive sweep.
     """
 
     value: Fraction
-    exhaustive: bool
     worst_miss_probability: float | None = None
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.worst_miss_probability is None
 
 
 def build_bcgst_family(n: int, lam: int,
@@ -127,7 +135,7 @@ def build_bcgst_family(n: int, lam: int,
             gens.append(PauliOperator(n, x, z, 0))
         codes[key] = StabilizerCode(n, gens, name=f"Q[{key:#x}]",
                                     encoder_pivot=encoder_pivot)
-    return PtcFamily(n, lam, field, codes)
+    return PtcFamily(n, field, codes)
 
 
 # Entries of one (errors x keys) syndrome chunk: bounds the sweeps' memory.
@@ -234,9 +242,8 @@ def measure_strong_ptc_error(family: PtcFamily, samples: int | None = None,
         best = max(best, int(_miss_counts(syn).max()))
     value = Fraction(best, family.num_keys)
     if samples is None:
-        return SweepResult(value, exhaustive=True)
-    miss = float((1.0 - 1.0 / total_errors) ** samples)
-    return SweepResult(value, exhaustive=False, worst_miss_probability=miss)
+        return SweepResult(value)
+    return SweepResult(value, float((1.0 - 1.0 / total_errors) ** samples))
 
 
 def check_pairwise_sweep(keys: int, gens: int) -> None:
@@ -285,8 +292,7 @@ def measure_pairwise_detectability(family: PtcFamily) -> SweepResult:
     keys = np.arange(family.num_keys)
     bad = _shift_miss_matrix(family)
     per_shift = bad[keys[:, None], keys[:, None] ^ keys[None, :]].sum(axis=0)
-    return SweepResult(Fraction(int(per_shift[1:].max()), family.num_keys),
-                       exhaustive=True)
+    return SweepResult(Fraction(int(per_shift[1:].max()), family.num_keys))
 
 
 def pbeta_roots(field: FieldSpec, beta: int, r: int) -> set[int]:

@@ -18,15 +18,14 @@ from pmdkit.aqec import compose, erasure_harness, random_adversary
 from pmdkit.auth import (Auth13Protocol, TamperFunction, auth13_attack_harness,
                          auth13_encode, auth13_key_recovered_branch,
                          nm_decompose, nm_search, pad_to_pauli,
-                         pauli_channel_choi, pure_distance, stabilizer_mass,
+                         channel_choi, pure_distance, stabilizer_mass,
                          normalizer_l1_mass, substitution_attack,
                          substitution_overlap_oracle, systematic_parity_nm,
                          twirl_channel, twirled_choi_by_pad_average, twise_pad,
                          twise_pad_seed_bits)
 from pmdkit.cli import run as cli_run
 from pmdkit.densesim import apply_pauli
-from pmdkit.pmd import (auth_unitary, build_pmd, compressed_error_norm,
-                        key_phase_error, measure_pmd_epsilon)
+from pmdkit.pmd import auth_unitary, build_pmd, compressed_error_norm, measure_pmd_epsilon
 from pmdkit.ptc import (build_bcgst_family, measure_pairwise_detectability,
                         measure_strong_ptc_error)
 from pmdkit.qlde import (classical_list_profile, erasure_list_decode,
@@ -39,6 +38,7 @@ FAMILIES = [(2, 1), (4, 2), (6, 2), (6, 3)]
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1, -1]).astype(complex)
+PAULIS = (I2, X, 1j * X @ Z, Z)  # I, X, Y, Z
 
 HAMMING_H = [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
 
@@ -97,7 +97,8 @@ def test_criterion_02_pmd_bound(pmd_measurements):
         assert rep.exhaustive
         assert rep.value <= bound + 1e-9, (n, lam, rep.value, bound)
         for b_mask in range(1, 1 << lam):
-            phase_err = key_phase_error(pmd, b_mask)
+            # Z^b on the key register, identity on the code register.
+            phase_err = PauliOperator(pmd.total, 0, b_mask << pmd.code_qubits, 0)
             assert compressed_error_norm(pmd, phase_err) <= 1e-10
         timings[(n, lam)] = time.monotonic() - start
     # The 8-qubit case is (6, 2); its sweep already ran inside the
@@ -222,7 +223,7 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
     for _ in range(100):
         adv = random_adversary(7, 1, rng)
         out = erasure_harness(code, adv, eps)
-        assert out.passed
+        assert out.fidelity >= out.bound - 1e-9
         fidelities.append(out.fidelity)
     assert min(fidelities) >= 1 - 3 * math.sqrt(eps) * 2 ** 0.75 - 1e-9
 
@@ -255,7 +256,7 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
         corrupted = pmd_register(apply_circuit(outer_dec, apply_pauli(err, encoded)))
         widened = np.zeros(corrupted.shape[0] << big_l, dtype=complex)
         widened[: corrupted.shape[0]] = corrupted
-        got = cascade.apply(widened, width + big_l, width)
+        got = cascade.apply(widened)
         flags = ((1 << (big_l - idx)) - 1) << idx  # 0^(i-1) 1 1..1 pattern
         want = np.zeros_like(got)
         want[(flags << width):(flags << width) + 4] = psi
@@ -269,7 +270,7 @@ def test_criterion_06_end_to_end_erasure(pmd_measurements):
     phi = pmd_register(apply_circuit(outer_dec, phi / np.linalg.norm(phi)))
     widened = np.zeros(phi.shape[0] << big_l, dtype=complex)
     widened[: phi.shape[0]] = phi
-    got = cascade.apply(widened, width + big_l, width)
+    got = cascade.apply(widened)
     anc_dim = 1 << (width - code.message_qubits)
     stacked = got.reshape(1 << big_l, anc_dim, 4)
     overlap = np.linalg.norm(stacked[:, 0, :] @ psi.conj())
@@ -293,7 +294,7 @@ def test_criterion_07_twirl_identity():
         q, _ = np.linalg.qr(m)
         kraus = [q.reshape(2, n_kraus, 2, n_kraus)[:, mu, :, 0]
                  for mu in range(n_kraus)]
-        algebraic = pauli_channel_choi(twirl_channel(kraus))
+        algebraic = channel_choi([np.sqrt(w) * p for w, p in zip(twirl_channel(kraus), PAULIS)])
         averaged = twirled_choi_by_pad_average(kraus)
         assert np.abs(algebraic - averaged).max() <= 1e-10
     # Encryption identity: the full pad average is maximally mixing.
@@ -321,7 +322,7 @@ def test_criterion_08_authentication(auth13_proto):
     start = time.monotonic()
     proto = auth13_proto
     eps = measure_pmd_epsilon(proto.composed.pmd).value
-    keep = TamperFunction.keep_all(proto.nm.n)
+    keep = TamperFunction(("keep",) * proto.nm.n)
 
     # Exact completeness.
     clean = auth13_attack_harness(proto, [(I2,)] * 4, keep)
@@ -359,7 +360,7 @@ def test_criterion_08_authentication(auth13_proto):
 
 def test_criterion_09_nm_verifier():
     code = systematic_parity_nm(2)
-    keep_eps = nm_decompose(code, TamperFunction.keep_all(code.n)).epsilon
+    keep_eps = nm_decompose(code, TamperFunction(("keep",) * code.n)).epsilon
     assert keep_eps <= 1e-9
     for target in (0, 3):
         const = TamperFunction.set_to(code.encode(target, 1), code.n)

@@ -10,13 +10,12 @@ import pytest
 from pmdkit import auth, lp
 from pmdkit.aqec import compose
 from pmdkit.auth import (Auth1Protocol, Auth13Protocol, NmCode, TamperFunction,
-                         abs_coeffs_from_kraus, all_tamper_functions,
                          auth1_block_codeword_density, auth1_block_reject_probability,
                          auth1_decode, auth1_encode, auth13_attack_harness,
                          auth13_encode, auth13_key_recovered_branch, channel_choi,
                          eta_classify, nm_decode_tables, nm_decompose, nm_search,
                          nm_upper_bounds, nm_verify,
-                         normalizer_l1_mass, pad_to_pauli, pauli_channel_choi,
+                         normalizer_l1_mass, pad_to_pauli,
                          pauli_decompose_channel, pure_distance, simulator_lp,
                          stabilizer_mass,
                          substitution_attack, substitution_overlap_oracle,
@@ -79,7 +78,7 @@ def test_tamper_function_masks_apply_to_ints_and_arrays():
 
 def test_nm_roundtrip_enforced():
     with pytest.raises(ValueError, match="decode"):
-        NmCode(1, 2, 0, [[0], [1]], [0, 0, 0, 0])
+        NmCode([[0], [1]], [0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("codewords, decoded", [
@@ -90,14 +89,20 @@ def test_nm_roundtrip_enforced():
 ])
 def test_nm_tables_out_of_range_rejected(codewords, decoded):
     with pytest.raises(ValueError, match="must lie in"):
-        NmCode(1, 2, 0, codewords, decoded)
+        NmCode(codewords, decoded)
 
 
 def test_nm_table_shapes_checked():
-    with pytest.raises(ValueError, match="shapes"):
-        NmCode(1, 2, 0, [[0, 1]], [0, 1, -1, -1])
-    with pytest.raises(ValueError, match="shapes"):
-        NmCode(1, 2, 0, [[0], [1]], [0, 1, -1])
+    # The shapes (2^k, 2^rand_bits) and (2^n,) are the only source of k,
+    # rand_bits and n.
+    code = NmCode([[0, 2], [1, 3]], [0, 1, 0, 1])
+    assert (code.k, code.rand_bits, code.n) == (1, 1, 2)
+    with pytest.raises(ValueError, match="encode table dimension 3 is not a power of two"):
+        NmCode([[0], [1], [2]], [0, 1, 2, -1])
+    with pytest.raises(ValueError, match="decode table dimension 3 is not a power of two"):
+        NmCode([[0], [1]], [0, 1, -1])
+    with pytest.raises(ValueError, match="2-D encode table and a 1-D decode table"):
+        NmCode([0, 1], [0, 1])
 
 
 def nm_record(encode, decode, k=1, n=2, rand_bits=0):
@@ -132,8 +137,6 @@ def test_nm_table_guard_refuses_before_allocating():
     with pytest.raises(SizeGuardError, match="entries"):
         NmCode.from_record(nm_record({}, {}, n=40))
     with pytest.raises(SizeGuardError, match="entries"):
-        NmCode(1, 40, 0, [[0], [1]], [0, 1])
-    with pytest.raises(SizeGuardError, match="entries"):
         systematic_parity_nm(10 ** 9)
     rng = np.random.default_rng(np.random.Philox(3))
     with pytest.raises(SizeGuardError, match="entries"):
@@ -156,8 +159,6 @@ def test_nm_tables_refuse_negative_sizes():
         nm_search(-1, 3, 1, np.random.default_rng(np.random.Philox(3)))
     with pytest.raises(ValueError, match=message):
         systematic_parity_nm(-1)
-    with pytest.raises(ValueError, match=message):
-        NmCode(1, 2, -1, [[0], [1]], [0, 1, -1, -1])
     with pytest.raises(ValueError, match=message):
         NmCode.from_record(nm_record({}, {}, n=-2))
 
@@ -199,12 +200,17 @@ def tampered_distributions_by_calls(code, f):
     return out
 
 
+def every_tampering(n):
+    """All 4^n deterministic bit-wise tamperings, in tag-product order."""
+    return map(TamperFunction, itertools.product(auth.BIT_TAGS, repeat=n))
+
+
 def random_decode_table_code(rng, k, n, rand_bits):
     """An injective code whose other words decode to reject or any message."""
     words = rng.permutation(1 << n)[:1 << (k + rand_bits)].reshape(1 << k, -1)
     decoded = rng.integers(-1, 1 << k, size=1 << n)
     decoded[words] = np.arange(1 << k)[:, None]
-    return NmCode(k, n, rand_bits, words, decoded)
+    return NmCode(words, decoded)
 
 
 def test_tampered_distributions_match_per_codeword_loop():
@@ -217,7 +223,7 @@ def test_tampered_distributions_match_per_codeword_loop():
         tampers = [TamperFunction(tuple(rng.choice(auth.BIT_TAGS, size=code.n).tolist()))
                    for _ in range(25)]
         if code.n <= 3:
-            tampers = list(all_tamper_functions(code.n))
+            tampers = list(every_tampering(code.n))
         for f in tampers:
             got = code.tampered_distributions(f)
             want = tampered_distributions_by_calls(code, f)
@@ -291,7 +297,7 @@ def test_simulator_lp_rows_match_row_by_row_build():
 def test_tampered_distributions_check_arity():
     code = systematic_parity_nm(2)
     with pytest.raises(ValueError, match="arity"):
-        code.tampered_distributions(TamperFunction.keep_all(code.n - 1))
+        code.tampered_distributions(TamperFunction(("keep",) * (code.n - 1)))
 
 
 def test_parity_code_roundtrip_and_record():
@@ -306,7 +312,7 @@ def test_parity_code_roundtrip_and_record():
 
 def test_decompose_keep_all_is_zero():
     code = systematic_parity_nm(2)
-    dec = nm_decompose(code, TamperFunction.keep_all(code.n))
+    dec = nm_decompose(code, TamperFunction(("keep",) * code.n))
     assert dec.epsilon <= 1e-9
     assert dec.simulator.get("same", 0) > 0.99
 
@@ -340,7 +346,7 @@ def test_nm_verify_parity_k1():
 def test_nm_verify_guard():
     with pytest.raises(SizeGuardError):
         nm_verify(systematic_parity_nm(8))
-    many_rand = NmCode(1, 4, 8, np.repeat([[0], [1]], 256, axis=1), [0, 1] + [-1] * 14)
+    many_rand = NmCode(np.repeat([[0], [1]], 256, axis=1), [0, 1] + [-1] * 14)
     with pytest.raises(SizeGuardError, match="rand_bits"):
         nm_verify(many_rand)
 
@@ -370,7 +376,7 @@ PINNED_SEARCH_EPS = 2 / 3  # exhaustive LP sweep of the seeded search winner
 
 def brute_force_nm_epsilon(code):
     """Oracle: one simulator LP per tampering, nothing shared."""
-    return max(nm_decompose(code, f).epsilon for f in all_tamper_functions(code.n))
+    return max(nm_decompose(code, f).epsilon for f in every_tampering(code.n))
 
 
 def decode_table(code, f):
@@ -434,7 +440,7 @@ def test_nm_search_solves_one_lp_per_decode_table(monkeypatch, seed21_trials):
     # exceed the running maximum: 2 of the 539 distinct tables at seed 21
     # (15 with the three-family bound alone).
     codes, _ = seed21_trials
-    tables = {decode_table(c, f) for c in codes for f in all_tamper_functions(c.n)}
+    tables = {decode_table(c, f) for c in codes for f in every_tampering(c.n)}
     solved = count_solved_tables(monkeypatch)
     nm_search(2, 5, 2, np.random.default_rng(np.random.Philox(21)))
     assert len(solved) == len(set(solved))
@@ -455,7 +461,7 @@ def test_tamper_masks_match_tag_application():
         words = np.arange(1 << n)
         masked = (words[None, :] & a[:, None]) ^ b[:, None]
         seen = set()
-        for f in all_tamper_functions(n):
+        for f in every_tampering(n):
             ai = sum(1 << i for i, tag in enumerate(f.tags) if tag in ("keep", "flip"))
             bi = sum(1 << i for i, tag in enumerate(f.tags) if tag in ("flip", "set1"))
             row = ai * (1 << n) + bi
@@ -470,7 +476,7 @@ def test_tamper_masks_match_tag_application():
 def test_nm_decode_tables_are_the_distinct_tampered_tables():
     code = systematic_parity_nm(2)
     tables, masks = nm_decode_tables(code)
-    want = {decode_table(code, f) for f in all_tamper_functions(code.n)}
+    want = {decode_table(code, f) for f in every_tampering(code.n)}
     got = [decode_table(code, tamper_from_masks(int(a), int(b), code.n)) for a, b in masks]
     assert len(set(got)) == len(got) == len(want) and set(got) == want
     for table, rep in zip(tables.tolist(), got):
@@ -922,7 +928,8 @@ def test_twirl_identity_on_choi_50_random_channels():
     rng = np.random.default_rng(np.random.Philox(77))
     for trial in range(50):
         kraus = random_cptp(rng, n_kraus=2 if trial % 2 else 3)
-        algebraic = pauli_channel_choi(twirl_channel(kraus))
+        weights = twirl_channel(kraus)
+        algebraic = channel_choi([np.sqrt(w) * p for w, p in zip(weights, (I2, X, Y, Z))])
         averaged = twirled_choi_by_pad_average(kraus)
         assert np.abs(algebraic - averaged).max() < 1e-10
 
@@ -1001,7 +1008,7 @@ def test_normalizer_l1_amplitude_damping_exact_inequality():
     # The float path agrees with the exact table.
     kraus = [np.array([[1, 0], [0, 0.6]], dtype=complex),
              np.array([[0, 0.8], [0, 0]], dtype=complex)]
-    float_table = abs_coeffs_from_kraus(kraus)
+    float_table = [list(np.abs(row)) for row in pauli_decompose_channel(kraus)]
     got = normalizer_l1_mass([float_table] * 4, FOUR22)
     assert abs(float(total) - got) < 1e-10
 
@@ -1093,7 +1100,7 @@ def test_auth13_rejects_non_cptp_wire():
     proto = make_auth13()
     bad = [(0.5 * I2,)] + identity_wires(3)
     with pytest.raises(ValueError, match="trace preserving"):
-        auth13_attack_harness(proto, bad, TamperFunction.keep_all(proto.nm.n))
+        auth13_attack_harness(proto, bad, TamperFunction(("keep",) * proto.nm.n))
 
 
 def test_wire_cptp_check_uses_the_channel_tolerance():
@@ -1101,13 +1108,13 @@ def test_wire_cptp_check_uses_the_channel_tolerance():
     # 5e-10 off identity: inside the old 1e-9 wire tolerance, outside ATOL.
     bad = [(np.sqrt(1 + 5e-10) * I2,)] + identity_wires(3)
     with pytest.raises(ValueError, match="wire 0: .*trace preserving"):
-        auth13_attack_harness(proto, bad, TamperFunction.keep_all(proto.nm.n))
+        auth13_attack_harness(proto, bad, TamperFunction(("keep",) * proto.nm.n))
 
 
 def test_auth13_completeness_exact():
     proto = make_auth13()
     rep = auth13_attack_harness(proto, identity_wires(4),
-                                TamperFunction.keep_all(proto.nm.n))
+                                TamperFunction(("keep",) * proto.nm.n))
     assert abs(rep.p_accept - 1.0) < 1e-10
     assert rep.p_accept_wrong < 1e-10
     assert rep.p_reject < 1e-10
@@ -1131,7 +1138,7 @@ def test_auth13_key_recovered_pauli_attack_bounded():
     # wrong-accept is bounded by the squared detection error.
     proto = make_auth13()
     eps = measure_pmd_epsilon(proto.composed.pmd).value
-    keep = TamperFunction.keep_all(proto.nm.n)
+    keep = TamperFunction(("keep",) * proto.nm.n)
     cases = {
         "XIII": [(X,), (I2,), (I2,), (I2,)],   # in N(outer) minus S
         "ZZII": [(Z,), (Z,), (I2,), (I2,)],    # in N(outer) minus S
@@ -1149,7 +1156,7 @@ def test_auth13_key_recovered_pauli_attack_bounded():
 def test_auth13_stabilizer_attack_accepts_original():
     proto = make_auth13()
     rep = auth13_attack_harness(proto, [(X,)] * 4,
-                                TamperFunction.keep_all(proto.nm.n))
+                                TamperFunction(("keep",) * proto.nm.n))
     assert abs(rep.p_accept - 1.0) < 1e-10
     assert rep.p_accept_wrong < 1e-10
 
@@ -1158,7 +1165,7 @@ def test_auth13_twirl_matches_explicit_for_noise():
     proto = make_auth13()
     wires = [depolarizing_kraus(0.3), (I2,), depolarizing_kraus(0.1), (Z,)]
     explicit = auth13_attack_harness(proto, wires,
-                                     TamperFunction.keep_all(proto.nm.n))
+                                     TamperFunction(("keep",) * proto.nm.n))
     twirled = auth13_key_recovered_branch(proto, wires)
     assert abs(explicit.p_accept - twirled.p_accept) < 1e-10
     assert abs(explicit.p_accept_wrong - twirled.p_accept_wrong) < 1e-10
@@ -1207,7 +1214,7 @@ def _harness_by_key(proto, wire_kraus, classical):
     for s in range(proto.key_count):
         rho = dm_conjugate_pauli(widen(pad_to_pauli(s, n)), rho0)
         for q in range(n):
-            rho = dm_apply_single_qubit_kraus(wire_kraus[q], q, rho, total_qubits)
+            rho = dm_apply_single_qubit_kraus(wire_kraus[q], q, rho)
         outcomes = {}
         for r in range(1 << proto.nm.rand_bits):
             got = proto.nm.decode(classical.apply(proto.nm.encode(s, r)))
@@ -1248,7 +1255,7 @@ def test_harness_matches_key_loop_on_substitution(fixed_key):
 def test_harness_matches_key_loop_on_keep_all_and_random_tags():
     proto = make_auth13()
     rng = np.random.default_rng(11)
-    keep = TamperFunction.keep_all(proto.nm.n)
+    keep = TamperFunction(("keep",) * proto.nm.n)
     _assert_harness_matches_key_loop(proto, [random_cptp(rng) for _ in range(4)], keep)
     _assert_harness_matches_key_loop(proto, [depolarizing_kraus(0.3)] * 4, keep)
     for _ in range(4):
@@ -1332,7 +1339,7 @@ def test_auth1_completeness_exact():
     for seed in (0, 1, 777, 65535):
         state = auth1_encode(proto, message, seed)
         result = auth1_decode(proto, state, seed)
-        assert result.accepted
+        assert result.rejected_at is None
         assert result.accept_probability > 1 - 1e-10
         phase = np.vdot(result.message, message)
         assert abs(abs(phase) - 1.0) < 1e-10
@@ -1343,7 +1350,7 @@ def test_auth1_wrong_seed_differs():
     message = np.array([1, 0], dtype=complex)
     state = auth1_encode(proto, message, seed=777)
     result = auth1_decode(proto, state, seed=778)
-    if result.accepted:  # a different pad may still pass checks, but
+    if result.rejected_at is None:  # a different pad may still pass checks, but
         # it must not silently return the original message with
         # certainty (the pads differ on some block).
         assert result.accept_probability < 1 - 1e-6
@@ -1358,7 +1365,7 @@ def test_auth1_inner_abort_propagates():
     state = auth1_encode(proto, message, seed=3)
     corrupted = ap(PauliOperator(8, 1, 0, 0), state)  # X on qubit 0
     result = auth1_decode(proto, corrupted, seed=3)
-    assert not result.accepted
+    assert result.rejected_at is not None
     assert result.rejected_at == "inner block 0"
 
 
@@ -1373,7 +1380,7 @@ def test_auth1_outer_abort():
     from pmdkit.densesim import apply_pauli as ap
     state = ap(proto.pad_for_seed(9), state)
     result = auth1_decode(proto, state, seed=9)
-    assert not result.accepted
+    assert result.rejected_at is not None
     assert result.rejected_at == "outer"
 
 
@@ -1420,7 +1427,7 @@ def test_auth1_block_twirl_matches_pad_average():
         pad = pad_to_pauli(pad_bits, 4)
         rho = dm_conjugate_pauli(pad, block_rho)
         for q in range(4):
-            rho = dm_apply_single_qubit_kraus(channels[q], q, rho, 4)
+            rho = dm_apply_single_qubit_kraus(channels[q], q, rho)
         rho = dm_conjugate_pauli(pad, rho)
         brute_accept += float(np.trace(acc_op @ rho).real) / 256
     alg_reject = auth1_block_reject_probability(proto, channels, block_rho)
@@ -1515,7 +1522,7 @@ def _per_key_attack_harness(proto, wire_kraus, classical):
         stack[:, j] = rho.reshape(-1, order="F")
     for q, kraus in enumerate(wire_kraus):
         superop = sum(np.kron(np.conj(op), op) for op in map(np.asarray, kraus))
-        stack = apply_on_qubits(superop, (q, total_qubits + q), stack, 2 * total_qubits)
+        stack = apply_on_qubits(superop, (q, total_qubits + q), stack)
     big_iso = np.kron(np.eye(1 << k), proto.composed.encoder_isometry())
     p_accept = p_wrong = fid_acc = 0.0
     for s_tilde, column in zip(mixed, stack.T):

@@ -343,9 +343,9 @@ def test_auth_simulate_rate1_scores_an_8_qubit_block_wire_by_wire(capsys, tmp_pa
     real_apply, real_reject = auth.apply_on_qubits, cli.auth1_block_reject_probability
     wire_calls = []
 
-    def counted_apply(u, qubits, array, n):
+    def counted_apply(u, qubits, array):
         wire_calls.append(qubits)
-        return real_apply(u, qubits, array, n)
+        return real_apply(u, qubits, array)
 
     def counted_reject(*args):
         monkeypatch.setattr(auth, "apply_on_qubits", counted_apply)
@@ -398,6 +398,40 @@ def test_auth_simulate_rate1(capsys, tmp_path):
     assert rc == 0
     assert "[PASS] completeness: 1.000000000000" in out
     assert "block_0_reject: 0.875000000000" in out
+
+
+def test_auth_simulate_records_the_inner_and_nm_files_it_reads(capsys, tmp_path):
+    # Two rate-1 runs with different inner codes once printed one header.
+    outer = tmp_path / "outer.txt"
+    outer.write_text("n=2 k=1\nXX\n")
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    attack = _write_json(tmp_path, "attack.json", {"wires": [[eye]] * 8})
+    configs = []
+    for name, gens in (("z4.txt", "ZZZZ"), ("x4.txt", "XXXX")):
+        inner = tmp_path / name
+        inner.write_text(f"n=4 k=3\n{gens}\n")
+        rc, out, _ = invoke(capsys, ["auth", "simulate", "--protocol", "rate1",
+                                     "--pmd-n", "2", "--pmd-lambda", "1",
+                                     "--outer", str(outer), "--inner", str(inner),
+                                     "--attack", attack, "--format", "json"])
+        assert rc == 0
+        configs.append(json.loads(out)["config"])
+    assert [c["inner"] for c in configs] == [str(tmp_path / "z4.txt"),
+                                             str(tmp_path / "x4.txt")]
+    assert "nm" not in configs[0]
+    # --protocol third records its --nm file the same way.
+    nm_file = _write_json(tmp_path, "nm.json", systematic_parity_nm(8).to_record())
+    outer43 = tmp_path / "outer43.txt"
+    outer43.write_text("n=4 k=3\nXXXX\n")
+    third = _write_json(tmp_path, "third.json",
+                        {"wires": [[eye]] * 4, "classical": ["keep"] * 10})
+    rc, out, _ = invoke(capsys, ["auth", "simulate", "--protocol", "third",
+                                 "--pmd-n", "2", "--pmd-lambda", "1",
+                                 "--outer", str(outer43), "--nm", nm_file,
+                                 "--attack", third, "--format", "json"])
+    assert rc == 0
+    config = json.loads(out)["config"]
+    assert config["nm"] == nm_file and "inner" not in config
 
 
 def test_nm_search_verify_roundtrip(capsys, tmp_path):
@@ -914,6 +948,22 @@ def test_modulus_override(capsys):
                                      "--modulus", "0x9"])  # x^3 + 1 reducible
     assert rc_bad == 2
     assert "reducible" in err
+
+
+def test_ptc_check_refuses_a_modulus_of_another_degree(capsys, monkeypatch):
+    # The field's degree is its modulus's; one that is not --lambda is
+    # refused before the pairwise guard runs and before any code is built.
+    from pmdkit import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the degree check")
+
+    monkeypatch.setattr(cli, "check_pairwise_sweep", never)
+    monkeypatch.setattr(cli, "build_bcgst_family", never)
+    rc, out, err = invoke(capsys, ["ptc", "check", "--n", "3", "--lambda", "3",
+                                   "--modulus", "0x7"])  # x^2 + x + 1
+    assert rc == 2 and out == ""
+    assert "--modulus 0x7 has degree 2, --lambda is 3" in err
 
 
 def test_ptc_sampling_reports_confidence(capsys):

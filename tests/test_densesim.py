@@ -111,11 +111,18 @@ def test_apply_on_qubits_matches_embedding():
         m = len(qubits)
         u = rng.standard_normal((1 << m, 1 << m)) + 1j * rng.standard_normal((1 << m, 1 << m))
         vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        got = ds.apply_on_qubits(u, qubits, vec, 3)
+        got = ds.apply_on_qubits(u, qubits, vec)
         assert np.allclose(got, embed(u, qubits, 3) @ vec)
         cols = rng.standard_normal((8, 2))
-        got2 = ds.apply_on_qubits(u, qubits, cols, 3)
+        got2 = ds.apply_on_qubits(u, qubits, cols)
         assert np.allclose(got2, embed(u, qubits, 3) @ cols)
+    # The rows are the register: 2^n of them are n qubits, and no other
+    # count is a register.
+    for rows in (6, 12):
+        with pytest.raises(ValueError, match=f"row dimension {rows} is not a power of two"):
+            ds.apply_on_qubits(np.eye(2), (0,), np.ones((rows, 2)))
+    with pytest.raises(ValueError, match="bad qubit list"):
+        ds.apply_on_qubits(np.eye(2), (3,), np.ones(8))
 
 
 def test_gate_conjugation_rules_match_matrices():
@@ -298,7 +305,7 @@ def test_density_matrix_helpers_match_dense_products():
     kraus = [np.sqrt(0.7) * I2, np.sqrt(0.3) * X]
     want = sum(np.kron(np.kron(I2, k), I2) @ rho @ np.kron(np.kron(I2, k), I2).conj().T
                for k in kraus)
-    assert np.allclose(ds.dm_apply_single_qubit_kraus(kraus, 1, rho, 3), want,
+    assert np.allclose(ds.dm_apply_single_qubit_kraus(kraus, 1, rho), want,
                        atol=1e-12)
 
 
@@ -330,7 +337,7 @@ def channel_fidelity(kraus, qubits, k, n_system):
     vec = np.zeros(1 << n, dtype=complex)
     for m in range(1 << k):
         vec[m | (m << n_system)] = 1 / np.sqrt(1 << k)
-    branches = [(1.0, ds.apply_on_qubits(kk, qubits, vec, n)) for kk in kraus]
+    branches = [(1.0, ds.apply_on_qubits(kk, qubits, vec)) for kk in kraus]
     return ds.maximally_entangled_overlap(branches, tuple(range(k)),
                                           tuple(range(n_system, n)))
 

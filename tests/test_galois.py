@@ -19,12 +19,14 @@ def test_default_moduli_are_irreducible():
 
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError, match="reducible"):
-        FieldSpec(2, 0b101)  # x^2 + 1 = (x + 1)^2
+        FieldSpec(0b101)  # x^2 + 1 = (x + 1)^2
 
 
-def test_degree_mismatch_rejected():
-    with pytest.raises(ValueError, match="degree"):
-        FieldSpec(3, 0b111)
+def test_field_degree_is_the_modulus_degree():
+    assert [FieldSpec(0b111).m, FieldSpec(0b11001).order] == [2, 16]
+    for modulus in (0, 1, -7):
+        with pytest.raises(ValueError, match="not a polynomial of degree >= 1"):
+            FieldSpec(modulus)
 
 
 def test_mul_identities():
@@ -73,7 +75,7 @@ def _x_order(modulus):
 def test_table_mul_matches_the_carry_less_product(modulus):
     """`mul` reads log/antilog tables; `_poly_mulmod`, which builds them,
     is the oracle on every pair."""
-    field = FieldSpec(modulus.bit_length() - 1, modulus)
+    field = FieldSpec(modulus)
     for a, b in itertools.product(range(field.order), repeat=2):
         assert field.mul(a, b) == _poly_mulmod(a, b, modulus), (a, b)
 
@@ -96,7 +98,7 @@ def test_log_antilog_tables_cover_the_multiplicative_group(modulus):
 @pytest.mark.parametrize("modulus", [DEFAULT_MODULI[m] for m in (1, 2, 3, 4)]
                          + sorted(NON_PRIMITIVE)[:2], ids=hex)
 def test_table_power_matches_repeated_carry_less_products(modulus):
-    field = FieldSpec(modulus.bit_length() - 1, modulus)
+    field = FieldSpec(modulus)
     for a in range(field.order):
         expected = 1
         for e in range(3 * field.order):

@@ -9,7 +9,7 @@ from pmdkit.galois import FieldSpec
 from pmdkit.limits import SizeGuardError
 import pmdkit.pmd
 from pmdkit.pmd import (PmdCode, auth_unitary, build_pmd, compressed_error_norm,
-                        frame_norms, key_phase_error, measure_pmd_epsilon)
+                        frame_norms, measure_pmd_epsilon)
 from pmdkit.ptc import (build_bcgst_family, measure_pairwise_detectability,
                         measure_strong_ptc_error)
 from pmdkit.symplectic import PauliOperator
@@ -139,7 +139,7 @@ def dense_sweep_epsilon(pmd):
     (4, 2, {"encoder_pivot": "low"}),
     (4, 2, {"encoder_pivot": "high"}),
     # GF(4) has a single irreducible modulus; GF(8) also has x^3+x^2+1.
-    (3, 3, {"field": FieldSpec(3, 0b1101)}),
+    (3, 3, {"field": FieldSpec(0b1101)}),
     (6, 2, {}),
     (5, 1, {}),  # epsilon = 1: the row bounds prune most rows
     (4, 4, {}),  # no message qubit: 1x1 blocks and no row bound
@@ -292,14 +292,9 @@ def test_key_phase_errors_are_exactly_zero():
     for n, lam in [(2, 1), (4, 2), (6, 3)]:
         pmd = make_pmd(n, lam)
         for b_mask in range(1, 1 << lam):
-            e = key_phase_error(pmd, b_mask)
+            # Z^b on the key register, identity on the code register.
+            e = PauliOperator(pmd.total, 0, b_mask << pmd.code_qubits, 0)
             assert compressed_error_norm(pmd, e) <= ATOL
-
-
-def test_key_phase_error_validation():
-    pmd = make_pmd(2, 1)
-    with pytest.raises(ValueError):
-        key_phase_error(pmd, 2)
 
 
 def test_corrupted_states_near_orthogonal_to_codespace():

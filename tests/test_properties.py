@@ -1,5 +1,6 @@
 """Property tests against brute-force oracles at small size."""
 
+import itertools
 import json
 import operator
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pmdkit import f2
-from pmdkit.auth import NmCode, REJECT, all_tamper_functions, nm_decompose, nm_verify
+from pmdkit.auth import BIT_TAGS, NmCode, REJECT, TamperFunction, nm_decompose, nm_verify
 from pmdkit.densesim import (GATE_MATRICES, apply_circuit, apply_on_qubits,
                              circuit_unitary, dm_conjugate_pauli,
                              kraus_from_record, kraus_to_record, pauli_gather,
@@ -145,7 +146,7 @@ def _matrix_path(circ, array):
     n = array.shape[0].bit_length() - 1
     for name, qubits in circ.gates:
         matrix = {"cnot": _CNOT, "cz": _CZ}.get(name, GATE_MATRICES.get(name))
-        array = apply_on_qubits(matrix, qubits, array, n)
+        array = apply_on_qubits(matrix, qubits, array)
     return np.ascontiguousarray(array)
 
 
@@ -370,7 +371,7 @@ def field_products(draw):
     modulus = draw(st.sampled_from(_MODULI))
     m = modulus.bit_length() - 1
     a, b = draw(st.integers(0, (1 << m) - 1)), draw(st.integers(0, (1 << m) - 1))
-    return FieldSpec(m, modulus), a, b
+    return FieldSpec(modulus), a, b
 
 
 @_SETTINGS
@@ -392,7 +393,7 @@ def bases(draw, field):
 @st.composite
 def families_and_errors(draw):
     modulus = draw(st.sampled_from([p for p in _MODULI if p < 1 << 5]))
-    field = FieldSpec(modulus.bit_length() - 1, modulus)
+    field = FieldSpec(modulus)
     n = field.m * draw(st.integers(1, 12 // field.m))
     pair = compute_dual_basis(field, draw(bases(field)))
     family = build_bcgst_family(n, field.m, basis_pair=pair, field=field)
@@ -437,14 +438,14 @@ def _assert_coords_match_traces(pair, field):
 
 def test_default_basis_coords_match_traces():
     for modulus in _MODULI:
-        field = FieldSpec(modulus.bit_length() - 1, modulus)
+        field = FieldSpec(modulus)
         _assert_coords_match_traces(compute_dual_basis(field), field)
 
 
 @st.composite
 def dual_pairs(draw):
     modulus = draw(st.sampled_from(_MODULI))
-    field = FieldSpec(modulus.bit_length() - 1, modulus)
+    field = FieldSpec(modulus)
     return compute_dual_basis(field, draw(bases(field))), field
 
 
@@ -465,14 +466,14 @@ def nm_table_codes(draw):
     enc = np.array(words[:1 << (k + rand_bits)]).reshape(1 << k, 1 << rand_bits)
     dec = np.array([draw(st.sampled_from([-1, *range(1 << k)])) for _ in range(1 << n)])
     dec[enc] = np.arange(1 << k)[:, None]
-    return NmCode(k, n, rand_bits, enc, dec)
+    return NmCode(enc, dec)
 
 
 def brute_force_nm_epsilon(code):
     """One LP per tampering over all 4^n of them, memoized on the exact
     Fraction decode distributions (the whole input of the LP)."""
     solved = {}
-    for f in all_tamper_functions(code.n):
+    for f in map(TamperFunction, itertools.product(BIT_TAGS, repeat=code.n)):
         key = tuple(tuple(sorted((-1 if o is REJECT else o, p) for o, p in d.items()))
                     for d in code.tampered_distributions(f))
         if key not in solved:

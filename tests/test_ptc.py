@@ -45,7 +45,7 @@ def test_build_rejects_bad_divisibility():
 
 
 def single_code_family(code, lam=1):
-    return PtcFamily(code.n, lam, FieldSpec.default(lam),
+    return PtcFamily(code.n, FieldSpec.default(lam),
                      {k: code for k in range(1 << lam)})
 
 
@@ -280,7 +280,7 @@ ORACLE_FAMILIES = {
     "6-3": lambda: build_bcgst_family(6, 3),
     "8-4": lambda: build_bcgst_family(8, 4),
     "12-4": lambda: build_bcgst_family(12, 4),
-    "4-4-x4+x3+1": lambda: build_bcgst_family(4, 4, field=FieldSpec(4, 0b11001)),
+    "4-4-x4+x3+1": lambda: build_bcgst_family(4, 4, field=FieldSpec(0b11001)),
     "6-3-alt-basis": lambda: build_bcgst_family(
         6, 3, basis_pair=_alt_pair(FieldSpec.default(3))),
     "4-2-high-pivot": lambda: build_bcgst_family(4, 2, encoder_pivot="high"),
@@ -321,7 +321,7 @@ def test_n12_lambda6_pinned_values():
 def test_key_syndromes_widen_past_eight_generators():
     # Nine generators per key do not fit a uint8 syndrome.
     code = StabilizerCode(10, [PauliOperator(10, 0, 1 << i, 0) for i in range(9)])
-    fam = PtcFamily(10, 9, FieldSpec.default(9), {k: code for k in range(1 << 9)})
+    fam = PtcFamily(10, FieldSpec.default(9), {k: code for k in range(1 << 9)})
     rng = np.random.default_rng(0)
     ex = rng.integers(0, 1 << 10, size=20, dtype=np.uint64)
     ez = rng.integers(0, 1 << 10, size=20, dtype=np.uint64)
@@ -344,12 +344,12 @@ def test_wide_blocks_match_oracles():
             gens.append(PauliOperator(40, mask, 0, 0) if rng.integers(2)
                         else PauliOperator(40, 0, mask, 0))
         codes[key] = StabilizerCode(40, gens)
-    fam = PtcFamily(40, 2, FieldSpec.default(2), codes)
+    fam = PtcFamily(40, FieldSpec.default(2), codes)
     want, bad_by_shift = oracle_pairwise(fam)
     assert measure_pairwise_detectability(fam).value == want
     for shift in range(fam.num_keys):
         assert commuting_shift_keys(fam, shift) == bad_by_shift[shift]
-    fam32 = PtcFamily(32, 2, FieldSpec.default(2),
+    fam32 = PtcFamily(32, FieldSpec.default(2),
                       {k: StabilizerCode(32, [PauliOperator(32, 0, 1 << 31, 0),
                                               PauliOperator(32, 1 << k, 0, 0)])
                        for k in range(4)})
@@ -414,7 +414,7 @@ def test_two_word_draws_redraw_only_the_identity():
 
 
 def test_sampling_refuses_n_above_64():
-    fam = PtcFamily(65, 1, FieldSpec.default(1), {})
+    fam = PtcFamily(65, FieldSpec.default(1), {})
     with pytest.raises(SizeGuardError, match="need n <= 64, got n = 65"):
         measure_strong_ptc_error(fam, samples=3)
 

@@ -220,7 +220,7 @@ def test_syndrome_collapse_into_list_span():
     iso = codespace_isometry(code)
     psi = iso @ (lambda v: v / np.linalg.norm(v))(
         rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    vec = apply_on_qubits(random_two_qubit_unitary(rng), erased, psi, code.n)
+    vec = apply_on_qubits(random_two_qubit_unitary(rng), erased, psi)
     for s_bits in itertools.product((0, 1), repeat=code.r):
         post = vec.copy()
         for g, want in zip(code.gens, s_bits):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pmdkit
 from pmdkit import cli
 
-SETTABLE_PIN = 154
+SETTABLE_PIN = 148
 
 
 def _leaf_parsers(parser):
