@@ -178,7 +178,11 @@ def _family(args, config: dict):
     field = None
     if args.modulus is not None:
         config["modulus"] = args.modulus
-        field = FieldSpec(int(args.modulus, 0))
+        try:
+            modulus = int(args.modulus, 0)
+        except ValueError:
+            raise ValueError(f"--modulus {args.modulus!r} is not an integer like 0x13") from None
+        field = FieldSpec(modulus)
         if field.m != args.lam:
             raise ValueError(f"--modulus {args.modulus} has degree {field.m}, "
                              f"--lambda is {args.lam}")

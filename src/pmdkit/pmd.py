@@ -17,9 +17,11 @@ work guard).  Both paths rest on the frame of the per-key Clifford
 encoders, where each key's part of B^dag E B is a signed row gather
 from a table U_{k^a}^dag B_k, so the sum over keys of the norms of
 the gathered slabs is a frame bound on the block, rigorous by the
-triangle inequality.  The sampled path keeps a running maximum and
-visits each key shift's draws by descending frame bound, building a
-block only while its bound reaches floor = maximum * (1 - 1e-9).  A
+triangle inequality.  Each slab norm is exactly sqrt(|T| / 2^lam) or 0,
+read off the encoders' tableaux (`_clifford_frames`).  The sampled path
+keeps a running maximum, builds a key shift's tables only when one of
+its draws' frame bounds reaches floor = maximum * (1 - 1e-9), and then
+builds blocks by descending frame bound while they reach the floor.  A
 built block whose Cholesky factor of floor^2 I - M^dag M exists is
 certified below it (the test's rounding is of order n^2 u for n
 columns, at most about 1e-10, inside the margin), and only the other
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .densesim import (apply_circuit, codespace_isometry, circuit_unitary,
                        f2_parity_array, pauli_gather)
 from .limits import SWEEP_GUARD, SizeGuardError, check_qubits
 from .ptc import PtcFamily
-from .symplectic import PauliOperator
+from .symplectic import PauliOperator, pauli_span
 
 
 def check_pmd_size(n: int, lam: int) -> None:
@@ -142,25 +143,6 @@ def _norm_bounds(m: np.ndarray) -> np.ndarray:
     return np.minimum(holder, np.sqrt(np.einsum("ijk,ijk->i", a, a)))
 
 
-def _slab_norms(tables: np.ndarray) -> np.ndarray:
-    """|S| for each 2^(n-lam)-row slab S of each table in a
-    (..., 2^n, 2^(n-lam)) stack, shape (..., 2^lam), as the square root
-    of `_norm_bounds` of S^dag S.
-
-    That is an upper bound on every matrix, and on these slabs it is the
-    norm up to rounding.  A slab of U_j^dag B_k is
-    (I (x) <c|) C (I (x) |0>) for a Clifford C = U_j^dag U_k, so its Gram
-    is a multiple of a stabilizer projector, whose entries are 0 or all
-    of one magnitude (Dehaene and De Moor, quant-ph/0304125): each
-    nonzero row of a projector with that property has absolute sum 1,
-    its norm.
-    """
-    k_dim = tables.shape[-1]
-    slabs = tables.reshape(-1, k_dim, k_dim)
-    gram = np.matmul(slabs.conj().transpose(0, 2, 1), slabs)
-    return np.sqrt(_norm_bounds(gram)).reshape(tables.shape[:-2] + (-1,))
-
-
 def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
                         seed: int = 0) -> EpsilonReport:
     """max over E != I (mod phase) of |B^dag E B|, with the argmax.
@@ -173,10 +155,8 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
     entries (samples * 4^(n-lam)) and more samples than the 4^total - 1
     nonidentity Paulis, where the exhaustive sweep is exact and allowed.
     The argmax is the first drawn Pauli with the largest `frame_norms`
-    norm, found by `_sampled_argmax`: it builds only the blocks whose
-    frame bound reaches the running maximum, certifies most of those
-    below it by one Cholesky test each and runs the SVD only on the
-    rest.  The reported value is `compressed_error_norm` at the argmax,
+    norm, found by `_sampled_argmax` with few blocks built and fewer
+    SVDs.  The reported value is `compressed_error_norm` at the argmax,
     so it is exactly the dense norm there.
 
     Phases of E drop out of singular values, so only the (x, z)
@@ -280,50 +260,70 @@ def measure_pmd_epsilon(pmd: PmdCode, samples: int | None = None,
     return EpsilonReport(compressed_error_norm(pmd, argmax), argmax, exhaustive=False)
 
 
+def _clifford_frames(pmd: PmdCode, x: np.ndarray, z: np.ndarray):
+    """(frames, sizes): frames[j] stacks x', z' and phase mod 4 of
+    U_j^dag X^x Z^z U_j for the code-register masks x, z, and the integer
+    sizes[j, k, c] = 2^lam |S|^2 for slab c, S, of G_{j,k} = U_j^dag B_k.
+
+    With C = U_j^dag U_k and |c><c| = 2^-lam sum_t (-1)^(c.t) Z^t on the
+    ancillas, S^dag S = 2^-lam sum_t (-1)^(c.t) (I (x) <0|) C^dag Z^t C (I (x) |0>).
+    C^dag Z^t C = U_k^dag (U_j Z^t U_j^dag) U_k = i^phi X^x' Z^z' compresses
+    to 0 unless x' has no ancilla bit: t in T, a group whose compressions
+    are commuting signed message Paulis.  So the sum is |T| times a
+    stabilizer projector, or 0 if some t in T0 (no message part either)
+    compresses to (-1)^(c.t) i^phi = -1: sizes is |T| where the Walsh
+    transform of i^phi over T0 is nonzero, else 0.  U_j Z^t U_j^dag is a
+    product of lam int conjugations and rides on each U_k^dag array call.
+    """
+    n, num_keys, shift, m = pmd.code_qubits, pmd.family.num_keys, pmd.message_qubits, len(x)
+    encoders = [pmd.family.codes[k].encoder for k in range(num_keys)]
+    z_gens = [PauliOperator(n, 0, 1 << a) for a in range(shift, n)]
+    # q[:, j * K + t] = U_j Z^t U_j^dag, the span of the ancilla Z's images.
+    q = np.array([(p.x, p.z, p.phase) for u in encoders for p in pauli_span(
+        n, [u.conjugate_pauli(g) for g in z_gens], up_to_phase=False)]).T
+    walsh_key = _walsh_matrix(pmd.key_qubits).astype(np.int64)  # integer sums, exact
+    frames, sizes = [], []
+    for u in encoders:
+        px, pz, phase = np.broadcast_arrays(*u.inverse().conjugate_masks(
+            np.concatenate([x, q[0]]), np.concatenate([z, q[1]])))
+        frames.append((px[:m], pz[:m], phase[:m] % 4))
+        # [j, t]: Z^t through U_j, then through this U_k^dag.
+        px, pz, phi = (v.reshape(num_keys, -1) for v in (px[m:], pz[m:], phase[m:] + q[2]))
+        in_t = px >> shift == 0  # no X on the ancillas
+        in_t0 = in_t & ((px | pz) & ((1 << shift) - 1) == 0)  # nor a message part
+        walsh = np.where(in_t0, 1 - phi % 4, 0) @ walsh_key
+        sizes.append(np.where(walsh > 0, in_t.sum(axis=1)[:, None], 0))
+    return np.array(frames), np.stack(sizes, axis=1)
+
+
 def _row_bounds(pmd: PmdCode) -> np.ndarray:
     """r[a, x_c, z_c] >= |B^dag X^x Z^z B| for x = a << n | x_c, every
     z = b << n | z_c and every key Z part b.
 
-    By `frame_norms`' identity, key k's term of B^dag E B is a signed row
-    permutation of the 2^(n-lam) rows of 2^-lam G_{k^a,k} whose ancilla
-    bits (the high lam bits of the code register) are those of the X
-    part of P'_k: one slab of the table.  A signed row permutation keeps
-    the spectral norm, so by the triangle inequality the sum over k of
-    these slab norms bounds the block, whatever the signs (-1)^(b.k) of
-    the key Z part are.  The K*K*2^lam slab norms come from
-    `_slab_norms`, the slab index from P'_k's X part, which is linear in
-    (x_c, z_c) and so the xor of the X parts of U^dag X^x_c U and of
-    U^dag Z^z_c U.
+    By `_frame_blocks`' identity, key k's term of B^dag E B is a signed
+    row permutation of the slab of 2^-lam G_{k^a,k} at the ancilla bits
+    (the high lam bits of the code register) of P'_k's X part, so the sum
+    over k of these slab norms bounds the block, whatever the signs
+    (-1)^(b.k) of the key Z part.  The norms are exact, sqrt(|T| / 2^lam)
+    or 0 from `_clifford_frames`, with no table built; the slab index is
+    the xor of the X parts of U^dag X^x_c U and of U^dag Z^z_c U.
     """
     dim_code, num_keys = 1 << pmd.code_qubits, pmd.family.num_keys
-    k_dim, shift = 1 << pmd.message_qubits, pmd.message_qubits
-    keys = np.arange(num_keys)
-    masks = np.arange(dim_code)
-    zero = np.zeros_like(masks)
-    # Key k's encoder rows 2^(-lam/2) B_k side by side, as one 2^n-row array.
-    encoders = np.moveaxis(pmd.encoder.reshape(num_keys, dim_code, k_dim), 1, 0)
-    encoders = encoders.reshape(dim_code, -1)
-    norms, slab = [], []
-    for j in range(num_keys):
-        inv = pmd.family.codes[j].encoder.inverse()
-        # norms[j, k, c]: slab c of 2^-lam G_{j,k}; the other 2^(-lam/2) is below.
-        tables = apply_circuit(inv, encoders).reshape(dim_code, num_keys, k_dim)
-        norms.append(_slab_norms(np.moveaxis(tables, 1, 0)))
-        # slab[j, x_c, z_c]: ancilla bits of the X part of U_j^dag X^x_c Z^z_c U_j,
-        # from one call on X^x_c and Z^z_c for all 2^n masks.
-        ancilla = inv.conjugate_masks(np.concatenate([masks, zero]),
-                                      np.concatenate([zero, masks]))[0] >> shift
-        slab.append(ancilla[:dim_code, None] ^ ancilla[dim_code:])
-    norms = np.array(norms) / np.sqrt(num_keys)
-    slab = np.array(slab)
+    keys, masks = np.arange(num_keys), np.arange(dim_code)
+    # x, z: X^x_c for every x_c, then Z^z_c for every z_c.
+    frames, sizes = _clifford_frames(pmd, *np.kron(np.eye(2, dtype=np.int64), masks))
+    # slab[j, x_c, z_c]: ancilla bits of the X part of U_j^dag X^x_c Z^z_c U_j.
+    ancilla = frames[:, 0] >> pmd.message_qubits
+    slab = ancilla[:, :dim_code, None] ^ ancilla[:, None, dim_code:]
+    norms = np.sqrt(sizes / num_keys) / num_keys
     j = keys[:, None] ^ keys  # j[a, k] = k ^ a
     return norms[j[..., None, None], keys[:, None, None], slab[j]].sum(axis=1)
 
 
 def _frame_blocks(pmd: PmdCode, paulis: list[tuple[int, int]], floor):
     """Yield (i, B^dag X^x Z^z B) in the Clifford frame for the Paulis
-    (x, z) = paulis[i] whose frame bound reaches floor(), grouped by key
-    shift a = x >> n in ascending order.
+    (x, z) = paulis[i] whose frame bound reaches floor(), by key shift
+    a = x >> n in ascending order.
 
     With U_k the key-k encoder circuit and B_k = U_k (I (x) |0^lam>) the
     key-k rows of the encoder, write E = E_c (x) X^a Z^b on the code and
@@ -336,14 +336,13 @@ def _frame_blocks(pmd: PmdCode, paulis: list[tuple[int, int]], floor):
     gather i^phi (-1)^(z'.(r^x')) G_{k^a,k}[r ^ x'] over the message rows
     r: a signed row permutation of the slab of G_{k^a,k} at the ancilla
     bits of x'.  By the triangle inequality the frame bound 2^-lam sum_k
-    of those slab norms (`_slab_norms`, one call per shift) is at least
-    |B^dag E B|.  Within a shift the Paulis come by descending frame
-    bound, ties in draw order, and the shift ends at the first bound
-    below floor(), which is read before each block.  Only one shift's K
-    tables (K = 2^lam tables of 2^n x 2^(n-lam)) are alive, in one array
-    reused from shift to shift.  U_j^dag E_c U_j for all the Paulis comes
-    from one array call per key j.  Every block is yielded in one reused
-    buffer, so a caller must be done with it before the next.
+    of those slab norms (exact, from `_clifford_frames`, before any
+    table) is at least |B^dag E B|.  A shift whose largest bound is below
+    floor() is skipped without its 2^lam tables of 2^n x 2^(n-lam); in a
+    shift the Paulis come by descending bound, ties in draw order, and
+    those below floor(), read before each block, are skipped.  One
+    shift's tables live in one reused array, and every block in one
+    reused buffer, so a caller must be done with it before the next.
     """
     n, num_keys = pmd.code_qubits, pmd.family.num_keys
     dim_code, dim_msg = 1 << n, 1 << pmd.message_qubits
@@ -351,45 +350,43 @@ def _frame_blocks(pmd: PmdCode, paulis: list[tuple[int, int]], floor):
     # Key k's encoder rows are 2^(-lam/2) B_k; the other 2^(-lam/2) is here.
     scale = 1.0 / np.sqrt(num_keys)
     rows = pmd.encoder.reshape(num_keys, dim_code, dim_msg)
-    msg = np.arange(dim_msg)
-    by_shift: dict[int, list[int]] = {}
-    for i, (x, _) in enumerate(paulis):
-        by_shift.setdefault(x >> n, []).append(i)
-    tables = np.empty((num_keys, dim_code, dim_msg), dtype=complex)
-    block = np.empty((dim_msg, dim_msg), dtype=complex)
-    term = np.empty_like(block)
+    msg, keys = np.arange(dim_msg), np.arange(num_keys)[:, None]
+    exps = np.array(paulis, dtype=np.int64).reshape(-1, 2)
+    frames, sizes = _clifford_frames(pmd, *(exps.T & (dim_code - 1)))
+    # bounds[i] = 2^-lam sum_k |slab of G_{k^a,k} at the x' of U_{k^a}|.
+    j = keys ^ (exps[:, 0] >> n)
+    slabs = sizes[j, keys, frames[j, 0, np.arange(len(paulis))] >> pmd.message_qubits]
+    bounds = (np.sqrt(slabs / num_keys) / num_keys).sum(axis=0).tolist()
     # frames[j][i] = (x', z', phi) of U_j^dag E_c U_j for Pauli i.
-    exps = np.array(paulis, dtype=np.int64).reshape(-1, 2) & (dim_code - 1)
-    frames = []
-    for inv in inverses:
-        px, pz, phase = np.broadcast_arrays(*inv.conjugate_masks(exps[:, 0], exps[:, 1]))
-        frames.append(list(zip(px.tolist(), pz.tolist(), (phase % 4).tolist())))
-    for a, members in sorted(by_shift.items()):
-        for k in range(num_keys):
-            tables[k] = apply_circuit(inverses[k ^ a], rows[k])
-        slab = (_slab_norms(tables) * scale).tolist()
-        bounds = [sum(slab[k][frames[k ^ a][i][0] >> pmd.message_qubits]
-                      for k in range(num_keys)) for i in members]
-        # sorted is stable, also with reverse=True.
-        for bound, i in sorted(zip(bounds, members), key=itemgetter(0), reverse=True):
-            if bound < floor():
-                break
-            b = paulis[i][1] >> n
-            block.fill(0)
-            for k, table in enumerate(tables):
-                px, pz, phase = frames[k ^ a][i]
-                src = msg ^ px
-                sign = scale * (1j ** phase) * (-1) ** (b & k).bit_count()
-                np.take(table, src, axis=0, out=term)
-                term *= (sign * (1 - 2.0 * f2_parity_array(src & pz)))[:, None]
-                block += term
-            yield i, block
+    frames = [list(zip(*frame.tolist())) for frame in frames]
+    tables = np.empty((num_keys, dim_code, dim_msg), dtype=complex)
+    block, term = np.empty((2, dim_msg, dim_msg), dtype=complex)
+    built = None  # the shift whose tables are in `tables`
+    # By shift, then by descending bound; sorted is stable, so ties keep draw order.
+    for i in sorted(range(len(paulis)), key=lambda d: (paulis[d][0] >> n, -bounds[d])):
+        if bounds[i] < floor():
+            continue
+        a, b = (v >> n for v in paulis[i])
+        if a != built:
+            built = a
+            for k in range(num_keys):
+                tables[k] = apply_circuit(inverses[k ^ a], rows[k])
+        block.fill(0)
+        for k, table in enumerate(tables):
+            px, pz, phase = frames[k ^ a][i]
+            src = msg ^ px
+            sign = scale * (1j ** phase) * (-1) ** (b & k).bit_count()
+            np.take(table, src, axis=0, out=term)
+            term *= (sign * (1 - 2.0 * f2_parity_array(src & pz)))[:, None]
+            block += term
+        yield i, block
 
 
 def frame_norms(pmd: PmdCode, paulis: list[tuple[int, int]]) -> np.ndarray:
-    """|B^dag X^x Z^z B| for each (x, z) exponent pair, one SVD per block
-    of `_frame_blocks`.  The sampled branch of `measure_pmd_epsilon` keeps
-    only the largest of these; this is its oracle."""
+    """|B^dag X^x Z^z B| for each (x, z) exponent pair: one SVD per block of
+    `_frame_blocks` with no floor, so every shift's tables are built.  It is
+    the oracle of `_sampled_argmax`, which skips the shifts whose exact
+    frame bounds (sqrt(|T| / 2^lam) per slab) are below its floor."""
     norms = np.empty(len(paulis))
     for i, block in _frame_blocks(pmd, paulis, lambda: -np.inf):
         norms[i] = np.linalg.svd(block, compute_uv=False)[0]
@@ -418,7 +415,7 @@ def _sampled_argmax(pmd: PmdCode, paulis: list[tuple[int, int]]) -> int:
     built blocks that `_certified_below` cannot put under it.
 
     The floor is best * (1 - 1e-9), carried from shift to shift.  A Pauli
-    that `_frame_blocks` skips has a frame bound, and so a norm, below it.
+    or shift that `_frame_blocks` skips has bounds, so norms, below it.
     The certificate's rounding stays inside the same margin, so a
     certified block's SVD norm could neither exceed nor tie best.  Every
     other block gets `frame_norms`' SVD on the same bits.  Blocks arrive

@@ -966,6 +966,16 @@ def test_ptc_check_refuses_a_modulus_of_another_degree(capsys, monkeypatch):
     assert "--modulus 0x7 has degree 2, --lambda is 3" in err
 
 
+@pytest.mark.parametrize("command", [["ptc", "check"], ["pmd", "verify"]])
+def test_a_modulus_that_is_not_an_integer_names_the_option(capsys, command):
+    # int()'s own message named neither the flag nor the form it takes.
+    rc, out, err = invoke(capsys, command + ["--n", "4", "--lambda", "2",
+                                             "--modulus", "zz"])
+    assert rc == 2 and out == ""
+    assert "--modulus 'zz' is not an integer like 0x13" in err
+    assert "int()" not in err
+
+
 def test_ptc_sampling_reports_confidence(capsys):
     rc, out, _ = invoke(capsys, ["ptc", "check", "--n", "4", "--lambda", "2",
                                  "--samples", "100", "--seed", "4"])

@@ -466,24 +466,42 @@ def test_certified_selection_breaks_ties_across_shifts_in_draw_order():
 
 
 def test_certified_selection_within_a_shift_breaks_ties_in_draw_order():
-    # The frame bound orders one shift's draws, so of two tied draws the
-    # later one can be visited first; the earlier one must still win.
+    # The frame bound orders one shift's draws, so of two draws with tied
+    # norms the later one comes first when its frame bound is larger; the
+    # earlier one must still win.  At (4,2) every slab norm is 0, 1/2 or
+    # 1, so each bound, 1/4 of a sum of them, is exact: the expected visit
+    # order is read off the dense slabs and is never a rounding tie.
     pmd = make_pmd(4, 2)
     n, mask = pmd.code_qubits, (1 << pmd.total) - 1
     paulis = [(c & mask, c >> pmd.total) for c in range(1, 1 << (2 * pmd.total))]
     norms = frame_norms(pmd, paulis)
+    dense = dense_slab_norms(pmd)
+    halves = np.rint(2 * dense).astype(int)
+    assert np.abs(halves / 2 - dense).max() <= 1e-12
+    codes = [pmd.family.codes[k].encoder.inverse() for k in range(pmd.family.num_keys)]
+
+    def exact_bound(x, z):
+        """4 * 2 * the frame bound of (x, z), an integer."""
+        a, e_c = x >> n, PauliOperator(n, x & ((1 << n) - 1), z & ((1 << n) - 1))
+        return sum(halves[k ^ a, k, codes[k ^ a].conjugate_pauli(e_c).x >> pmd.message_qubits]
+                   for k in range(pmd.family.num_keys))
+
     tied: dict[tuple[int, float], list[int]] = {}
     for i, ((x, _), value) in enumerate(zip(paulis, norms)):
         tied.setdefault((x >> n, value), []).append(i)
-    pairs = 0
+    later_first = 0
     for same in tied.values():
-        for later in same[1:]:
-            drawn = [paulis[same[0]], paulis[later]]
-            visits = pmdkit.pmd._frame_blocks(pmd, drawn, lambda: -np.inf)
-            if [i for i, _ in visits] == [1, 0]:
-                pairs += 1
+        drawn = [paulis[i] for i in same]
+        bounds = [exact_bound(*p) for p in drawn]
+        visits = [i for i, _ in pmdkit.pmd._frame_blocks(pmd, drawn, lambda: -np.inf)]
+        # Descending exact bound; sorted is stable, so equal bounds keep draw order.
+        assert visits == sorted(range(len(drawn)), key=lambda i: -bounds[i])
+        for later in range(1, len(drawn)):
+            if bounds[later] > bounds[0]:
+                later_first += 1
+                assert pmdkit.pmd._sampled_argmax(pmd, [drawn[0], drawn[later]]) == 0
                 assert pmdkit.pmd._sampled_argmax(pmd, drawn) == 0
-    assert pairs >= 8
+    assert later_first == 6
 
 
 def test_certified_selection_runs_few_svds(monkeypatch):
@@ -508,22 +526,56 @@ def test_certified_selection_runs_few_svds(monkeypatch):
     assert (len(built), len(calls)) == (81, 2)
 
 
-@pytest.mark.parametrize("n,lam", [(2, 1), (4, 2), (6, 2), (6, 3)])
-def test_slab_norms_are_the_svd_norms(n, lam):
-    # On the acceptance families the Hoelder bound of each slab's Gram is
-    # its norm: the slabs are scaled partial isometries.
-    pmd = make_pmd(n, lam)
-    k_dim = 1 << pmd.message_qubits
-    rows = pmd.encoder.reshape(pmd.family.num_keys, 1 << n, k_dim)
-    for j in range(pmd.family.num_keys):
-        inv = pmd.family.codes[j].encoder.inverse()
-        tables = np.array([apply_circuit(inv, r) for r in rows])
-        want = np.linalg.svd(tables.reshape(-1, k_dim, k_dim), compute_uv=False)[:, 0]
-        got = pmdkit.pmd._slab_norms(tables).reshape(-1)
-        assert np.all(got >= want * (1 - 1e-12))
-        # Slabs that are zero up to rounding (entries below 1e-16) are
-        # not partial isometries; the 1e-15 covers only those.
-        assert np.all(got <= want * (1 + 1e-12) + 1e-15)
+def dense_slab_norms(pmd):
+    """|slab c of U_j^dag B_k| as [j, k, c], from SVDs of the dense tables."""
+    num_keys, k_dim = pmd.family.num_keys, 1 << pmd.message_qubits
+    rows = pmd.encoder.reshape(num_keys, -1, k_dim) * np.sqrt(num_keys)
+    side_by_side = np.moveaxis(rows, 0, 1).reshape(rows.shape[1], -1)  # B_k for all k
+    norms = []
+    for j in range(num_keys):
+        tables = apply_circuit(pmd.family.codes[j].encoder.inverse(), side_by_side)
+        slabs = np.moveaxis(tables.reshape(num_keys, k_dim, num_keys, k_dim), 2, 0)
+        norms.append(np.linalg.svd(slabs, compute_uv=False)[..., 0])
+    return np.array(norms)
+
+
+@pytest.mark.parametrize("n,lam,kwargs", [
+    (2, 1, {}), (4, 2, {"encoder_pivot": "low"}), (4, 2, {"encoder_pivot": "high"}),
+    (5, 1, {}), (6, 2, {}), (6, 3, {}), (3, 3, {}), (6, 6, {}), (8, 4, {})])
+def test_clifford_frame_slab_norms_are_the_svd_norms(n, lam, kwargs):
+    # 2^lam |S|^2 is |T| (an integer power of two <= 2^lam) or 0, so the
+    # norm sqrt(|T| / 2^lam) needs no table.
+    pmd = make_pmd(n, lam, **kwargs)
+    num_keys = pmd.family.num_keys
+    empty = np.zeros(0, dtype=np.int64)
+    _, sizes = pmdkit.pmd._clifford_frames(pmd, empty, empty)
+    assert sizes.shape == (num_keys, num_keys, num_keys)
+    assert sizes.dtype.kind == "i"
+    for size in np.unique(sizes).tolist():
+        assert size == 0 or (size & (size - 1) == 0 and size <= num_keys), size
+    want = dense_slab_norms(pmd)
+    assert np.abs(np.sqrt(sizes / num_keys) - want).max() <= 1e-12
+
+
+def test_slab_norms_take_no_dense_table(monkeypatch):
+    # The exhaustive row bound applies no circuit, and the sampled sweep
+    # builds the K tables of a key shift only when one of its draws can
+    # reach the floor: 8 of 16 at (8,2) on every benchmark seed but 32 (4).
+    pmd = make_pmd(8, 2)
+    calls = []
+
+    def counted(circ, array):
+        calls.append(1)
+        return apply_circuit(circ, array)
+
+    monkeypatch.setattr(pmdkit.pmd, "apply_circuit", counted)
+    pmdkit.pmd._row_bounds(pmd)
+    pmdkit.pmd._row_bounds(make_pmd(6, 2))
+    assert calls == []
+    for seed in range(21, 37):
+        calls.clear()
+        measure_pmd_epsilon(pmd, samples=300, seed=seed)
+        assert len(calls) <= 8, seed
 
 
 @pytest.mark.parametrize("seed,eps", [(21, 0.5590169943749473), (22, 0.75),

@@ -59,8 +59,8 @@ _GATES = st.sampled_from(("h", "s", "x", "z", "cnot", "cz"))
 
 
 @st.composite
-def circuits(draw, max_n=3):
-    n = draw(st.integers(1, max_n))
+def circuits(draw, max_n=3, n=None):
+    n = draw(st.integers(1, max_n)) if n is None else n
     gates = []
     for name in draw(st.lists(_GATES, max_size=8)):
         arity = 2 if name in ("cnot", "cz") else 1
@@ -95,6 +95,30 @@ def test_conjugate_masks_on_arrays_matches_scalar_path(case, dtype, data):
         want = circ.conjugate_pauli(PauliOperator(circ.n, x, z))
         assert (int(px[i]), int(pz[i]), int(phase[i]) % 4) == (want.x, want.z, want.phase)
         assert int(only_x[i]) == circ.conjugate_pauli(PauliOperator(circ.n, x, 0)).x
+
+
+@_SETTINGS
+@given(circuits(max_n=4), st.data())
+def test_chained_conjugate_masks_on_arrays_keep_the_int_phases(case, data):
+    # `pmd._clifford_frames` sends the image of Z^t under one circuit
+    # through another as an array call and adds the phases: element by
+    # element that must be the int calls behind `conjugate_pauli`, with
+    # the first step as int calls or as an array call from a zero x.
+    first, _ = case
+    second, _ = data.draw(circuits(n=first.n))
+    t = np.arange(1 << first.n)
+    ints = [first.conjugate_masks(0, z) for z in t.tolist()]
+    qx, qz, qphase = np.broadcast_arrays(*first.conjugate_masks(0 * t, t))
+    assert [(int(a), int(b), int(c) % 4) for a, b, c in zip(qx, qz, qphase)] == \
+        [(a, b, c % 4) for a, b, c in ints]
+    ix, iz, iphase = (np.array(v) for v in zip(*ints))
+    for x, z, phase in ((qx, qz, qphase), (ix, iz, iphase)):
+        px, pz, more = np.broadcast_arrays(*second.conjugate_masks(x, z))
+        for i, z_mask in enumerate(t.tolist()):
+            want = second.conjugate_pauli(first.conjugate_pauli(
+                PauliOperator(first.n, 0, z_mask)))
+            got = (int(px[i]), int(pz[i]), int(phase[i] + more[i]) % 4)
+            assert got == (want.x, want.z, want.phase)
 
 
 _ONE_QUBIT = {"h": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "s": np.diag([1, 1j]),
